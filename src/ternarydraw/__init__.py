@@ -1,9 +1,8 @@
 """Layout algorithms and verification tools for planar straight-line
 orthogonal drawings of ternary trees on the integer grid."""
 
-from .geometry import (BoundingBox, Extents, GridDrawing, OneTwoDrawing,
-                       bounding_box, drawing_from_json, drawing_to_json,
-                       edge_segments, extents, rotate, translate)
+from .geometry import (Extents, GridDrawing, drawing_from_json,
+                       drawing_to_json, edge_segments, extents, rotate)
 from .layout_complete import (construction1, construction2, draw_c1_only,
                               draw_c2_only, draw_golden, draw_upper_1149)
 from .layout_general import (DecompositionStats, LayoutParams,

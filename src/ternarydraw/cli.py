@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
 from . import pareto
-from .geometry import GridDrawing, drawing_from_json, drawing_to_json, extents
+from .geometry import GridDrawing, drawing_from_json, drawing_to_json
+from .geometry import extents  # unused here; perfbench/child.py wraps cli.extents
 from .layout_complete import draw_c1_only, draw_c2_only, draw_golden, draw_upper_1149
 from .layout_general import LayoutParams, draw_general
 from .render import RenderSpec, drawing_to_svg
@@ -36,13 +38,10 @@ def _parse_treespec(spec: str) -> TernaryTree:
         if kind == "file":
             with open(rest) as f:
                 return tree_from_json(json.load(f))
-    except (ValueError, TreeError, OSError, KeyError) as e:
+    except (ValueError, TreeError, OSError, KeyError, TypeError) as e:
         raise UserError(f"bad tree spec {spec!r}: {e}") from e
     raise UserError(f"unknown tree spec kind {kind!r} "
                     "(expected complete:<h>, random:<n>:<seed>, or file:<path>)")
-
-
-_COMPLETE_ONLY = {"c1", "c2", "golden-narrow", "golden-wide", "upper1149", "pareto-min"}
 
 
 def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
@@ -71,8 +70,13 @@ def cmd_draw(args) -> int:
     tree = _parse_treespec(args.tree)
     drawing = _build(tree, args.algo, args.cache_dir)
     report = build_report(drawing)
+    ext, n = report.extents, tree.n
+    if args.algo == "general":  # at most n columns and 2*n^c - 1 rows
+        promised = ext.width <= n and ext.height <= max(1, math.ceil(2 * n ** LayoutParams().c - 1))
+    else:  # every other algorithm draws 1-2 drawings
+        promised = report.subtree_separated
     if not (report.planar and report.orthogonal and report.on_grid
-            and report.top_visible):
+            and report.top_visible and promised):
         print("internal error: construction failed verification, refusing to write",
               file=sys.stderr)
         return 3
@@ -85,8 +89,7 @@ def cmd_draw(args) -> int:
             f.write(payload + "\n")
     else:
         print(payload)
-    ext = extents(drawing)
-    print(f"nodes={tree.n} width={ext.width} height={ext.height} area={ext.area}",
+    print(f"nodes={n} width={ext.width} height={ext.height} area={ext.area}",
           file=sys.stderr)
     return 0
 
@@ -138,7 +141,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.drawing) as f:
             drawing = drawing_from_json(json.load(f))
-    except (OSError, ValueError, KeyError, TreeError) as e:
+    except (OSError, ValueError, KeyError, TypeError) as e:
         raise UserError(f"cannot read drawing {args.drawing!r}: {e}") from e
     report = build_report(drawing)
     print(report_to_json(report))

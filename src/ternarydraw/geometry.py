@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tree import TernaryTree, tree_from_json, tree_to_json
+from .tree import TernaryTree, require_json_ints, tree_from_json, tree_to_json
 
 
 @dataclass(frozen=True)
@@ -34,22 +34,6 @@ class Extents:
 
 
 @dataclass(frozen=True)
-class BoundingBox:
-    xmin: int
-    xmax: int
-    ymin: int
-    ymax: int
-
-    @property
-    def width(self) -> int:
-        return self.xmax - self.xmin + 1
-
-    @property
-    def height(self) -> int:
-        return self.ymax - self.ymin + 1
-
-
-@dataclass(frozen=True)
 class GridDrawing:
     """Assignment of integer grid points to the nodes of a tree."""
 
@@ -64,11 +48,6 @@ class GridDrawing:
         return self.pos[self.tree.root]
 
 
-# 1-2 drawings carry no extra runtime state; the tag is semantic. The verify
-# module checks the defining properties (top visibility, subtree separation).
-OneTwoDrawing = GridDrawing
-
-
 def edge_segments(d: GridDrawing) -> list[tuple[int, int, int, int]]:
     """(x1, y1, x2, y2) per tree edge, endpoint order following parent->child."""
     segs = []
@@ -81,8 +60,36 @@ def edge_segments(d: GridDrawing) -> list[tuple[int, int, int, int]]:
     return segs
 
 
-def translate(d: GridDrawing, dx: int, dy: int) -> GridDrawing:
-    return GridDrawing(d.tree, tuple((x + dx, y + dy) for x, y in d.pos))
+Run = tuple[int, int, int]  # (line, lo, hi) with lo < hi: a row y or a column x
+
+
+def split_segments(d: GridDrawing) -> tuple[list[Run], list[Run], bool]:
+    """One pass over the tree edges: the horizontal runs (y, x1, x2), the
+    vertical runs (x, y1, y2), and whether every edge is axis-parallel with
+    positive length. Diagonal and zero-length edges join neither list; they
+    add only their endpoints, which are nodes."""
+    hs, vs = [], []
+    orthogonal = True
+    pos = d.pos
+    for v, kids in enumerate(d.tree.children):
+        x1, y1 = pos[v]
+        for c in kids:
+            x2, y2 = pos[c]
+            if y1 == y2 and x1 != x2:
+                hs.append((y1, x1, x2) if x1 < x2 else (y1, x2, x1))
+            elif x1 == x2 and y1 != y2:
+                vs.append((x1, y1, y2) if y1 < y2 else (x1, y2, y1))
+            else:
+                orthogonal = False
+    return hs, vs, orthogonal
+
+
+def bbox(d: GridDrawing) -> tuple[int, int, int, int]:
+    """(xmin, xmax, ymin, ymax) of the whole drawing. Every edge joins two
+    nodes, so the box over the node positions is exact."""
+    xs = [x for x, _ in d.pos]
+    ys = [y for _, y in d.pos]
+    return min(xs), max(xs), min(ys), max(ys)
 
 
 def rotate(d: GridDrawing, quarter_turns_cw: int) -> GridDrawing:
@@ -124,40 +131,20 @@ def _covered_counts(intervals: list[tuple[int, int]], pivot: int) -> tuple[int, 
 def extents(d: GridDrawing) -> Extents:
     """Exact grid-line counts; a column/row counts if it meets a node or any
     point of an edge segment."""
+    hs, vs, _ = split_segments(d)
+    return segment_extents(d, hs, vs)
+
+
+def segment_extents(d: GridDrawing, hs: list[Run], vs: list[Run]) -> Extents:
+    """extents(d) from the runs split_segments(d) returned."""
     rx, ry = d.root_pos()
     cols = [(x, x) for x, _ in d.pos]
+    cols += [(lo, hi) for _, lo, hi in hs]
     rows = [(y, y) for _, y in d.pos]
-    for x1, y1, x2, y2 in edge_segments(d):
-        if y1 == y2 and x1 != x2:
-            cols.append((min(x1, x2), max(x1, x2)))
-        elif x1 == x2 and y1 != y2:
-            rows.append((min(y1, y2), max(y1, y2)))
-        # diagonal edges contribute their endpoints only (already counted);
-        # such drawings are invalid and rejected by the verifier anyway
+    rows += [(lo, hi) for _, lo, hi in vs]
     w, lw, rw = _covered_counts(cols, rx)
     h, th, bh = _covered_counts(rows, ry)
     return Extents(w, h, lw, rw, th, bh)
-
-
-def bounding_box(d: GridDrawing, subtree_root: int) -> BoundingBox:
-    """Tight box over the subtree's node positions and internal edges (the
-    edge to the parent is excluded). Internal edges never leave the node
-    hull, so the box over node positions is exact."""
-    if not 0 <= subtree_root < d.tree.n:
-        raise ValueError("subtree_root not in tree")
-    stack = [subtree_root]
-    x0, y0 = d.pos[subtree_root]
-    xmin = xmax = x0
-    ymin = ymax = y0
-    while stack:
-        v = stack.pop()
-        x, y = d.pos[v]
-        xmin = min(xmin, x)
-        xmax = max(xmax, x)
-        ymin = min(ymin, y)
-        ymax = max(ymax, y)
-        stack.extend(d.tree.children[v])
-    return BoundingBox(xmin, xmax, ymin, ymax)
 
 
 def drawing_to_json(d: GridDrawing) -> dict:
@@ -165,6 +152,10 @@ def drawing_to_json(d: GridDrawing) -> dict:
 
 
 def drawing_from_json(obj: dict) -> GridDrawing:
+    """Parse {"tree", "pos"}; every coordinate must be a JSON integer."""
+    if not isinstance(obj, dict):
+        raise ValueError("a drawing must be a JSON object")
     tree = tree_from_json(obj["tree"])
-    pos = tuple((int(p[0]), int(p[1])) for p in obj["pos"])
+    pos = tuple((x, y) for x, y in obj["pos"])
+    require_json_ints((c for p in pos for c in p), "coordinates")
     return GridDrawing(tree, pos)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .geometry import GridDrawing, OneTwoDrawing, rotate
+from .geometry import GridDrawing, bbox, rotate
 from .tree import TernaryTree, TreeError, complete_tree
 
 
@@ -40,12 +40,6 @@ def _subtree_map(host: TernaryTree, child_root: int, g: GridDrawing) -> list[int
     return mapping
 
 
-def _bbox(d: GridDrawing) -> tuple[int, int, int, int]:
-    xs = [x for x, _ in d.pos]
-    ys = [y for _, y in d.pos]
-    return min(xs), max(xs), min(ys), max(ys)
-
-
 def _place(pos: list, g: GridDrawing, mapping: list[int], dx: int, dy: int) -> None:
     for v, (x, y) in enumerate(g.pos):
         pos[mapping[v]] = (x + dx, y + dy)
@@ -58,8 +52,8 @@ def _arms_and_center(root_tree: TernaryTree):
     return kids[0], kids[1], kids[2]  # left arm, center, right arm
 
 
-def construction1(ga: OneTwoDrawing, gb: OneTwoDrawing, gc: OneTwoDrawing,
-                  root_tree: TernaryTree) -> OneTwoDrawing:
+def construction1(ga: GridDrawing, gb: GridDrawing, gc: GridDrawing,
+                  root_tree: TernaryTree) -> GridDrawing:
     """Center drawing ga hangs one row below the root; gb (rotated cw) and gc
     (rotated ccw) flank it, their roots on the root's row."""
     b_child, a_child, c_child = _arms_and_center(root_tree)
@@ -70,24 +64,24 @@ def construction1(ga: OneTwoDrawing, gb: OneTwoDrawing, gc: OneTwoDrawing,
     pos[root_tree.root] = (0, 0)
 
     arx, _ = ga.root_pos()
-    axmin, axmax, aymin, _ = _bbox(ga)
+    axmin, axmax, aymin, _ = bbox(ga)
     adx, ady = -arx, 1 - aymin
     _place(pos, ga, ma, adx, ady)
 
     B = rotate(gb, 1)
-    bxmin, bxmax, _, _ = _bbox(B)
+    bxmin, bxmax, _, _ = bbox(B)
     _, bry = B.root_pos()
     _place(pos, B, mb, (axmin + adx) - 1 - bxmax, -bry)
 
     C = rotate(gc, 3)
-    cxmin, _, _, _ = _bbox(C)
+    cxmin, _, _, _ = bbox(C)
     _, cry = C.root_pos()
     _place(pos, C, mc, (axmax + adx) + 1 - cxmin, -cry)
     return GridDrawing(root_tree, tuple(pos))
 
 
-def construction2(ga: OneTwoDrawing, gb: OneTwoDrawing, gc: OneTwoDrawing,
-                  root_tree: TernaryTree) -> OneTwoDrawing:
+def construction2(ga: GridDrawing, gb: GridDrawing, gc: GridDrawing,
+                  root_tree: TernaryTree) -> GridDrawing:
     """gb (rotated cw) and gc (rotated ccw) flank the root directly; the
     center drawing ga hangs one row below the lower of the two."""
     b_child, a_child, c_child = _arms_and_center(root_tree)
@@ -98,30 +92,30 @@ def construction2(ga: OneTwoDrawing, gb: OneTwoDrawing, gc: OneTwoDrawing,
     pos[root_tree.root] = (0, 0)
 
     B = rotate(gb, 1)
-    _, bxmax, _, bymax = _bbox(B)
+    _, bxmax, _, bymax = bbox(B)
     brx, bry = B.root_pos()
     bdx, bdy = -1 - bxmax, -bry
     _place(pos, B, mb, bdx, bdy)
 
     C = rotate(gc, 3)
-    cxmin, _, _, cymax = _bbox(C)
+    cxmin, _, _, cymax = bbox(C)
     _, cry = C.root_pos()
     cdx, cdy = 1 - cxmin, -cry
     _place(pos, C, mc, cdx, cdy)
 
     arx, _ = ga.root_pos()
-    _, _, aymin, _ = _bbox(ga)
+    _, _, aymin, _ = bbox(ga)
     lowest = max(bymax + bdy, cymax + cdy)
     _place(pos, ga, ma, -arx, lowest + 1 - aymin)
     return GridDrawing(root_tree, tuple(pos))
 
 
-def _point_drawing() -> OneTwoDrawing:
+def _point_drawing() -> GridDrawing:
     return GridDrawing(complete_tree(1), ((0, 0),))
 
 
 @lru_cache(maxsize=None)
-def draw_c1_only(h: int) -> OneTwoDrawing:
+def draw_c1_only(h: int) -> GridDrawing:
     """1-2 drawing of T_h built with Construction 1 at every level.
     Dimensions: width 2^h - 1, height 2^(h-1)."""
     if h < 1:
@@ -133,7 +127,7 @@ def draw_c1_only(h: int) -> OneTwoDrawing:
 
 
 @lru_cache(maxsize=None)
-def draw_c2_only(h: int) -> OneTwoDrawing:
+def draw_c2_only(h: int) -> GridDrawing:
     """1-2 drawing of T_h built with Construction 2 at every level.
     Dimensions: (2^(h+1)-1)/3 square for odd h; ((2^(h+1)+1)/3,
     (2^(h+1)-2)/3) for even h."""
@@ -146,7 +140,7 @@ def draw_c2_only(h: int) -> OneTwoDrawing:
 
 
 @lru_cache(maxsize=None)
-def _golden(h: int) -> tuple[OneTwoDrawing, OneTwoDrawing]:
+def _golden(h: int) -> tuple[GridDrawing, GridDrawing]:
     if h <= 2:
         d = draw_c1_only(h)  # the unique 1-2 drawing for h <= 2
         return d, d
@@ -157,7 +151,7 @@ def _golden(h: int) -> tuple[OneTwoDrawing, OneTwoDrawing]:
     return g1, g2
 
 
-def draw_golden(h: int) -> tuple[OneTwoDrawing, OneTwoDrawing]:
+def draw_golden(h: int) -> tuple[GridDrawing, GridDrawing]:
     """Mutual recursion giving Fibonacci-like height growth.
 
     Returns (g1, g2): g1 is the narrow-height drawing (height follows
@@ -170,7 +164,7 @@ def draw_golden(h: int) -> tuple[OneTwoDrawing, OneTwoDrawing]:
 
 
 @lru_cache(maxsize=None)
-def draw_upper_1149(h: int) -> OneTwoDrawing:
+def draw_upper_1149(h: int) -> GridDrawing:
     """Best analytic construction: the center of each level is a
     Construction-1 combination of three drawings two levels down, flanked by
     the previous level's drawings via Construction 2. Width and height both

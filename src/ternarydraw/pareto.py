@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import GridDrawing, OneTwoDrawing
+from .geometry import GridDrawing
 from .layout_complete import construction1, construction2
 from .tree import complete_tree
 
@@ -140,20 +140,25 @@ def load_frontier(cache_dir: str, h: int) -> Optional[ParetoFrontier]:
     return ParetoFrontier(h, tuple(pairs), tuple(recipes))
 
 
-def frontier(h: int, cache_dir: Optional[str] = None) -> ParetoFrontier:
-    """Exact Pareto set over all 1-2 drawings of T_h."""
+def _levels(h: int, cache_dir: Optional[str]) -> list[ParetoFrontier]:
+    """Frontiers of T_1..T_h: each level is read from the cache, or computed
+    from the one below and then saved to it."""
     if h < 1:
         raise ValueError("h must be >= 1")
-    fr = _base_frontier()
+    levels = [_base_frontier()]
     for level in range(2, h + 1):
-        cached = load_frontier(cache_dir, level) if cache_dir else None
-        if cached is not None:
-            fr = cached
-            continue
-        fr = _next_frontier(fr)
-        if cache_dir:
-            save_frontier(fr, cache_dir)
-    return fr
+        fr = load_frontier(cache_dir, level) if cache_dir else None
+        if fr is None:
+            fr = _next_frontier(levels[-1])
+            if cache_dir:
+                save_frontier(fr, cache_dir)
+        levels.append(fr)
+    return levels
+
+
+def frontier(h: int, cache_dir: Optional[str] = None) -> ParetoFrontier:
+    """Exact Pareto set over all 1-2 drawings of T_h."""
+    return _levels(h, cache_dir)[-1]
 
 
 def min_area(h: int, cache_dir: Optional[str] = None) -> tuple[int, Pair]:
@@ -171,14 +176,11 @@ def min_area(h: int, cache_dir: Optional[str] = None) -> tuple[int, Pair]:
 
 
 def reconstruct_drawing(h: int, pair: Pair,
-                        cache_dir: Optional[str] = None) -> OneTwoDrawing:
+                        cache_dir: Optional[str] = None) -> GridDrawing:
     """Geometric witness for a frontier pair, following the stored recipes.
     Arms reuse one drawing, so they are congruent up to the 180° rotation
     applied inside the constructions."""
-    fronts = [None, _base_frontier()]
-    for level in range(2, h + 1):
-        cached = load_frontier(cache_dir, level) if cache_dir else None
-        fronts.append(cached if cached is not None else _next_frontier(fronts[-1]))
+    fronts = [None, *_levels(h, cache_dir)]  # fronts[level]
     try:
         top_idx = fronts[h].pairs.index((int(pair[0]), int(pair[1])))
     except ValueError:

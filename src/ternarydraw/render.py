@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import GridDrawing, edge_segments
+from .geometry import GridDrawing, bbox, edge_segments
 
 
 @dataclass(frozen=True)
@@ -20,9 +20,7 @@ class RenderSpec:
 
 
 def drawing_to_svg(d: GridDrawing, spec: RenderSpec = RenderSpec()) -> str:
-    xs = [x for x, _ in d.pos]
-    ys = [y for _, y in d.pos]
-    xmin, ymin = min(xs), min(ys)
+    xmin, xmax, ymin, ymax = bbox(d)
     cell, m = spec.cell_size, spec.margins
 
     def px(x: int) -> int:
@@ -31,8 +29,8 @@ def drawing_to_svg(d: GridDrawing, spec: RenderSpec = RenderSpec()) -> str:
     def py(y: int) -> int:
         return m + (y - ymin) * cell
 
-    w = 2 * m + (max(xs) - xmin) * cell
-    h = 2 * m + (max(ys) - ymin) * cell
+    w = 2 * m + (xmax - xmin) * cell
+    h = 2 * m + (ymax - ymin) * cell
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">'

@@ -191,8 +191,20 @@ def tree_to_json(t: TernaryTree) -> dict:
     return {"n": t.n, "root": t.root, "children": [list(c) for c in t.children]}
 
 
+def require_json_ints(values, what: str) -> None:
+    """Reject, not coerce, floats and bools (which Python counts as ints)."""
+    if not all(type(v) is int for v in values):
+        raise ValueError(f"{what} must be JSON integers")
+
+
 def tree_from_json(obj: dict) -> TernaryTree:
-    children = tuple(tuple(int(c) for c in kids) for kids in obj["children"])
-    if obj.get("n") is not None and int(obj["n"]) != len(children):
+    """Parse {"n", "root", "children"}; "n" and "root" are optional."""
+    if not isinstance(obj, dict):
+        raise TreeError("a tree must be a JSON object")
+    children = tuple(tuple(kids) for kids in obj["children"])
+    require_json_ints((c for kids in children for c in kids), "child ids")
+    n, root = obj.get("n"), obj.get("root", 0)
+    require_json_ints([root] if n is None else [root, n], "root and n")
+    if n is not None and n != len(children):
         raise TreeError("declared node count does not match children table")
-    return TernaryTree(children, int(obj.get("root", 0)))
+    return TernaryTree(children, root)

@@ -10,7 +10,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import BoundingBox, Extents, GridDrawing, edge_segments, extents
+from .geometry import Extents, GridDrawing, segment_extents, split_segments
+from .geometry import edge_segments, extents  # unused here; perfbench/child.py wraps them
 from .tree import complete_height
 
 
@@ -44,25 +45,11 @@ def check_on_grid(d: GridDrawing) -> bool:
 
 def check_orthogonal(d: GridDrawing) -> bool:
     """Every edge a horizontal or vertical segment of positive length."""
-    for x1, y1, x2, y2 in edge_segments(d):
-        if (x1 == x2) == (y1 == y2):
-            return False
-    return True
+    return split_segments(d)[2]
 
 
 def check_orthogonal_grid(d: GridDrawing) -> bool:
     return check_on_grid(d) and check_orthogonal(d)
-
-
-def _split_segments(d: GridDrawing):
-    """Normalized horizontal (y, x1, x2) and vertical (x, y1, y2) segments."""
-    hs, vs = [], []
-    for x1, y1, x2, y2 in edge_segments(d):
-        if y1 == y2:
-            hs.append((y1, min(x1, x2), max(x1, x2)))
-        else:
-            vs.append((x1, min(y1, y2), max(y1, y2)))
-    return hs, vs
 
 
 def _node_in_edge_interior(d: GridDrawing, hs, vs) -> bool:
@@ -154,9 +141,13 @@ def _interior_crossing(hs, vs) -> bool:
 def check_planar(d: GridDrawing) -> bool:
     """No two edges share a point except a common endpoint, and no node lies
     in the interior of any edge. Sweep-based; handles 1e5 edges."""
-    if not check_orthogonal_grid(d):
+    hs, vs, orthogonal = split_segments(d)
+    if not (orthogonal and check_on_grid(d)):
         raise ValueError("check_planar requires an orthogonal grid drawing")
-    hs, vs = _split_segments(d)
+    return _planar(d, hs, vs)
+
+
+def _planar(d: GridDrawing, hs, vs) -> bool:
     if _node_in_edge_interior(d, hs, vs):
         return False
     if _collinear_overlap(hs) or _collinear_overlap(vs):
@@ -167,9 +158,9 @@ def check_planar(d: GridDrawing) -> bool:
 def naive_check_planar(d: GridDrawing) -> bool:
     """O(m^2) all-pairs oracle for check_planar (numpy-vectorized brute
     force). Intended for m <= a few thousand."""
-    if not check_orthogonal_grid(d):
+    hs, vs, orthogonal = split_segments(d)
+    if not (orthogonal and check_on_grid(d)):
         raise ValueError("naive_check_planar requires an orthogonal grid drawing")
-    hs, vs = _split_segments(d)
     px = np.array([p[0] for p in d.pos])
     py = np.array([p[1] for p in d.pos])
     if hs:
@@ -207,11 +198,15 @@ def naive_check_planar(d: GridDrawing) -> bool:
 def check_top_visibility(d: GridDrawing) -> bool:
     """The vertical half-line going up from the root meets the drawing only
     at the root."""
+    hs, vs, _ = split_segments(d)
+    return _top_visible(d, hs, vs)
+
+
+def _top_visible(d: GridDrawing, hs, vs) -> bool:
     rx, ry = d.root_pos()
-    for i, (x, y) in enumerate(d.pos):
+    for x, y in d.pos:
         if x == rx and y < ry:
             return False
-    hs, vs = _split_segments(d)
     for y, x1, x2 in hs:
         if y < ry and x1 <= rx <= x2:
             return False
@@ -361,14 +356,17 @@ def leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
 
 
 def build_report(d: GridDrawing) -> VerificationReport:
+    """All checks, sharing one split of the edges. The runs die on return,
+    not kept with the drawing, so they never add to a caller's peak memory."""
     on_grid = check_on_grid(d)
-    orthogonal = check_orthogonal(d)
-    planar = check_planar(d) if (on_grid and orthogonal) else False
-    top = check_top_visibility(d) if (on_grid and orthogonal) else False
     sep = check_subtree_separation(d)
-    ext = extents(d)
+    hs, vs, orthogonal = split_segments(d)
+    valid = on_grid and orthogonal
+    planar = valid and _planar(d, hs, vs)
+    top = valid and _top_visible(d, hs, vs)
+    ext = segment_extents(d, hs, vs)
     leg = lam = rho = None
-    if on_grid and orthogonal and planar:
+    if planar:
         try:
             leg, lam, rho = leg_arm_lengths(d)
         except VerificationError:

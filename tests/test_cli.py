@@ -1,9 +1,11 @@
 import json
 
+from ternarydraw import cli, geometry, verify
 from ternarydraw.cli import main
-from ternarydraw.geometry import drawing_from_json, extents
+from ternarydraw.geometry import GridDrawing, drawing_from_json, extents
 from ternarydraw.render import RenderSpec, drawing_to_svg
 from ternarydraw.layout_complete import draw_c1_only
+from ternarydraw.tree import TernaryTree
 
 import pytest
 
@@ -67,6 +69,50 @@ def test_verify_parse_failure(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
     assert run("verify", str(path)) == 2
+
+
+@pytest.mark.parametrize("doc", [
+    {"tree": {"n": 2, "root": 0, "children": [[1], []]}, "pos": [[0, 0], [1.5, 0]]},
+    {"tree": {"n": 2, "root": 0, "children": [[1], []]}, "pos": [[0, 0], [True, 0]]},
+    [1, 2],
+], ids=["float-coordinate", "bool-coordinate", "not-an-object"])
+def test_verify_rejects_malformed_drawing(tmp_path, capsys, doc):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc))
+    assert run("verify", str(path)) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_draw_gate_requires_subtree_separation(monkeypatch, capsys):
+    # planar, orthogonal and top-visible, but leaf 2 lies inside the box of
+    # its sibling's subtree {1, 3, 4}
+    t = TernaryTree(((1, 2), (3,), (), (4,), ()))
+    bad = GridDrawing(t, ((0, 0), (0, 1), (1, 0), (2, 1), (2, -1)))
+    monkeypatch.setattr(cli, "draw_c1_only", lambda h: bad)
+    assert run("draw", "complete:2", "--algo", "c1") == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("pos", [((0, 0), (5, 0), (10, 0)), ((0, 0), (0, 5), (0, 10))],
+                         ids=["too-wide", "too-tall"])
+def test_draw_gate_bounds_general_extents(monkeypatch, capsys, pos):
+    # a planar path drawing of 3 nodes over 11 columns or 11 rows; the bounds
+    # are 3 columns and ceil(2*3^c - 1) = 3 rows
+    path = GridDrawing(TernaryTree(((1,), (2,), ())), pos)
+    monkeypatch.setattr(cli, "draw_general", lambda tree, params: path)
+    assert run("draw", "random:3:0", "--algo", "general") == 3
+    assert capsys.readouterr().out == ""
+
+
+def test_draw_splits_segments_and_measures_extents_once(monkeypatch, tmp_path):
+    calls = []
+    for module in (geometry, verify):
+        for name in ("split_segments", "segment_extents"):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    assert run("draw", "random:300:1", "--out", str(tmp_path / "d.json")) == 0
+    assert sorted(calls) == ["segment_extents", "split_segments"]
 
 
 def test_table_output(tmp_path, capsys):

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ternarydraw.geometry import (Extents, GridDrawing, bounding_box,
-                                  drawing_from_json, drawing_to_json,
-                                  edge_segments, extents, rotate, translate)
+from ternarydraw.geometry import (Extents, GridDrawing, drawing_from_json,
+                                  drawing_to_json, edge_segments, extents,
+                                  rotate)
 from ternarydraw.layout_complete import draw_c1_only
 from ternarydraw.layout_general import draw_general
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree
@@ -40,14 +40,6 @@ def test_extents_counts_edge_spans():
     assert (e.width, e.right_width) == (6, 5)
 
 
-def test_translate_identity_and_shift():
-    d = t2_drawing()
-    assert translate(d, 0, 0) == d
-    s = translate(d, 3, -2)
-    assert s.root_pos() == (3, -2)
-    assert extents(s) == extents(d)
-
-
 def test_rotate_t2_cw():
     e = extents(rotate(t2_drawing(), 1))
     assert (e.width, e.height) == (2, 3)
@@ -76,16 +68,6 @@ def test_rotate_permutes_extents(n, seed, q):
     else:
         assert (r.width, r.height) == (e.height, e.width)
     assert r.area == e.area
-
-
-def test_bounding_box_leaf_and_whole():
-    d = t2_drawing()
-    leaf = next(v for v in range(d.tree.n) if d.tree.is_leaf(v))
-    box = bounding_box(d, leaf)
-    assert (box.width, box.height) == (1, 1)
-    whole = bounding_box(d, d.tree.root)
-    e = extents(d)
-    assert (whole.width, whole.height) == (e.width, e.height)
 
 
 def test_position_count_mismatch_rejected():

@@ -69,6 +69,14 @@ def test_reconstruction_rejects_off_frontier_pair():
         reconstruct_drawing(3, (6, 6))
 
 
+def test_reconstruction_saves_the_levels_it_computes(tmp_path):
+    _, pair = min_area(5)
+    d = reconstruct_drawing(5, pair, str(tmp_path))
+    assert (extents(d).width, extents(d).height) == pair
+    assert [load_frontier(str(tmp_path), h) for h in range(2, 6)] == [frontier(h) for h in range(2, 6)]
+    assert reconstruct_drawing(5, pair, str(tmp_path)) == d
+
+
 def test_cache_roundtrip(tmp_path):
     fr = frontier(6)
     save_frontier(fr, str(tmp_path))

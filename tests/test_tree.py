@@ -108,3 +108,14 @@ def test_json_rejects_bad_count():
     obj["n"] = 99
     with pytest.raises(TreeError):
         tree_from_json(obj)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", 3.0), ("n", True), ("root", 0.0), ("root", False),
+    ("children", [[1.0, 2], [], []]), ("children", [[True, 2], [], []]),
+])
+def test_json_ids_must_be_integers(field, value):
+    obj = {"n": 3, "root": 0, "children": [[1, 2], [], []]}
+    obj[field] = value
+    with pytest.raises(ValueError):
+        tree_from_json(obj)

@@ -2,9 +2,9 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ternarydraw.geometry import GridDrawing, extents
+from ternarydraw.geometry import GridDrawing, edge_segments, extents
 from ternarydraw.layout_complete import draw_c1_only, draw_c2_only, draw_golden
 from ternarydraw.layout_general import draw_general
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree
@@ -173,3 +173,71 @@ def test_report_json_shape():
 def test_large_drawing_planarity_speed():
     d = draw_general(random_ternary_tree(100000, 9))
     assert check_planar(d)
+
+
+def reference_extents(d):
+    """Extents by listing every covered grid line: nodes, plus every integer
+    point of each positive-length horizontal/vertical edge; a diagonal edge
+    covers only its endpoints."""
+    cols = {x for x, _ in d.pos}
+    rows = {y for _, y in d.pos}
+    for x1, y1, x2, y2 in edge_segments(d):
+        if y1 == y2:
+            cols.update(range(min(x1, x2), max(x1, x2) + 1))
+        elif x1 == x2:
+            rows.update(range(min(y1, y2), max(y1, y2) + 1))
+    rx, ry = d.root_pos()
+    return (len(cols), len(rows), sum(x < rx for x in cols), sum(x > rx for x in cols),
+            sum(y < ry for y in rows), sum(y > ry for y in rows))
+
+
+@st.composite
+def drawings(draw):
+    """Valid drawings (general layouts, 1-2 drawings) and invalid ones:
+    random axis-parallel drawings (crossings, nodes inside edges) and random
+    points of a small box (diagonal and zero-length edges, duplicates)."""
+    kind = draw(st.sampled_from(["general", "one-two", "orthogonal", "scattered"]))
+    n, seed = draw(st.integers(1, 60)), draw(st.integers(0, 10 ** 6))
+    if kind == "general":
+        return draw_general(random_ternary_tree(n, seed))
+    if kind == "one-two":
+        return draw(st.sampled_from([draw_c1_only, draw_c2_only, lambda h: draw_golden(h)[0]]))(
+            draw(st.integers(1, 4)))
+    if kind == "orthogonal":
+        return random_orthogonal_drawing(n, seed)
+    point = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    return GridDrawing(random_ternary_tree(n, seed),
+                       tuple(draw(st.lists(point, min_size=n, max_size=n))))
+
+
+_T3 = TernaryTree(((1, 2), (), ()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawings())
+@example(GridDrawing(_T3, ((0, 0), (1, 1), (-2, 0))))  # diagonal edge
+@example(GridDrawing(_T3, ((0, 0), (0, 0), (0, 2))))  # zero-length edge
+@example(GridDrawing(_T3, ((0, 0), (2, 0), (2, 0))))  # duplicate positions
+@example(GridDrawing(_T3, ((0, 0), (2, 0), (1, 0))))  # node inside an edge
+@example(GridDrawing(TernaryTree(((1, 2), (), (3,), (4,), ())),
+                     ((1, 1), (1, -1), (0, 1), (0, 0), (2, 0))))  # crossing
+def test_report_matches_standalone_checks(d):
+    r = build_report(d)
+    on_grid, orthogonal = check_on_grid(d), check_orthogonal(d)
+    valid = on_grid and orthogonal
+    assert (r.on_grid, r.orthogonal) == (on_grid, orthogonal)
+    assert valid == check_orthogonal_grid(d)
+    assert r.planar == (valid and check_planar(d))
+    assert r.top_visible == (valid and check_top_visibility(d))
+    assert r.subtree_separated == check_subtree_separation(d)
+    assert r.extents == extents(d)
+    e = r.extents
+    assert (e.width, e.height, e.left_width, e.right_width,
+            e.top_height, e.bottom_height) == reference_extents(d)
+    legs = (None, None, None)
+    if r.planar:
+        try:
+            legs = leg_arm_lengths(d)
+        except VerificationError:
+            pass
+    assert (r.leg_length, r.left_arm_length, r.right_arm_length) == legs
