@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Benchmark the general layout and report measured height against the
-2*n^c - 1 bound across tree sizes."""
+2*n^c - 1 bound across tree sizes. With --verify, each drawing also gets one
+build_report (all verifier checks and its extents), timed in the verify
+column."""
 
 import argparse
 import math
@@ -9,7 +11,7 @@ import time
 from ternarydraw.geometry import extents
 from ternarydraw.layout_general import LayoutParams, draw_general
 from ternarydraw.tree import random_ternary_tree
-from ternarydraw.verify import check_planar, check_top_visibility
+from ternarydraw.verify import build_report
 
 
 def main() -> None:
@@ -21,10 +23,10 @@ def main() -> None:
     args = ap.parse_args()
 
     params = LayoutParams()
-    print(f"{'n':>8} {'layout (s)':>11} {'width':>8} {'height':>7} "
-          f"{'bound':>7} {'ratio':>6}")
+    print(f"{'n':>8} {'layout (s)':>11} {'verify (s)':>11} {'width':>8} "
+          f"{'height':>7} {'bound':>7} {'ratio':>6}")
     for n in args.sizes:
-        t_layout = 0.0
+        t_layout = t_verify = 0.0
         worst_h = worst_ratio = 0
         worst_w = 0
         for seed in range(args.seeds):
@@ -33,14 +35,21 @@ def main() -> None:
             d = draw_general(t, params)
             t_layout += time.perf_counter() - t0
             if args.verify:
-                assert check_planar(d) and check_top_visibility(d)
-            e = extents(d)
+                t0 = time.perf_counter()
+                r = build_report(d)
+                t_verify += time.perf_counter() - t0
+                if not (r.planar and r.top_visible):
+                    raise SystemExit(f"n={n} seed={seed}: drawing failed verification")
+                e = r.extents
+            else:
+                e = extents(d)
             bound = max(1, math.ceil(2 * n ** params.c - 1))
             if e.height / bound > worst_ratio:
                 worst_ratio = e.height / bound
                 worst_h, worst_w = e.height, e.width
         bound = max(1, math.ceil(2 * n ** params.c - 1))
-        print(f"{n:>8} {t_layout / args.seeds:>11.4f} {worst_w:>8} "
+        verify = f"{t_verify / args.seeds:.4f}" if args.verify else "-"
+        print(f"{n:>8} {t_layout / args.seeds:>11.4f} {verify:>11} {worst_w:>8} "
               f"{worst_h:>7} {bound:>7} {worst_ratio:>6.2f}")
 
 

@@ -1,7 +1,8 @@
 """Command-line entry point: draw, tabulate, fit, verify.
 
 Exit codes: 0 ok, 1 verification-negative, 2 user error, 3 internal error
-(a construction produced a drawing that failed its own verification).
+(a construction produced a drawing that failed its own verification, or an
+unexpected exception).
 """
 
 from __future__ import annotations
@@ -188,6 +189,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UserError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # exit 1 means verification-negative, never a crash
+        message = " ".join(f"{type(e).__name__}: {e}".split())
+        print(f"internal error: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -8,6 +8,9 @@ joined to its parent by an axis-parallel straight-line segment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .tree import TernaryTree, require_json_ints, tree_from_json, tree_to_json
 
@@ -60,28 +63,49 @@ def edge_segments(d: GridDrawing) -> list[tuple[int, int, int, int]]:
     return segs
 
 
-Run = tuple[int, int, int]  # (line, lo, hi) with lo < hi: a row y or a column x
+COORD_LIMIT = 2 ** 62  # |c| below this keeps every difference, width and sum exact in int64
 
 
-def split_segments(d: GridDrawing) -> tuple[list[Run], list[Run], bool]:
-    """One pass over the tree edges: the horizontal runs (y, x1, x2), the
-    vertical runs (x, y1, y2), and whether every edge is axis-parallel with
-    positive length. Diagonal and zero-length edges join neither list; they
-    add only their endpoints, which are nodes."""
-    hs, vs = [], []
-    orthogonal = True
-    pos = d.pos
-    for v, kids in enumerate(d.tree.children):
-        x1, y1 = pos[v]
-        for c in kids:
-            x2, y2 = pos[c]
-            if y1 == y2 and x1 != x2:
-                hs.append((y1, x1, x2) if x1 < x2 else (y1, x2, x1))
-            elif x1 == x2 and y1 != y2:
-                vs.append((x1, y1, y2) if y1 < y2 else (x1, y2, y1))
-            else:
-                orthogonal = False
-    return hs, vs, orthogonal
+def coordinates(d: GridDrawing) -> np.ndarray:
+    """The positions as an (n, 2) int64 array; float64 if some coordinate is
+    not integral (such a drawing is off the grid). ValueError for a
+    coordinate with |c| >= COORD_LIMIT, or one that is not a finite number."""
+    P = np.array(d.pos)
+    if P.shape != (d.tree.n, 2):
+        raise ValueError("every position must be an (x, y) pair")
+    if P.dtype.kind not in "biu":
+        P = P.astype(np.float64)
+    if not (np.all(P < COORD_LIMIT) and np.all(P > -COORD_LIMIT)):
+        raise ValueError("coordinates must be numbers with |c| < 2**62")
+    if P.dtype.kind == "f" and not np.all(P == np.floor(P)):
+        return P
+    return P.astype(np.int64, copy=False)
+
+
+def edge_arrays(t: TernaryTree) -> tuple[np.ndarray, np.ndarray]:
+    """(parent, child) node ids, one entry per edge, ordered by parent id and
+    then by child slot."""
+    counts = np.fromiter(map(len, t.children), np.int64, t.n)
+    child = np.fromiter(chain.from_iterable(t.children), np.int64, t.n - 1)
+    return np.repeat(np.arange(t.n), counts), child
+
+
+def split_segments(P: np.ndarray, parent: np.ndarray,
+                   child: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """One pass over the edges: the horizontal runs (y, x1, x2) and the
+    vertical runs (x, y1, y2) as (m, 3) arrays with lo < hi, and whether every
+    edge is axis-parallel with positive length. Diagonal and zero-length edges
+    join neither array; they add only their endpoints, which are nodes."""
+    a, b = P[parent], P[child]
+    dx, dy = a[:, 0] != b[:, 0], a[:, 1] != b[:, 1]
+    h, v = dx & ~dy, dy & ~dx
+
+    def runs(mask: np.ndarray, line: int) -> np.ndarray:
+        ends = 1 - line
+        return np.stack([a[mask, line], np.minimum(a[mask, ends], b[mask, ends]),
+                         np.maximum(a[mask, ends], b[mask, ends])], axis=1)
+
+    return runs(h, 1), runs(v, 0), bool(np.all(dx != dy))
 
 
 def bbox(d: GridDrawing) -> tuple[int, int, int, int]:
@@ -107,43 +131,36 @@ def rotate(d: GridDrawing, quarter_turns_cw: int) -> GridDrawing:
     return GridDrawing(d.tree, tuple(out))
 
 
-def _covered_counts(intervals: list[tuple[int, int]], pivot: int) -> tuple[int, int, int]:
-    """Integer points covered by the union of closed intervals: total, strictly
-    below pivot, strictly above pivot."""
-    intervals.sort()
-    total = below = above = 0
-    cs, ce = intervals[0]
-    merged = []
-    for a, b in intervals[1:]:
-        if a <= ce + 1:
-            ce = max(ce, b)
-        else:
-            merged.append((cs, ce))
-            cs, ce = a, b
-    merged.append((cs, ce))
-    for a, b in merged:
-        total += b - a + 1
-        below += max(0, min(b, pivot - 1) - a + 1)
-        above += max(0, b - max(a, pivot + 1) + 1)
-    return total, below, above
+def _union_counts(lo: np.ndarray, hi: np.ndarray, pivot) -> tuple:
+    """Integer points covered by the union of the closed intervals [lo, hi]:
+    total, strictly below pivot, strictly above pivot."""
+    order = np.argsort(lo)
+    lo, reach = lo[order], np.maximum.accumulate(hi[order])
+    first = np.empty(len(lo), bool)
+    first[0] = True
+    first[1:] = lo[1:] > reach[:-1] + 1
+    starts, ends = lo[first], reach[np.append(first[1:], True)]
+    total = (ends - starts + 1).sum()
+    below = np.maximum(np.minimum(ends, pivot - 1) - starts + 1, 0).sum()
+    above = np.maximum(ends - np.maximum(starts, pivot + 1) + 1, 0).sum()
+    return total.item(), below.item(), above.item()
 
 
 def extents(d: GridDrawing) -> Extents:
     """Exact grid-line counts; a column/row counts if it meets a node or any
     point of an edge segment."""
-    hs, vs, _ = split_segments(d)
-    return segment_extents(d, hs, vs)
+    P = coordinates(d)
+    hs, vs, _ = split_segments(P, *edge_arrays(d.tree))
+    return segment_extents(P, d.tree.root, hs, vs)
 
 
-def segment_extents(d: GridDrawing, hs: list[Run], vs: list[Run]) -> Extents:
-    """extents(d) from the runs split_segments(d) returned."""
-    rx, ry = d.root_pos()
-    cols = [(x, x) for x, _ in d.pos]
-    cols += [(lo, hi) for _, lo, hi in hs]
-    rows = [(y, y) for _, y in d.pos]
-    rows += [(lo, hi) for _, lo, hi in vs]
-    w, lw, rw = _covered_counts(cols, rx)
-    h, th, bh = _covered_counts(rows, ry)
+def segment_extents(P: np.ndarray, root: int, hs: np.ndarray, vs: np.ndarray) -> Extents:
+    """extents(d) from coordinates(d) and the runs split_segments returned."""
+    rx, ry = P[root]
+    w, lw, rw = _union_counts(np.concatenate([P[:, 0], hs[:, 1]]),
+                              np.concatenate([P[:, 0], hs[:, 2]]), rx)
+    h, th, bh = _union_counts(np.concatenate([P[:, 1], vs[:, 1]]),
+                              np.concatenate([P[:, 1], vs[:, 2]]), ry)
     return Extents(w, h, lw, rw, th, bh)
 
 
@@ -152,10 +169,14 @@ def drawing_to_json(d: GridDrawing) -> dict:
 
 
 def drawing_from_json(obj: dict) -> GridDrawing:
-    """Parse {"tree", "pos"}; every coordinate must be a JSON integer."""
+    """Parse {"tree", "pos"}; every coordinate must be a JSON integer with
+    |c| < 2**62."""
     if not isinstance(obj, dict):
         raise ValueError("a drawing must be a JSON object")
     tree = tree_from_json(obj["tree"])
     pos = tuple((x, y) for x, y in obj["pos"])
-    require_json_ints((c for p in pos for c in p), "coordinates")
+    flat = [c for p in pos for c in p]
+    require_json_ints(flat, "coordinates")
+    if flat and not (-COORD_LIMIT < min(flat) and max(flat) < COORD_LIMIT):
+        raise ValueError("coordinates must satisfy |c| < 2**62")
     return GridDrawing(tree, pos)

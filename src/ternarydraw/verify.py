@@ -4,15 +4,15 @@ layout constructions are supposed to guarantee."""
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .geometry import Extents, GridDrawing, segment_extents, split_segments
+from .geometry import (Extents, GridDrawing, coordinates, edge_arrays,
+                       segment_extents, split_segments)
 from .geometry import edge_segments, extents  # unused here; perfbench/child.py wraps them
-from .tree import complete_height
+from .tree import TernaryTree, complete_height
 
 
 class VerificationError(Exception):
@@ -32,207 +32,214 @@ class VerificationReport:
     right_arm_length: Optional[int] = None
 
 
-def _is_integral(c) -> bool:
-    return isinstance(c, (int, np.integer)) or (isinstance(c, float) and c.is_integer())
+def _split(d: GridDrawing) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    P = coordinates(d)
+    return (P, *split_segments(P, *edge_arrays(d.tree)))
+
+
+def _on_grid(P: np.ndarray) -> bool:
+    if P.dtype.kind == "f":  # coordinates() keeps floats only when one is not integral
+        return False
+    S = P[np.lexsort((P[:, 0], P[:, 1]))]
+    return not np.any((S[1:, 0] == S[:-1, 0]) & (S[1:, 1] == S[:-1, 1]))
 
 
 def check_on_grid(d: GridDrawing) -> bool:
     """Integer coordinates, pairwise distinct."""
-    if not all(_is_integral(x) and _is_integral(y) for x, y in d.pos):
-        return False
-    return len(set(d.pos)) == len(d.pos)
+    return _on_grid(coordinates(d))
 
 
 def check_orthogonal(d: GridDrawing) -> bool:
     """Every edge a horizontal or vertical segment of positive length."""
-    return split_segments(d)[2]
+    return _split(d)[3]
 
 
 def check_orthogonal_grid(d: GridDrawing) -> bool:
     return check_on_grid(d) and check_orthogonal(d)
 
 
-def _node_in_edge_interior(d: GridDrawing, hs, vs) -> bool:
-    by_row: dict[int, list[int]] = {}
-    by_col: dict[int, list[int]] = {}
-    for x, y in d.pos:
-        by_row.setdefault(y, []).append(x)
-        by_col.setdefault(x, []).append(y)
-    for xs in by_row.values():
-        xs.sort()
-    for ys in by_col.values():
-        ys.sort()
-    for y, x1, x2 in hs:
-        xs = by_row.get(y, ())
-        if bisect_right(xs, x2 - 1) - bisect_left(xs, x1 + 1) > 0:
-            return True
-    for x, y1, y2 in vs:
-        ys = by_col.get(x, ())
-        if bisect_right(ys, y2 - 1) - bisect_left(ys, y1 + 1) > 0:
-            return True
-    return False
+def _ranks(*columns: np.ndarray) -> tuple[int, list[np.ndarray]]:
+    """Dense ranks of the values of all columns together: the number of
+    distinct values, and each column's ranks."""
+    values, rank = np.unique(np.concatenate(columns), return_inverse=True)
+    return len(values), np.split(rank, np.cumsum([len(c) for c in columns[:-1]]))
 
 
-def _collinear_overlap(segs) -> bool:
-    """segs: (line, lo, hi); overlap of two segments on the same line (beyond
-    a single shared endpoint) is a violation."""
-    by_line: dict[int, list[tuple[int, int]]] = {}
-    for line, lo, hi in segs:
-        by_line.setdefault(line, []).append((lo, hi))
-    for spans in by_line.values():
-        spans.sort()
-        max_end = None
-        for lo, hi in spans:
-            if max_end is not None and lo < max_end:
-                return True
-            max_end = hi if max_end is None else max(max_end, hi)
-    return False
+def _node_inside(line: np.ndarray, at: np.ndarray, runs: np.ndarray, width: int) -> bool:
+    """Some node (line, at) with lo < at < hi for a run (line, lo, hi); all
+    in rank space, width the number of ranks along a line. A run's ends are
+    nodes and the nodes are distinct, so a node lies strictly inside iff the
+    ranks of the ends' keys among the node keys differ by more than one."""
+    base = runs[:, 0] * width
+    _, (_, lo, hi) = _ranks(line * width + at, base + runs[:, 1], base + runs[:, 2])
+    return bool(np.any(hi - lo > 1))
 
 
-class _Bit:
-    def __init__(self, n: int):
-        self.n = n
-        self.t = [0] * (n + 1)
-
-    def add(self, i: int, v: int) -> None:
-        i += 1
-        while i <= self.n:
-            self.t[i] += v
-            i += i & -i
-
-    def prefix(self, i: int) -> int:  # sum of [0, i)
-        s = 0
-        while i > 0:
-            s += self.t[i]
-            i -= i & -i
-        return s
-
-
-def _interior_crossing(hs, vs) -> bool:
-    """Sweep by row: count vertical segments whose open y-interval contains
-    the row and whose x lies strictly inside a horizontal span. Any such pair
-    crosses interior-to-interior."""
-    if not hs or not vs:
+def _collinear_overlap(runs: np.ndarray, width: int) -> bool:
+    """Two runs (line, lo, hi) on one line sharing more than an endpoint. In
+    (line, lo) order, a run overlaps an earlier one on its line iff the
+    running max of line * width + hi before it exceeds line * width + lo."""
+    if len(runs) < 2:
         return False
-    xs = sorted({x for x, _, _ in vs})
-    idx = {x: i for i, x in enumerate(xs)}
-    adds = sorted(vs, key=lambda s: s[1])
-    rems = sorted(vs, key=lambda s: s[2])
-    bit = _Bit(len(xs))
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for y, x1, x2 in hs:
-        rows.setdefault(y, []).append((x1, x2))
-    ai = ri = 0
-    for y in sorted(rows):
-        while ai < len(adds) and adds[ai][1] < y:
-            bit.add(idx[adds[ai][0]], 1)
-            ai += 1
-        while ri < len(rems) and rems[ri][2] <= y:
-            bit.add(idx[rems[ri][0]], -1)
-            ri += 1
-        for x1, x2 in rows[y]:
-            lo = bisect_left(xs, x1 + 1)
-            hi = bisect_right(xs, x2 - 1)
-            if hi > lo and bit.prefix(hi) - bit.prefix(lo) > 0:
-                return True
+    r = runs[np.lexsort((runs[:, 1], runs[:, 0]))]
+    reach = np.maximum.accumulate(r[:, 0] * width + r[:, 2])
+    return bool(np.any(reach[:-1] > r[1:, 0] * width + r[1:, 1]))
+
+
+def _interior_crossing(hs: np.ndarray, vs: np.ndarray, height: int) -> bool:
+    """Some vertical (x, y1, y2) and horizontal (y, x1, x2) with x1 < x < x2
+    and y1 < y < y2, in rank space (height ranks along a column). With the
+    verticals in x order, each horizontal's open x-range is a run of vertical
+    indices, split bottom-up into dyadic blocks. At level k the verticals are
+    sorted by (block, y1) and carry a running max of block * height + y2, so
+    one searchsorted per level finds, for each block asked about, whether
+    one of its verticals with y1 < y reaches below y."""
+    if not len(hs) or not len(vs):
+        return False
+    hs = hs[np.argsort(hs[:, 1])]  # keeps the searches' needles nearly sorted
+    vs = vs[np.argsort(vs[:, 0], kind="stable")]
+    lo = np.searchsorted(vs[:, 0], hs[:, 1], "right")
+    hi = np.searchsorted(vs[:, 0], hs[:, 2], "left")
+    keep = lo < hi
+    lo, hi, y = lo[keep], hi[keep], hs[keep, 0]
+    slot = np.arange(len(vs))
+    order = slot  # the verticals in (block, y1) order at the current level
+    k = 0
+    while len(lo):
+        keys = (slot >> k) * height + vs[order, 1]
+        if k:  # each level-k block merges two sorted level-(k-1) blocks
+            sort = np.argsort(keys, kind="stable")
+            order, keys = order[sort], keys[sort]
+        reach = np.maximum.accumulate((slot >> k) * height + vs[order, 2])
+        left, right = (lo & 1) == 1, (hi & 1) == 1  # the blocks a parent would overrun
+        block = np.concatenate([lo[left], hi[right] - 1])
+        q = block * height + np.concatenate([y[left], y[right]])
+        at = np.searchsorted(keys, q, "left")  # block's verticals with y1 < y end at at - 1
+        hit = at > (block << k)
+        if np.any(reach[at[hit] - 1] > q[hit]):
+            return True
+        lo, hi = (lo + left) >> 1, (hi - right) >> 1
+        keep = lo < hi
+        lo, hi, y = lo[keep], hi[keep], y[keep]
+        k += 1
     return False
 
 
 def check_planar(d: GridDrawing) -> bool:
     """No two edges share a point except a common endpoint, and no node lies
-    in the interior of any edge. Sweep-based; handles 1e5 edges."""
-    hs, vs, orthogonal = split_segments(d)
-    if not (orthogonal and check_on_grid(d)):
+    in the interior of any edge. A fixed number of numpy sorts and searches,
+    plus one search per level of a dyadic split of the verticals for the
+    crossings; handles 1e6 edges."""
+    P, hs, vs, orthogonal = _split(d)
+    if not (orthogonal and _on_grid(P)):
         raise ValueError("check_planar requires an orthogonal grid drawing")
-    return _planar(d, hs, vs)
+    return _planar(P, hs, vs)
 
 
-def _planar(d: GridDrawing, hs, vs) -> bool:
-    if _node_in_edge_interior(d, hs, vs):
-        return False
-    if _collinear_overlap(hs) or _collinear_overlap(vs):
-        return False
-    return not _interior_crossing(hs, vs)
+def _planar(P: np.ndarray, hs: np.ndarray, vs: np.ndarray) -> bool:
+    """check_planar's core. Every run ends at nodes, so ranking the runs'
+    coordinates with the nodes' x and y values keeps order and equality and
+    keeps every combined key below n**2."""
+    nx, (rx, hx1, hx2, vx) = _ranks(P[:, 0], hs[:, 1], hs[:, 2], vs[:, 0])
+    ny, (ry, hy, vy1, vy2) = _ranks(P[:, 1], hs[:, 0], vs[:, 1], vs[:, 2])
+    H, V = np.stack([hy, hx1, hx2], axis=1), np.stack([vx, vy1, vy2], axis=1)
+    return not (_node_inside(ry, rx, H, nx) or _node_inside(rx, ry, V, ny)
+                or _collinear_overlap(H, nx) or _collinear_overlap(V, ny)
+                or _interior_crossing(H, V, ny))
 
 
 def naive_check_planar(d: GridDrawing) -> bool:
     """O(m^2) all-pairs oracle for check_planar (numpy-vectorized brute
     force). Intended for m <= a few thousand."""
-    hs, vs, orthogonal = split_segments(d)
-    if not (orthogonal and check_on_grid(d)):
+    P, hs, vs, orthogonal = _split(d)
+    if not (orthogonal and _on_grid(P)):
         raise ValueError("naive_check_planar requires an orthogonal grid drawing")
-    px = np.array([p[0] for p in d.pos])
-    py = np.array([p[1] for p in d.pos])
-    if hs:
-        hy = np.array([s[0] for s in hs])
-        hx1 = np.array([s[1] for s in hs])
-        hx2 = np.array([s[2] for s in hs])
-        # node strictly inside a horizontal edge
-        if np.any((py[:, None] == hy) & (px[:, None] > hx1) & (px[:, None] < hx2)):
-            return False
-        # proper overlap of two horizontal edges on one row
-        ov = ((hy[:, None] == hy) & (hx1[:, None] < hx2) & (hx1 < hx2[:, None]))
+    px, py = P[:, 0], P[:, 1]
+    hy, hx1, hx2 = hs.T
+    vx, vy1, vy2 = vs.T
+    # node strictly inside a horizontal / vertical edge
+    if np.any((py[:, None] == hy) & (px[:, None] > hx1) & (px[:, None] < hx2)):
+        return False
+    if np.any((px[:, None] == vx) & (py[:, None] > vy1) & (py[:, None] < vy2)):
+        return False
+    # proper overlap of two edges on one line
+    for line, lo, hi in (hs.T, vs.T):
+        ov = (line[:, None] == line) & (lo[:, None] < hi) & (lo < hi[:, None])
         np.fill_diagonal(ov, False)
         if np.any(ov):
             return False
-    if vs:
-        vx = np.array([s[0] for s in vs])
-        vy1 = np.array([s[1] for s in vs])
-        vy2 = np.array([s[2] for s in vs])
-        if np.any((px[:, None] == vx) & (py[:, None] > vy1) & (py[:, None] < vy2)):
-            return False
-        ov = ((vx[:, None] == vx) & (vy1[:, None] < vy2) & (vy1 < vy2[:, None]))
-        np.fill_diagonal(ov, False)
-        if np.any(ov):
-            return False
-    if hs and vs:
-        cross = ((vx >= hx1[:, None]) & (vx <= hx2[:, None])
-                 & (hy[:, None] >= vy1) & (hy[:, None] <= vy2))
-        shared_endpoint = (((vx == hx1[:, None]) | (vx == hx2[:, None]))
-                           & ((hy[:, None] == vy1) | (hy[:, None] == vy2)))
-        if np.any(cross & ~shared_endpoint):
-            return False
-    return True
+    cross = ((vx >= hx1[:, None]) & (vx <= hx2[:, None])
+             & (hy[:, None] >= vy1) & (hy[:, None] <= vy2))
+    shared_endpoint = (((vx == hx1[:, None]) | (vx == hx2[:, None]))
+                       & ((hy[:, None] == vy1) | (hy[:, None] == vy2)))
+    return not np.any(cross & ~shared_endpoint)
 
 
 def check_top_visibility(d: GridDrawing) -> bool:
     """The vertical half-line going up from the root meets the drawing only
     at the root."""
-    hs, vs, _ = split_segments(d)
-    return _top_visible(d, hs, vs)
+    P, hs, vs, _ = _split(d)
+    return _top_visible(P, d.tree.root, hs, vs)
 
 
-def _top_visible(d: GridDrawing, hs, vs) -> bool:
-    rx, ry = d.root_pos()
-    for x, y in d.pos:
-        if x == rx and y < ry:
-            return False
-    for y, x1, x2 in hs:
-        if y < ry and x1 <= rx <= x2:
-            return False
-    for x, y1, y2 in vs:
-        if x == rx and y1 < ry:
+def _top_visible(P: np.ndarray, root: int, hs: np.ndarray, vs: np.ndarray) -> bool:
+    rx, ry = P[root]
+    return not (np.any((P[:, 0] == rx) & (P[:, 1] < ry))
+                or np.any((hs[:, 0] < ry) & (hs[:, 1] <= rx) & (rx <= hs[:, 2]))
+                or np.any((vs[:, 0] == rx) & (vs[:, 1] < ry)))
+
+
+def _subtree_boxes(P: np.ndarray, t: TernaryTree, parent: np.ndarray,
+                   child: np.ndarray) -> np.ndarray:
+    """Per node, (xmin, ymin, -xmax, -ymax) over its subtree.
+
+    topo_order() is a preorder, so a subtree is the block from its root to
+    its last descendant: that of its last child in preorder, found for all
+    nodes at once by pointer jumping. Each block's minimum comes from the
+    sparse table of power-of-two windows, built one level at a time. Both
+    take O(log n) passes whatever the tree's height."""
+    n = t.n
+    order = np.fromiter(t.topo_order(), np.int64, n)
+    start = np.empty(n, np.int64)
+    start[order] = np.arange(n)
+    last = np.arange(n)  # by preorder index: the last descendant found so far
+    if len(child):
+        groups = np.flatnonzero(np.diff(parent, prepend=-1))
+        last[start[parent[groups]]] = np.maximum.reduceat(start[child], groups)
+    while True:
+        jump = last[last]
+        if np.array_equal(jump, last):
+            break
+        last = jump
+    length = (last - np.arange(n) + 1)[start]
+    level = np.frexp(length)[1] - 1  # floor(log2(length))
+    by_level = np.argsort(level, kind="stable")
+    bounds = np.searchsorted(level[by_level], np.arange(level.max() + 2))
+    Q = P[order]
+    table = np.concatenate([Q, -Q], axis=1)  # windows of 1
+    box = np.empty_like(table)
+    for k in range(len(bounds) - 1):
+        if k:  # windows of 2**k from two of 2**(k-1)
+            w = 1 << (k - 1)
+            table = np.minimum(table[:-w], table[w:])
+        v = by_level[bounds[k]:bounds[k + 1]]
+        a = start[v]
+        box[v] = np.minimum(table[a], table[a + length[v] - (1 << k)])
+    return box
+
+
+def _separated(P: np.ndarray, t: TernaryTree, parent: np.ndarray, child: np.ndarray) -> bool:
+    """Sibling subtrees' closed boxes pairwise disjoint: edges are ordered by
+    parent, so siblings sit one or two entries apart. With boxes stored as
+    (xmin, ymin, -xmax, -ymax), a and b overlap iff a[:2] <= -b[2:] and
+    b[:2] <= -a[2:]."""
+    box = _subtree_boxes(P, t, parent, child)
+    for gap in (1, 2):
+        sib = parent[:-gap] == parent[gap:]
+        a, b = box[child[:-gap][sib]], box[child[gap:][sib]]
+        if np.any(np.all(a[:, :2] + b[:, 2:] <= 0, axis=1) & np.all(b[:, :2] + a[:, 2:] <= 0, axis=1)):
             return False
     return True
-
-
-def _subtree_boxes(d: GridDrawing) -> list[tuple[int, int, int, int]]:
-    n = d.tree.n
-    boxes = [(x, x, y, y) for x, y in d.pos]
-    for v in reversed(d.tree.topo_order()):
-        x1, x2, y1, y2 = boxes[v]
-        for c in d.tree.children[v]:
-            cx1, cx2, cy1, cy2 = boxes[c]
-            x1 = min(x1, cx1)
-            x2 = max(x2, cx2)
-            y1 = min(y1, cy1)
-            y2 = max(y2, cy2)
-        boxes[v] = (x1, x2, y1, y2)
-    return boxes
-
-
-def _boxes_overlap(a, b) -> bool:
-    return a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]
 
 
 def check_subtree_separation(d: GridDrawing) -> bool:
@@ -240,31 +247,30 @@ def check_subtree_separation(d: GridDrawing) -> bool:
     disjoint as closed rectangles. The local sibling condition implies the
     global pairwise one (two node-disjoint subtrees nest inside distinct
     child subtrees at their roots' lowest common ancestor)."""
-    boxes = _subtree_boxes(d)
-    for v in range(d.tree.n):
-        kids = d.tree.children[v]
-        for i in range(len(kids)):
-            for j in range(i + 1, len(kids)):
-                if _boxes_overlap(boxes[kids[i]], boxes[kids[j]]):
-                    return False
-    return True
+    return _separated(coordinates(d), d.tree, *edge_arrays(d.tree))
 
 
 def brute_subtree_separation(d: GridDrawing) -> bool:
     """Oracle: check ALL node-disjoint subtree pairs (ancestry-free node
-    pairs). O(n^2); for small drawings only."""
+    pairs), each box taken over the subtree's members found from ancestor
+    sets. O(n^2); for small drawings only."""
     n = d.tree.n
-    boxes = _subtree_boxes(d)
     ancestors: list[set[int]] = [set() for _ in range(n)]
     for v in d.tree.topo_order():
         p = d.tree.parent(v)
         if p is not None:
             ancestors[v] = ancestors[p] | {p}
+    boxes = []
+    for u in range(n):
+        members = [d.pos[w] for w in range(n) if w == u or u in ancestors[w]]
+        xs, ys = [x for x, _ in members], [y for _, y in members]
+        boxes.append((min(xs), max(xs), min(ys), max(ys)))
     for u in range(n):
         for v in range(u + 1, n):
             if u in ancestors[v] or v in ancestors[u]:
                 continue
-            if _boxes_overlap(boxes[u], boxes[v]):
+            a, b = boxes[u], boxes[v]
+            if a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]:
                 return False
     return True
 
@@ -356,15 +362,18 @@ def leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
 
 
 def build_report(d: GridDrawing) -> VerificationReport:
-    """All checks, sharing one split of the edges. The runs die on return,
-    not kept with the drawing, so they never add to a caller's peak memory."""
-    on_grid = check_on_grid(d)
-    sep = check_subtree_separation(d)
-    hs, vs, orthogonal = split_segments(d)
+    """All checks, sharing one coordinate array, one pair of edge arrays and
+    one split. The arrays die on return, not kept with the drawing, so they
+    never add to a caller's peak memory."""
+    P = coordinates(d)
+    parent, child = edge_arrays(d.tree)
+    on_grid = _on_grid(P)
+    sep = _separated(P, d.tree, parent, child)
+    hs, vs, orthogonal = split_segments(P, parent, child)
     valid = on_grid and orthogonal
-    planar = valid and _planar(d, hs, vs)
-    top = valid and _top_visible(d, hs, vs)
-    ext = segment_extents(d, hs, vs)
+    planar = valid and _planar(P, hs, vs)
+    top = valid and _top_visible(P, d.tree.root, hs, vs)
+    ext = segment_extents(P, d.tree.root, hs, vs)
     leg = lam = rho = None
     if planar:
         try:

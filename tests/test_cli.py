@@ -83,6 +83,40 @@ def test_verify_rejects_malformed_drawing(tmp_path, capsys, doc):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("c", [2 ** 62, -2 ** 62 - 1], ids=["2^62", "-2^62-1"])
+def test_verify_rejects_out_of_range_coordinate(tmp_path, capsys, c):
+    doc = {"tree": {"n": 2, "root": 0, "children": [[1], []]}, "pos": [[0, 0], [c, 0]]}
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc))
+    assert run("verify", str(path)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err and "2**62" in err
+
+
+def test_verify_reports_exact_extents_at_coordinate_limit(tmp_path, capsys):
+    c = 2 ** 62 - 1
+    doc = {"tree": {"n": 3, "root": 0, "children": [[1, 2], [], []]},
+           "pos": [[0, 0], [c, 0], [-c, 0]]}
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc))
+    assert run("verify", str(path)) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["width"], payload["leftWidth"], payload["rightWidth"]) == (2 * c + 1, c, c)
+    assert payload["area"] == 2 * c + 1 and payload["planar"]
+
+
+def test_unexpected_exception_exits_3(monkeypatch, tmp_path, capsys):
+    def boom(drawing):
+        raise RuntimeError("boom\nsecond line")
+    monkeypatch.setattr(cli, "build_report", boom)
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"tree": {"children": [[]]}, "pos": [[0, 0]]}))
+    assert run("verify", str(path)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom second line\n"
+
+
 def test_draw_gate_requires_subtree_separation(monkeypatch, capsys):
     # planar, orthogonal and top-visible, but leaf 2 lies inside the box of
     # its sibling's subtree {1, 3, 4}

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ternarydraw.geometry import GridDrawing, edge_segments, extents
+from ternarydraw.geometry import Extents, GridDrawing, edge_segments, extents
 from ternarydraw.layout_complete import draw_c1_only, draw_c2_only, draw_golden
 from ternarydraw.layout_general import draw_general
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree
@@ -106,6 +106,27 @@ def test_subtree_separation_violation():
     assert not brute_subtree_separation(d)
 
 
+def test_separation_sees_every_descendant():
+    # move each leaf of a 1-2 drawing onto the sibling subtree of one of its
+    # root's children: only that leaf's own subtree boxes grow
+    d = draw_c1_only(5)
+    t = d.tree
+    a, b = t.children[t.root][:2]
+    assert check_subtree_separation(d)
+    for v in range(t.n):
+        if not t.is_leaf(v):
+            continue
+        u = v
+        while t.parent(u) != t.root:
+            u = t.parent(u)
+        pos = list(d.pos)
+        pos[v] = d.pos[b if u == a else a]
+        moved = GridDrawing(t, tuple(pos))
+        assert not check_subtree_separation(moved)
+        if v % 9 == 0:
+            assert not brute_subtree_separation(moved)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 40), st.integers(0, 10 ** 6))
 def test_local_separation_matches_global_oracle(n, seed):
@@ -176,19 +197,28 @@ def test_large_drawing_planarity_speed():
 
 
 def reference_extents(d):
-    """Extents by listing every covered grid line: nodes, plus every integer
-    point of each positive-length horizontal/vertical edge; a diagonal edge
+    """Extents by listing the covered grid lines without merging intervals:
+    every node's line, plus each gap between consecutive node lines that
+    some positive-length horizontal/vertical edge spans whole (an edge ends
+    at nodes, so it covers a gap whole or not at all); a diagonal edge
     covers only its endpoints."""
-    cols = {x for x, _ in d.pos}
-    rows = {y for _, y in d.pos}
-    for x1, y1, x2, y2 in edge_segments(d):
-        if y1 == y2:
-            cols.update(range(min(x1, x2), max(x1, x2) + 1))
-        elif x1 == x2:
-            rows.update(range(min(y1, y2), max(y1, y2) + 1))
+    segs = edge_segments(d)
     rx, ry = d.root_pos()
-    return (len(cols), len(rows), sum(x < rx for x in cols), sum(x > rx for x in cols),
-            sum(y < ry for y in rows), sum(y > ry for y in rows))
+
+    def counts(lines, spans, pivot):
+        lines = sorted(set(lines))
+        covered = [(c, c) for c in lines]
+        covered += [(a + 1, b - 1) for a, b in zip(lines, lines[1:])
+                    if b - a > 1 and any(lo <= a and b <= hi for lo, hi in spans)]
+        return (sum(hi - lo + 1 for lo, hi in covered),
+                sum(hi - lo + 1 for lo, hi in covered if hi < pivot),
+                sum(hi - lo + 1 for lo, hi in covered if lo > pivot))
+
+    w, lw, rw = counts([x for x, _ in d.pos], [(min(x1, x2), max(x1, x2))
+                       for x1, y1, x2, y2 in segs if y1 == y2 and x1 != x2], rx)
+    h, th, bh = counts([y for _, y in d.pos], [(min(y1, y2), max(y1, y2))
+                       for x1, y1, x2, y2 in segs if x1 == x2 and y1 != y2], ry)
+    return w, h, lw, rw, th, bh
 
 
 @st.composite
@@ -211,6 +241,8 @@ def drawings(draw):
 
 
 _T3 = TernaryTree(((1, 2), (), ()))
+_PATH3 = TernaryTree(((1,), (2,), ()))
+_BIG = 2 ** 40
 
 
 @settings(max_examples=150, deadline=None)
@@ -221,15 +253,33 @@ _T3 = TernaryTree(((1, 2), (), ()))
 @example(GridDrawing(_T3, ((0, 0), (2, 0), (1, 0))))  # node inside an edge
 @example(GridDrawing(TernaryTree(((1, 2), (), (3,), (4,), ())),
                      ((1, 1), (1, -1), (0, 1), (0, 0), (2, 0))))  # crossing
+@example(GridDrawing(TernaryTree(((1, 2), (), (3,), (4,), ())),
+                     ((0, 0), (2, 0), (0, 2), (1, 2), (1, 0))))  # vertical ends inside a horizontal
+@example(GridDrawing(_PATH3, ((0, 0), (2, 0), (2, 2))))  # vertical ends at a horizontal's end
+@example(GridDrawing(_PATH3, ((0, 0), (2, 0), (4, 0))))  # collinear runs abut at a node
+@example(GridDrawing(TernaryTree(((1, 2), (), (3,), (4,), (5,), ())),
+                     ((0, 0), (2, 0), (0, -1), (3, -1), (3, 0), (1, 0))))  # overlap by one unit
+@example(GridDrawing(_T3, ((0, 0), (-2, 0), (3, 0))))  # horizontal edges only
+@example(GridDrawing(_T3, ((0, 0), (0, -2), (0, 3))))  # vertical edges only
+@example(GridDrawing(TernaryTree(((),)), ((0, 0),)))  # a single node
+@example(GridDrawing(TernaryTree(((1, 2, 3), (), (), ())),
+                     ((0, 0), (-_BIG, 0), (_BIG, 0), (0, _BIG))))  # spread to 2**40
+@example(GridDrawing(TernaryTree(((1, 2), (3,), (), ())),
+                     ((0, 0), (0, -_BIG), (0, _BIG), (_BIG, -_BIG))))  # spread to 2**40, not top-visible
 def test_report_matches_standalone_checks(d):
     r = build_report(d)
     on_grid, orthogonal = check_on_grid(d), check_orthogonal(d)
     valid = on_grid and orthogonal
     assert (r.on_grid, r.orthogonal) == (on_grid, orthogonal)
+    assert on_grid == (all(float(c).is_integer() for p in d.pos for c in p)
+                       and len(set(d.pos)) == len(d.pos))
     assert valid == check_orthogonal_grid(d)
+    assert r.planar == (valid and naive_check_planar(d))
     assert r.planar == (valid and check_planar(d))
     assert r.top_visible == (valid and check_top_visibility(d))
     assert r.subtree_separated == check_subtree_separation(d)
+    if d.tree.n <= 60:
+        assert r.subtree_separated == brute_subtree_separation(d)
     assert r.extents == extents(d)
     e = r.extents
     assert (e.width, e.height, e.left_width, e.right_width,
@@ -241,3 +291,32 @@ def test_report_matches_standalone_checks(d):
         except VerificationError:
             pass
     assert (r.leg_length, r.left_arm_length, r.right_arm_length) == legs
+    fields = (r.planar, r.orthogonal, r.on_grid, r.top_visible, r.subtree_separated)
+    assert all(type(f) is bool for f in fields)
+    assert all(type(v) is int for v in (*vars(e).values(), *legs) if v is not None)
+
+
+def test_report_on_a_path_drawn_on_one_row():
+    # height n: a check that looped over tree levels would take n passes
+    n = 200_000
+    t = TernaryTree(tuple((v + 1,) for v in range(n - 1)) + ((),))
+    r = build_report(GridDrawing(t, tuple((v, 0) for v in range(n))))
+    assert (r.planar, r.orthogonal, r.on_grid, r.top_visible, r.subtree_separated) == (True,) * 5
+    assert r.extents == Extents(n, 1, 0, n - 1, 0, 0)
+    assert (r.leg_length, r.left_arm_length, r.right_arm_length) == (None, None, None)
+
+
+@pytest.mark.parametrize("c", [2 ** 62, -2 ** 62 - 1, 2 ** 63, 2 ** 64, float("nan")])
+def test_out_of_range_coordinates_raise(c):
+    d = GridDrawing(TernaryTree(((1,), ())), ((0, 0), (c, 0)))
+    for check in (build_report, check_on_grid, check_orthogonal, check_orthogonal_grid,
+                  check_planar, check_top_visibility, check_subtree_separation, extents):
+        with pytest.raises(ValueError):
+            check(d)
+
+
+def test_integral_float_coordinates_are_on_grid():
+    t = TernaryTree(((1,), ()))
+    r = build_report(GridDrawing(t, ((0.0, 0.0), (2.0, 0.0))))
+    assert r.on_grid and r.planar and r.extents == Extents(3, 1, 0, 2, 0, 0)
+    assert type(r.extents.width) is int
