@@ -99,10 +99,10 @@ def cmd_table(args) -> int:
     if not 1 <= args.h_max <= 20:
         raise UserError("h must be between 1 and 20")
     print(f"{'h':>3} {'n':>12} {'min area':>14}")
-    for h in range(1, args.h_max + 1):
-        area, _ = pareto.min_area(h, args.cache_dir)
-        n = (3 ** h - 1) // 2
-        print(f"{h:>3} {n:>12} {area:>14}")
+    for fr in pareto.levels(args.h_max, args.cache_dir):
+        area, _ = fr.min_area()
+        n = (3 ** fr.h - 1) // 2
+        print(f"{fr.h:>3} {n:>12} {area:>14}")
     return 0
 
 

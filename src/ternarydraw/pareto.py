@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,11 @@ class ParetoFrontier:
     h: int
     pairs: tuple[Pair, ...]
     recipes: Optional[tuple[Recipe, ...]] = None
+
+    def min_area(self) -> tuple[int, Pair]:
+        """Minimum width*height over the pairs; area ties broken toward the
+        smaller width."""
+        return min((w * e, (w, e)) for w, e in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -62,47 +67,76 @@ def _base_frontier() -> ParetoFrontier:
     return ParetoFrontier(1, ((1, 1),), ((-1, -1, 0),))
 
 
-def _pareto_filter(W, H, arm, center, constr):
-    """Keep the Pareto set; duplicates resolved toward the smallest
-    (arm, center, construction) triple."""
-    order = np.lexsort((constr, center, arm, H, W))
-    W, H = W[order], H[order]
-    arm, center, constr = arm[order], center[order], constr[order]
-    running = np.minimum.accumulate(H)
-    keep = np.empty(len(H), dtype=bool)
-    keep[0] = True
-    keep[1:] = H[1:] < running[:-1]
-    return W[keep], H[keep], arm[keep], center[keep], constr[keep]
+# Arms per block of enumerated construction-1 pairs: the DP's scratch arrays
+# hold at most _ARM_BLOCK * k entries each, whatever the level.
+_ARM_BLOCK = 64
+_EMPTY = np.iinfo(np.int64).max
 
 
 def _next_frontier(prev: ParetoFrontier) -> ParetoFrontier:
+    """Frontier of T_{h+1} from that of T_h. With center i and both arms j
+    (indices into ``prev``) and lam = (w - 1) / 2, the candidates are
+
+        construction 1: W = w_i + 2 e_j,           H = lam_j + max(lam_j, e_i) + 1
+        construction 2: W = 2 max(lam_i, e_j) + 1, H = w_j + e_i
+
+    and the result is the Pareto set of all 2k^2 of them, each pair realized
+    by its smallest (arm, center, construction).
+
+    As w and lam increase and e decreases strictly along ``prev``, a candidate
+    that shares its W with one of smaller H, or its H with one of smaller W,
+    is never that smallest realization of a frontier pair. That leaves:
+    - C2 with lam_i <= e_j (W = 2 e_j + 1): per arm, the largest such center;
+    - C2 with e_j <= lam_i (W = w_i): per center, the first such arm;
+    - C1 with e_i <= lam_j (H = w_j): per arm, the first such center;
+    - C1 with e_i >= lam_j: every pair, about k^2 / 2, offered in blocks of
+      _ARM_BLOCK arms (a block's rectangle adds a few clamped C1 pairs).
+    Every W is odd. Each candidate lowers the entry at (W - 1) / 2 of one
+    dense array to its key, packed so that integer order is (H, arm, center,
+    construction) order; a running minimum of H over W leaves the frontier.
+    """
+    k = len(prev.pairs)
+    span = 2 * k * k  # keys per value of H
+    if (prev.pairs[-1][0] + prev.pairs[0][1] + 1) * span > _EMPTY:  # H <= w_top + e_top
+        raise ValueError(f"frontier of T_{prev.h} is too large for int64 recipe keys")
     w = np.array([p[0] for p in prev.pairs], dtype=np.int64)
     e = np.array([p[1] for p in prev.pairs], dtype=np.int64)
     lam = (w - 1) // 2
-    k = w.size
-    arms = np.arange(k, dtype=np.int64)
-    parts_W, parts_H, parts_arm, parts_center, parts_c = [], [], [], [], []
-    for i in range(k):
-        # Construction 1: center i below the root, arms j rotated sideways
-        W1 = w[i] + 2 * e
-        H1 = lam + np.maximum(lam, e[i]) + 1
-        # Construction 2: arms j beside the root, center i below them
-        W2 = 2 * np.maximum(lam[i], e) + 1
-        H2 = w + e[i]
-        for W, H, c in ((W1, H1, 1), (W2, H2, 2)):
-            Wk, Hk, armk, _, _ = _pareto_filter(
-                W, H, arms, np.zeros(k, np.int64), np.zeros(k, np.int64))
-            parts_W.append(Wk)
-            parts_H.append(Hk)
-            parts_arm.append(armk)
-            parts_center.append(np.full(len(Wk), i, np.int64))
-            parts_c.append(np.full(len(Wk), c, np.int64))
-    W, H, arm, center, constr = _pareto_filter(
-        np.concatenate(parts_W), np.concatenate(parts_H),
-        np.concatenate(parts_arm), np.concatenate(parts_center),
-        np.concatenate(parts_c))
-    pairs = tuple((int(a), int(b)) for a, b in zip(W, H))
-    recipes = tuple((int(a), int(b), int(c)) for a, b, c in zip(arm, center, constr))
+    best = np.full(int(lam[-1] + e[0]) + 1, _EMPTY, dtype=np.int64)
+
+    def offer(slot, H, arm, center, constr):
+        key = H * span + (arm * (2 * k) + (constr - 1) + center * 2)
+        np.minimum.at(best, slot.ravel(), key.ravel())  # 1-d: numpy's fast path
+
+    center = np.searchsorted(lam, e, side="right") - 1  # C2, lam_i <= e_j: last center
+    arm = np.flatnonzero(center >= 0)
+    center = center[arm]
+    offer(e[arm], w[arm] + e[center], arm, center, 2)
+    x = np.arange(k)
+    y = np.searchsorted(-e, -lam, side="left")  # first index y with e_y <= lam_x
+    x, y = x[y < k], y[y < k]
+    offer(lam[x], w[y] + e[x], y, x, 2)  # C2, e_j <= lam_i: center x, first arm y
+    offer(lam[y] + e[x], w[x], x, y, 1)  # C1, e_i <= lam_j: arm x, first center y
+    count = np.searchsorted(-e, -lam, side="right")  # C1, e_i >= lam_j: centers 0..count_j-1
+    for j0 in range(0, k, _ARM_BLOCK):
+        m = int(count[j0])
+        if m == 0:
+            break
+        arm = np.arange(j0, min(j0 + _ARM_BLOCK, k))[:, None]
+        center = np.arange(m)[None, :]
+        H = np.maximum(lam[arm], e[center]) + (lam[arm] + 1)
+        offer(lam[center] + e[arm], H, arm, center, 1)
+
+    slot = np.flatnonzero(best != _EMPTY)
+    key = best[slot]
+    H = key // span
+    keep = np.empty(H.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = H[1:] < np.minimum.accumulate(H)[:-1]
+    slot, key, H = slot[keep], key[keep] % span, H[keep]
+    pairs = tuple(zip((2 * slot + 1).tolist(), H.tolist()))
+    recipes = tuple(zip((key // (2 * k)).tolist(), (key // 2 % k).tolist(),
+                        (key % 2 + 1).tolist()))
     return ParetoFrontier(prev.h + 1, pairs, recipes)
 
 
@@ -111,14 +145,23 @@ def _cache_path(cache_dir: str, h: int) -> str:
 
 
 def save_frontier(fr: ParetoFrontier, cache_dir: str) -> str:
+    """Write the level's cache file atomically: the rows go to a temporary
+    file in ``cache_dir`` that then replaces ``frontier_hNN.txt``, so a
+    reader never sees a half-written level."""
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, fr.h)
     recipes = fr.recipes or tuple((-1, -1, 0) for _ in fr.pairs)
     lines = [f"h={fr.h} count={len(fr.pairs)}"]
     for (w, e), (a, c, cn) in zip(fr.pairs, recipes):
         lines.append(f"{w} {e} {a} {c} {cn}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.remove(tmp)
     return path
 
 
@@ -140,39 +183,35 @@ def load_frontier(cache_dir: str, h: int) -> Optional[ParetoFrontier]:
     return ParetoFrontier(h, tuple(pairs), tuple(recipes))
 
 
-def _levels(h: int, cache_dir: Optional[str]) -> list[ParetoFrontier]:
-    """Frontiers of T_1..T_h: each level is read from the cache, or computed
-    from the one below and then saved to it."""
+def levels(h: int, cache_dir: Optional[str] = None) -> Iterator[ParetoFrontier]:
+    """Frontiers of T_1..T_h, in order, holding only the last one: each level
+    is read from the cache, or computed from the one below and then saved to
+    it."""
     if h < 1:
         raise ValueError("h must be >= 1")
-    levels = [_base_frontier()]
+    fr = _base_frontier()
+    yield fr
     for level in range(2, h + 1):
-        fr = load_frontier(cache_dir, level) if cache_dir else None
-        if fr is None:
-            fr = _next_frontier(levels[-1])
+        loaded = load_frontier(cache_dir, level) if cache_dir else None
+        if loaded is None:
+            loaded = _next_frontier(fr)
             if cache_dir:
-                save_frontier(fr, cache_dir)
-        levels.append(fr)
-    return levels
+                save_frontier(loaded, cache_dir)
+        fr = loaded
+        yield fr
 
 
 def frontier(h: int, cache_dir: Optional[str] = None) -> ParetoFrontier:
     """Exact Pareto set over all 1-2 drawings of T_h."""
-    return _levels(h, cache_dir)[-1]
+    for fr in levels(h, cache_dir):
+        pass
+    return fr
 
 
 def min_area(h: int, cache_dir: Optional[str] = None) -> tuple[int, Pair]:
     """Minimum width*height over the frontier; area ties broken toward the
     smaller width (pairs come sorted by increasing width)."""
-    fr = frontier(h, cache_dir)
-    best = None
-    best_pair = None
-    for w, e in fr.pairs:
-        if best is None or w * e < best:
-            best = w * e
-            best_pair = (w, e)
-    assert best is not None and best_pair is not None
-    return best, best_pair
+    return frontier(h, cache_dir).min_area()
 
 
 def reconstruct_drawing(h: int, pair: Pair,
@@ -180,7 +219,7 @@ def reconstruct_drawing(h: int, pair: Pair,
     """Geometric witness for a frontier pair, following the stored recipes.
     Arms reuse one drawing, so they are congruent up to the 180° rotation
     applied inside the constructions."""
-    fronts = [None, *_levels(h, cache_dir)]  # fronts[level]
+    fronts = [None, *levels(h, cache_dir)]  # fronts[level]
     try:
         top_idx = fronts[h].pairs.index((int(pair[0]), int(pair[1])))
     except ValueError:

@@ -1,6 +1,6 @@
 import json
 
-from ternarydraw import cli, geometry, verify
+from ternarydraw import cli, geometry, pareto, verify
 from ternarydraw.cli import main
 from ternarydraw.geometry import GridDrawing, drawing_from_json, extents
 from ternarydraw.render import RenderSpec, drawing_to_svg
@@ -154,6 +154,22 @@ def test_table_output(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[-1].split() == ["4", "40", "99"]
     assert lines[1].split() == ["1", "1", "1"]
+
+
+def test_table_walks_the_levels_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in ("load_frontier", "_next_frontier"):
+        fn = getattr(pareto, name)
+        monkeypatch.setattr(pareto, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    cache = str(tmp_path / "cache")
+    assert run("--cache-dir", cache, "table", "6") == 0
+    cold = capsys.readouterr().out
+    assert calls == ["load_frontier", "_next_frontier"] * 5
+    calls.clear()
+    assert run("--cache-dir", cache, "table", "6") == 0
+    assert capsys.readouterr().out == cold
+    assert calls == ["load_frontier"] * 5
 
 
 def test_table_rejects_out_of_range():
