@@ -2,7 +2,8 @@
 orthogonal drawings of ternary trees on the integer grid."""
 
 from .geometry import (Extents, GridDrawing, drawing_from_json,
-                       drawing_to_json, edge_segments, extents, rotate)
+                       drawing_json, drawing_to_json, edge_segments, extents,
+                       rotate)
 from .layout_complete import (construction1, construction2, draw_c1_only,
                               draw_c2_only, draw_golden, draw_upper_1149)
 from .layout_general import (DecompositionStats, LayoutParams,

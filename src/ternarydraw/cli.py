@@ -14,7 +14,8 @@ import sys
 from typing import Optional
 
 from . import pareto
-from .geometry import GridDrawing, drawing_from_json, drawing_to_json
+from .geometry import GridDrawing, drawing_from_json, drawing_json
+from .geometry import drawing_to_json  # unused here; perfbench/child.py wraps cli.drawing_to_json
 from .geometry import extents  # unused here; perfbench/child.py wraps cli.extents
 from .layout_complete import draw_c1_only, draw_c2_only, draw_golden, draw_upper_1149
 from .layout_general import LayoutParams, draw_general
@@ -84,10 +85,11 @@ def cmd_draw(args) -> int:
     if args.format == "svg":
         payload = drawing_to_svg(drawing, RenderSpec())
     else:
-        payload = json.dumps(drawing_to_json(drawing), indent=2)
+        payload = drawing_json(drawing)
     if args.out:
         with open(args.out, "w") as f:
-            f.write(payload + "\n")
+            f.write(payload)
+            f.write("\n")
     else:
         print(payload)
     print(f"nodes={n} width={ext.width} height={ext.height} area={ext.area}",

@@ -168,6 +168,32 @@ def drawing_to_json(d: GridDrawing) -> dict:
     return {"tree": tree_to_json(d.tree), "pos": [[x, y] for x, y in d.pos]}
 
 
+# json.dumps(..., indent=2) layout of one child list, by its length, and of
+# one position row.
+_CHILD_TEMPLATES = ("      []",) + tuple(
+    "      [\n" + ",\n".join(["        %d"] * k) + "\n      ]" for k in (1, 2, 3))
+_ROW_TEMPLATE = "    [\n      %d,\n      %d\n    ]"
+
+
+def drawing_json(d: GridDrawing) -> str:
+    """Exactly ``json.dumps(drawing_to_json(d), indent=2)`` for a drawing with
+    integer coordinates, from one format string per section instead of the
+    pure-Python encoder. ValueError unless ``coordinates(d)`` is int64, so a
+    fractional coordinate is never rounded."""
+    P = coordinates(d)
+    if P.dtype != np.int64:
+        raise ValueError("only integer coordinates can be written")
+    t = d.tree
+    children = ",\n".join([_CHILD_TEMPLATES[len(k)] for k in t.children])
+    rows = ",\n".join([_ROW_TEMPLATE] * t.n)
+    return "".join((
+        '{\n  "tree": {\n    "n": %d,\n    "root": %d,\n    "children": [\n' % (t.n, t.root),
+        children % tuple(chain.from_iterable(t.children)),
+        '\n    ]\n  },\n  "pos": [\n',
+        rows % tuple(P.ravel().tolist()),
+        "\n  ]\n}"))
+
+
 def drawing_from_json(obj: dict) -> GridDrawing:
     """Parse {"tree", "pos"}; every coordinate must be a JSON integer with
     |c| < 2**62."""

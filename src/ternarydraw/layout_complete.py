@@ -5,150 +5,124 @@ Both combinators take the three child drawings PRE-rotation; the required
 fixed for determinism: slot 1 is the center subtree (below the root), slot 0
 the left arm (rotated clockwise), slot 2 the right arm (rotated
 counterclockwise).
+
+The cores work on (m, 2) int64 coordinate arrays in the preorder of
+``complete_tree``, root in row 0 at the origin. In that preorder the three
+child subtrees of T_h are the contiguous id blocks [1, 1+m), [1+m, 1+2m) and
+[1+2m, 1+3m), m = |T_{h-1}|, so a level is one rotated and translated slice
+per block.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import numpy as np
 
-from .geometry import GridDrawing, bbox, rotate
+from .geometry import GridDrawing, coordinates
 from .tree import TernaryTree, TreeError, complete_tree
 
+_POINT = np.zeros((1, 2), dtype=np.int64)  # T_1, shared by every layout
+_POINT.setflags(write=False)
 
-def _preorder(t: TernaryTree, start: int) -> list[int]:
-    out = []
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        out.append(v)
-        stack.extend(reversed(t.children[v]))
+
+def _blocks(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A fresh (3m+1, 2) array with the root at the origin, and views of its
+    left-arm, center and right-arm blocks."""
+    out = np.empty((3 * m + 1, 2), dtype=np.int64)
+    out[0] = 0
+    return out, out[1:1 + m], out[1 + m:1 + 2 * m], out[1 + 2 * m:]
+
+
+def construct1(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Construction 1 on arrays: center a hangs one row below the root; b
+    (rotated cw, (x, y) -> (-y, x)) and c (rotated ccw, (x, y) -> (y, -x))
+    flank it, their roots on the root's row."""
+    out, left, center, right = _blocks(len(a))
+    center[:] = a
+    center[:, 1] += 1 - a[:, 1].min()
+    left[:, 0] = b[:, 1].min() + a[:, 0].min() - 1 - b[:, 1]
+    left[:, 1] = b[:, 0]
+    right[:, 0] = c[:, 1] + a[:, 0].max() + 1 - c[:, 1].min()
+    right[:, 1] = -c[:, 0]
     return out
 
 
-def _subtree_map(host: TernaryTree, child_root: int, g: GridDrawing) -> list[int]:
-    """Map node i of g's tree to the i-th preorder node of the host subtree,
-    verifying the two trees are structurally identical."""
-    sub = _preorder(host, child_root)
-    loc = _preorder(g.tree, g.tree.root)
-    if len(sub) != len(loc):
-        raise TreeError("subtree size does not match the supplied drawing")
-    mapping = [0] * g.tree.n
-    for u, v in zip(sub, loc):
-        if len(host.children[u]) != len(g.tree.children[v]):
-            raise TreeError("subtree shape does not match the supplied drawing")
-        mapping[v] = u
-    return mapping
+def construct2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Construction 2 on arrays: b (rotated cw) and c (rotated ccw) flank the
+    root directly; center a hangs one row below the lower of the two."""
+    out, left, center, right = _blocks(len(a))
+    left[:, 0] = b[:, 1].min() - 1 - b[:, 1]
+    left[:, 1] = b[:, 0]
+    right[:, 0] = c[:, 1] + 1 - c[:, 1].min()
+    right[:, 1] = -c[:, 0]
+    center[:] = a
+    center[:, 1] += max(b[:, 0].max(), -c[:, 0].min()) + 1 - a[:, 1].min()
+    return out
 
 
-def _place(pos: list, g: GridDrawing, mapping: list[int], dx: int, dy: int) -> None:
-    for v, (x, y) in enumerate(g.pos):
-        pos[mapping[v]] = (x + dx, y + dy)
+def _positions(P: np.ndarray) -> tuple[tuple[int, int], ...]:
+    return tuple(zip(P[:, 0].tolist(), P[:, 1].tolist()))
 
 
-def _arms_and_center(root_tree: TernaryTree):
-    kids = root_tree.children[root_tree.root]
-    if len(kids) != 3:
-        raise TreeError("constructions need a root with exactly 3 children")
-    return kids[0], kids[1], kids[2]  # left arm, center, right arm
+def as_drawing(h: int, P: np.ndarray) -> GridDrawing:
+    """The drawing of T_h whose node v sits at row v of P."""
+    return GridDrawing(complete_tree(h), _positions(P))
+
+
+def _child_arrays(ga: GridDrawing, gb: GridDrawing, gc: GridDrawing,
+                  root_tree: TernaryTree) -> list[np.ndarray]:
+    """Each child drawing as a root-relative int64 array, after checking that
+    root_tree is T_h and every child drawing's tree is T_{h-1}."""
+    h = 1
+    while (3 ** h - 1) // 2 < root_tree.n:
+        h += 1
+    if h < 2 or root_tree != complete_tree(h):
+        raise TreeError("constructions need a complete tree with at least 2 levels")
+    if any(g.tree != complete_tree(h - 1) for g in (ga, gb, gc)):
+        raise TreeError("subtree shape does not match the supplied drawing")
+    arrays = [coordinates(g) for g in (ga, gb, gc)]
+    if any(P.dtype != np.int64 for P in arrays):
+        raise ValueError("constructions need integer coordinates")
+    return [P - P[0] for P in arrays]
 
 
 def construction1(ga: GridDrawing, gb: GridDrawing, gc: GridDrawing,
                   root_tree: TernaryTree) -> GridDrawing:
     """Center drawing ga hangs one row below the root; gb (rotated cw) and gc
     (rotated ccw) flank it, their roots on the root's row."""
-    b_child, a_child, c_child = _arms_and_center(root_tree)
-    ma = _subtree_map(root_tree, a_child, ga)
-    mb = _subtree_map(root_tree, b_child, gb)
-    mc = _subtree_map(root_tree, c_child, gc)
-    pos: list = [None] * root_tree.n
-    pos[root_tree.root] = (0, 0)
-
-    arx, _ = ga.root_pos()
-    axmin, axmax, aymin, _ = bbox(ga)
-    adx, ady = -arx, 1 - aymin
-    _place(pos, ga, ma, adx, ady)
-
-    B = rotate(gb, 1)
-    bxmin, bxmax, _, _ = bbox(B)
-    _, bry = B.root_pos()
-    _place(pos, B, mb, (axmin + adx) - 1 - bxmax, -bry)
-
-    C = rotate(gc, 3)
-    cxmin, _, _, _ = bbox(C)
-    _, cry = C.root_pos()
-    _place(pos, C, mc, (axmax + adx) + 1 - cxmin, -cry)
-    return GridDrawing(root_tree, tuple(pos))
+    return GridDrawing(root_tree, _positions(construct1(*_child_arrays(ga, gb, gc, root_tree))))
 
 
 def construction2(ga: GridDrawing, gb: GridDrawing, gc: GridDrawing,
                   root_tree: TernaryTree) -> GridDrawing:
     """gb (rotated cw) and gc (rotated ccw) flank the root directly; the
     center drawing ga hangs one row below the lower of the two."""
-    b_child, a_child, c_child = _arms_and_center(root_tree)
-    ma = _subtree_map(root_tree, a_child, ga)
-    mb = _subtree_map(root_tree, b_child, gb)
-    mc = _subtree_map(root_tree, c_child, gc)
-    pos: list = [None] * root_tree.n
-    pos[root_tree.root] = (0, 0)
-
-    B = rotate(gb, 1)
-    _, bxmax, _, bymax = bbox(B)
-    brx, bry = B.root_pos()
-    bdx, bdy = -1 - bxmax, -bry
-    _place(pos, B, mb, bdx, bdy)
-
-    C = rotate(gc, 3)
-    cxmin, _, _, cymax = bbox(C)
-    _, cry = C.root_pos()
-    cdx, cdy = 1 - cxmin, -cry
-    _place(pos, C, mc, cdx, cdy)
-
-    arx, _ = ga.root_pos()
-    _, _, aymin, _ = bbox(ga)
-    lowest = max(bymax + bdy, cymax + cdy)
-    _place(pos, ga, ma, -arx, lowest + 1 - aymin)
-    return GridDrawing(root_tree, tuple(pos))
+    return GridDrawing(root_tree, _positions(construct2(*_child_arrays(ga, gb, gc, root_tree))))
 
 
-def _point_drawing() -> GridDrawing:
-    return GridDrawing(complete_tree(1), ((0, 0),))
+def _check_h(h: int) -> None:
+    if h < 1:
+        raise TreeError("h must be >= 1")
 
 
-@lru_cache(maxsize=None)
 def draw_c1_only(h: int) -> GridDrawing:
     """1-2 drawing of T_h built with Construction 1 at every level.
     Dimensions: width 2^h - 1, height 2^(h-1)."""
-    if h < 1:
-        raise TreeError("h must be >= 1")
-    if h == 1:
-        return _point_drawing()
-    g = draw_c1_only(h - 1)
-    return construction1(g, g, g, complete_tree(h))
+    _check_h(h)
+    P = _POINT
+    for _ in range(h - 1):
+        P = construct1(P, P, P)
+    return as_drawing(h, P)
 
 
-@lru_cache(maxsize=None)
 def draw_c2_only(h: int) -> GridDrawing:
     """1-2 drawing of T_h built with Construction 2 at every level.
     Dimensions: (2^(h+1)-1)/3 square for odd h; ((2^(h+1)+1)/3,
     (2^(h+1)-2)/3) for even h."""
-    if h < 1:
-        raise TreeError("h must be >= 1")
-    if h == 1:
-        return _point_drawing()
-    g = draw_c2_only(h - 1)
-    return construction2(g, g, g, complete_tree(h))
-
-
-@lru_cache(maxsize=None)
-def _golden(h: int) -> tuple[GridDrawing, GridDrawing]:
-    if h <= 2:
-        d = draw_c1_only(h)  # the unique 1-2 drawing for h <= 2
-        return d, d
-    g1p, g2p = _golden(h - 1)
-    t = complete_tree(h)
-    g1 = construction1(g1p, g2p, g2p, t)
-    g2 = construction2(g2p, g1p, g1p, t)
-    return g1, g2
+    _check_h(h)
+    P = _POINT
+    for _ in range(h - 1):
+        P = construct2(P, P, P)
+    return as_drawing(h, P)
 
 
 def draw_golden(h: int) -> tuple[GridDrawing, GridDrawing]:
@@ -156,24 +130,22 @@ def draw_golden(h: int) -> tuple[GridDrawing, GridDrawing]:
 
     Returns (g1, g2): g1 is the narrow-height drawing (height follows
     eta(h) = eta(h-1) + eta(h-2) + 1), g2 the narrow-width companion used
-    for g1's arms.
+    for g1's arms. For h <= 2 both are the unique 1-2 drawing.
     """
-    if h < 1:
-        raise TreeError("h must be >= 1")
-    return _golden(h)
+    _check_h(h)
+    g1 = g2 = _POINT if h == 1 else construct1(_POINT, _POINT, _POINT)
+    for _ in range(h - 2):
+        g1, g2 = construct1(g1, g2, g2), construct2(g2, g1, g1)
+    return as_drawing(h, g1), as_drawing(h, g2)
 
 
-@lru_cache(maxsize=None)
 def draw_upper_1149(h: int) -> GridDrawing:
     """Best analytic construction: the center of each level is a
     Construction-1 combination of three drawings two levels down, flanked by
     the previous level's drawings via Construction 2. Width and height both
     stay within O(1.8794^h)."""
-    if h < 1:
-        raise TreeError("h must be >= 1")
-    if h <= 2:
-        return draw_c1_only(h)
-    inner = draw_upper_1149(h - 2)
-    center = construction1(inner, inner, inner, complete_tree(h - 1))
-    arm = draw_upper_1149(h - 1)
-    return construction2(center, arm, arm, complete_tree(h))
+    _check_h(h)
+    below, last = _POINT, construct1(_POINT, _POINT, _POINT)  # levels 1 and 2
+    for _ in range(h - 2):
+        below, last = last, construct2(construct1(below, below, below), last, last)
+    return as_drawing(h, below if h == 1 else last)

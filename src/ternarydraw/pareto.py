@@ -18,8 +18,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .geometry import GridDrawing
-from .layout_complete import construction1, construction2
-from .tree import complete_tree
+from .layout_complete import as_drawing, construct1, construct2
 
 Pair = tuple[int, int]
 Recipe = tuple[int, int, int]  # (arm index, center index, construction)
@@ -225,24 +224,23 @@ def reconstruct_drawing(h: int, pair: Pair,
     except ValueError:
         raise ValueError(f"pair {pair} is not on the frontier for h={h}") from None
 
-    memo: dict[tuple[int, int], GridDrawing] = {}
+    memo: dict[tuple[int, int], np.ndarray] = {}
 
-    def build(level: int, idx: int) -> GridDrawing:
+    def build(level: int, idx: int) -> np.ndarray:
         key = (level, idx)
         if key in memo:
             return memo[key]
         if level == 1:
-            d = GridDrawing(complete_tree(1), ((0, 0),))
+            P = np.zeros((1, 2), dtype=np.int64)
         else:
             arm_idx, center_idx, constr = fronts[level].recipes[idx]
             center = build(level - 1, center_idx)
             arm = build(level - 1, arm_idx)
-            combine = construction1 if constr == 1 else construction2
-            d = combine(center, arm, arm, complete_tree(level))
-        memo[key] = d
-        return d
+            P = (construct1 if constr == 1 else construct2)(center, arm, arm)
+        memo[key] = P
+        return P
 
-    return build(h, top_idx)
+    return as_drawing(h, build(h, top_idx))
 
 
 _EXHAUSTIVE_MAX_H = 4

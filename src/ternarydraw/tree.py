@@ -85,20 +85,20 @@ class HeavyOrder:
 
 @lru_cache(maxsize=None)
 def complete_tree(h: int) -> TernaryTree:
-    """Complete ternary tree where every root-to-leaf path has h nodes."""
+    """Complete ternary tree where every root-to-leaf path has h nodes, ids in
+    preorder: node v at depth d has children v+1, v+1+s and v+1+2s, where
+    s = (3^(h-d-1) - 1) / 2 is the size of each child subtree."""
     if h < 1:
         raise TreeError("complete_tree requires h >= 1")
-    children: list[tuple[int, ...]] = []
-
-    def build(height: int) -> int:
-        idx = len(children)
-        children.append(())
-        if height > 1:
-            children[idx] = tuple(build(height - 1) for _ in range(3))
-        return idx
-
-    build(h)
-    return TernaryTree(tuple(children))
+    n = (3 ** h - 1) // 2
+    kids = [()] * n
+    level = [0]  # the ids at depth d
+    for d in range(h - 1):
+        s = (3 ** (h - d - 1) - 1) // 2
+        for v in level:
+            kids[v] = (v + 1, v + 1 + s, v + 1 + 2 * s)
+        level = [c for v in level for c in kids[v]]
+    return TernaryTree(tuple(kids))
 
 
 def subtree_sizes(t: TernaryTree) -> list[int]:

@@ -30,6 +30,18 @@ def test_draw_single_point(capsys):
     assert payload["pos"] == [[0, 0]]
 
 
+@pytest.mark.parametrize("spec,algo", [("random:500:3", "general"),
+                                       ("complete:5", "golden-narrow")])
+def test_draw_stdout_equals_out_file(tmp_path, capsys, spec, algo):
+    out = tmp_path / "d.json"
+    assert run("draw", spec, "--algo", algo, "--out", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert run("draw", spec, "--algo", algo) == 0
+    stdout = capsys.readouterr().out
+    assert stdout == out.read_text()
+    assert stdout == json.dumps(json.loads(stdout), indent=2) + "\n"
+
+
 def test_draw_general_random(tmp_path):
     out = tmp_path / "r.json"
     assert run("draw", "random:1000:42", "--algo", "general",

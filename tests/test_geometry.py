@@ -1,10 +1,14 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ternarydraw.geometry import (Extents, GridDrawing, drawing_from_json,
-                                  drawing_to_json, edge_segments, extents,
-                                  rotate)
-from ternarydraw.layout_complete import draw_c1_only
+                                  drawing_json, drawing_to_json, edge_segments,
+                                  extents, rotate)
+from ternarydraw.layout_complete import (draw_c1_only, draw_c2_only,
+                                         draw_golden, draw_upper_1149)
+from ternarydraw.pareto import min_area, reconstruct_drawing
 from ternarydraw.layout_general import draw_general
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree
 
@@ -84,3 +88,39 @@ def test_edge_segments_count():
 def test_drawing_json_roundtrip(n, seed):
     d = draw_general(random_ternary_tree(n, seed))
     assert drawing_from_json(drawing_to_json(d)) == d
+
+
+def dumped(d):
+    return json.dumps(drawing_to_json(d), indent=2)
+
+
+def test_drawing_json_matches_json_dumps_on_general_drawings(corpus):
+    for t in corpus[::10]:  # every size of random tree, complete trees, paths
+        d = draw_general(t)
+        assert drawing_json(d) == dumped(d)
+
+
+def test_drawing_json_matches_json_dumps_on_complete_drawings():
+    for h in range(1, 8):
+        for d in (draw_c1_only(h), draw_c2_only(h), draw_upper_1149(h),
+                  *draw_golden(h), reconstruct_drawing(h, min_area(h)[1])):
+            assert drawing_json(d) == dumped(d)
+
+
+def test_drawing_json_child_counts_and_extreme_coordinates():
+    big = 2 ** 62 - 1
+    t = TernaryTree(((1, 2, 3), (4,), (5, 6), (), (), (), ()), root=0)
+    d = GridDrawing(t, ((0, 0), (-big, 0), (0, -1), (big, 0), (-big, big),
+                        (-7, -1), (0, big)))
+    assert sorted({len(k) for k in t.children}) == [0, 1, 2, 3]
+    assert drawing_json(d) == dumped(d)
+    single = GridDrawing(complete_tree(1), ((-3, 5),))
+    assert drawing_json(single) == dumped(single)
+    rooted = GridDrawing(TernaryTree(((), (0,)), root=1), ((0, 1), (0, 0)))
+    assert drawing_json(rooted) == dumped(rooted)
+
+
+def test_drawing_json_never_rounds():
+    d = GridDrawing(TernaryTree(((1,), ())), ((0, 0), (0.5, 0)))
+    with pytest.raises(ValueError):
+        drawing_json(d)

@@ -1,13 +1,18 @@
+import gc
+import hashlib
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ternarydraw.geometry import extents
+from ternarydraw.cli import main
+from ternarydraw.geometry import GridDrawing, bbox, extents, rotate
 from ternarydraw.layout_complete import (construction1, construction2,
                                          draw_c1_only, draw_c2_only,
                                          draw_golden, draw_upper_1149)
-from ternarydraw.tree import TreeError, complete_tree
+from ternarydraw.pareto import levels, reconstruct_drawing
+from ternarydraw.tree import TernaryTree, TreeError, complete_tree
 from ternarydraw.verify import (check_planar, check_subtree_separation,
                                 check_top_visibility)
 
@@ -142,3 +147,178 @@ def test_random_construction_mixes_match_extent_arithmetic(seed, h):
     assert check_planar(d)
     assert check_top_visibility(d)
     assert check_subtree_separation(d)
+
+
+# The subtree-map combinators the array cores replaced, kept as the oracle:
+# they place each child drawing through a preorder map of the host subtree
+# and rotate and box the flanks with geometry.rotate and geometry.bbox.
+
+def _preorder(t: TernaryTree, start: int) -> list[int]:
+    out = []
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        out.append(v)
+        stack.extend(reversed(t.children[v]))
+    return out
+
+
+def _subtree_map(host: TernaryTree, child_root: int, g: GridDrawing) -> list[int]:
+    sub = _preorder(host, child_root)
+    loc = _preorder(g.tree, g.tree.root)
+    if len(sub) != len(loc):
+        raise TreeError("subtree size does not match the supplied drawing")
+    mapping = [0] * g.tree.n
+    for u, v in zip(sub, loc):
+        if len(host.children[u]) != len(g.tree.children[v]):
+            raise TreeError("subtree shape does not match the supplied drawing")
+        mapping[v] = u
+    return mapping
+
+
+def _place(pos, g, mapping, dx, dy):
+    for v, (x, y) in enumerate(g.pos):
+        pos[mapping[v]] = (x + dx, y + dy)
+
+
+def oracle_construction1(ga, gb, gc, root_tree):
+    b_child, a_child, c_child = root_tree.children[root_tree.root]
+    pos = [None] * root_tree.n
+    pos[root_tree.root] = (0, 0)
+    arx, _ = ga.root_pos()
+    axmin, axmax, aymin, _ = bbox(ga)
+    adx, ady = -arx, 1 - aymin
+    _place(pos, ga, _subtree_map(root_tree, a_child, ga), adx, ady)
+    B = rotate(gb, 1)
+    _, bxmax, _, _ = bbox(B)
+    _place(pos, B, _subtree_map(root_tree, b_child, gb),
+           (axmin + adx) - 1 - bxmax, -B.root_pos()[1])
+    C = rotate(gc, 3)
+    cxmin, _, _, _ = bbox(C)
+    _place(pos, C, _subtree_map(root_tree, c_child, gc),
+           (axmax + adx) + 1 - cxmin, -C.root_pos()[1])
+    return GridDrawing(root_tree, tuple(pos))
+
+
+def oracle_construction2(ga, gb, gc, root_tree):
+    b_child, a_child, c_child = root_tree.children[root_tree.root]
+    pos = [None] * root_tree.n
+    pos[root_tree.root] = (0, 0)
+    B = rotate(gb, 1)
+    _, bxmax, _, bymax = bbox(B)
+    bdx, bdy = -1 - bxmax, -B.root_pos()[1]
+    _place(pos, B, _subtree_map(root_tree, b_child, gb), bdx, bdy)
+    C = rotate(gc, 3)
+    cxmin, _, _, cymax = bbox(C)
+    cdx, cdy = 1 - cxmin, -C.root_pos()[1]
+    _place(pos, C, _subtree_map(root_tree, c_child, gc), cdx, cdy)
+    arx, _ = ga.root_pos()
+    _, _, aymin, _ = bbox(ga)
+    lowest = max(bymax + bdy, cymax + cdy)
+    _place(pos, ga, _subtree_map(root_tree, a_child, ga), -arx, lowest + 1 - aymin)
+    return GridDrawing(root_tree, tuple(pos))
+
+
+ORACLE = {1: oracle_construction1, 2: oracle_construction2}
+ARRAY = {1: construction1, 2: construction2}
+POINT = GridDrawing(complete_tree(1), ((0, 0),))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(2, 6))
+def test_constructions_match_subtree_map_oracle(seed, h):
+    """Node for node, on random construction mixes with three independent
+    child drawings, each shifted off the origin."""
+    rng = random.Random(seed)
+
+    def shifted(d):
+        dx, dy = rng.randint(-9, 9), rng.randint(-9, 9)
+        return GridDrawing(d.tree, tuple((x + dx, y + dy) for x, y in d.pos))
+
+    def build(level):
+        if level == 1:
+            return shifted(POINT)
+        kids = [build(level - 1) for _ in range(3)]
+        constr = rng.choice((1, 2))
+        t = complete_tree(level)
+        d = ARRAY[constr](*kids, t)
+        assert d.pos == ORACLE[constr](*kids, t).pos
+        return shifted(d)
+
+    build(h)
+
+
+def test_draw_functions_match_oracle():
+    c1, c2, golden, upper = {1: POINT}, {1: POINT}, {1: (POINT, POINT)}, {1: POINT}
+    for h in range(2, 8):
+        t = complete_tree(h)
+        c1[h] = ORACLE[1](c1[h - 1], c1[h - 1], c1[h - 1], t)
+        c2[h] = ORACLE[2](c2[h - 1], c2[h - 1], c2[h - 1], t)
+        g1, g2 = golden[h - 1]
+        golden[h] = ((c1[2], c1[2]) if h == 2 else
+                     (ORACLE[1](g1, g2, g2, t), ORACLE[2](g2, g1, g1, t)))
+        if h == 2:
+            upper[h] = c1[2]
+        else:
+            inner = upper[h - 2]
+            center = ORACLE[1](inner, inner, inner, complete_tree(h - 1))
+            upper[h] = ORACLE[2](center, upper[h - 1], upper[h - 1], t)
+    for h in range(1, 8):
+        assert draw_c1_only(h) == c1[h]
+        assert draw_c2_only(h) == c2[h]
+        assert draw_golden(h) == golden[h]
+        assert draw_upper_1149(h) == upper[h]
+
+
+def test_reconstruct_drawing_matches_oracle_on_every_recipe():
+    fronts = [None]
+    for fr in levels(7):
+        fronts.append(fr)
+        h = fr.h
+
+        def build(level, idx):
+            if level == 1:
+                return POINT
+            arm, center, constr = fronts[level].recipes[idx]
+            a, c = build(level - 1, arm), build(level - 1, center)
+            return ORACLE[constr](c, a, a, complete_tree(level))
+
+        for idx, pair in enumerate(fr.pairs):
+            assert reconstruct_drawing(h, pair) == build(h, idx)
+
+
+# sha256 of `draw complete:9 --algo A` stdout, recorded with the subtree-map
+# combinators and json.dumps(..., indent=2).
+COMPLETE9_SHA256 = {
+    "golden-narrow": "bd0daf627a6c6b67b8ce0bbcfc4ecbbae8990ced1ecad164c6b7897d308f00b9",
+    "golden-wide": "b2aed471f5a69071ae5bb275b5642ea10620471a1c8a787436bbcb2863cb95a1",
+    "c1": "3989b8c5f10f381cb8e70d7e3402127103aa6a879b3b1460fe2f546ef588761d",
+    "c2": "ced2b6de96ea64aa31e7d5740c11275a1280bb28f1a706650485e4a0a0d21b45",
+    "upper1149": "e9d00ce2da0bf0de4a1d005feef353a01895f8130a1fdded1ff04a806d024fb0",
+    "pareto-min": "401e66195cea5fe1504e7da0942cab6260a3fd0e511c9d184265586adecc6488",
+}
+
+
+@pytest.mark.parametrize("algo", sorted(COMPLETE9_SHA256))
+def test_draw_complete9_golden_sha256(algo, tmp_path, capsys):
+    assert main(["--cache-dir", str(tmp_path), "draw", "complete:9", "--algo", algo]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPLETE9_SHA256[algo]
+
+
+@pytest.mark.parametrize("draw", [draw_c1_only, draw_c2_only, draw_upper_1149,
+                                  lambda h: draw_golden(h)[0]],
+                         ids=["c1", "c2", "upper1149", "golden"])
+def test_drawing_freed_with_its_last_reference(draw):
+    ref = weakref.ref(draw(5))
+    gc.collect()
+    assert ref() is None
+
+
+def test_constructions_reject_fractional_coordinates():
+    g = draw_c1_only(2)
+    off = GridDrawing(g.tree, ((0, 0), (-1, 0), (0, 0.5), (1, 0)))
+    with pytest.raises(ValueError):
+        construction1(g, off, g, complete_tree(3))
+    with pytest.raises(ValueError):
+        construction2(off, g, g, complete_tree(3))

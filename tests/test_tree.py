@@ -15,6 +15,26 @@ def test_complete_tree_sizes():
         assert is_complete(t)
 
 
+def recursive_complete_children(h):
+    """complete_tree's definition: preorder ids, children in slot order."""
+    children = []
+
+    def build(height):
+        idx = len(children)
+        children.append(())
+        if height > 1:
+            children[idx] = tuple(build(height - 1) for _ in range(3))
+        return idx
+
+    build(h)
+    return tuple(children)
+
+
+def test_complete_tree_matches_recursive_definition():
+    for h in range(1, 9):
+        assert complete_tree(h).children == recursive_complete_children(h)
+
+
 def test_complete_tree_rejects_bad_height():
     with pytest.raises(TreeError):
         complete_tree(0)
