@@ -2,10 +2,13 @@
 """Benchmark the general layout and report measured height against the
 2*n^c - 1 bound across tree sizes. With --verify, each drawing also gets one
 build_report (all verifier checks and its extents), timed in the verify
-column."""
+column. The peak RSS column is the process's peak so far (getrusage), so a
+row's figure covers its own size and every size before it: for one size's
+peak, run that size alone, e.g. ``--sizes 1000000 --seeds 1``."""
 
 import argparse
 import math
+import resource
 import time
 
 from ternarydraw.geometry import extents
@@ -23,7 +26,7 @@ def main() -> None:
     args = ap.parse_args()
 
     params = LayoutParams()
-    print(f"{'n':>8} {'layout (s)':>11} {'verify (s)':>11} {'width':>8} "
+    print(f"{'n':>8} {'layout (s)':>11} {'peak RSS (MB)':>14} {'verify (s)':>11} {'width':>8} "
           f"{'height':>7} {'bound':>7} {'ratio':>6}")
     for n in args.sizes:
         t_layout = t_verify = 0.0
@@ -49,7 +52,8 @@ def main() -> None:
                 worst_h, worst_w = e.height, e.width
         bound = max(1, math.ceil(2 * n ** params.c - 1))
         verify = f"{t_verify / args.seeds:.4f}" if args.verify else "-"
-        print(f"{n:>8} {t_layout / args.seeds:>11.4f} {verify:>11} {worst_w:>8} "
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
+        print(f"{n:>8} {t_layout / args.seeds:>11.4f} {rss:>14.1f} {verify:>11} {worst_w:>8} "
               f"{worst_h:>7} {bound:>7} {worst_ratio:>6.2f}")
 
 

@@ -148,8 +148,11 @@ def _union_counts(lo: np.ndarray, hi: np.ndarray, pivot) -> tuple:
 
 def extents(d: GridDrawing) -> Extents:
     """Exact grid-line counts; a column/row counts if it meets a node or any
-    point of an edge segment."""
+    point of an edge segment. ValueError off the grid (a coordinate that is
+    not integral), where no grid lines are counted."""
     P = coordinates(d)
+    if P.dtype.kind == "f":
+        raise ValueError("an off-grid drawing has no grid-line counts")
     hs, vs, _ = split_segments(P, *edge_arrays(d.tree))
     return segment_extents(P, d.tree.root, hs, vs)
 

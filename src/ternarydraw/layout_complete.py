@@ -125,6 +125,15 @@ def draw_c2_only(h: int) -> GridDrawing:
     return as_drawing(h, P)
 
 
+def _golden(h: int) -> tuple[np.ndarray, np.ndarray]:
+    """draw_golden(h) as arrays, for a caller that wraps only one of them."""
+    _check_h(h)
+    g1 = g2 = _POINT if h == 1 else construct1(_POINT, _POINT, _POINT)
+    for _ in range(h - 2):
+        g1, g2 = construct1(g1, g2, g2), construct2(g2, g1, g1)
+    return g1, g2
+
+
 def draw_golden(h: int) -> tuple[GridDrawing, GridDrawing]:
     """Mutual recursion giving Fibonacci-like height growth.
 
@@ -132,10 +141,7 @@ def draw_golden(h: int) -> tuple[GridDrawing, GridDrawing]:
     eta(h) = eta(h-1) + eta(h-2) + 1), g2 the narrow-width companion used
     for g1's arms. For h <= 2 both are the unique 1-2 drawing.
     """
-    _check_h(h)
-    g1 = g2 = _POINT if h == 1 else construct1(_POINT, _POINT, _POINT)
-    for _ in range(h - 2):
-        g1, g2 = construct1(g1, g2, g2), construct2(g2, g1, g1)
+    g1, g2 = _golden(h)
     return as_drawing(h, g1), as_drawing(h, g2)
 
 

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add
 from typing import Iterator, Optional
+
+import numpy as np
 
 from .geometry import GridDrawing
 from .tree import HeavyOrder, TernaryTree, heavy_order, heavy_path, subtree_sizes
@@ -72,13 +75,13 @@ class DecompositionStats:
     s: int
 
 
-def _turn_index(t: TernaryTree, pi: tuple[int, ...], sizes: list[int],
+def _turn_index(pi: tuple[int, ...], sizes: list[int], order: HeavyOrder,
                 threshold: float) -> Optional[int]:
     """Smallest 1-based i such that pi_i has at least two subtrees with at
-    least ``threshold`` nodes each."""
+    least ``threshold`` nodes each, that is, its second-heaviest has."""
     for i, v in enumerate(pi, start=1):
-        big = sum(1 for c in t.children[v] if sizes[c] >= threshold)
-        if big >= 2:
+        c = order.second[v]
+        if c is not None and sizes[c] >= threshold:
             return i
     return None
 
@@ -87,7 +90,7 @@ def _decompose(t: TernaryTree, root: int, sizes: list[int],
                order: HeavyOrder, p: float) -> RailDecomposition:
     n = sizes[root]
     pi = tuple(heavy_path(t, root, order))
-    x = _turn_index(t, pi, sizes, n / p)
+    x = _turn_index(pi, sizes, order, n / p)
     k = len(pi)
 
     def hp_of(child: Optional[int]) -> tuple[int, ...]:
@@ -186,119 +189,105 @@ def all_decompositions(t: TernaryTree,
         stack.extend(d.bottom.values())
 
 
-class _Cluster:
-    """A rail node plus its attached subtree drawings, in coordinates
-    relative to the rail node at (0, 0)."""
-
-    __slots__ = ("node", "pos", "lo", "hi", "ymax")
-
-    def __init__(self, node: int):
-        self.node = node
-        self.pos: dict[int, tuple[int, int]] = {node: (0, 0)}
-        self.lo = self.hi = 0
-        self.ymax = 0
-
-    def attach(self, child: int, sub: dict[int, tuple[int, int]], top: bool) -> None:
-        if top:
-            sub = {u: (-px, -py) for u, (px, py) in sub.items()}
-        cx, cy = sub[child]
-        dx = -cx
-        if top:
-            dy = -1 - max(py for _, py in sub.values())
-        else:
-            dy = 1 - min(py for _, py in sub.values())
-        for u, (px, py) in sub.items():
-            qx, qy = px + dx, py + dy
-            self.pos[u] = (qx, qy)
-            self.lo = min(self.lo, qx)
-            self.hi = max(self.hi, qx)
-            self.ymax = max(self.ymax, qy)
-
-
-def _layout(t: TernaryTree, root: int, sizes: list[int], order: HeavyOrder,
-            p: float) -> dict[int, tuple[int, int]]:
-    if t.is_leaf(root):
-        return {root: (0, 0)}
-    d = _decompose(t, root, sizes, order, p)
-
-    def cluster(v: int) -> _Cluster:
-        c = _Cluster(v)
-        if v in d.top:
-            c.attach(d.top[v], _layout(t, d.top[v], sizes, order, p), top=True)
-        if v in d.bottom:
-            c.attach(d.bottom[v], _layout(t, d.bottom[v], sizes, order, p), top=False)
-        return c
-
-    pos: dict[int, tuple[int, int]] = {}
-
-    def emit(c: _Cluster, col: int, row: int) -> None:
-        for u, (px, py) in c.pos.items():
-            pos[u] = (px + col, py + row)
-
-    # upper rail, left to right on row 0
-    p_clusters = [cluster(v) for v in d.P]
-    cols: dict[int, int] = {}
-    col = 0
-    for i, c in enumerate(p_clusters):
-        if i > 0:
-            prev = p_clusters[i - 1]
-            col = cols[prev.node] + prev.hi - c.lo + 1
-        cols[c.node] = col
-        emit(c, col, 0)
-
-    if not d.Q:
-        return pos
-
-    p_bottom = max((c.ymax for c in p_clusters), default=-1)
-    y_q = p_bottom + 1
-
-    q_clusters = [cluster(v) for v in d.Q]
-    n_tau = len(d.tau)
-    xi = len(d.Q) - n_tau - 1  # index of pi_x within Q
-    px_cluster = q_clusters[xi]
-    if d.P:
-        # pi_x hangs directly below pi_{x-1}
-        cols[px_cluster.node] = cols[d.P[-1 - len(d.sigma)]]
-    else:
-        cols[px_cluster.node] = 0
-    emit(px_cluster, cols[px_cluster.node], y_q)
-
-    guarded = p_clusters + [px_cluster]
-    left_min = min(cols[c.node] + c.lo for c in guarded)
-    right_max = max(cols[c.node] + c.hi for c in guarded)
-
-    # pi_{x+1} .. pi_k extend leftward; pi_{x+1} clears everything above
-    for i in range(xi - 1, -1, -1):
-        c = q_clusters[i]
-        if i == xi - 1:
-            col = left_min - 1 - c.hi
-        else:
-            nxt = q_clusters[i + 1]
-            col = cols[nxt.node] + nxt.lo - c.hi - 1
-        cols[c.node] = col
-        emit(c, col, y_q)
-
-    # tau extends rightward; tau_1 clears everything above
-    for i in range(xi + 1, len(q_clusters)):
-        c = q_clusters[i]
-        if i == xi + 1:
-            col = right_max + 1 - c.lo
-        else:
-            prev = q_clusters[i - 1]
-            col = cols[prev.node] + prev.hi - c.lo + 1
-        cols[c.node] = col
-        emit(c, col, y_q)
-
-    return pos
+def _extend(cols: list[int], lo: list[int], hi: list[int], edge: int,
+            idx: range, right: bool = True) -> None:
+    """Columns for the clusters ``idx``, in that order, along a rail: each
+    clears the one before (the first clears column ``edge``) by one column,
+    rightward or leftward."""
+    for i in idx:
+        cols[i] = edge + 1 - lo[i] if right else edge - 1 - hi[i]
+        edge = cols[i] + (hi[i] if right else lo[i])
 
 
 def draw_general(t: TernaryTree, params: Optional[LayoutParams] = None) -> GridDrawing:
     """Planar straight-line orthogonal grid drawing of an arbitrary ternary
     tree with the top-visibility property, width at most n, and height at
-    most 2*n^c - 1."""
+    most 2*n^c - 1.
+
+    Two passes. Bottom-up, each decomposition is placed once, in a frame of
+    its own: its rail nodes and leaf attachments get a column and row there,
+    and each other attached subtree is a child frame with a sign (-1 when
+    rotated 180° above its rail node) and an offset, found from the child
+    frame's box. Top-down, the frames' signs and offsets are composed into
+    absolute ones, and every position is ``sign * local + offset`` of its
+    frame, in one numpy pass.
+    """
     params = params or LayoutParams()
     sizes = subtree_sizes(t)
     order = heavy_order(t, sizes)
-    raw = _layout(t, t.root, sizes, order, params.p)
-    rx, ry = raw[t.root]
-    return GridDrawing(t, tuple((raw[v][0] - rx, raw[v][1] - ry) for v in range(t.n)))
+    kids, p = t.children, params.p
+    nodes, xs, ys, homes = [], [], [], []  # each node's frame and place in it
+    up, sign, ox, oy = [0], [1], [0], [0]  # each frame's parent frame, sign, offset there
+
+    def place(r: int, f: int) -> tuple[int, int, int, int, int]:
+        """Lay out frame f, rooted at r; return r's column and the frame's
+        box (xmin, xmax, ymin, ymax)."""
+        d = _decompose(t, r, sizes, order, p)
+        rail, k, m = d.P + d.Q, len(d.P), len(d.P) + len(d.Q)
+        lo, hi, ylo, yhi = [0] * m, [0] * m, [0] * m, [0] * m  # clusters
+        leaves, frames = [], []
+        at = {v: i for i, v in enumerate(rail)} if d.top or d.bottom else {}
+        for s, side, attached in ((-1, ylo, d.top), (1, yhi, d.bottom)):
+            for v, c in attached.items():
+                i = at[v]
+                if not kids[c]:
+                    side[i] = s
+                    leaves.append((c, i, s))
+                    continue
+                g = len(up)
+                up.append(f)
+                sign.append(s)
+                ox.append(0)
+                oy.append(0)
+                cx, bx0, bx1, by0, by1 = place(c, g)
+                ox[g], oy[g] = -s * cx, s * (1 - by0)  # from its rail node
+                lo[i] = min(lo[i], ox[g] + min(s * bx0, s * bx1))
+                hi[i] = max(hi[i], ox[g] + max(s * bx0, s * bx1))
+                side[i] = s * (by1 - by0 + 1)
+                frames.append((g, i))
+
+        # upper rail P left to right on row 0; pi_x hangs directly below
+        # pi_{x-1} on row y_q, pi_{x+1} .. pi_k extend leftward and tau
+        # rightward, the first of each clearing everything above
+        cols = [0] * m
+        _extend(cols, lo, hi, lo[0] - 1 if k else 0, range(k))
+        y_q = max(yhi[:k], default=-1) + 1
+        rows = [0] * k + [y_q] * (m - k)
+        if d.Q:
+            xi = m - len(d.tau) - 1
+            cols[xi] = cols[k - 1 - len(d.sigma)] if k else 0
+            guarded = [*range(k), xi]
+            _extend(cols, lo, hi, min(cols[i] + lo[i] for i in guarded),
+                    range(xi - 1, k - 1, -1), right=False)
+            _extend(cols, lo, hi, max(cols[i] + hi[i] for i in guarded),
+                    range(xi + 1, m))
+        nodes.extend(rail)
+        xs.extend(cols)
+        ys.extend(rows)
+        homes.extend([f] * m)
+        for c, i, s in leaves:
+            nodes.append(c)
+            xs.append(cols[i])
+            ys.append(rows[i] + s)
+            homes.append(f)
+        for g, i in frames:  # offsets from a rail node become offsets in frame f
+            ox[g] += cols[i]
+            oy[g] += rows[i]
+        return (cols[rail.index(r)], min(map(add, cols, lo)), max(map(add, cols, hi)),
+                min(map(add, rows, ylo)), max(map(add, rows, yhi)))
+
+    X = np.zeros(t.n, dtype=np.int64)
+    Y = np.zeros(t.n, dtype=np.int64)
+    if kids[t.root]:
+        place(t.root, 0)
+        del place  # it refers to itself: free the lists on return, not at the next gc
+        for g in range(1, len(up)):  # a parent frame's id is smaller than its children's
+            s = sign[up[g]]
+            sign[g] *= s
+            ox[g] = s * ox[g] + ox[up[g]]
+            oy[g] = s * oy[g] + oy[up[g]]
+        N, F = np.array(nodes), np.array(homes)
+        S = np.array(sign)[F]
+        X[N] = S * np.array(xs) + np.array(ox)[F]
+        Y[N] = S * np.array(ys) + np.array(oy)[F]
+    return GridDrawing(t, tuple(zip((X - X[t.root]).tolist(), (Y - Y[t.root]).tolist())))

@@ -116,17 +116,15 @@ def heavy_order(t: TernaryTree, sizes: Optional[list[int]] = None) -> HeavyOrder
     heaviest: list[Optional[int]] = [None] * t.n
     second: list[Optional[int]] = [None] * t.n
     lightest: list[Optional[int]] = [None] * t.n
-    for v in range(t.n):
-        kids = t.children[v]
-        if not kids:
-            continue
-        # stable sort keeps slot order among equal sizes
-        ranked = sorted(kids, key=lambda c: -sizes[c])
-        heaviest[v] = ranked[0]
-        if len(ranked) > 1:
-            second[v] = ranked[1]
-        if len(ranked) > 2:
-            lightest[v] = ranked[2]
+    for v, kids in enumerate(t.children):
+        if len(kids) > 1:
+            # stable sort, also when reversed: equal sizes keep slot order
+            kids = sorted(kids, key=sizes.__getitem__, reverse=True)
+            second[v] = kids[1]
+            if len(kids) > 2:
+                lightest[v] = kids[2]
+        if kids:
+            heaviest[v] = kids[0]
     return HeavyOrder(tuple(heaviest), tuple(second), tuple(lightest))
 
 

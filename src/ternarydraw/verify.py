@@ -26,7 +26,7 @@ class VerificationReport:
     on_grid: bool
     top_visible: bool
     subtree_separated: bool
-    extents: Extents
+    extents: Optional[Extents]  # None off the grid, where no grid lines are counted
     leg_length: Optional[int] = None
     left_arm_length: Optional[int] = None
     right_arm_length: Optional[int] = None
@@ -373,7 +373,7 @@ def build_report(d: GridDrawing) -> VerificationReport:
     valid = on_grid and orthogonal
     planar = valid and _planar(P, hs, vs)
     top = valid and _top_visible(P, d.tree.root, hs, vs)
-    ext = segment_extents(P, d.tree.root, hs, vs)
+    ext = None if P.dtype.kind == "f" else segment_extents(P, d.tree.root, hs, vs)
     leg = lam = rho = None
     if planar:
         try:
@@ -385,19 +385,17 @@ def build_report(d: GridDrawing) -> VerificationReport:
 
 def report_to_json(r: VerificationReport) -> str:
     ext = r.extents
+    counts = (None,) * 7 if ext is None else (
+        ext.width, ext.height, ext.left_width, ext.right_width, ext.top_height,
+        ext.bottom_height, ext.area)
     payload = {
         "planar": r.planar,
         "orthogonal": r.orthogonal,
         "onGrid": r.on_grid,
         "topVisible": r.top_visible,
         "subtreeSeparated": r.subtree_separated,
-        "width": ext.width,
-        "height": ext.height,
-        "leftWidth": ext.left_width,
-        "rightWidth": ext.right_width,
-        "topHeight": ext.top_height,
-        "bottomHeight": ext.bottom_height,
-        "area": ext.area,
+        **dict(zip(("width", "height", "leftWidth", "rightWidth", "topHeight",
+                    "bottomHeight", "area"), counts)),
         "legLength": r.leg_length,
         "leftArmLength": r.left_arm_length,
         "rightArmLength": r.right_arm_length,

@@ -2,9 +2,9 @@ import json
 
 from ternarydraw import cli, geometry, pareto, verify
 from ternarydraw.cli import main
-from ternarydraw.geometry import GridDrawing, drawing_from_json, extents
+from ternarydraw.geometry import GridDrawing, drawing_from_json, drawing_json, extents
 from ternarydraw.render import RenderSpec, drawing_to_svg
-from ternarydraw.layout_complete import draw_c1_only
+from ternarydraw.layout_complete import draw_c1_only, draw_golden
 from ternarydraw.tree import TernaryTree
 
 import pytest
@@ -233,3 +233,10 @@ def test_file_treespec(tmp_path):
     tpath = tmp_path / "tree.json"
     tpath.write_text(json.dumps(tree))
     assert run("draw", f"file:{tpath}", "--algo", "general") == 0
+
+
+@pytest.mark.parametrize("h", [1, 2, 5])
+def test_golden_draws_equal_the_library_drawings(capsys, h):
+    for algo, d in zip(("golden-narrow", "golden-wide"), draw_golden(h)):
+        assert run("draw", f"complete:{h}", "--algo", algo) == 0
+        assert capsys.readouterr().out == drawing_json(d) + "\n"

@@ -124,3 +124,8 @@ def test_drawing_json_never_rounds():
     d = GridDrawing(TernaryTree(((1,), ())), ((0, 0), (0.5, 0)))
     with pytest.raises(ValueError):
         drawing_json(d)
+
+
+def test_extents_reject_off_grid_drawings():
+    with pytest.raises(ValueError):
+        extents(GridDrawing(TernaryTree(((1,), ())), ((0, 0), (0.5, 0))))

@@ -1,15 +1,17 @@
+import hashlib
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import caterpillar_tree, path_tree
+from ternarydraw import cli, layout_general
 from ternarydraw.geometry import extents
 from ternarydraw.layout_general import (LayoutParams, all_decompositions,
                                         decompose, decomposition_stats,
                                         draw_general)
-from ternarydraw.tree import (TernaryTree, complete_tree, random_ternary_tree,
-                              subtree_sizes)
+from ternarydraw.tree import (TernaryTree, complete_tree, heavy_order,
+                              random_ternary_tree, subtree_sizes)
 from ternarydraw.verify import (check_orthogonal_grid, check_planar,
                                 check_top_visibility)
 
@@ -165,3 +167,174 @@ def test_all_decompositions_cover_tree():
         covered.update(dec.Q)
     leaves = {v for v in range(t.n) if t.is_leaf(v)}
     assert covered | leaves == set(range(t.n))
+
+
+# The recursive layout the two-pass draw_general replaced: every recursion
+# level copies and shifts the position dicts of the levels below. It is kept
+# here as the oracle the two passes must match node for node.
+
+class _Cluster:
+    """A rail node plus its attached subtree drawings, in coordinates
+    relative to the rail node at (0, 0)."""
+
+    __slots__ = ("node", "pos", "lo", "hi", "ymax")
+
+    def __init__(self, node):
+        self.node = node
+        self.pos = {node: (0, 0)}
+        self.lo = self.hi = 0
+        self.ymax = 0
+
+    def attach(self, child, sub, top):
+        if top:
+            sub = {u: (-px, -py) for u, (px, py) in sub.items()}
+        cx, cy = sub[child]
+        dx = -cx
+        if top:
+            dy = -1 - max(py for _, py in sub.values())
+        else:
+            dy = 1 - min(py for _, py in sub.values())
+        for u, (px, py) in sub.items():
+            qx, qy = px + dx, py + dy
+            self.pos[u] = (qx, qy)
+            self.lo = min(self.lo, qx)
+            self.hi = max(self.hi, qx)
+            self.ymax = max(self.ymax, qy)
+
+
+def _layout(t, root, sizes, order, p):
+    if t.is_leaf(root):
+        return {root: (0, 0)}
+    d = layout_general._decompose(t, root, sizes, order, p)
+
+    def cluster(v):
+        c = _Cluster(v)
+        if v in d.top:
+            c.attach(d.top[v], _layout(t, d.top[v], sizes, order, p), top=True)
+        if v in d.bottom:
+            c.attach(d.bottom[v], _layout(t, d.bottom[v], sizes, order, p), top=False)
+        return c
+
+    pos = {}
+
+    def emit(c, col, row):
+        for u, (px, py) in c.pos.items():
+            pos[u] = (px + col, py + row)
+
+    p_clusters = [cluster(v) for v in d.P]
+    cols = {}
+    col = 0
+    for i, c in enumerate(p_clusters):
+        if i > 0:
+            prev = p_clusters[i - 1]
+            col = cols[prev.node] + prev.hi - c.lo + 1
+        cols[c.node] = col
+        emit(c, col, 0)
+
+    if not d.Q:
+        return pos
+
+    y_q = max((c.ymax for c in p_clusters), default=-1) + 1
+    q_clusters = [cluster(v) for v in d.Q]
+    xi = len(d.Q) - len(d.tau) - 1
+    px_cluster = q_clusters[xi]
+    cols[px_cluster.node] = cols[d.P[-1 - len(d.sigma)]] if d.P else 0
+    emit(px_cluster, cols[px_cluster.node], y_q)
+
+    guarded = p_clusters + [px_cluster]
+    left_min = min(cols[c.node] + c.lo for c in guarded)
+    right_max = max(cols[c.node] + c.hi for c in guarded)
+    for i in range(xi - 1, -1, -1):
+        c = q_clusters[i]
+        if i == xi - 1:
+            col = left_min - 1 - c.hi
+        else:
+            nxt = q_clusters[i + 1]
+            col = cols[nxt.node] + nxt.lo - c.hi - 1
+        cols[c.node] = col
+        emit(c, col, y_q)
+    for i in range(xi + 1, len(q_clusters)):
+        c = q_clusters[i]
+        if i == xi + 1:
+            col = right_max + 1 - c.lo
+        else:
+            prev = q_clusters[i - 1]
+            col = cols[prev.node] + prev.hi - c.lo + 1
+        cols[c.node] = col
+        emit(c, col, y_q)
+    return pos
+
+
+def oracle_positions(t, params=None):
+    params = params or LayoutParams()
+    sizes = subtree_sizes(t)
+    raw = _layout(t, t.root, sizes, heavy_order(t, sizes), params.p)
+    rx, ry = raw[t.root]
+    return tuple((raw[v][0] - rx, raw[v][1] - ry) for v in range(t.n))
+
+
+def assert_matches_oracle(t, params=None):
+    assert draw_general(t, params).pos == oracle_positions(t, params)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 400), st.integers(0, 10 ** 6))
+def test_two_passes_match_oracle_on_random_trees(n, seed):
+    assert_matches_oracle(random_ternary_tree(n, seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 400), st.integers(0, 10 ** 6),
+       st.floats(4.01, 60, allow_nan=False))
+def test_two_passes_match_oracle_for_other_p(n, seed, p):
+    assert_matches_oracle(random_ternary_tree(n, seed), LayoutParams(p=p))
+
+
+def test_two_passes_match_oracle_on_paths_caterpillars_complete_trees():
+    for n in (1, 2, 3, 17, 200):
+        assert_matches_oracle(path_tree(n))
+    for spine in (1, 2, 10, 80):
+        assert_matches_oracle(caterpillar_tree(spine))
+    for h in range(1, 8):
+        assert_matches_oracle(complete_tree(h))
+        assert_matches_oracle(complete_tree(h), LayoutParams(p=5.0))
+
+
+@pytest.mark.parametrize("tree, case", [
+    (complete_tree(5), 1),
+    (_sized_example(), 2),
+    (random_ternary_tree(100, 3), 3),  # x = 4
+    (path_tree(30), None),
+])
+def test_two_passes_match_oracle_in_each_turn_index_case(tree, case):
+    x = decompose(tree).x
+    assert x == case if case is None or case < 3 else x >= 3
+    assert_matches_oracle(tree)
+    assert_matches_oracle(tree, LayoutParams(p=30.0))
+
+
+def test_draw_general_decomposes_each_frame_once(monkeypatch):
+    t = random_ternary_tree(3000, 5)
+    expected = len(list(all_decompositions(t)))
+    calls = []
+    decompose_ = layout_general._decompose
+    monkeypatch.setattr(layout_general, "_decompose",
+                        lambda *args: calls.append(args[1]) or decompose_(*args))
+    draw_general(t)
+    assert len(calls) == expected
+    assert len(set(calls)) == expected
+
+
+# sha256 of `ternarydraw draw <spec> --algo general` stdout, recorded before
+# the layout became two passes
+GOLDEN_GENERAL_STDOUT = {
+    "random:5000:7": "12d2e8033de0b4a8781ef6e4ec44fcf8d5ce964cfe9649821a4b200af6804eea",
+    "random:200000:1": "5b2ca68f4be36ee73684a57d47e3dbca1747348f4ac8b9af8f8b0d19a4a932d9",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_GENERAL_STDOUT))
+def test_general_draw_stdout_golden(spec, capsys):
+    assert cli.main(["draw", spec, "--algo", "general"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_GENERAL_STDOUT[spec]

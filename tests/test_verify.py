@@ -320,3 +320,20 @@ def test_integral_float_coordinates_are_on_grid():
     r = build_report(GridDrawing(t, ((0.0, 0.0), (2.0, 0.0))))
     assert r.on_grid and r.planar and r.extents == Extents(3, 1, 0, 2, 0, 0)
     assert type(r.extents.width) is int
+
+
+OFF_GRID = GridDrawing(TernaryTree(((1,), ())), ((0, 0), (0.5, 0)))
+
+
+def test_off_grid_report_has_no_extents():
+    r = build_report(OFF_GRID)
+    assert not r.on_grid
+    assert r.extents is None
+
+
+def test_off_grid_report_json_writes_null_extents():
+    payload = json.loads(report_to_json(build_report(OFF_GRID)))
+    assert payload["onGrid"] is False
+    for key in ("width", "height", "leftWidth", "rightWidth", "topHeight",
+                "bottomHeight", "area"):
+        assert payload[key] is None
