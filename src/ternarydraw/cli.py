@@ -17,8 +17,7 @@ from . import pareto
 from .geometry import GridDrawing, drawing_from_json, drawing_json
 from .geometry import drawing_to_json  # unused here; perfbench/child.py wraps cli.drawing_to_json
 from .geometry import extents  # unused here; perfbench/child.py wraps cli.extents
-from .layout_complete import _golden, as_drawing, draw_c1_only, draw_c2_only, draw_upper_1149
-from .layout_complete import draw_golden  # unused here; perfbench/child.py wraps cli.draw_golden
+from .layout_complete import draw_c1_only, draw_c2_only, draw_golden, draw_upper_1149
 from .layout_general import LayoutParams, draw_general
 from .render import RenderSpec, drawing_to_svg
 from .tree import TernaryTree, TreeError, complete_height, random_ternary_tree, tree_from_json
@@ -58,7 +57,7 @@ def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
     if algo == "c2":
         return draw_c2_only(h)
     if algo in ("golden-narrow", "golden-wide"):
-        return as_drawing(h, _golden(h)[algo == "golden-wide"])
+        return draw_golden(h)[algo == "golden-wide"]
     if algo == "upper1149":
         return draw_upper_1149(h)
     if algo == "pareto-min":

@@ -36,50 +36,47 @@ class Extents:
         return self.width * self.height
 
 
-@dataclass(frozen=True)
-class GridDrawing:
-    """Assignment of integer grid points to the nodes of a tree."""
-
-    tree: TernaryTree
-    pos: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.pos) != self.tree.n:
-            raise ValueError("one position per node required")
-
-    def root_pos(self) -> tuple[int, int]:
-        return self.pos[self.tree.root]
-
-
-def edge_segments(d: GridDrawing) -> list[tuple[int, int, int, int]]:
-    """(x1, y1, x2, y2) per tree edge, endpoint order following parent->child."""
-    segs = []
-    pos = d.pos
-    for v, kids in enumerate(d.tree.children):
-        x1, y1 = pos[v]
-        for c in kids:
-            x2, y2 = pos[c]
-            segs.append((x1, y1, x2, y2))
-    return segs
-
-
 COORD_LIMIT = 2 ** 62  # |c| below this keeps every difference, width and sum exact in int64
 
 
-def coordinates(d: GridDrawing) -> np.ndarray:
-    """The positions as an (n, 2) int64 array; float64 if some coordinate is
-    not integral (such a drawing is off the grid). ValueError for a
-    coordinate with |c| >= COORD_LIMIT, or one that is not a finite number."""
-    P = np.array(d.pos)
-    if P.shape != (d.tree.n, 2):
-        raise ValueError("every position must be an (x, y) pair")
-    if P.dtype.kind not in "biu":
-        P = P.astype(np.float64)
-    if not (np.all(P < COORD_LIMIT) and np.all(P > -COORD_LIMIT)):
-        raise ValueError("coordinates must be numbers with |c| < 2**62")
-    if P.dtype.kind == "f" and not np.all(P == np.floor(P)):
-        return P
-    return P.astype(np.int64, copy=False)
+@dataclass(frozen=True, eq=False)
+class GridDrawing:
+    """Assignment of grid points to the nodes of a tree: row v of ``pos`` is
+    node v's (x, y). ``pos`` is a read-only copy of the positions given, as an
+    (n, 2) int64 array; float64 if some coordinate is not integral (such a
+    drawing is off the grid). ValueError for a coordinate with
+    |c| >= COORD_LIMIT, or one that is not a finite number."""
+
+    tree: TernaryTree
+    pos: np.ndarray
+
+    def __post_init__(self) -> None:
+        P = np.array(self.pos)
+        if P.shape != (self.tree.n, 2):
+            raise ValueError("one (x, y) position per node required")
+        if not (np.all(P < COORD_LIMIT) and np.all(P > -COORD_LIMIT)):
+            raise ValueError("coordinates must be numbers with |c| < 2**62")
+        if P.dtype.kind not in "biu":
+            P = P.astype(np.float64)
+        if P.dtype.kind != "f" or np.all(P == np.floor(P)):
+            P = P.astype(np.int64, copy=False)
+        P.setflags(write=False)
+        object.__setattr__(self, "pos", P)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GridDrawing):
+            return NotImplemented
+        return self.tree == other.tree and np.array_equal(self.pos, other.pos)
+
+    def root_pos(self) -> tuple[int, int]:
+        return tuple(self.pos[self.tree.root].tolist())
+
+
+def edge_segments(d: GridDrawing) -> np.ndarray:
+    """(x1, y1, x2, y2) per tree edge as an (n - 1, 4) array, endpoint order
+    following parent->child, edges ordered as by edge_arrays."""
+    parent, child = edge_arrays(d.tree)
+    return np.concatenate([d.pos[parent], d.pos[child]], axis=1)
 
 
 def edge_arrays(t: TernaryTree) -> tuple[np.ndarray, np.ndarray]:
@@ -111,9 +108,8 @@ def split_segments(P: np.ndarray, parent: np.ndarray,
 def bbox(d: GridDrawing) -> tuple[int, int, int, int]:
     """(xmin, xmax, ymin, ymax) of the whole drawing. Every edge joins two
     nodes, so the box over the node positions is exact."""
-    xs = [x for x, _ in d.pos]
-    ys = [y for _, y in d.pos]
-    return min(xs), max(xs), min(ys), max(ys)
+    (xmin, ymin), (xmax, ymax) = d.pos.min(axis=0).tolist(), d.pos.max(axis=0).tolist()
+    return xmin, xmax, ymin, ymax
 
 
 def rotate(d: GridDrawing, quarter_turns_cw: int) -> GridDrawing:
@@ -121,14 +117,11 @@ def rotate(d: GridDrawing, quarter_turns_cw: int) -> GridDrawing:
     y-down). The root keeps its position."""
     if quarter_turns_cw not in (1, 2, 3):
         raise ValueError("quarter_turns_cw must be 1, 2, or 3")
-    px, py = d.root_pos()
-    out = []
-    for x, y in d.pos:
-        dx, dy = x - px, y - py
-        for _ in range(quarter_turns_cw):
-            dx, dy = -dy, dx
-        out.append((px + dx, py + dy))
-    return GridDrawing(d.tree, tuple(out))
+    root = d.pos[d.tree.root]
+    D = d.pos - root
+    for _ in range(quarter_turns_cw):
+        D = np.stack([-D[:, 1], D[:, 0]], axis=1)
+    return GridDrawing(d.tree, D + root)
 
 
 def _union_counts(lo: np.ndarray, hi: np.ndarray, pivot) -> tuple:
@@ -150,7 +143,7 @@ def extents(d: GridDrawing) -> Extents:
     """Exact grid-line counts; a column/row counts if it meets a node or any
     point of an edge segment. ValueError off the grid (a coordinate that is
     not integral), where no grid lines are counted."""
-    P = coordinates(d)
+    P = d.pos
     if P.dtype.kind == "f":
         raise ValueError("an off-grid drawing has no grid-line counts")
     hs, vs, _ = split_segments(P, *edge_arrays(d.tree))
@@ -158,7 +151,7 @@ def extents(d: GridDrawing) -> Extents:
 
 
 def segment_extents(P: np.ndarray, root: int, hs: np.ndarray, vs: np.ndarray) -> Extents:
-    """extents(d) from coordinates(d) and the runs split_segments returned."""
+    """extents(d) from d.pos and the runs split_segments returned."""
     rx, ry = P[root]
     w, lw, rw = _union_counts(np.concatenate([P[:, 0], hs[:, 1]]),
                               np.concatenate([P[:, 0], hs[:, 2]]), rx)
@@ -168,7 +161,7 @@ def segment_extents(P: np.ndarray, root: int, hs: np.ndarray, vs: np.ndarray) ->
 
 
 def drawing_to_json(d: GridDrawing) -> dict:
-    return {"tree": tree_to_json(d.tree), "pos": [[x, y] for x, y in d.pos]}
+    return {"tree": tree_to_json(d.tree), "pos": d.pos.tolist()}
 
 
 # json.dumps(..., indent=2) layout of one child list, by its length, and of
@@ -181,9 +174,9 @@ _ROW_TEMPLATE = "    [\n      %d,\n      %d\n    ]"
 def drawing_json(d: GridDrawing) -> str:
     """Exactly ``json.dumps(drawing_to_json(d), indent=2)`` for a drawing with
     integer coordinates, from one format string per section instead of the
-    pure-Python encoder. ValueError unless ``coordinates(d)`` is int64, so a
+    pure-Python encoder. ValueError unless ``d.pos`` is int64, so a
     fractional coordinate is never rounded."""
-    P = coordinates(d)
+    P = d.pos
     if P.dtype != np.int64:
         raise ValueError("only integer coordinates can be written")
     t = d.tree
@@ -203,9 +196,6 @@ def drawing_from_json(obj: dict) -> GridDrawing:
     if not isinstance(obj, dict):
         raise ValueError("a drawing must be a JSON object")
     tree = tree_from_json(obj["tree"])
-    pos = tuple((x, y) for x, y in obj["pos"])
-    flat = [c for p in pos for c in p]
-    require_json_ints(flat, "coordinates")
-    if flat and not (-COORD_LIMIT < min(flat) and max(flat) < COORD_LIMIT):
-        raise ValueError("coordinates must satisfy |c| < 2**62")
+    pos = obj["pos"]
+    require_json_ints(chain.from_iterable(pos), "coordinates")  # before numpy coerces them
     return GridDrawing(tree, pos)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import GridDrawing, coordinates
+from .geometry import GridDrawing
 from .tree import TernaryTree, TreeError, complete_tree
 
 _POINT = np.zeros((1, 2), dtype=np.int64)  # T_1, shared by every layout
@@ -59,13 +59,9 @@ def construct2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _positions(P: np.ndarray) -> tuple[tuple[int, int], ...]:
-    return tuple(zip(P[:, 0].tolist(), P[:, 1].tolist()))
-
-
 def as_drawing(h: int, P: np.ndarray) -> GridDrawing:
     """The drawing of T_h whose node v sits at row v of P."""
-    return GridDrawing(complete_tree(h), _positions(P))
+    return GridDrawing(complete_tree(h), P)
 
 
 def _child_arrays(ga: GridDrawing, gb: GridDrawing, gc: GridDrawing,
@@ -79,7 +75,7 @@ def _child_arrays(ga: GridDrawing, gb: GridDrawing, gc: GridDrawing,
         raise TreeError("constructions need a complete tree with at least 2 levels")
     if any(g.tree != complete_tree(h - 1) for g in (ga, gb, gc)):
         raise TreeError("subtree shape does not match the supplied drawing")
-    arrays = [coordinates(g) for g in (ga, gb, gc)]
+    arrays = [g.pos for g in (ga, gb, gc)]
     if any(P.dtype != np.int64 for P in arrays):
         raise ValueError("constructions need integer coordinates")
     return [P - P[0] for P in arrays]
@@ -89,14 +85,14 @@ def construction1(ga: GridDrawing, gb: GridDrawing, gc: GridDrawing,
                   root_tree: TernaryTree) -> GridDrawing:
     """Center drawing ga hangs one row below the root; gb (rotated cw) and gc
     (rotated ccw) flank it, their roots on the root's row."""
-    return GridDrawing(root_tree, _positions(construct1(*_child_arrays(ga, gb, gc, root_tree))))
+    return GridDrawing(root_tree, construct1(*_child_arrays(ga, gb, gc, root_tree)))
 
 
 def construction2(ga: GridDrawing, gb: GridDrawing, gc: GridDrawing,
                   root_tree: TernaryTree) -> GridDrawing:
     """gb (rotated cw) and gc (rotated ccw) flank the root directly; the
     center drawing ga hangs one row below the lower of the two."""
-    return GridDrawing(root_tree, _positions(construct2(*_child_arrays(ga, gb, gc, root_tree))))
+    return GridDrawing(root_tree, construct2(*_child_arrays(ga, gb, gc, root_tree)))
 
 
 def _check_h(h: int) -> None:
@@ -125,15 +121,6 @@ def draw_c2_only(h: int) -> GridDrawing:
     return as_drawing(h, P)
 
 
-def _golden(h: int) -> tuple[np.ndarray, np.ndarray]:
-    """draw_golden(h) as arrays, for a caller that wraps only one of them."""
-    _check_h(h)
-    g1 = g2 = _POINT if h == 1 else construct1(_POINT, _POINT, _POINT)
-    for _ in range(h - 2):
-        g1, g2 = construct1(g1, g2, g2), construct2(g2, g1, g1)
-    return g1, g2
-
-
 def draw_golden(h: int) -> tuple[GridDrawing, GridDrawing]:
     """Mutual recursion giving Fibonacci-like height growth.
 
@@ -141,7 +128,10 @@ def draw_golden(h: int) -> tuple[GridDrawing, GridDrawing]:
     eta(h) = eta(h-1) + eta(h-2) + 1), g2 the narrow-width companion used
     for g1's arms. For h <= 2 both are the unique 1-2 drawing.
     """
-    g1, g2 = _golden(h)
+    _check_h(h)
+    g1 = g2 = _POINT if h == 1 else construct1(_POINT, _POINT, _POINT)
+    for _ in range(h - 2):
+        g1, g2 = construct1(g1, g2, g2), construct2(g2, g1, g1)
     return as_drawing(h, g1), as_drawing(h, g2)
 
 

@@ -290,4 +290,4 @@ def draw_general(t: TernaryTree, params: Optional[LayoutParams] = None) -> GridD
         S = np.array(sign)[F]
         X[N] = S * np.array(xs) + np.array(ox)[F]
         Y[N] = S * np.array(ys) + np.array(oy)[F]
-    return GridDrawing(t, tuple(zip((X - X[t.root]).tolist(), (Y - Y[t.root]).tolist())))
+    return GridDrawing(t, np.stack([X - X[t.root], Y - Y[t.root]], axis=1))

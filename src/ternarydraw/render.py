@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geometry import GridDrawing, bbox, edge_segments
 
 
@@ -22,29 +24,18 @@ class RenderSpec:
 def drawing_to_svg(d: GridDrawing, spec: RenderSpec = RenderSpec()) -> str:
     xmin, xmax, ymin, ymax = bbox(d)
     cell, m = spec.cell_size, spec.margins
-
-    def px(x: int) -> int:
-        return m + (x - xmin) * cell
-
-    def py(y: int) -> int:
-        return m + (y - ymin) * cell
-
     w = 2 * m + (xmax - xmin) * cell
     h = 2 * m + (ymax - ymin) * cell
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
-    ]
-    for x1, y1, x2, y2 in edge_segments(d):
-        parts.append(
-            f'<line x1="{px(x1)}" y1="{py(y1)}" x2="{px(x2)}" y2="{py(y2)}" '
-            f'stroke="black" stroke-width="1"/>'
-        )
+    corner = np.array([xmin, ymin], dtype=object)  # exact: pixels may pass 2**63
+    segs = (edge_segments(d) - np.tile(corner, 2)) * cell + m
+    nodes = (d.pos - corner) * cell + m
     root = d.tree.root
-    for v, (x, y) in enumerate(d.pos):
-        fill = "crimson" if v == root else "black"
-        parts.append(
-            f'<circle cx="{px(x)}" cy="{py(y)}" r="{spec.node_radius}" fill="{fill}"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts)
+    return "\n".join([
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">',
+        *(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+          f'stroke="black" stroke-width="1"/>' for x1, y1, x2, y2 in segs.tolist()),
+        *(f'<circle cx="{x}" cy="{y}" r="{spec.node_radius}" '
+          f'fill="{"crimson" if v == root else "black"}"/>'
+          for v, (x, y) in enumerate(nodes.tolist())),
+        "</svg>"])

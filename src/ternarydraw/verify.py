@@ -9,8 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (Extents, GridDrawing, coordinates, edge_arrays,
-                       segment_extents, split_segments)
+from .geometry import (Extents, GridDrawing, edge_arrays, segment_extents,
+                       split_segments)
 from .geometry import edge_segments, extents  # unused here; perfbench/child.py wraps them
 from .tree import TernaryTree, complete_height
 
@@ -33,12 +33,11 @@ class VerificationReport:
 
 
 def _split(d: GridDrawing) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    P = coordinates(d)
-    return (P, *split_segments(P, *edge_arrays(d.tree)))
+    return (d.pos, *split_segments(d.pos, *edge_arrays(d.tree)))
 
 
 def _on_grid(P: np.ndarray) -> bool:
-    if P.dtype.kind == "f":  # coordinates() keeps floats only when one is not integral
+    if P.dtype.kind == "f":  # GridDrawing keeps floats only when one is not integral
         return False
     S = P[np.lexsort((P[:, 0], P[:, 1]))]
     return not np.any((S[1:, 0] == S[:-1, 0]) & (S[1:, 1] == S[:-1, 1]))
@@ -46,7 +45,7 @@ def _on_grid(P: np.ndarray) -> bool:
 
 def check_on_grid(d: GridDrawing) -> bool:
     """Integer coordinates, pairwise distinct."""
-    return _on_grid(coordinates(d))
+    return _on_grid(d.pos)
 
 
 def check_orthogonal(d: GridDrawing) -> bool:
@@ -247,14 +246,14 @@ def check_subtree_separation(d: GridDrawing) -> bool:
     disjoint as closed rectangles. The local sibling condition implies the
     global pairwise one (two node-disjoint subtrees nest inside distinct
     child subtrees at their roots' lowest common ancestor)."""
-    return _separated(coordinates(d), d.tree, *edge_arrays(d.tree))
+    return _separated(d.pos, d.tree, *edge_arrays(d.tree))
 
 
 def brute_subtree_separation(d: GridDrawing) -> bool:
     """Oracle: check ALL node-disjoint subtree pairs (ancestry-free node
     pairs), each box taken over the subtree's members found from ancestor
     sets. O(n^2); for small drawings only."""
-    n = d.tree.n
+    n, pos = d.tree.n, d.pos.tolist()
     ancestors: list[set[int]] = [set() for _ in range(n)]
     for v in d.tree.topo_order():
         p = d.tree.parent(v)
@@ -262,7 +261,7 @@ def brute_subtree_separation(d: GridDrawing) -> bool:
             ancestors[v] = ancestors[p] | {p}
     boxes = []
     for u in range(n):
-        members = [d.pos[w] for w in range(n) if w == u or u in ancestors[w]]
+        members = [pos[w] for w in range(n) if w == u or u in ancestors[w]]
         xs, ys = [x for x, _ in members], [y for _, y in members]
         boxes.append((min(xs), max(xs), min(ys), max(ys)))
     for u in range(n):
@@ -305,10 +304,11 @@ def leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
         raise VerificationError("leg/arm lengths are defined for complete ternary trees")
     if h == 1:
         return 1, 1, 1
+    P = d.pos
     rx, ry = d.root_pos()
     kids = t.children[t.root]
-    on_row = [c for c in kids if d.pos[c][1] == ry]
-    on_col = [c for c in kids if d.pos[c][0] == rx]
+    on_row = [c for c in kids if P[c, 1] == ry]
+    on_col = [c for c in kids if P[c, 0] == rx]
     if len(on_row) == 1 and len(on_col) == 2:
         leg_child, arm_children = on_row[0], on_col
     elif len(on_col) == 1 and len(on_row) == 2:
@@ -322,14 +322,13 @@ def leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
         cur = start
         count = 2
         while True:
-            x, y = d.pos[cur]
+            x, y = P[cur].tolist()
             if (x if vertical else y) != fixed:
                 raise VerificationError("path left its line")
             coords.append(y if vertical else x)
             if t.is_leaf(cur):
                 break
-            on_line = [c for c in t.children[cur]
-                       if (d.pos[c][0] if vertical else d.pos[c][1]) == fixed]
+            on_line = [c for c in t.children[cur] if P[c, 0 if vertical else 1] == fixed]
             if len(on_line) != 1:
                 raise VerificationError("chain continuation is ambiguous")
             cur = on_line[0]
@@ -338,9 +337,9 @@ def leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
             raise VerificationError("collinear chain does not reach depth h")
         return max(coords) - min(coords) + 1
 
-    leg_vertical = d.pos[leg_child][0] == rx
+    lx, ly = P[leg_child].tolist()
+    leg_vertical = lx == rx
     gamma = chain_length(leg_child, leg_vertical)
-    lx, ly = d.pos[leg_child]
     # screen coords are y-down; counterclockwise order left arm, leg, right
     # arm puts the left arm at the leg direction rotated to (-dy, dx)
     ldx = 1 if lx > rx else (-1 if lx < rx else 0)
@@ -348,7 +347,7 @@ def leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
     left_dir = (-ldy, ldx)
     arms = {}
     for c in arm_children:
-        cx, cy = d.pos[c]
+        cx, cy = P[c].tolist()
         adx = 1 if cx > rx else (-1 if cx < rx else 0)
         ady = 1 if cy > ry else (-1 if cy < ry else 0)
         arms[(adx, ady)] = c
@@ -363,9 +362,9 @@ def leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
 
 def build_report(d: GridDrawing) -> VerificationReport:
     """All checks, sharing one coordinate array, one pair of edge arrays and
-    one split. The arrays die on return, not kept with the drawing, so they
-    never add to a caller's peak memory."""
-    P = coordinates(d)
+    one split. The arrays derived from d.pos die on return, not kept with the
+    drawing, so they never add to a caller's peak memory."""
+    P = d.pos
     parent, child = edge_arrays(d.tree)
     on_grid = _on_grid(P)
     sep = _separated(P, d.tree, parent, child)

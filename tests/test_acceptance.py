@@ -177,11 +177,11 @@ def _inject_crossing(d, seed):
     if not leaves:
         return d
     v = rng.choice(leaves)
-    px, py = d.pos[t.parent(v)]
-    vx, vy = d.pos[v]
+    px, py = d.pos[t.parent(v)].tolist()
+    vx, vy = d.pos[v].tolist()
     dx = (vx > px) - (vx < px)
     dy = (vy > py) - (vy < py)
-    used = set(d.pos)
+    used = set(map(tuple, d.pos.tolist()))
     k = max(abs(vx - px), abs(vy - py)) + rng.randint(2, 30)
     while (px + dx * k, py + dy * k) in used:
         k += 1

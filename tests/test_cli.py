@@ -87,7 +87,13 @@ def test_verify_parse_failure(tmp_path):
     {"tree": {"n": 2, "root": 0, "children": [[1], []]}, "pos": [[0, 0], [1.5, 0]]},
     {"tree": {"n": 2, "root": 0, "children": [[1], []]}, "pos": [[0, 0], [True, 0]]},
     [1, 2],
-], ids=["float-coordinate", "bool-coordinate", "not-an-object"])
+    {"tree": {"n": 2, "root": 0, "children": [[1], []]}, "pos": [[0, 0], [1, 0, 0]]},
+    {"tree": {"n": 2, "root": 0, "children": [[1], []]}, "pos": [[0, 0], [1]]},
+    {"tree": {"n": 2, "root": 0, "children": [[1], []]}, "pos": [[0, 0]]},
+    {"tree": {"n": 2, "root": 0, "children": [[1], []]}},
+    {"tree": {"n": 2, "root": 0, "children": [[1], []]}, "pos": 5},
+], ids=["float-coordinate", "bool-coordinate", "not-an-object", "three-numbers",
+        "ragged-row", "too-few-rows", "pos-missing", "pos-not-a-list"])
 def test_verify_rejects_malformed_drawing(tmp_path, capsys, doc):
     path = tmp_path / "d.json"
     path.write_text(json.dumps(doc))

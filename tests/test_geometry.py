@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -72,6 +73,27 @@ def test_rotate_permutes_extents(n, seed, q):
     else:
         assert (r.width, r.height) == (e.height, e.width)
     assert r.area == e.area
+
+
+def test_pos_is_a_read_only_copy_compared_by_value():
+    t = TernaryTree(((1,), ()))
+    src = np.array([[0, 0], [3, 0]])
+    d = GridDrawing(t, src)
+    with pytest.raises(ValueError):
+        d.pos[1, 0] = 7
+    src[1, 0] = 9
+    assert d.pos.tolist() == [[0, 0], [3, 0]]
+    assert d == GridDrawing(t, ((0, 0), (3, 0)))
+    assert d != GridDrawing(t, ((0, 0), (4, 0)))
+    assert d != GridDrawing(TernaryTree(((), (0,)), root=1), ((0, 0), (3, 0)))
+    root = d.root_pos()
+    assert root == (0, 0) and all(type(c) is int for c in root)
+
+
+def test_pos_dtype_follows_integrality():
+    t = TernaryTree(((1,), ()))
+    assert GridDrawing(t, ((0, 0), (0.5, 0))).pos.dtype == np.float64
+    assert GridDrawing(t, ((0, 0), (1.0, 0))).pos.dtype == np.int64
 
 
 def test_position_count_mismatch_rejected():

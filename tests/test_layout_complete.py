@@ -242,7 +242,7 @@ def test_constructions_match_subtree_map_oracle(seed, h):
         constr = rng.choice((1, 2))
         t = complete_tree(level)
         d = ARRAY[constr](*kids, t)
-        assert d.pos == ORACLE[constr](*kids, t).pos
+        assert d == ORACLE[constr](*kids, t)
         return shifted(d)
 
     build(h)

@@ -272,7 +272,7 @@ def test_report_matches_standalone_checks(d):
     valid = on_grid and orthogonal
     assert (r.on_grid, r.orthogonal) == (on_grid, orthogonal)
     assert on_grid == (all(float(c).is_integer() for p in d.pos for c in p)
-                       and len(set(d.pos)) == len(d.pos))
+                       and len(set(map(tuple, d.pos.tolist()))) == len(d.pos))
     assert valid == check_orthogonal_grid(d)
     assert r.planar == (valid and naive_check_planar(d))
     assert r.planar == (valid and check_planar(d))
@@ -308,11 +308,9 @@ def test_report_on_a_path_drawn_on_one_row():
 
 @pytest.mark.parametrize("c", [2 ** 62, -2 ** 62 - 1, 2 ** 63, 2 ** 64, float("nan")])
 def test_out_of_range_coordinates_raise(c):
-    d = GridDrawing(TernaryTree(((1,), ())), ((0, 0), (c, 0)))
-    for check in (build_report, check_on_grid, check_orthogonal, check_orthogonal_grid,
-                  check_planar, check_top_visibility, check_subtree_separation, extents):
-        with pytest.raises(ValueError):
-            check(d)
+    # no drawing with such a coordinate exists, so no check can meet one
+    with pytest.raises(ValueError):
+        GridDrawing(TernaryTree(((1,), ())), ((0, 0), (c, 0)))
 
 
 def test_integral_float_coordinates_are_on_grid():
