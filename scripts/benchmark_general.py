@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark the general layout and report measured height against the
-2*n^c - 1 bound across tree sizes. With --verify, each drawing also gets one
+2*n^c - 1 bound across tree sizes. The tree column times random_ternary_tree,
+its validation included. With --verify, each drawing also gets one
 build_report (all verifier checks and its extents), timed in the verify
 column. The peak RSS column is the process's peak so far (getrusage), so a
 row's figure covers its own size and every size before it: for one size's
@@ -26,14 +27,16 @@ def main() -> None:
     args = ap.parse_args()
 
     params = LayoutParams()
-    print(f"{'n':>8} {'layout (s)':>11} {'peak RSS (MB)':>14} {'verify (s)':>11} {'width':>8} "
+    print(f"{'n':>8} {'tree (s)':>9} {'layout (s)':>11} {'peak RSS (MB)':>14} {'verify (s)':>11} {'width':>8} "
           f"{'height':>7} {'bound':>7} {'ratio':>6}")
     for n in args.sizes:
-        t_layout = t_verify = 0.0
+        t_tree = t_layout = t_verify = 0.0
         worst_h = worst_ratio = 0
         worst_w = 0
         for seed in range(args.seeds):
+            t0 = time.perf_counter()
             t = random_ternary_tree(n, seed)
+            t_tree += time.perf_counter() - t0
             t0 = time.perf_counter()
             d = draw_general(t, params)
             t_layout += time.perf_counter() - t0
@@ -53,7 +56,7 @@ def main() -> None:
         bound = max(1, math.ceil(2 * n ** params.c - 1))
         verify = f"{t_verify / args.seeds:.4f}" if args.verify else "-"
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
-        print(f"{n:>8} {t_layout / args.seeds:>11.4f} {rss:>14.1f} {verify:>11} {worst_w:>8} "
+        print(f"{n:>8} {t_tree / args.seeds:>9.4f} {t_layout / args.seeds:>11.4f} {rss:>14.1f} {verify:>11} {worst_w:>8} "
               f"{worst_h:>7} {bound:>7} {worst_ratio:>6.2f}")
 
 

@@ -82,9 +82,8 @@ def edge_segments(d: GridDrawing) -> np.ndarray:
 def edge_arrays(t: TernaryTree) -> tuple[np.ndarray, np.ndarray]:
     """(parent, child) node ids, one entry per edge, ordered by parent id and
     then by child slot."""
-    counts = np.fromiter(map(len, t.children), np.int64, t.n)
-    child = np.fromiter(chain.from_iterable(t.children), np.int64, t.n - 1)
-    return np.repeat(np.arange(t.n), counts), child
+    parent, slot = np.nonzero(t.table >= 0)
+    return parent, t.table[parent, slot]
 
 
 def split_segments(P: np.ndarray, parent: np.ndarray,
@@ -180,11 +179,11 @@ def drawing_json(d: GridDrawing) -> str:
     if P.dtype != np.int64:
         raise ValueError("only integer coordinates can be written")
     t = d.tree
-    children = ",\n".join([_CHILD_TEMPLATES[len(k)] for k in t.children])
+    children = ",\n".join([_CHILD_TEMPLATES[k] for k in (t.table >= 0).sum(axis=1).tolist()])
     rows = ",\n".join([_ROW_TEMPLATE] * t.n)
     return "".join((
         '{\n  "tree": {\n    "n": %d,\n    "root": %d,\n    "children": [\n' % (t.n, t.root),
-        children % tuple(chain.from_iterable(t.children)),
+        children % tuple(t.table[t.table >= 0].tolist()),
         '\n    ]\n  },\n  "pos": [\n',
         rows % tuple(P.ravel().tolist()),
         "\n  ]\n}"))

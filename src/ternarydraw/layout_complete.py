@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import GridDrawing
-from .tree import TernaryTree, TreeError, complete_tree
+from .tree import TernaryTree, TreeError, complete_height, complete_tree
 
 _POINT = np.zeros((1, 2), dtype=np.int64)  # T_1, shared by every layout
 _POINT.setflags(write=False)
@@ -68,9 +68,7 @@ def _child_arrays(ga: GridDrawing, gb: GridDrawing, gc: GridDrawing,
                   root_tree: TernaryTree) -> list[np.ndarray]:
     """Each child drawing as a root-relative int64 array, after checking that
     root_tree is T_h and every child drawing's tree is T_{h-1}."""
-    h = 1
-    while (3 ** h - 1) // 2 < root_tree.n:
-        h += 1
+    h = complete_height(root_tree) or 0
     if h < 2 or root_tree != complete_tree(h):
         raise TreeError("constructions need a complete tree with at least 2 levels")
     if any(g.tree != complete_tree(h - 1) for g in (ga, gb, gc)):

@@ -129,9 +129,9 @@ def _decompose(t: TernaryTree, root: int, sizes: list[int],
     rail = set(P) | set(Q)
     top: dict[int, int] = {}
     bottom: dict[int, int] = {}
-    for v in rail:
-        for c in t.children[v]:
-            if c in rail:
+    for v in rail:  # a rail node has at most one top and one bottom child
+        for c in (order.heaviest[v], order.second[v], order.lightest[v]):
+            if c is None or c in rail:
                 continue
             if c == order.lightest[v] and v != exception:
                 bottom[v] = c
@@ -145,7 +145,7 @@ def decompose(t: TernaryTree, params: Optional[LayoutParams] = None) -> RailDeco
         raise ValueError("decompose needs a tree with at least 2 nodes")
     params = params or LayoutParams()
     sizes = subtree_sizes(t)
-    return _decompose(t, t.root, sizes, heavy_order(t, sizes), params.p)
+    return _decompose(t, t.root, sizes, heavy_order(t), params.p)
 
 
 def decomposition_stats(d: RailDecomposition,
@@ -177,7 +177,7 @@ def all_decompositions(t: TernaryTree,
     """Every decomposition the layout recursion would perform, top-down."""
     params = params or LayoutParams()
     sizes = subtree_sizes(t)
-    order = heavy_order(t, sizes)
+    order = heavy_order(t)
     stack = [t.root]
     while stack:
         v = stack.pop()
@@ -214,8 +214,8 @@ def draw_general(t: TernaryTree, params: Optional[LayoutParams] = None) -> GridD
     """
     params = params or LayoutParams()
     sizes = subtree_sizes(t)
-    order = heavy_order(t, sizes)
-    kids, p = t.children, params.p
+    order = heavy_order(t)
+    p = params.p
     nodes, xs, ys, homes = [], [], [], []  # each node's frame and place in it
     up, sign, ox, oy = [0], [1], [0], [0]  # each frame's parent frame, sign, offset there
 
@@ -230,7 +230,7 @@ def draw_general(t: TernaryTree, params: Optional[LayoutParams] = None) -> GridD
         for s, side, attached in ((-1, ylo, d.top), (1, yhi, d.bottom)):
             for v, c in attached.items():
                 i = at[v]
-                if not kids[c]:
+                if order.heaviest[c] is None:
                     side[i] = s
                     leaves.append((c, i, s))
                     continue
@@ -278,7 +278,7 @@ def draw_general(t: TernaryTree, params: Optional[LayoutParams] = None) -> GridD
 
     X = np.zeros(t.n, dtype=np.int64)
     Y = np.zeros(t.n, dtype=np.int64)
-    if kids[t.root]:
+    if t.n > 1:
         place(t.root, 0)
         del place  # it refers to itself: free the lists on return, not at the next gc
         for g in range(1, len(up)):  # a parent frame's id is smaller than its children's

@@ -1,72 +1,126 @@
-"""Rooted ternary trees on dense integer ids, subtree statistics, heavy paths."""
+"""Rooted ternary trees on dense integer ids, subtree statistics, heavy paths.
+
+A tree is stored as an (n, 3) int64 child table padded with -1 and a parent
+array, built and validated once by numpy passes, never node by node."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
+from operator import index
 from typing import Optional
+
+import numpy as np
 
 
 class TreeError(ValueError):
     """Structurally invalid tree or bad construction argument."""
 
 
-@dataclass(frozen=True)
 class TernaryTree:
     """Rooted tree where every node has at most 3 ordered child slots.
 
     Node ids are dense integers 0..n-1 (preorder by convention, though any
-    dense labeling is accepted). ``children[v]`` lists the children of v in
-    slot order. Instances are immutable after construction and safe for
-    concurrent reads.
-    """
+    dense labeling is accepted). ``children`` lists each node's children in
+    slot order, or is an (n, 3) integer table with -1 in the empty slots after
+    them. The tree keeps it as ``table`` and each node's parent (-1 for the
+    root) as ``parents``, read-only int64 arrays; ``children`` is a tuple view
+    of the table, built on first use. Trees compare by value, unhashable."""
 
-    children: tuple[tuple[int, ...], ...]
-    root: int = 0
-
-    def __post_init__(self) -> None:
-        n = len(self.children)
-        if n == 0:
-            raise TreeError("tree must have at least one node")
-        if not 0 <= self.root < n:
-            raise TreeError("root id out of range")
-        parent = [-1] * n
-        for v, kids in enumerate(self.children):
-            if len(kids) > 3:
-                raise TreeError(f"node {v} has {len(kids)} children (max 3)")
-            for c in kids:
-                if not 0 <= int(c) < n:
-                    raise TreeError(f"child id {c} out of range")
-                if c == self.root or parent[c] != -1:
-                    raise TreeError(f"node {c} has two parents or is the root")
-                parent[c] = v
-        # connectivity: every node must be reachable from the root
-        stack = [self.root]
-        topo = []
-        while stack:
-            v = stack.pop()
-            topo.append(v)
-            stack.extend(self.children[v])
-        if len(topo) != n:
+    def __init__(self, children, root: int = 0) -> None:
+        if isinstance(children, np.ndarray):
+            table = children.astype(np.int64, casting="safe")  # TypeError for floats
+        else:
+            counts = np.fromiter(map(len, children), np.int64, len(children))
+            if len(counts) and counts.max() > 3:
+                raise TreeError(f"node {counts.argmax()} has {counts.max()} children (max 3)")
+            ids = list(chain.from_iterable(children))
+            bools, ids = bool in set(map(type, ids)), np.array(ids or np.zeros(0, np.int64))
+            if bools or ids.dtype.kind != "i" or np.any(ids < 0):  # no True, 1.0, -1 or 2**63
+                raise TreeError("child ids must be integers in 0..n-1")
+            table = np.full((len(counts), 3), -1)
+            table[np.arange(3) < counts[:, None]] = ids
+        n, root, filled = len(table), index(root), table >= 0
+        if n == 0 or table.shape[1:] != (3,) or not 0 <= root < n:
+            raise TreeError("a tree needs an (n, 3) child table, n >= 1, and a root in it")
+        if (table.min() < -1 or table.max() >= n or np.any(filled[:, 1] & ~filled[:, 0])
+                or np.any(filled[:, 2] & ~filled[:, 1])):
+            raise TreeError("child ids must be in 0..n-1, then -1 in the empty slots")
+        at = np.flatnonzero(filled)
+        kids = table.ravel()[at]
+        parents = np.full(n, -1)
+        parents[kids] = at // 3
+        if parents[root] >= 0 or np.count_nonzero(parents >= 0) < len(kids):
+            raise TreeError("a node has two parents, or the root is a child")
+        # one parent per node but the root: connected unless ancestors cycle
+        up = np.where(parents < 0, root, parents)
+        for _ in range(n.bit_length()):
+            if np.array_equal(jump := up[up], up):
+                break
+            up = jump
+        if len(kids) != n - 1 or np.any(up != root):
             raise TreeError("tree is not connected")
-        object.__setattr__(self, "_parent", tuple(parent))
-        object.__setattr__(self, "_topo", tuple(topo))
+        self.table, self.parents, self.root, self.n = *_frozen(table, parents), root, n
 
-    @property
-    def n(self) -> int:
-        return len(self.children)
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, TernaryTree) and self.root == other.root
+                and np.array_equal(self.table, other.table))
+
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, tree_to_json(self)["children"]))
 
     def parent(self, v: int) -> Optional[int]:
-        p = self._parent[v]  # type: ignore[attr-defined]
-        return None if p == -1 else p
+        return None if v == self.root else int(self.parents[v])
+
+    @cached_property
+    def walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(order, pos, size): topo_order() as an array, each node's place in
+        it, and each node's subtree size. The order is the stack walk that
+        pushes children in slot order, so it visits the last slot first. A
+        node's successor there is its last child; for a leaf, the sibling one
+        slot lower of its nearest ancestor-or-self that has one, found by
+        pointer jumping. List ranking then places every node: O(log n) numpy
+        passes for any shape."""
+        K, n = self.table, self.n
+        sib = np.full(n, -1)  # the sibling one slot lower; the end, n, for the root
+        rows, slots = np.nonzero(K[:, 1:] >= 0)
+        sib[K[rows, slots + 1]] = K[rows, slots]
+        sib[self.root] = n
+        jump = np.where(sib >= 0, np.arange(n), self.parents)
+        while not np.array_equal(nxt := jump[jump], jump):
+            jump = nxt
+        after = np.append(sib[jump], n)  # the node visited after v's subtree
+        last = K[np.arange(n), (K >= 0).sum(axis=1) - 1]
+        succ, dist = np.append(np.where(last >= 0, last, after[:n]), n), np.ones(n + 1, np.int64)
+        dist[n] = 0
+        for _ in range(n.bit_length()):  # dist[v]: the nodes from v to the end
+            dist += dist[succ]
+            succ = succ[succ]
+        pos = n - dist
+        order = np.empty(n, np.int64)
+        order[pos[:n]] = np.arange(n)
+        return _frozen(order, pos[:n], (pos[after] - pos)[:n])
 
     def topo_order(self) -> tuple[int, ...]:
         """Nodes in an order where every parent precedes its children."""
-        return self._topo  # type: ignore[attr-defined]
+        return tuple(self.walk[0].tolist())
 
     def is_leaf(self, v: int) -> bool:
-        return not self.children[v]
+        return bool(self.table[v, 0] < 0)
+
+    @cached_property
+    def complete_height(self) -> Optional[int]:
+        return _complete_height(self)
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -87,45 +141,40 @@ class HeavyOrder:
 def complete_tree(h: int) -> TernaryTree:
     """Complete ternary tree where every root-to-leaf path has h nodes, ids in
     preorder: node v at depth d has children v+1, v+1+s and v+1+2s, where
-    s = (3^(h-d-1) - 1) / 2 is the size of each child subtree."""
+    s = (3^(h-d-1) - 1) / 2 is the size of each child subtree. T_h is a root
+    over copies of T_{h-1} at ids 1, 1+m and 1+2m (m = |T_{h-1}|), so its
+    walk is built from T_{h-1}'s, then its table from the sizes."""
     if h < 1:
         raise TreeError("complete_tree requires h >= 1")
-    n = (3 ** h - 1) // 2
-    kids = [()] * n
-    level = [0]  # the ids at depth d
-    for d in range(h - 1):
-        s = (3 ** (h - d - 1) - 1) // 2
-        for v in level:
-            kids[v] = (v + 1, v + 1 + s, v + 1 + 2 * s)
-        level = [c for v in level for c in kids[v]]
-    return TernaryTree(tuple(kids))
+    order, size, m = np.zeros(n := (3 ** h - 1) // 2, np.int64), np.ones(n, np.int64), 1
+    while m < n:  # [:m] holds T_{j-1}; write T_j's blocks far to near, as block 0 overlaps it
+        for k in (2, 1, 0):  # places in block k walk slot 2 - k; ids in it are slot k's
+            order[1 + k * m:1 + (k + 1) * m] = order[:m] + (1 + (2 - k) * m)
+            size[1 + k * m:1 + (k + 1) * m] = size[:m]
+        size[0] = m = 3 * m + 1
+    inner = np.flatnonzero(size > 1)
+    K, parents = np.full((n, 3), -1), np.full(n, -1)
+    step = (size[inner] - 1) // 3
+    for slot in range(3):
+        K[inner, slot] = kids = inner + 1 + slot * step
+        parents[kids] = inner
+    t = TernaryTree.__new__(TernaryTree)  # a tree by construction: nothing to check
+    t.table, t.parents, t.root, t.n = *_frozen(K, parents), 0, len(K)
+    t.walk = _frozen(order, order, size)  # order maps ids to places and back
+    return t
 
 
 def subtree_sizes(t: TernaryTree) -> list[int]:
     """size[v] = 1 + sum of the children's subtree sizes."""
-    size = [1] * t.n
-    for v in reversed(t.topo_order()):
-        for c in t.children[v]:
-            size[v] += size[c]
-    return size
+    return t.walk[2].tolist()
 
 
-def heavy_order(t: TernaryTree, sizes: Optional[list[int]] = None) -> HeavyOrder:
-    if sizes is None:
-        sizes = subtree_sizes(t)
-    heaviest: list[Optional[int]] = [None] * t.n
-    second: list[Optional[int]] = [None] * t.n
-    lightest: list[Optional[int]] = [None] * t.n
-    for v, kids in enumerate(t.children):
-        if len(kids) > 1:
-            # stable sort, also when reversed: equal sizes keep slot order
-            kids = sorted(kids, key=sizes.__getitem__, reverse=True)
-            second[v] = kids[1]
-            if len(kids) > 2:
-                lightest[v] = kids[2]
-        if kids:
-            heaviest[v] = kids[0]
-    return HeavyOrder(tuple(heaviest), tuple(second), tuple(lightest))
+def heavy_order(t: TernaryTree) -> HeavyOrder:
+    S, K = t.walk[2], t.table
+    key = np.where(K >= 0, -S[K], 1)  # empty slots last
+    ranked = np.take_along_axis(K, np.argsort(key, axis=1, kind="stable"), axis=1)
+    return HeavyOrder(*(tuple([None if c < 0 else c for c in col])
+                        for col in ranked.T.tolist()))
 
 
 def heavy_path(t: TernaryTree, start: int, order: Optional[HeavyOrder] = None) -> list[int]:
@@ -147,38 +196,37 @@ def random_ternary_tree(n: int, seed: int) -> TernaryTree:
     if n < 1:
         raise TreeError("random_ternary_tree requires n >= 1")
     rng = random.Random(seed)
-    children: list[list[int]] = [[] for _ in range(n)]
+    table = np.full(3 * n, -1)
+    slots = memoryview(table)  # Python-speed item writes into the array
+    filled = bytearray(n)
     open_nodes = [0]
     for v in range(1, n):
         i = rng.randrange(len(open_nodes))
         u = open_nodes[i]
-        children[u].append(v)
-        if len(children[u]) == 3:
+        slots[3 * u + filled[u]] = v
+        filled[u] += 1
+        if filled[u] == 3:
             open_nodes[i] = open_nodes[-1]
             open_nodes.pop()
         open_nodes.append(v)
-    return TernaryTree(tuple(tuple(c) for c in children))
+    return TernaryTree(table.reshape(n, 3))
 
 
 def complete_height(t: TernaryTree) -> Optional[int]:
     """Number of nodes on every root-to-leaf path if t is a complete ternary
-    tree, else None."""
-    depth = [0] * t.n
-    leaf_depth = None
-    for v in t.topo_order():
-        kids = t.children[v]
-        if kids:
-            if len(kids) != 3:
-                return None
-            for c in kids:
-                depth[c] = depth[v] + 1
-        else:
-            if leaf_depth is None:
-                leaf_depth = depth[v]
-            elif leaf_depth != depth[v]:
-                return None
-    assert leaf_depth is not None
-    return leaf_depth + 1
+    tree, else None; computed once per tree and kept on it."""
+    return t.complete_height
+
+
+def _complete_height(t: TernaryTree) -> Optional[int]:
+    """t is complete iff every node has 0 or 3 children and each node's
+    three child subtrees have one size (by induction on the size, they are
+    then complete trees of one height)."""
+    inner = t.table[:, 2] >= 0
+    if np.any(t.table[~inner, 0] >= 0):  # a node with 1 or 2 children
+        return None
+    S = t.walk[2][t.table[inner]]
+    return None if np.any(S != S[:, :1]) else round(math.log(2 * t.n + 1, 3))
 
 
 def is_complete(t: TernaryTree) -> bool:
@@ -186,23 +234,23 @@ def is_complete(t: TernaryTree) -> bool:
 
 
 def tree_to_json(t: TernaryTree) -> dict:
-    return {"n": t.n, "root": t.root, "children": [list(c) for c in t.children]}
+    counts = (t.table >= 0).sum(axis=1).tolist()
+    return {"n": t.n, "root": t.root, "children": [r[:k] for r, k in zip(t.table.tolist(), counts)]}
 
 
 def require_json_ints(values, what: str) -> None:
     """Reject, not coerce, floats and bools (which Python counts as ints)."""
-    if not all(type(v) is int for v in values):
+    if not set(map(type, values)) <= {int}:
         raise ValueError(f"{what} must be JSON integers")
 
 
 def tree_from_json(obj: dict) -> TernaryTree:
-    """Parse {"n", "root", "children"}; "n" and "root" are optional."""
+    """Parse {"n", "root", "children"}; "n" and "root" are optional. Every
+    child id must be a JSON integer in 0..n-1: -1 is not an empty slot."""
     if not isinstance(obj, dict):
         raise TreeError("a tree must be a JSON object")
-    children = tuple(tuple(kids) for kids in obj["children"])
-    require_json_ints((c for kids in children for c in kids), "child ids")
     n, root = obj.get("n"), obj.get("root", 0)
     require_json_ints([root] if n is None else [root, n], "root and n")
-    if n is not None and n != len(children):
+    if n is not None and n != len(obj["children"]):
         raise TreeError("declared node count does not match children table")
-    return TernaryTree(children, root)
+    return TernaryTree(obj["children"], root)

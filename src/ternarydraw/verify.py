@@ -188,29 +188,14 @@ def _top_visible(P: np.ndarray, root: int, hs: np.ndarray, vs: np.ndarray) -> bo
                 or np.any((vs[:, 0] == rx) & (vs[:, 1] < ry)))
 
 
-def _subtree_boxes(P: np.ndarray, t: TernaryTree, parent: np.ndarray,
-                   child: np.ndarray) -> np.ndarray:
+def _subtree_boxes(P: np.ndarray, t: TernaryTree) -> np.ndarray:
     """Per node, (xmin, ymin, -xmax, -ymax) over its subtree.
 
-    topo_order() is a preorder, so a subtree is the block from its root to
-    its last descendant: that of its last child in preorder, found for all
-    nodes at once by pointer jumping. Each block's minimum comes from the
-    sparse table of power-of-two windows, built one level at a time. Both
-    take O(log n) passes whatever the tree's height."""
-    n = t.n
-    order = np.fromiter(t.topo_order(), np.int64, n)
-    start = np.empty(n, np.int64)
-    start[order] = np.arange(n)
-    last = np.arange(n)  # by preorder index: the last descendant found so far
-    if len(child):
-        groups = np.flatnonzero(np.diff(parent, prepend=-1))
-        last[start[parent[groups]]] = np.maximum.reduceat(start[child], groups)
-    while True:
-        jump = last[last]
-        if np.array_equal(jump, last):
-            break
-        last = jump
-    length = (last - np.arange(n) + 1)[start]
+    topo_order() is a preorder, so a subtree is the block of its size from
+    its root on. Each block's minimum comes from the sparse table of
+    power-of-two windows, built one level at a time: O(log n) passes
+    whatever the tree's height."""
+    order, start, length = t.walk
     level = np.frexp(length)[1] - 1  # floor(log2(length))
     by_level = np.argsort(level, kind="stable")
     bounds = np.searchsorted(level[by_level], np.arange(level.max() + 2))
@@ -232,7 +217,7 @@ def _separated(P: np.ndarray, t: TernaryTree, parent: np.ndarray, child: np.ndar
     parent, so siblings sit one or two entries apart. With boxes stored as
     (xmin, ymin, -xmax, -ymax), a and b overlap iff a[:2] <= -b[2:] and
     b[:2] <= -a[2:]."""
-    box = _subtree_boxes(P, t, parent, child)
+    box = _subtree_boxes(P, t)
     for gap in (1, 2):
         sib = parent[:-gap] == parent[gap:]
         a, b = box[child[:-gap][sib]], box[child[gap:][sib]]
@@ -306,7 +291,7 @@ def leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
         return 1, 1, 1
     P = d.pos
     rx, ry = d.root_pos()
-    kids = t.children[t.root]
+    kids = t.table[t.root].tolist()  # a complete tree's inner nodes have 3 children
     on_row = [c for c in kids if P[c, 1] == ry]
     on_col = [c for c in kids if P[c, 0] == rx]
     if len(on_row) == 1 and len(on_col) == 2:
@@ -328,7 +313,7 @@ def leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
             coords.append(y if vertical else x)
             if t.is_leaf(cur):
                 break
-            on_line = [c for c in t.children[cur] if P[c, 0 if vertical else 1] == fixed]
+            on_line = [c for c in t.table[cur].tolist() if P[c, 0 if vertical else 1] == fixed]
             if len(on_line) != 1:
                 raise VerificationError("chain continuation is ambiguous")
             cur = on_line[0]

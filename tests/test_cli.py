@@ -1,6 +1,6 @@
 import json
 
-from ternarydraw import cli, geometry, pareto, verify
+from ternarydraw import cli, geometry, pareto, tree, verify
 from ternarydraw.cli import main
 from ternarydraw.geometry import GridDrawing, drawing_from_json, drawing_json, extents
 from ternarydraw.render import RenderSpec, drawing_to_svg
@@ -165,6 +165,57 @@ def test_draw_splits_segments_and_measures_extents_once(monkeypatch, tmp_path):
                                 lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
     assert run("draw", "random:300:1", "--out", str(tmp_path / "d.json")) == 0
     assert sorted(calls) == ["segment_extents", "split_segments"]
+
+
+@pytest.mark.parametrize("algo", ["general", "upper1149", "pareto-min"])
+def test_draw_computes_complete_height_once(monkeypatch, tmp_path, algo):
+    calls = []
+    real = tree._complete_height
+    monkeypatch.setattr(tree, "_complete_height", lambda t: calls.append(t.n) or real(t))
+    tree.complete_tree.cache_clear()  # a fresh T_6, with no height kept yet
+    assert run("--cache-dir", str(tmp_path / "cache"), "draw", "complete:6", "--algo", algo,
+               "--out", str(tmp_path / "d.json")) == 0
+    assert calls == [364]
+
+
+def test_no_cli_path_builds_the_children_tuples(monkeypatch, tmp_path, capsys):
+    def built(t):
+        raise AssertionError("TernaryTree.children built")
+    monkeypatch.setattr(TernaryTree, "children", property(built))
+    tree.complete_tree.cache_clear()
+    tpath = tmp_path / "tree.json"
+    tpath.write_text(json.dumps({"n": 4, "root": 0, "children": [[1, 2], [3], [], []]}))
+    for spec, algo in (("complete:5", "upper1149"), ("random:300:1", "general"),
+                       (f"file:{tpath}", "general")):
+        out = tmp_path / "d.json"
+        assert run("--cache-dir", str(tmp_path / "cache"), "draw", spec, "--algo", algo,
+                   "--out", str(out)) == 0
+        assert run("verify", str(out)) == 0
+    assert run("draw", "complete:3", "--algo", "c1", "--format", "svg") == 0
+    assert "internal error" not in capsys.readouterr().err
+
+
+# -1 would be an empty slot in the child table, so it is checked as an id
+BAD_CHILD_IDS = [-1, 2, 2 ** 63, 2 ** 64, True, 1.0]
+
+
+@pytest.mark.parametrize("bad", BAD_CHILD_IDS, ids=map(repr, BAD_CHILD_IDS))
+def test_verify_rejects_bad_child_id(tmp_path, capsys, bad):
+    doc = {"tree": {"n": 2, "root": 0, "children": [[1, bad], []]}, "pos": [[0, 0], [1, 0]]}
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc))
+    assert run("verify", str(path)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot read drawing")
+
+
+@pytest.mark.parametrize("bad", BAD_CHILD_IDS, ids=map(repr, BAD_CHILD_IDS))
+def test_file_treespec_rejects_bad_child_id(tmp_path, capsys, bad):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"n": 2, "root": 0, "children": [[1, bad], []]}))
+    assert run("draw", f"file:{path}") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bad tree spec")
 
 
 def test_table_output(tmp_path, capsys):

@@ -268,7 +268,7 @@ def _layout(t, root, sizes, order, p):
 def oracle_positions(t, params=None):
     params = params or LayoutParams()
     sizes = subtree_sizes(t)
-    raw = _layout(t, t.root, sizes, heavy_order(t, sizes), params.p)
+    raw = _layout(t, t.root, sizes, heavy_order(t), params.p)
     rx, ry = raw[t.root]
     return tuple((raw[v][0] - rx, raw[v][1] - ry) for v in range(t.n))
 

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from ternarydraw.tree import (TernaryTree, TreeError, complete_height,
+from ternarydraw.geometry import edge_arrays
+from ternarydraw.tree import (HeavyOrder, TernaryTree, TreeError, complete_height,
                               complete_tree, heavy_order, heavy_path,
                               is_complete, random_ternary_tree, subtree_sizes,
                               tree_from_json, tree_to_json)
@@ -32,7 +34,12 @@ def recursive_complete_children(h):
 
 def test_complete_tree_matches_recursive_definition():
     for h in range(1, 9):
-        assert complete_tree(h).children == recursive_complete_children(h)
+        t = complete_tree(h)  # built by arithmetic, not validated
+        assert t.children == recursive_complete_children(h)
+        checked = TernaryTree(recursive_complete_children(h))
+        assert t == checked and t.n == checked.n
+        for a, b in zip((t.parents, *t.walk), (checked.parents, *checked.walk)):
+            assert np.array_equal(a, b)
 
 
 def test_complete_tree_rejects_bad_height():
@@ -60,6 +67,8 @@ def test_validation_two_parents():
 def test_validation_disconnected():
     with pytest.raises(TreeError):
         TernaryTree(((1,), (), ()))
+    with pytest.raises(TreeError):  # node 2 is its own parent
+        TernaryTree(((1,), (), (2,)))
 
 
 def test_parent_and_topo():
@@ -139,3 +148,219 @@ def test_json_ids_must_be_integers(field, value):
     obj[field] = value
     with pytest.raises(ValueError):
         tree_from_json(obj)
+
+
+# The tuple-walking tree code the array tree replaced, kept as the oracle:
+# validation and topo_order from TernaryTree.__post_init__, then
+# subtree_sizes, heavy_order, edge_arrays and complete_height on top of it.
+
+def oracle_tree(children, root):
+    """(parent, topo) of a valid tree, TreeError otherwise."""
+    n = len(children)
+    if n == 0:
+        raise TreeError("tree must have at least one node")
+    if not 0 <= root < n:
+        raise TreeError("root id out of range")
+    parent = [-1] * n
+    for v, kids in enumerate(children):
+        if len(kids) > 3:
+            raise TreeError(f"node {v} has {len(kids)} children (max 3)")
+        for c in kids:
+            if not 0 <= int(c) < n:
+                raise TreeError(f"child id {c} out of range")
+            if c == root or parent[c] != -1:
+                raise TreeError(f"node {c} has two parents or is the root")
+            parent[c] = v
+    stack = [root]
+    topo = []
+    while stack:
+        v = stack.pop()
+        topo.append(v)
+        stack.extend(children[v])
+    if len(topo) != n:
+        raise TreeError("tree is not connected")
+    return parent, tuple(topo)
+
+
+def oracle_sizes(children, topo):
+    size = [1] * len(children)
+    for v in reversed(topo):
+        for c in children[v]:
+            size[v] += size[c]
+    return size
+
+
+def oracle_heavy_order(children, sizes):
+    heaviest, second, lightest = ([None] * len(children) for _ in range(3))
+    for v, kids in enumerate(children):
+        if len(kids) > 1:
+            kids = sorted(kids, key=sizes.__getitem__, reverse=True)
+            second[v] = kids[1]
+            if len(kids) > 2:
+                lightest[v] = kids[2]
+        if kids:
+            heaviest[v] = kids[0]
+    return HeavyOrder(tuple(heaviest), tuple(second), tuple(lightest))
+
+
+def oracle_edge_arrays(children):
+    parent = [v for v, kids in enumerate(children) for _ in kids]
+    return parent, [c for kids in children for c in kids]
+
+
+def oracle_complete_height(children, topo):
+    depth = [0] * len(children)
+    leaf_depth = None
+    for v in topo:
+        kids = children[v]
+        if kids:
+            if len(kids) != 3:
+                return None
+            for c in kids:
+                depth[c] = depth[v] + 1
+        elif leaf_depth is None:
+            leaf_depth = depth[v]
+        elif leaf_depth != depth[v]:
+            return None
+    return leaf_depth + 1
+
+
+def spider(legs):
+    """A root with one path per entry of legs, of that many nodes each."""
+    children = [[]]
+    for length in legs:
+        v = 0
+        for _ in range(length):
+            children[v].append(len(children))
+            v = len(children)
+            children.append([])
+    return children
+
+
+@st.composite
+def trees(draw):
+    """(children as lists, root) with ids shuffled, so the root is not 0."""
+    kind = draw(st.sampled_from(["random", "path", "spider", "complete"]))
+    if kind == "random":
+        children = [list(k) for k in random_ternary_tree(draw(st.integers(1, 150)),
+                                                          draw(st.integers(0, 10 ** 6))).children]
+    elif kind == "path":
+        n = draw(st.integers(1, 150))
+        children = [[v + 1] if v + 1 < n else [] for v in range(n)]
+    elif kind == "spider":
+        children = spider(draw(st.lists(st.integers(0, 40), max_size=3)))
+    else:
+        children = [list(k) for k in complete_tree(draw(st.integers(1, 7))).children]
+    n = len(children)
+    ids = draw(st.permutations(range(n)))
+    if n > 1 and ids[0] == 0:
+        ids = ids[1:] + ids[:1]
+    relabeled = [None] * n
+    for v, kids in enumerate(children):
+        relabeled[ids[v]] = [ids[c] for c in kids]
+    return relabeled, ids[0]
+
+
+def assert_matches_oracle(children, root):
+    parent, topo = oracle_tree(children, root)
+    t = TernaryTree(tuple(map(tuple, children)), root)
+    assert t.n == len(children) and t.root == root
+    assert t.children == tuple(map(tuple, children))
+    assert t.parents.tolist() == parent
+    assert [t.parent(v) for v in range(t.n)] == [None if p == -1 else p for p in parent]
+    assert t.topo_order() == topo
+    assert [t.is_leaf(v) for v in range(t.n)] == [not k for k in children]
+    sizes = oracle_sizes(children, topo)
+    assert subtree_sizes(t) == sizes
+    assert heavy_order(t) == oracle_heavy_order(children, sizes)
+    assert [a.tolist() for a in edge_arrays(t)] == list(oracle_edge_arrays(children))
+    assert complete_height(t) == oracle_complete_height(children, topo)
+    assert TernaryTree(t.table, root) == t == tree_from_json(tree_to_json(t))
+    assert tree_to_json(t)["children"] == children
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees())
+def test_array_tree_matches_tuple_oracle(tree):
+    assert_matches_oracle(*tree)
+
+
+MUTATIONS = ["duplicate-child", "detached-cycle", "root-as-child", "out-of-range",
+             "four-children", "disconnected-node"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees(), st.sampled_from(MUTATIONS), st.randoms(use_true_random=False))
+def test_array_tree_rejects_what_the_oracle_rejects(tree, mutation, rnd):
+    children, root = tree
+    n = len(children)
+    parent, _ = oracle_tree(children, root)
+    free = [v for v in range(n) if len(children[v]) < 3]
+    non_root = [v for v in range(n) if v != root]
+    if mutation == "duplicate-child" and n > 2:  # in place of another child: n - 1 entries still
+        kids = rnd.choice([k for k in children if k])
+        i = rnd.randrange(len(kids))
+        kids[i] = rnd.choice([v for v in non_root if v != kids[i]])
+    elif mutation == "detached-cycle" and non_root:
+        v = rnd.choice(non_root)  # hang v under one of its own descendants
+        below, stack = [], [v]
+        while stack:
+            u = stack.pop()
+            below.append(u)
+            stack.extend(children[u])
+        children[parent[v]].remove(v)
+        children[rnd.choice([u for u in below if len(children[u]) < 3])].append(v)
+    elif mutation == "root-as-child":
+        if rnd.random() < 0.5 and n > 1:
+            kids = rnd.choice([k for k in children if k])
+            kids[rnd.randrange(len(kids))] = root
+        else:
+            children[rnd.choice(free)].append(root)
+    elif mutation == "out-of-range":
+        bad = rnd.choice([-1, n, n + 7, 2 ** 63, -2 ** 63 - 1])
+        if any(children):
+            kids = rnd.choice([k for k in children if k])
+            kids[rnd.randrange(len(kids))] = bad
+        else:
+            children[0].append(bad)
+    elif mutation == "four-children":
+        v = rnd.randrange(n)
+        children[v].extend([rnd.randrange(n)] * (4 - len(children[v])))
+    elif mutation == "disconnected-node" and non_root:
+        leaf = rnd.choice([v for v in non_root if not children[v]])
+        children[parent[leaf]].remove(leaf)
+    else:
+        return  # a single node has no non-root node to mutate
+    with pytest.raises(TreeError):
+        oracle_tree(children, root)
+    with pytest.raises(TreeError):
+        TernaryTree(tuple(map(tuple, children)), root)
+    if all(0 <= c < 2 ** 63 for k in children for c in k) and max(map(len, children)) <= 3:
+        table = np.full((n, 3), -1)
+        for v, kids in enumerate(children):
+            table[v, :len(kids)] = kids
+        with pytest.raises(TreeError):
+            TernaryTree(table, root)
+
+
+def test_child_table_rows_hold_children_before_empty_slots():
+    with pytest.raises(TreeError):
+        TernaryTree(np.array([[-1, 1, -1], [-1, -1, -1]]))
+    with pytest.raises(TreeError):
+        TernaryTree(np.array([[1, -1, 2], [-1, -1, -1], [-1, -1, -1]]))
+    with pytest.raises(TreeError):
+        TernaryTree(np.array([[1, -2, -1], [-1, -1, -1]]))
+    assert TernaryTree(np.array([[1, -1, -1], [-1, -1, -1]])) == TernaryTree(((1,), ()))
+
+
+def test_tree_arrays_are_read_only():
+    t = random_ternary_tree(50, 1)
+    for a in (t.table, t.parents, *t.walk):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 2 ** 63, 2 ** 64, 1.0, True, None, "1"])
+def test_constructor_rejects_bad_child_ids(bad):
+    with pytest.raises((TreeError, TypeError)):
+        TernaryTree(((1, bad), (), ()))
