@@ -5,7 +5,11 @@ its validation included. With --verify, each drawing also gets one
 build_report (all verifier checks and its extents), timed in the verify
 column. The peak RSS column is the process's peak so far (getrusage), so a
 row's figure covers its own size and every size before it: for one size's
-peak, run that size alone, e.g. ``--sizes 1000000 --seeds 1``."""
+peak, run that size alone, e.g. ``--sizes 1000000 --seeds 1``. The frames
+column is the mean number of decompositions the layout performs, and levels
+the most frame levels (the frame depth + 1, one batch of numpy passes each);
+both are counted from all_decompositions, untimed, on the same trees built
+again after the row's peak RSS is read."""
 
 import argparse
 import math
@@ -13,9 +17,22 @@ import resource
 import time
 
 from ternarydraw.geometry import extents
-from ternarydraw.layout_general import LayoutParams, draw_general
-from ternarydraw.tree import random_ternary_tree
+from ternarydraw.layout_general import LayoutParams, all_decompositions, draw_general
+from ternarydraw.tree import TernaryTree, random_ternary_tree
 from ternarydraw.verify import build_report
+
+
+def count_frames(t: TernaryTree, params: LayoutParams) -> tuple[int, int]:
+    """(decompositions, frame levels) of the general layout of t."""
+    depth, frames, levels = {t.root: 0}, 0, 0
+    for d in all_decompositions(t, params):  # top-down: a frame after the one it hangs off
+        frames += 1
+        level = depth.pop(d.root)
+        levels = max(levels, level + 1)
+        for c in (*d.top.values(), *d.bottom.values()):
+            if not t.is_leaf(c):
+                depth[c] = level + 1
+    return frames, levels
 
 
 def main() -> None:
@@ -28,7 +45,7 @@ def main() -> None:
 
     params = LayoutParams()
     print(f"{'n':>8} {'tree (s)':>9} {'layout (s)':>11} {'peak RSS (MB)':>14} {'verify (s)':>11} {'width':>8} "
-          f"{'height':>7} {'bound':>7} {'ratio':>6}")
+          f"{'height':>7} {'bound':>7} {'ratio':>6} {'frames':>7} {'levels':>6}")
     for n in args.sizes:
         t_tree = t_layout = t_verify = 0.0
         worst_h = worst_ratio = 0
@@ -56,8 +73,11 @@ def main() -> None:
         bound = max(1, math.ceil(2 * n ** params.c - 1))
         verify = f"{t_verify / args.seeds:.4f}" if args.verify else "-"
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
+        del t, d
+        frames, levels = zip(*(count_frames(random_ternary_tree(n, seed), params)
+                               for seed in range(args.seeds)))
         print(f"{n:>8} {t_tree / args.seeds:>9.4f} {t_layout / args.seeds:>11.4f} {rss:>14.1f} {verify:>11} {worst_w:>8} "
-              f"{worst_h:>7} {bound:>7} {worst_ratio:>6.2f}")
+              f"{worst_h:>7} {bound:>7} {worst_ratio:>6.2f} {round(sum(frames) / args.seeds):>7} {max(levels):>6}")
 
 
 if __name__ == "__main__":

@@ -48,7 +48,11 @@ def _parse_treespec(spec: str) -> TernaryTree:
 
 def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
     if algo == "general":
-        return draw_general(tree, LayoutParams())
+        drawing = draw_general(tree, LayoutParams())
+        # nothing after the layout reads the tree's heavy-path arrays, and the
+        # verifier's and writer's peaks would sit on them (64 MB at 1e6 nodes)
+        vars(tree).pop("heavy", None)
+        return drawing
     h = complete_height(tree)
     if h is None:
         raise UserError(f"algorithm {algo!r} requires a complete ternary tree")

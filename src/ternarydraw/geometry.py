@@ -168,25 +168,28 @@ def drawing_to_json(d: GridDrawing) -> dict:
 _CHILD_TEMPLATES = ("      []",) + tuple(
     "      [\n" + ",\n".join(["        %d"] * k) + "\n      ]" for k in (1, 2, 3))
 _ROW_TEMPLATE = "    [\n      %d,\n      %d\n    ]"
+_BLOCK = 1 << 16  # nodes formatted per % operation, bounding the Python ints alive at once
 
 
 def drawing_json(d: GridDrawing) -> str:
     """Exactly ``json.dumps(drawing_to_json(d), indent=2)`` for a drawing with
-    integer coordinates, from one format string per section instead of the
-    pure-Python encoder. ValueError unless ``d.pos`` is int64, so a
+    integer coordinates, from one format string per block of nodes instead
+    of the pure-Python encoder. ValueError unless ``d.pos`` is int64, so a
     fractional coordinate is never rounded."""
     P = d.pos
     if P.dtype != np.int64:
         raise ValueError("only integer coordinates can be written")
     t = d.tree
-    children = ",\n".join([_CHILD_TEMPLATES[k] for k in (t.table >= 0).sum(axis=1).tolist()])
-    rows = ",\n".join([_ROW_TEMPLATE] * t.n)
-    return "".join((
-        '{\n  "tree": {\n    "n": %d,\n    "root": %d,\n    "children": [\n' % (t.n, t.root),
-        children % tuple(t.table[t.table >= 0].tolist()),
-        '\n    ]\n  },\n  "pos": [\n',
-        rows % tuple(P.ravel().tolist()),
-        "\n  ]\n}"))
+    counts = (t.table >= 0).sum(axis=1)
+    ids, starts = t.table[t.table >= 0], np.append(0, np.cumsum(counts))[::_BLOCK].tolist()
+    children = ['{\n  "tree": {\n    "n": %d,\n    "root": %d,\n    "children": [\n' % (t.n, t.root)]
+    rows = ['\n    ]\n  },\n  "pos": [\n']
+    for i, a, b in zip(range(0, t.n, _BLOCK), starts, starts[1:] + [len(ids)]):
+        block = counts[i:i + _BLOCK].tolist()
+        children += ",\n".join([_CHILD_TEMPLATES[k] for k in block]) % tuple(ids[a:b].tolist()), ",\n"
+        rows += ",\n".join([_ROW_TEMPLATE] * len(block)) % tuple(P[i:i + _BLOCK].ravel().tolist()), ",\n"
+    rows[-1] = "\n  ]\n}"
+    return "".join(children[:-1] + rows)  # one join: no section is copied twice
 
 
 def drawing_from_json(obj: dict) -> GridDrawing:

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import add
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .geometry import GridDrawing
-from .tree import HeavyOrder, TernaryTree, heavy_order, heavy_path, subtree_sizes
+from .tree import TernaryTree, subtree_sizes
 
 
 @dataclass(frozen=True)
@@ -75,77 +74,140 @@ class DecompositionStats:
     s: int
 
 
-def _turn_index(pi: tuple[int, ...], sizes: list[int], order: HeavyOrder,
-                threshold: float) -> Optional[int]:
-    """Smallest 1-based i such that pi_i has at least two subtrees with at
-    least ``threshold`` nodes each, that is, its second-heaviest has."""
-    for i, v in enumerate(pi, start=1):
-        c = order.second[v]
-        if c is not None and sizes[c] >= threshold:
-            return i
-    return None
+class _Level(NamedTuple):
+    """The decompositions of one frame level, as arrays over its frames.
+
+    Frame f is rooted at ``roots[f]``; its heavy path pi has ``k[f]`` nodes
+    and turns at ``pi[turn[f]]`` (x - 1; ``k[f]`` when x is undefined).
+    ``ends[f]`` holds the heads of rho, sigma and tau (-1 when empty) and
+    ``lens[f]`` their lengths. The rails are concatenated: frame f's is
+    ``rail[offs[f]:offs[f + 1]]``, its first ``kP[f]`` nodes P, the rest Q.
+    Attachment j hangs the subtree rooted at ``sub[j]`` off ``rail[at[j]]``,
+    above it when ``sign[j]`` is -1, below when 1; ``frame[j]`` is False for
+    a leaf, True for a frame of the next level."""
+
+    roots: np.ndarray
+    k: np.ndarray
+    turn: np.ndarray
+    ends: np.ndarray
+    lens: np.ndarray
+    kP: np.ndarray
+    offs: np.ndarray
+    rail: np.ndarray
+    at: np.ndarray
+    sub: np.ndarray
+    sign: np.ndarray
+    frame: np.ndarray
 
 
-def _decompose(t: TernaryTree, root: int, sizes: list[int],
-               order: HeavyOrder, p: float) -> RailDecomposition:
-    n = sizes[root]
-    pi = tuple(heavy_path(t, root, order))
-    x = _turn_index(pi, sizes, order, n / p)
-    k = len(pi)
+def _runs(first: np.ndarray, step: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The runs first[i], first[i] + step[i], ... of length[i] items each,
+    concatenated."""
+    i = np.repeat(np.arange(len(length)), length)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(length) - length, length)
+    return first[i] + step[i] * j
 
-    def hp_of(child: Optional[int]) -> tuple[int, ...]:
-        return () if child is None else tuple(heavy_path(t, child, order))
 
-    rho: tuple[int, ...] = ()
-    sigma: tuple[int, ...] = ()
-    tau: tuple[int, ...] = ()
-    exception: Optional[int] = None  # rail node whose lightest subtree goes top
+def _segmented(ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray,
+               stops: np.ndarray, empty: int) -> np.ndarray:
+    """``ufunc`` reduced over each values[starts[f]:stops[f]]; ``empty`` where
+    that slice is empty."""
+    r = ufunc.reduceat(np.append(values, empty), np.stack([starts, stops], axis=1).ravel())[::2]
+    return np.where(stops > starts, r, empty)
 
-    if x == 1:
-        tau = hp_of(order.second[pi[0]])
-        P: tuple[int, ...] = ()
-        Q = tuple(reversed(pi)) + tau
-    elif x == 2:
-        # the root plays both ends of P: its lightest subtree takes the
-        # leftward rail slot the second-heaviest normally gets, while the
-        # second-heaviest runs straight to the right
-        rho = hp_of(order.lightest[pi[0]])
-        sigma = hp_of(order.second[pi[0]])
-        P = tuple(reversed(rho)) + (pi[0],) + sigma
-        tau = hp_of(order.second[pi[1]])
-        Q = tuple(reversed(pi[1:])) + tau
-    else:
-        x_eff = k + 1 if x is None else x
-        rho = hp_of(order.second[pi[0]])
-        sigma = hp_of(order.second[pi[x_eff - 2]])
-        P = tuple(reversed(rho)) + pi[: x_eff - 1] + sigma
-        if x is not None:
-            tau = hp_of(order.second[pi[x_eff - 1]])
-            Q = tuple(reversed(pi[x_eff - 1:])) + tau
-            exception = pi[x_eff - 2]
-        else:
-            Q = ()
 
-    rail = set(P) | set(Q)
-    top: dict[int, int] = {}
-    bottom: dict[int, int] = {}
-    for v in rail:  # a rail node has at most one top and one bottom child
-        for c in (order.heaviest[v], order.second[v], order.lightest[v]):
-            if c is None or c in rail:
-                continue
-            if c == order.lightest[v] and v != exception:
-                bottom[v] = c
-            else:
-                top[v] = c
-    return RailDecomposition(root, n, x, pi, rho, sigma, tau, P, Q, top, bottom)
+def _decompose(t: TernaryTree, roots: np.ndarray, p: float) -> _Level:
+    """Decompose every frame rooted at ``roots`` (inner nodes heading heavy
+    paths) in one batch of numpy passes.
+
+    Each rail is five slices of the tree's heavy paths ``hp``:
+    rev(rho), pi[:x-1], sigma, rev(pi[x-1:]) and tau, with rho, sigma and
+    tau the heavy paths from pi's side children:
+    - x = 1: tau from pi_1's second-heaviest child; P is empty;
+    - x = 2: rho from pi_1's lightest child, sigma from its second-heaviest
+      (the root plays both ends of P), tau from pi_2's second-heaviest;
+    - x >= 3 or undefined: rho from pi_1's second-heaviest child, sigma
+      from pi_{x-1}'s, tau from pi_x's (Q empty when x is undefined).
+    """
+    h, size = t.heavy, t.walk[2]
+    K, F = h.order, len(roots)
+    s0, k = h.start[roots], h.length[roots]
+    # x: the first node of pi whose second-heaviest subtree has >= n/p nodes
+    # (sizes below 2^53 compare exactly with the float n/p, as in Python)
+    pi = h.hp[_runs(s0, np.ones(F, np.int64), k)]  # frame f's is pi[first[f]:first[f] + k[f]]
+    first = np.cumsum(k) - k
+    second = K[pi, 1]
+    big = (second >= 0) & (size[second] >= np.repeat(size[roots] / p, k))
+    place = np.arange(len(pi)) - np.repeat(first, k)
+    turn = np.minimum.reduceat(np.where(big, place, np.repeat(k, k)), first)
+    before = h.hp[s0 + np.maximum(turn - 1, 0)]  # pi_{x-1}
+    after = h.hp[s0 + np.minimum(turn, k - 1)]  # pi_x
+    ends = np.stack([np.where(turn > 0, K[roots, np.where(turn == 1, 2, 1)], -1),
+                     np.where(turn > 0, K[before, 1], -1),
+                     np.where(turn < k, K[after, 1], -1)], axis=1)
+    lens = np.where(ends >= 0, h.length[ends], 0)
+    starts = h.start[ends]
+    runs = np.stack([starts[:, 0] + lens[:, 0] - 1, s0, starts[:, 1], s0 + k - 1, starts[:, 2]], axis=1)
+    rail = h.hp[_runs(runs.ravel(), np.tile([-1, 1, 1, -1, 1], F),
+                      np.stack([lens[:, 0], turn, lens[:, 1], k - turn, lens[:, 2]], axis=1).ravel())]
+    kP = lens[:, 0] + turn + lens[:, 1]
+    offs = np.append(0, np.cumsum(lens.sum(axis=1) + k))
+
+    # A rail node's heaviest child is on the rail. Off it, the second-heaviest
+    # goes on top and the lightest below, but pi_{x-1}'s lightest goes on top
+    # when x >= 3, as its second-heaviest starts sigma.
+    on_rail = np.zeros(t.n, bool)
+    on_rail[rail] = True
+    swap = np.zeros(len(rail), bool)
+    swap[(offs[:-1] + kP - lens[:, 1] - 1)[(turn >= 2) & (turn < k)]] = True
+    kids = K[rail]
+    top = np.where(swap, kids[:, 2], kids[:, 1])
+    bottom = np.where(swap, -1, kids[:, 2])
+    above = np.flatnonzero((top >= 0) & ~on_rail[top])
+    under = np.flatnonzero((bottom >= 0) & ~on_rail[bottom])
+    sub = np.concatenate([top[above], bottom[under]])
+    sign = np.repeat([-1, 1], [len(above), len(under)])
+    return _Level(roots, k, turn, ends, lens, kP, offs, rail, np.concatenate([above, under]),
+                  sub, sign, K[sub, 0] >= 0)
+
+
+def _levels(t: TernaryTree, p: float) -> Iterator[_Level]:
+    """The decompositions the layout performs, one frame level at a time,
+    top-down: the frames of a level are the attached subtrees of the level
+    above that are not leaves."""
+    roots = np.array([t.root] if t.n > 1 else [], np.int64)
+    while len(roots):
+        level = _decompose(t, roots, p)
+        yield level
+        roots = level.sub[level.frame]
+
+
+def _rail_decompositions(t: TernaryTree, level: _Level) -> Iterator[RailDecomposition]:
+    """One level's decompositions, as lists, tuples and dicts of node ids."""
+    h, size = t.heavy, t.walk[2]
+
+    def path(v: int) -> tuple[int, ...]:
+        return () if v < 0 else tuple(h.hp[h.start[v]:h.start[v] + h.length[v]].tolist())
+
+    top, bottom = [{} for _ in level.roots], [{} for _ in level.roots]
+    frame_of = np.searchsorted(level.offs, level.at, side="right") - 1
+    for f, v, c, s in zip(frame_of.tolist(), level.rail[level.at].tolist(),
+                          level.sub.tolist(), level.sign.tolist()):
+        (top if s < 0 else bottom)[f][v] = c
+    rail, offs, kP = level.rail.tolist(), level.offs.tolist(), level.kP.tolist()
+    for f, (r, k, turn, ends) in enumerate(zip(level.roots.tolist(), level.k.tolist(),
+                                               level.turn.tolist(), level.ends.tolist())):
+        P = offs[f] + kP[f]
+        yield RailDecomposition(r, int(size[r]), turn + 1 if turn < k else None, path(r),
+                                *map(path, ends), tuple(rail[offs[f]:P]),
+                                tuple(rail[P:offs[f + 1]]), top[f], bottom[f])
 
 
 def decompose(t: TernaryTree, params: Optional[LayoutParams] = None) -> RailDecomposition:
     if t.n < 2:
         raise ValueError("decompose needs a tree with at least 2 nodes")
     params = params or LayoutParams()
-    sizes = subtree_sizes(t)
-    return _decompose(t, t.root, sizes, heavy_order(t), params.p)
+    return next(_rail_decompositions(t, _decompose(t, np.array([t.root]), params.p)))
 
 
 def decomposition_stats(d: RailDecomposition,
@@ -174,29 +236,11 @@ def decomposition_stats(d: RailDecomposition,
 def all_decompositions(t: TernaryTree,
                        params: Optional[LayoutParams] = None
                        ) -> Iterator[RailDecomposition]:
-    """Every decomposition the layout recursion would perform, top-down."""
+    """Every decomposition the layout performs, one frame level at a time,
+    top-down."""
     params = params or LayoutParams()
-    sizes = subtree_sizes(t)
-    order = heavy_order(t)
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        if t.is_leaf(v):
-            continue
-        d = _decompose(t, v, sizes, order, params.p)
-        yield d
-        stack.extend(d.top.values())
-        stack.extend(d.bottom.values())
-
-
-def _extend(cols: list[int], lo: list[int], hi: list[int], edge: int,
-            idx: range, right: bool = True) -> None:
-    """Columns for the clusters ``idx``, in that order, along a rail: each
-    clears the one before (the first clears column ``edge``) by one column,
-    rightward or leftward."""
-    for i in idx:
-        cols[i] = edge + 1 - lo[i] if right else edge - 1 - hi[i]
-        edge = cols[i] + (hi[i] if right else lo[i])
+    for level in _levels(t, params.p):
+        yield from _rail_decompositions(t, level)
 
 
 def draw_general(t: TernaryTree, params: Optional[LayoutParams] = None) -> GridDrawing:
@@ -204,90 +248,73 @@ def draw_general(t: TernaryTree, params: Optional[LayoutParams] = None) -> GridD
     tree with the top-visibility property, width at most n, and height at
     most 2*n^c - 1.
 
-    Two passes. Bottom-up, each decomposition is placed once, in a frame of
-    its own: its rail nodes and leaf attachments get a column and row there,
-    and each other attached subtree is a child frame with a sign (-1 when
-    rotated 180° above its rail node) and an offset, found from the child
-    frame's box. Top-down, the frames' signs and offsets are composed into
-    absolute ones, and every position is ``sign * local + offset`` of its
-    frame, in one numpy pass.
+    Each decomposition is placed in a frame of its own: its rail nodes and
+    leaf attachments get a column and row there, and each other attached
+    subtree is a child frame with a sign (-1 when rotated 180° above its
+    rail node) and an offset, found from the child frame's box. The frames
+    are placed one level at a time, bottom-up, by a fixed number of numpy
+    passes per level. Top-down, the frames' signs and offsets are composed
+    into absolute ones, and every position is ``sign * local + offset`` of
+    its frame.
     """
     params = params or LayoutParams()
-    sizes = subtree_sizes(t)
-    order = heavy_order(t)
-    p = params.p
-    nodes, xs, ys, homes = [], [], [], []  # each node's frame and place in it
-    up, sign, ox, oy = [0], [1], [0], [0]  # each frame's parent frame, sign, offset there
-
-    def place(r: int, f: int) -> tuple[int, int, int, int, int]:
-        """Lay out frame f, rooted at r; return r's column and the frame's
-        box (xmin, xmax, ymin, ymax)."""
-        d = _decompose(t, r, sizes, order, p)
-        rail, k, m = d.P + d.Q, len(d.P), len(d.P) + len(d.Q)
-        lo, hi, ylo, yhi = [0] * m, [0] * m, [0] * m, [0] * m  # clusters
-        leaves, frames = [], []
-        at = {v: i for i, v in enumerate(rail)} if d.top or d.bottom else {}
-        for s, side, attached in ((-1, ylo, d.top), (1, yhi, d.bottom)):
-            for v, c in attached.items():
-                i = at[v]
-                if order.heaviest[c] is None:
-                    side[i] = s
-                    leaves.append((c, i, s))
-                    continue
-                g = len(up)
-                up.append(f)
-                sign.append(s)
-                ox.append(0)
-                oy.append(0)
-                cx, bx0, bx1, by0, by1 = place(c, g)
-                ox[g], oy[g] = -s * cx, s * (1 - by0)  # from its rail node
-                lo[i] = min(lo[i], ox[g] + min(s * bx0, s * bx1))
-                hi[i] = max(hi[i], ox[g] + max(s * bx0, s * bx1))
-                side[i] = s * (by1 - by0 + 1)
-                frames.append((g, i))
+    levels = list(_levels(t, params.p))
+    if not levels:
+        return GridDrawing(t, np.zeros((t.n, 2), np.int64))
+    base = np.cumsum([0] + [len(level.roots) for level in levels])  # level i: frames base[i]..
+    home, lx, ly = (np.zeros(t.n, np.int64) for _ in range(3))  # each node's frame and place in it
+    up, sign, ox, oy = (np.zeros(base[-1], np.int64) for _ in range(4))  # each frame's parent, sign, offset there
+    below = np.zeros((5, 0), np.int64)  # root column and box of each frame one level down
+    for i in reversed(range(len(levels))):
+        lv = levels[i]
+        M, off, s = len(lv.rail), lv.offs[:-1], lv.sign
+        fr = np.repeat(np.arange(len(off)), np.diff(lv.offs))
+        cx, bx0, bx1, by0, by1 = box = np.zeros((5, len(lv.sub)), np.int64)
+        box[:, lv.frame] = below  # a leaf attachment is a frame of one node at (0, 0)
+        ax = -s * cx  # from the rail node
+        lo, hi, ylo, yhi = (np.zeros(M, np.int64) for _ in range(4))  # clusters
+        np.minimum.at(lo, lv.at, ax + np.minimum(s * bx0, s * bx1))
+        np.maximum.at(hi, lv.at, ax + np.maximum(s * bx0, s * bx1))
+        ylo[lv.at[s < 0]] = -(by1 - by0 + 1)[s < 0]
+        yhi[lv.at[s > 0]] = (by1 - by0 + 1)[s > 0]
 
         # upper rail P left to right on row 0; pi_x hangs directly below
         # pi_{x-1} on row y_q, pi_{x+1} .. pi_k extend leftward and tau
         # rightward, the first of each clearing everything above
-        cols = [0] * m
-        _extend(cols, lo, hi, lo[0] - 1 if k else 0, range(k))
-        y_q = max(yhi[:k], default=-1) + 1
-        rows = [0] * k + [y_q] * (m - k)
-        if d.Q:
-            xi = m - len(d.tau) - 1
-            cols[xi] = cols[k - 1 - len(d.sigma)] if k else 0
-            guarded = [*range(k), xi]
-            _extend(cols, lo, hi, min(cols[i] + lo[i] for i in guarded),
-                    range(xi - 1, k - 1, -1), right=False)
-            _extend(cols, lo, hi, max(cols[i] + hi[i] for i in guarded),
-                    range(xi + 1, m))
-        nodes.extend(rail)
-        xs.extend(cols)
-        ys.extend(rows)
-        homes.extend([f] * m)
-        for c, i, s in leaves:
-            nodes.append(c)
-            xs.append(cols[i])
-            ys.append(rows[i] + s)
-            homes.append(f)
-        for g, i in frames:  # offsets from a rail node become offsets in frame f
-            ox[g] += cols[i]
-            oy[g] += rows[i]
-        return (cols[rail.index(r)], min(map(add, cols, lo)), max(map(add, cols, hi)),
-                min(map(add, rows, ylo)), max(map(add, rows, yhi)))
+        W = np.append(0, np.cumsum(hi - lo + 1))  # W[j]: the clusters' width before j
+        in_P = np.arange(M) < (off + lv.kP)[fr]
+        cols = (lo[off] - W[off])[fr] + W[:-1] - lo
+        y_q = _segmented(np.maximum, yhi, off, off + lv.kP, -1) + 1
+        rows = np.where(in_P, 0, y_q[fr])
+        has_Q = lv.turn < lv.k
+        xi = off + lv.kP + lv.k - lv.turn - 1
+        x_col = np.where(lv.kP > 0, cols[off + lv.kP - lv.lens[:, 1] - 1], 0)
+        big = np.iinfo(np.int64).max
+        left = np.minimum(_segmented(np.minimum, cols + lo, off, off + lv.kP, big), x_col + lo[xi])
+        right = np.maximum(_segmented(np.maximum, cols + hi, off, off + lv.kP, -big), x_col + hi[xi])
+        q_base = np.where(np.arange(M) < xi[fr], (left - W[xi])[fr], (right + 1 - W[xi + 1])[fr])
+        cols = np.where(in_P, cols, q_base + W[:-1] - lo)
+        cols[xi[has_Q]] = x_col[has_Q]
 
-    X = np.zeros(t.n, dtype=np.int64)
-    Y = np.zeros(t.n, dtype=np.int64)
-    if t.n > 1:
-        place(t.root, 0)
-        del place  # it refers to itself: free the lists on return, not at the next gc
-        for g in range(1, len(up)):  # a parent frame's id is smaller than its children's
-            s = sign[up[g]]
-            sign[g] *= s
-            ox[g] = s * ox[g] + ox[up[g]]
-            oy[g] = s * oy[g] + oy[up[g]]
-        N, F = np.array(nodes), np.array(homes)
-        S = np.array(sign)[F]
-        X[N] = S * np.array(xs) + np.array(ox)[F]
-        Y[N] = S * np.array(ys) + np.array(oy)[F]
+        root_at = np.where(lv.turn > 0, off + lv.lens[:, 0], xi)
+        below = np.stack([cols[root_at], np.minimum.reduceat(cols + lo, off),
+                          np.maximum.reduceat(cols + hi, off), np.minimum.reduceat(rows + ylo, off),
+                          np.maximum.reduceat(rows + yhi, off)])
+        f = base[i] + fr
+        home[lv.rail], lx[lv.rail], ly[lv.rail] = f, cols, rows
+        ax += cols[lv.at]
+        ay = rows[lv.at] + s * (1 - by0)
+        leaf = lv.sub[~lv.frame]
+        home[leaf], lx[leaf], ly[leaf] = f[lv.at[~lv.frame]], ax[~lv.frame], ay[~lv.frame]
+        g = slice(base[i + 1], base[i + 1] + np.count_nonzero(lv.frame))
+        up[g], sign[g], ox[g], oy[g] = f[lv.at[lv.frame]], s[lv.frame], ax[lv.frame], ay[lv.frame]
+    sign[0] = 1
+    for i in range(1, len(levels)):  # offsets in the parent frame become absolute
+        g = slice(base[i], base[i + 1])
+        s = sign[up[g]]
+        sign[g] *= s
+        ox[g] = s * ox[g] + ox[up[g]]
+        oy[g] = s * oy[g] + oy[up[g]]
+    X = sign[home] * lx + ox[home]
+    Y = sign[home] * ly + oy[home]
     return GridDrawing(t, np.stack([X - X[t.root], Y - Y[t.root]], axis=1))

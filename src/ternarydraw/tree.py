@@ -116,11 +116,52 @@ class TernaryTree:
     def complete_height(self) -> Optional[int]:
         return _complete_height(self)
 
+    @cached_property
+    def heavy(self) -> HeavyPaths:
+        """The heavy-path arrays, built on first use by numpy passes: the
+        children ranked by subtree size, then each node's path head and
+        depth by pointer jumping (a node's link is its parent when it is its
+        parent's heaviest child), then every path laid out in ``hp``."""
+        S, K, n = self.walk[2], self.table, self.n
+        key = np.where(K >= 0, -S[K], 1)  # empty slots last
+        ranked = np.take_along_axis(K, np.argsort(key, axis=1, kind="stable"), axis=1)
+        head, inner = np.arange(n), np.flatnonzero(ranked[:, 0] >= 0)
+        head[ranked[inner, 0]] = inner
+        depth = (head != np.arange(n)).astype(np.int64)
+        while not np.array_equal(jump := head[head], head):
+            depth += depth[head]
+            head = jump
+        count = np.bincount(head, minlength=n)
+        first = np.cumsum(count) - count  # paths in the order of their heads' ids
+        start, length = first[head], count[head]
+        hp = np.empty(n, np.int64)
+        hp[start + depth] = np.arange(n)
+        return HeavyPaths(*_frozen(ranked, head, depth, start, length, hp))
+
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
     return arrays
+
+
+@dataclass(frozen=True)
+class HeavyPaths:
+    """A tree's heavy paths, as read-only int64 arrays indexed by node id.
+
+    ``order[v]`` is v's children by non-increasing subtree size, ties by slot,
+    padded with -1. Each node lies on the path that follows heaviest children
+    from its ``head`` down to a leaf, ``depth[v]`` nodes below the head. All
+    paths lie contiguously in ``hp``, each from its head to its leaf; v's path
+    is ``hp[start[v]:start[v] + length[v]]``, with v at ``start[v] + depth[v]``.
+    """
+
+    order: np.ndarray
+    head: np.ndarray
+    depth: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    hp: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -170,23 +211,15 @@ def subtree_sizes(t: TernaryTree) -> list[int]:
 
 
 def heavy_order(t: TernaryTree) -> HeavyOrder:
-    S, K = t.walk[2], t.table
-    key = np.where(K >= 0, -S[K], 1)  # empty slots last
-    ranked = np.take_along_axis(K, np.argsort(key, axis=1, kind="stable"), axis=1)
     return HeavyOrder(*(tuple([None if c < 0 else c for c in col])
-                        for col in ranked.T.tolist()))
+                        for col in t.heavy.order.T.tolist()))
 
 
 def heavy_path(t: TernaryTree, start: int, order: Optional[HeavyOrder] = None) -> list[int]:
-    """Path from ``start`` following heaviest-child links down to a leaf."""
-    if order is None:
-        order = heavy_order(t)
-    path = [start]
-    v = start
-    while order.heaviest[v] is not None:
-        v = order.heaviest[v]  # type: ignore[assignment]
-        path.append(v)
-    return path
+    """Path from ``start`` following heaviest-child links down to a leaf,
+    read from ``t.heavy``; ``order``, if given, must be ``heavy_order(t)``."""
+    h = t.heavy
+    return h.hp[h.start[start] + h.depth[start]:h.start[start] + h.length[start]].tolist()
 
 
 def random_ternary_tree(n: int, seed: int) -> TernaryTree:

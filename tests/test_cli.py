@@ -195,6 +195,16 @@ def test_no_cli_path_builds_the_children_tuples(monkeypatch, tmp_path, capsys):
     assert "internal error" not in capsys.readouterr().err
 
 
+def test_draw_frees_the_heavy_paths_before_verifying(monkeypatch):
+    kept = []
+    report = cli.build_report
+    monkeypatch.setattr(cli, "build_report",
+                        lambda d: kept.append("heavy" in vars(d.tree)) or report(d))
+    for spec in ("random:300:1", "random:1:0"):
+        assert run("draw", spec, "--algo", "general") == 0
+    assert kept == [False, False]
+
+
 # -1 would be an empty slot in the child table, so it is checked as an id
 BAD_CHILD_IDS = [-1, 2, 2 ** 63, 2 ** 64, True, 1.0]
 

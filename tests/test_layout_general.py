@@ -1,15 +1,16 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import caterpillar_tree, path_tree
 from ternarydraw import cli, layout_general
 from ternarydraw.geometry import extents
-from ternarydraw.layout_general import (LayoutParams, all_decompositions,
-                                        decompose, decomposition_stats,
-                                        draw_general)
+from ternarydraw.layout_general import (LayoutParams, RailDecomposition,
+                                        all_decompositions, decompose,
+                                        decomposition_stats, draw_general)
 from ternarydraw.tree import (TernaryTree, complete_tree, heavy_order,
                               random_ternary_tree, subtree_sizes)
 from ternarydraw.verify import (check_orthogonal_grid, check_planar,
@@ -169,6 +170,150 @@ def test_all_decompositions_cover_tree():
     assert covered | leaves == set(range(t.n))
 
 
+# The per-root decomposition the batched one replaced: it walks each heavy
+# path node by node. It is kept here as the oracle for every field of every
+# decomposition, and the recursive layout oracle below decomposes with it.
+
+def oracle_heavy_path(order, start):
+    path = [start]
+    while order.heaviest[path[-1]] is not None:
+        path.append(order.heaviest[path[-1]])
+    return path
+
+
+def _turn_index(pi, sizes, order, threshold):
+    """Smallest 1-based i such that pi_i has at least two subtrees with at
+    least ``threshold`` nodes each, that is, its second-heaviest has."""
+    for i, v in enumerate(pi, start=1):
+        c = order.second[v]
+        if c is not None and sizes[c] >= threshold:
+            return i
+    return None
+
+
+def _decompose(t, root, sizes, order, p):
+    n = sizes[root]
+    pi = tuple(oracle_heavy_path(order, root))
+    x = _turn_index(pi, sizes, order, n / p)
+    k = len(pi)
+
+    def hp_of(child):
+        return () if child is None else tuple(oracle_heavy_path(order, child))
+
+    rho = sigma = tau = ()
+    exception = None  # rail node whose lightest subtree goes top
+
+    if x == 1:
+        tau = hp_of(order.second[pi[0]])
+        P = ()
+        Q = tuple(reversed(pi)) + tau
+    elif x == 2:
+        # the root plays both ends of P: its lightest subtree takes the
+        # leftward rail slot the second-heaviest normally gets, while the
+        # second-heaviest runs straight to the right
+        rho = hp_of(order.lightest[pi[0]])
+        sigma = hp_of(order.second[pi[0]])
+        P = tuple(reversed(rho)) + (pi[0],) + sigma
+        tau = hp_of(order.second[pi[1]])
+        Q = tuple(reversed(pi[1:])) + tau
+    else:
+        x_eff = k + 1 if x is None else x
+        rho = hp_of(order.second[pi[0]])
+        sigma = hp_of(order.second[pi[x_eff - 2]])
+        P = tuple(reversed(rho)) + pi[: x_eff - 1] + sigma
+        if x is not None:
+            tau = hp_of(order.second[pi[x_eff - 1]])
+            Q = tuple(reversed(pi[x_eff - 1:])) + tau
+            exception = pi[x_eff - 2]
+        else:
+            Q = ()
+
+    rail = set(P) | set(Q)
+    top = {}
+    bottom = {}
+    for v in rail:  # a rail node has at most one top and one bottom child
+        for c in (order.heaviest[v], order.second[v], order.lightest[v]):
+            if c is None or c in rail:
+                continue
+            if c == order.lightest[v] and v != exception:
+                bottom[v] = c
+            else:
+                top[v] = c
+    return RailDecomposition(root, n, x, pi, rho, sigma, tau, P, Q, top, bottom)
+
+
+
+
+def oracle_decompositions(t, params=None):
+    """Every decomposition of the layout recursion, by its root."""
+    params = params or LayoutParams()
+    sizes, order = subtree_sizes(t), heavy_order(t)
+    found, stack = {}, [t.root]
+    while stack:
+        v = stack.pop()
+        if not t.is_leaf(v):
+            found[v] = d = _decompose(t, v, sizes, order, params.p)
+            stack.extend(d.top.values())
+            stack.extend(d.bottom.values())
+    return found
+
+
+FIELDS = ("n", "x", "pi", "rho", "sigma", "tau", "P", "Q", "top", "bottom")
+
+
+def assert_decompositions_match_oracle(t, params=None):
+    oracle = oracle_decompositions(t, params)
+    got = list(all_decompositions(t, params))
+    assert sorted(d.root for d in got) == sorted(oracle)
+    for d in got:
+        for name in FIELDS:
+            assert getattr(d, name) == getattr(oracle[d.root], name), (d.root, name)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 400), st.integers(0, 10 ** 6),
+       st.floats(4.01, 60, allow_nan=False))
+def test_batched_decompositions_match_oracle(n, seed, p):
+    assert_decompositions_match_oracle(random_ternary_tree(n, seed), LayoutParams(p=p))
+
+
+def test_batched_decompositions_match_oracle_on_paths_caterpillars_complete_trees():
+    for n in (1, 2, 3, 17, 200):
+        assert_decompositions_match_oracle(path_tree(n))
+    for spine in (1, 2, 10, 80):
+        assert_decompositions_match_oracle(caterpillar_tree(spine))
+    for h in range(1, 8):
+        assert_decompositions_match_oracle(complete_tree(h))
+        assert_decompositions_match_oracle(complete_tree(h), LayoutParams(p=5.0))
+    assert_decompositions_match_oracle(_sized_example())  # x = 2
+    # n/p = 36/12 is exactly the root's second-heaviest size, so x = 1
+    assert decompose(_sized_example(), LayoutParams(p=12.0)).x == 1
+    assert_decompositions_match_oracle(_sized_example(), LayoutParams(p=12.0))
+
+
+def relabeled(t, perm):
+    """t with each node v renamed perm[v]."""
+    table = np.full((t.n, 3), -1)
+    table[perm] = np.where(t.table >= 0, perm[t.table], -1)
+    return TernaryTree(table, int(perm[t.root]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 400), st.integers(0, 10 ** 6), st.randoms(use_true_random=False),
+       st.floats(4.01, 60, allow_nan=False))
+def test_relabeled_trees_with_nonzero_root_draw_the_same(n, seed, rnd, p):
+    t = random_ternary_tree(n, seed)
+    perm = np.array(rnd.sample(range(n), n))
+    if perm[0] == 0:
+        perm = np.roll(perm, 1)
+    u = relabeled(t, perm)
+    assert u.root != 0
+    assert np.array_equal(draw_general(u).pos[perm], draw_general(t).pos)
+    assert_matches_oracle(u)
+    assert_decompositions_match_oracle(u)
+    assert_decompositions_match_oracle(u, LayoutParams(p=p))
+
+
 # The recursive layout the two-pass draw_general replaced: every recursion
 # level copies and shifts the position dicts of the levels below. It is kept
 # here as the oracle the two passes must match node for node.
@@ -205,7 +350,7 @@ class _Cluster:
 def _layout(t, root, sizes, order, p):
     if t.is_leaf(root):
         return {root: (0, 0)}
-    d = layout_general._decompose(t, root, sizes, order, p)
+    d = _decompose(t, root, sizes, order, p)
 
     def cluster(v):
         c = _Cluster(v)
@@ -314,15 +459,22 @@ def test_two_passes_match_oracle_in_each_turn_index_case(tree, case):
 
 
 def test_draw_general_decomposes_each_frame_once(monkeypatch):
+    """One batched _decompose call per frame level, each frame root in
+    exactly one of them."""
     t = random_ternary_tree(3000, 5)
-    expected = len(list(all_decompositions(t)))
+    decompositions = list(all_decompositions(t))
+    depth = {t.root: 0}
+    for d in decompositions:  # top-down: a frame comes after the one it hangs off
+        for c in (*d.top.values(), *d.bottom.values()):
+            depth[c] = depth[d.root] + 1
     calls = []
     decompose_ = layout_general._decompose
     monkeypatch.setattr(layout_general, "_decompose",
-                        lambda *args: calls.append(args[1]) or decompose_(*args))
+                        lambda t, roots, p: calls.append(roots.tolist()) or decompose_(t, roots, p))
     draw_general(t)
-    assert len(calls) == expected
-    assert len(set(calls)) == expected
+    assert sorted(r for roots in calls for r in roots) == sorted(d.root for d in decompositions)
+    assert len({d.root for d in decompositions}) == len(decompositions)
+    assert len(calls) == max(depth[d.root] for d in decompositions) + 1 > 2
 
 
 # sha256 of `ternarydraw draw <spec> --algo general` stdout, recorded before

@@ -105,6 +105,15 @@ def test_heavy_path_reaches_leaf():
     assert t.is_leaf(path[-1])
 
 
+def test_building_a_tree_leaves_its_heavy_paths_unbuilt():
+    trees = (random_ternary_tree(500, 1), complete_tree.__wrapped__(6),
+             TernaryTree(((1, 2), (), ())), TernaryTree(random_ternary_tree(50, 2).table))
+    for t in trees:
+        assert "heavy" not in vars(t)
+        assert heavy_path(t, t.root)[0] == t.root
+        assert "heavy" in vars(t)
+
+
 def test_random_tree_determinism():
     a = random_ternary_tree(200, 7)
     b = random_ternary_tree(200, 7)
@@ -203,6 +212,13 @@ def oracle_heavy_order(children, sizes):
     return HeavyOrder(tuple(heaviest), tuple(second), tuple(lightest))
 
 
+def oracle_heavy_path(order, start):
+    path = [start]
+    while order.heaviest[path[-1]] is not None:
+        path.append(order.heaviest[path[-1]])
+    return path
+
+
 def oracle_edge_arrays(children):
     parent = [v for v, kids in enumerate(children) for _ in kids]
     return parent, [c for kids in children for c in kids]
@@ -272,7 +288,13 @@ def assert_matches_oracle(children, root):
     assert [t.is_leaf(v) for v in range(t.n)] == [not k for k in children]
     sizes = oracle_sizes(children, topo)
     assert subtree_sizes(t) == sizes
-    assert heavy_order(t) == oracle_heavy_order(children, sizes)
+    order = oracle_heavy_order(children, sizes)
+    assert heavy_order(t) == order
+    paths = [oracle_heavy_path(order, v) for v in range(t.n)]
+    assert [heavy_path(t, v) for v in range(t.n)] == paths
+    h = t.heavy
+    assert [paths[u][d] for u, d in zip(h.head.tolist(), h.depth.tolist())] == list(range(t.n))
+    assert all(v == root or order.heaviest[parent[v]] != v for v in h.head.tolist())
     assert [a.tolist() for a in edge_arrays(t)] == list(oracle_edge_arrays(children))
     assert complete_height(t) == oracle_complete_height(children, topo)
     assert TernaryTree(t.table, root) == t == tree_from_json(tree_to_json(t))
