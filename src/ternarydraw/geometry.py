@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,24 +87,6 @@ def edge_arrays(t: TernaryTree) -> tuple[np.ndarray, np.ndarray]:
     return parent, t.table[parent, slot]
 
 
-def split_segments(P: np.ndarray, parent: np.ndarray,
-                   child: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """One pass over the edges: the horizontal runs (y, x1, x2) and the
-    vertical runs (x, y1, y2) as (m, 3) arrays with lo < hi, and whether every
-    edge is axis-parallel with positive length. Diagonal and zero-length edges
-    join neither array; they add only their endpoints, which are nodes."""
-    a, b = P[parent], P[child]
-    dx, dy = a[:, 0] != b[:, 0], a[:, 1] != b[:, 1]
-    h, v = dx & ~dy, dy & ~dx
-
-    def runs(mask: np.ndarray, line: int) -> np.ndarray:
-        ends = 1 - line
-        return np.stack([a[mask, line], np.minimum(a[mask, ends], b[mask, ends]),
-                         np.maximum(a[mask, ends], b[mask, ends])], axis=1)
-
-    return runs(h, 1), runs(v, 0), bool(np.all(dx != dy))
-
-
 def bbox(d: GridDrawing) -> tuple[int, int, int, int]:
     """(xmin, xmax, ymin, ymax) of the whole drawing. Every edge joins two
     nodes, so the box over the node positions is exact."""
@@ -123,40 +106,70 @@ def rotate(d: GridDrawing, quarter_turns_cw: int) -> GridDrawing:
     return GridDrawing(d.tree, D + root)
 
 
-def _union_counts(lo: np.ndarray, hi: np.ndarray, pivot) -> tuple:
-    """Integer points covered by the union of the closed intervals [lo, hi]:
-    total, strictly below pivot, strictly above pivot."""
-    order = np.argsort(lo)
-    lo, reach = lo[order], np.maximum.accumulate(hi[order])
-    first = np.empty(len(lo), bool)
-    first[0] = True
-    first[1:] = lo[1:] > reach[:-1] + 1
-    starts, ends = lo[first], reach[np.append(first[1:], True)]
-    total = (ends - starts + 1).sum()
-    below = np.maximum(np.minimum(ends, pivot - 1) - starts + 1, 0).sum()
-    above = np.maximum(ends - np.maximum(starts, pivot + 1) + 1, 0).sum()
-    return total.item(), below.item(), above.item()
+class NodeRanks(NamedTuple):
+    """Each node's dense rank among the distinct x and y values, those values
+    in increasing order, its dense rank in (y, x) and in (x, y) order (its
+    place there when no two nodes share a point), and whether the drawing
+    is on the grid: integral coordinates (GridDrawing keeps floats only
+    otherwise), no two nodes at one point."""
+
+    rx: np.ndarray
+    ry: np.ndarray
+    ux: np.ndarray
+    uy: np.ndarray
+    place_yx: np.ndarray
+    place_xy: np.ndarray
+    on_grid: bool
+
+
+def node_ranks(P: np.ndarray) -> NodeRanks:
+    """One sort per axis gives the ranks; one sort of the int64 key
+    ry * len(ux) + rx (resp. rx * len(uy) + ry), below n**2, gives each
+    order. Ranks keep order and equality, so every check can read them in
+    place of the coordinates, integral or not."""
+    (ux, rx), (uy, ry) = (np.unique(c, return_inverse=True) for c in P.T)
+    points, place_yx = np.unique(ry * len(ux) + rx, return_inverse=True)
+    place_xy = np.unique(rx * len(uy) + ry, return_inverse=True)[1]
+    return NodeRanks(rx, ry, ux, uy, place_yx, place_xy, P.dtype.kind != "f" and len(points) == len(P))
+
+
+def rank_runs(r: NodeRanks, parent: np.ndarray, child: np.ndarray) -> tuple[tuple, tuple, np.ndarray, np.ndarray]:
+    """The (a, b) node ids of the horizontal and of the vertical edges, of
+    positive length along exactly one axis, and their runs in rank space:
+    (ry, rx1, rx2) and (rx, ry1, ry2) as (m, 3) arrays with lo < hi.
+    Diagonal and zero-length edges are in neither; they add only their
+    endpoints, which are nodes."""
+    dx, dy = r.rx[parent] != r.rx[child], r.ry[parent] != r.ry[child]
+    h, v = (parent[dx & ~dy], child[dx & ~dy]), (parent[dy & ~dx], child[dy & ~dx])
+    return h, v, *(np.stack([line[a], np.minimum(at[a], at[b]), np.maximum(at[a], at[b])], axis=1)
+                   for line, at, (a, b) in ((r.ry, r.rx, h), (r.rx, r.ry, v)))
+
+
+def rank_extents(r: NodeRanks, root: int, hs: np.ndarray, vs: np.ndarray) -> Extents:
+    """extents from the node ranks and rank_runs' runs: the distinct node x
+    values plus each gap between two consecutive ones that a horizontal run
+    spans (it ends at nodes, so it spans a gap whole or not at all), found
+    by a bincount and a cumsum over the runs' rank ranges; no sort."""
+    def counts(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, pivot: int) -> tuple[int, int, int]:
+        k = len(values)
+        spanned = np.cumsum(np.bincount(lo, minlength=k) - np.bincount(hi, minlength=k))[:-1] > 0
+        gap = np.where(spanned, np.diff(values) - 1, 0)  # gap i lies between ranks i and i + 1
+        below, above = gap[:pivot].sum().item(), gap[pivot:].sum().item()
+        return k + below + above, pivot + below, k - 1 - pivot + above
+
+    w, lw, rw = counts(r.ux, hs[:, 1], hs[:, 2], r.rx[root].item())
+    h, th, bh = counts(r.uy, vs[:, 1], vs[:, 2], r.ry[root].item())
+    return Extents(w, h, lw, rw, th, bh)
 
 
 def extents(d: GridDrawing) -> Extents:
     """Exact grid-line counts; a column/row counts if it meets a node or any
     point of an edge segment. ValueError off the grid (a coordinate that is
     not integral), where no grid lines are counted."""
-    P = d.pos
-    if P.dtype.kind == "f":
+    if d.pos.dtype.kind == "f":
         raise ValueError("an off-grid drawing has no grid-line counts")
-    hs, vs, _ = split_segments(P, *edge_arrays(d.tree))
-    return segment_extents(P, d.tree.root, hs, vs)
-
-
-def segment_extents(P: np.ndarray, root: int, hs: np.ndarray, vs: np.ndarray) -> Extents:
-    """extents(d) from d.pos and the runs split_segments returned."""
-    rx, ry = P[root]
-    w, lw, rw = _union_counts(np.concatenate([P[:, 0], hs[:, 1]]),
-                              np.concatenate([P[:, 0], hs[:, 2]]), rx)
-    h, th, bh = _union_counts(np.concatenate([P[:, 1], vs[:, 1]]),
-                              np.concatenate([P[:, 1], vs[:, 2]]), ry)
-    return Extents(w, h, lw, rw, th, bh)
+    r = node_ranks(d.pos)
+    return rank_extents(r, d.tree.root, *rank_runs(r, *edge_arrays(d.tree))[2:])
 
 
 def drawing_to_json(d: GridDrawing) -> dict:
@@ -199,5 +212,11 @@ def drawing_from_json(obj: dict) -> GridDrawing:
         raise ValueError("a drawing must be a JSON object")
     tree = tree_from_json(obj["tree"])
     pos = obj["pos"]
+    if not (type(pos) is list and set(map(type, pos)) <= {list} and set(map(len, pos)) <= {2}):
+        raise ValueError("pos must be a list of [x, y] pairs")
     require_json_ints(chain.from_iterable(pos), "coordinates")  # before numpy coerces them
-    return GridDrawing(tree, pos)
+    try:
+        P = np.fromiter(chain.from_iterable(pos), np.int64, 2 * len(pos))
+    except OverflowError:  # |c| >= 2**63
+        raise ValueError("coordinates must be numbers with |c| < 2**62") from None
+    return GridDrawing(tree, P.reshape(-1, 2))

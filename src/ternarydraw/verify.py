@@ -9,9 +9,9 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (Extents, GridDrawing, edge_arrays, segment_extents,
-                       split_segments)
-from .geometry import edge_segments, extents  # unused here; perfbench/child.py wraps them
+from .geometry import (Extents, GridDrawing, NodeRanks, edge_arrays, edge_segments,
+                       node_ranks, rank_extents, rank_runs)
+from .geometry import extents  # unused here; perfbench/child.py wraps verify.extents
 from .tree import TernaryTree, complete_height
 
 
@@ -32,73 +32,42 @@ class VerificationReport:
     right_arm_length: Optional[int] = None
 
 
-def _split(d: GridDrawing) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    return (d.pos, *split_segments(d.pos, *edge_arrays(d.tree)))
-
-
-def _on_grid(P: np.ndarray) -> bool:
-    if P.dtype.kind == "f":  # GridDrawing keeps floats only when one is not integral
-        return False
-    S = P[np.lexsort((P[:, 0], P[:, 1]))]
-    return not np.any((S[1:, 0] == S[:-1, 0]) & (S[1:, 1] == S[:-1, 1]))
+def _ranked(d: GridDrawing) -> tuple:
+    """The shared pass: the node ranks, the edge arrays, and rank_runs'."""
+    parent, child = edge_arrays(d.tree)
+    r = node_ranks(d.pos)
+    return r, parent, child, *rank_runs(r, parent, child)
 
 
 def check_on_grid(d: GridDrawing) -> bool:
     """Integer coordinates, pairwise distinct."""
-    return _on_grid(d.pos)
+    return node_ranks(d.pos).on_grid
 
 
 def check_orthogonal(d: GridDrawing) -> bool:
     """Every edge a horizontal or vertical segment of positive length."""
-    return _split(d)[3]
+    _, parent, _, _, _, hs, vs = _ranked(d)
+    return len(hs) + len(vs) == len(parent)
 
 
 def check_orthogonal_grid(d: GridDrawing) -> bool:
     return check_on_grid(d) and check_orthogonal(d)
 
 
-def _ranks(*columns: np.ndarray) -> tuple[int, list[np.ndarray]]:
-    """Dense ranks of the values of all columns together: the number of
-    distinct values, and each column's ranks."""
-    values, rank = np.unique(np.concatenate(columns), return_inverse=True)
-    return len(values), np.split(rank, np.cumsum([len(c) for c in columns[:-1]]))
-
-
-def _node_inside(line: np.ndarray, at: np.ndarray, runs: np.ndarray, width: int) -> bool:
-    """Some node (line, at) with lo < at < hi for a run (line, lo, hi); all
-    in rank space, width the number of ranks along a line. A run's ends are
-    nodes and the nodes are distinct, so a node lies strictly inside iff the
-    ranks of the ends' keys among the node keys differ by more than one."""
-    base = runs[:, 0] * width
-    _, (_, lo, hi) = _ranks(line * width + at, base + runs[:, 1], base + runs[:, 2])
-    return bool(np.any(hi - lo > 1))
-
-
-def _collinear_overlap(runs: np.ndarray, width: int) -> bool:
-    """Two runs (line, lo, hi) on one line sharing more than an endpoint. In
-    (line, lo) order, a run overlaps an earlier one on its line iff the
-    running max of line * width + hi before it exceeds line * width + lo."""
-    if len(runs) < 2:
-        return False
-    r = runs[np.lexsort((runs[:, 1], runs[:, 0]))]
-    reach = np.maximum.accumulate(r[:, 0] * width + r[:, 2])
-    return bool(np.any(reach[:-1] > r[1:, 0] * width + r[1:, 1]))
-
-
-def _interior_crossing(hs: np.ndarray, vs: np.ndarray, height: int) -> bool:
+def _interior_crossing(hs: np.ndarray, vs: np.ndarray, width: int, height: int) -> bool:
     """Some vertical (x, y1, y2) and horizontal (y, x1, x2) with x1 < x < x2
-    and y1 < y < y2, in rank space (height ranks along a column). With the
-    verticals in x order, each horizontal's open x-range is a run of vertical
-    indices, split bottom-up into dyadic blocks. At level k the verticals are
-    sorted by (block, y1) and carry a running max of block * height + y2, so
-    one searchsorted per level finds, for each block asked about, whether
-    one of its verticals with y1 < y reaches below y."""
+    and y1 < y < y2, in rank space (width columns, height rows), the
+    verticals given in x order. A horizontal's open x-range is then a run of
+    vertical indices, read off a count of the verticals per column and split
+    bottom-up into dyadic blocks. At level k the verticals are sorted by
+    (block, y1) and carry a running max of block * height + y2, so one
+    searchsorted per level finds, per block asked about, whether one of its
+    verticals with y1 < y reaches below y."""
+    vs = vs[vs[:, 2] - vs[:, 1] > 1]  # one between adjacent rows has no row to cross inside
     if not len(hs) or not len(vs):
         return False
-    hs = hs[np.argsort(hs[:, 1])]  # keeps the searches' needles nearly sorted
-    vs = vs[np.argsort(vs[:, 0], kind="stable")]
-    lo = np.searchsorted(vs[:, 0], hs[:, 1], "right")
-    hi = np.searchsorted(vs[:, 0], hs[:, 2], "left")
+    upto = np.cumsum(np.bincount(vs[:, 0], minlength=width))  # verticals with x <= column
+    lo, hi = upto[hs[:, 1]], upto[hs[:, 2] - 1]
     keep = lo < hi
     lo, hi, y = lo[keep], hi[keep], hs[keep, 0]
     slot = np.arange(len(vs))
@@ -126,43 +95,52 @@ def _interior_crossing(hs: np.ndarray, vs: np.ndarray, height: int) -> bool:
 
 def check_planar(d: GridDrawing) -> bool:
     """No two edges share a point except a common endpoint, and no node lies
-    in the interior of any edge. A fixed number of numpy sorts and searches,
-    plus one search per level of a dyadic split of the verticals for the
-    crossings; handles 1e6 edges."""
-    P, hs, vs, orthogonal = _split(d)
-    if not (orthogonal and _on_grid(P)):
+    in the interior of any edge. Reads the shared node ranks, plus one
+    search per level of a dyadic split of the verticals for the crossings;
+    handles 1e6 edges."""
+    r, parent, _, *runs = _ranked(d)
+    if not (r.on_grid and len(runs[2]) + len(runs[3]) == len(parent)):
         raise ValueError("check_planar requires an orthogonal grid drawing")
-    return _planar(P, hs, vs)
+    return _planar(r, *runs)
 
 
-def _planar(P: np.ndarray, hs: np.ndarray, vs: np.ndarray) -> bool:
-    """check_planar's core. Every run ends at nodes, so ranking the runs'
-    coordinates with the nodes' x and y values keeps order and equality and
-    keeps every combined key below n**2."""
-    nx, (rx, hx1, hx2, vx) = _ranks(P[:, 0], hs[:, 1], hs[:, 2], vs[:, 0])
-    ny, (ry, hy, vy1, vy2) = _ranks(P[:, 1], hs[:, 0], vs[:, 1], vs[:, 2])
-    H, V = np.stack([hy, hx1, hx2], axis=1), np.stack([vx, vy1, vy2], axis=1)
-    return not (_node_inside(ry, rx, H, nx) or _node_inside(rx, ry, V, ny)
-                or _collinear_overlap(H, nx) or _collinear_overlap(V, ny)
-                or _interior_crossing(H, V, ny))
+def _planar(r: NodeRanks, h: tuple, v: tuple, hs: np.ndarray, vs: np.ndarray) -> bool:
+    """check_planar's core, on distinct nodes. A node lies strictly inside a
+    horizontal edge (a, b) iff their places in (y, x) order differ by more
+    than one; likewise for a vertical edge in (x, y) order.
+
+    No collinear-overlap pass is needed: two runs on one line that share
+    more than a point either start at different nodes, and then the later
+    start lies strictly inside the other run, or start at the same node,
+    and then the shorter run's far end lies strictly inside the longer one
+    (equal runs would join the same two nodes twice)."""
+    if (np.any(np.abs(r.place_yx[h[0]] - r.place_yx[h[1]]) > 1)
+            or np.any(np.abs(r.place_xy[v[0]] - r.place_xy[v[1]]) > 1)):
+        return False
+    # runs on a column are now disjoint, so no two share an upper end: each
+    # put at that end's place in (x, y) order, they fall in x order unsorted
+    at = np.full(len(r.rx), -1)
+    at[np.minimum(r.place_xy[v[0]], r.place_xy[v[1]])] = np.arange(len(vs))
+    return not _interior_crossing(hs, vs[at[at >= 0]], len(r.ux), len(r.uy))
 
 
 def naive_check_planar(d: GridDrawing) -> bool:
     """O(m^2) all-pairs oracle for check_planar (numpy-vectorized brute
     force). Intended for m <= a few thousand."""
-    P, hs, vs, orthogonal = _split(d)
-    if not (orthogonal and _on_grid(P)):
+    if not check_orthogonal_grid(d):
         raise ValueError("naive_check_planar requires an orthogonal grid drawing")
-    px, py = P[:, 0], P[:, 1]
-    hy, hx1, hx2 = hs.T
-    vx, vy1, vy2 = vs.T
+    x1, y1, x2, y2 = edge_segments(d).T
+    h, v = y1 == y2, x1 == x2
+    hy, hx1, hx2 = hs = np.stack([y1[h], np.minimum(x1, x2)[h], np.maximum(x1, x2)[h]])
+    vx, vy1, vy2 = vs = np.stack([x1[v], np.minimum(y1, y2)[v], np.maximum(y1, y2)[v]])
+    px, py = d.pos.T
     # node strictly inside a horizontal / vertical edge
     if np.any((py[:, None] == hy) & (px[:, None] > hx1) & (px[:, None] < hx2)):
         return False
     if np.any((px[:, None] == vx) & (py[:, None] > vy1) & (py[:, None] < vy2)):
         return False
     # proper overlap of two edges on one line
-    for line, lo, hi in (hs.T, vs.T):
+    for line, lo, hi in (hs, vs):
         ov = (line[:, None] == line) & (lo[:, None] < hi) & (lo < hi[:, None])
         np.fill_diagonal(ov, False)
         if np.any(ov):
@@ -177,51 +155,54 @@ def naive_check_planar(d: GridDrawing) -> bool:
 def check_top_visibility(d: GridDrawing) -> bool:
     """The vertical half-line going up from the root meets the drawing only
     at the root."""
-    P, hs, vs, _ = _split(d)
-    return _top_visible(P, d.tree.root, hs, vs)
+    r, _, _, _, _, hs, _ = _ranked(d)
+    return _top_visible(r, d.tree.root, hs)
 
 
-def _top_visible(P: np.ndarray, root: int, hs: np.ndarray, vs: np.ndarray) -> bool:
-    rx, ry = P[root]
-    return not (np.any((P[:, 0] == rx) & (P[:, 1] < ry))
-                or np.any((hs[:, 0] < ry) & (hs[:, 1] <= rx) & (rx <= hs[:, 2]))
-                or np.any((vs[:, 0] == rx) & (vs[:, 1] < ry)))
+def _top_visible(r: NodeRanks, root: int, hs: np.ndarray) -> bool:
+    """No node above the root on its column, and no horizontal run across
+    that column above the root. A horizontal run that only touches the
+    column there, and a vertical run on it there, end at such a node."""
+    x, y = r.rx[root], r.ry[root]
+    return not (np.any((r.rx == x) & (r.ry < y))
+                or np.any((hs[:, 0] < y) & (hs[:, 1] < x) & (x < hs[:, 2])))
 
 
-def _subtree_boxes(P: np.ndarray, t: TernaryTree) -> np.ndarray:
-    """Per node, (xmin, ymin, -xmax, -ymax) over its subtree.
+def _subtree_boxes(r: NodeRanks, t: TernaryTree) -> np.ndarray:
+    """Per place in topo_order(), (xmin, ymin, -xmax, -ymax) over the subtree
+    rooted there, in int32 ranks, which keep order and so which boxes meet.
 
     topo_order() is a preorder, so a subtree is the block of its size from
     its root on. Each block's minimum comes from the sparse table of
     power-of-two windows, built one level at a time: O(log n) passes
-    whatever the tree's height."""
-    order, start, length = t.walk
-    level = np.frexp(length)[1] - 1  # floor(log2(length))
+    whatever the tree's height, each reading the table forward."""
+    order, _, size = t.walk
+    size = size[order]
+    level = (np.frexp(size)[1] - 1).astype(np.uint8)  # floor(log2(size)) < 64
     by_level = np.argsort(level, kind="stable")
-    bounds = np.searchsorted(level[by_level], np.arange(level.max() + 2))
-    Q = P[order]
+    bounds = np.searchsorted(level[by_level], np.arange(int(level.max()) + 2))
+    Q = np.stack([r.rx[order], r.ry[order]], axis=1).astype(np.int32)
     table = np.concatenate([Q, -Q], axis=1)  # windows of 1
-    box = np.empty_like(table)
-    for k in range(len(bounds) - 1):
-        if k:  # windows of 2**k from two of 2**(k-1)
-            w = 1 << (k - 1)
-            table = np.minimum(table[:-w], table[w:])
-        v = by_level[bounds[k]:bounds[k + 1]]
-        a = start[v]
-        box[v] = np.minimum(table[a], table[a + length[v] - (1 << k)])
+    box = table.copy()  # a leaf's box is its point
+    for k in range(1, len(bounds) - 1):
+        w = 1 << (k - 1)  # windows of 2**k from two of 2**(k-1)
+        table = np.minimum(table[:-w], table[w:])
+        a = by_level[bounds[k]:bounds[k + 1]]
+        box[a] = np.minimum(table[a], table[a + size[a] - (1 << k)])
     return box
 
 
-def _separated(P: np.ndarray, t: TernaryTree, parent: np.ndarray, child: np.ndarray) -> bool:
+def _separated(r: NodeRanks, t: TernaryTree, parent: np.ndarray, child: np.ndarray) -> bool:
     """Sibling subtrees' closed boxes pairwise disjoint: edges are ordered by
     parent, so siblings sit one or two entries apart. With boxes stored as
     (xmin, ymin, -xmax, -ymax), a and b overlap iff a[:2] <= -b[2:] and
     b[:2] <= -a[2:]."""
-    box = _subtree_boxes(P, t)
+    box, start = _subtree_boxes(r, t), t.walk[1]
     for gap in (1, 2):
-        sib = parent[:-gap] == parent[gap:]
-        a, b = box[child[:-gap][sib]], box[child[gap:][sib]]
-        if np.any(np.all(a[:, :2] + b[:, 2:] <= 0, axis=1) & np.all(b[:, :2] + a[:, 2:] <= 0, axis=1)):
+        sib = np.flatnonzero(parent[:-gap] == parent[gap:])
+        a, b = box[start[child[sib]]], box[start[child[sib + gap]]]
+        if np.any((a[:, 0] + b[:, 2] <= 0) & (a[:, 1] + b[:, 3] <= 0)
+                  & (b[:, 0] + a[:, 2] <= 0) & (b[:, 1] + a[:, 3] <= 0)):
             return False
     return True
 
@@ -231,7 +212,7 @@ def check_subtree_separation(d: GridDrawing) -> bool:
     disjoint as closed rectangles. The local sibling condition implies the
     global pairwise one (two node-disjoint subtrees nest inside distinct
     child subtrees at their roots' lowest common ancestor)."""
-    return _separated(d.pos, d.tree, *edge_arrays(d.tree))
+    return _separated(node_ranks(d.pos), d.tree, *edge_arrays(d.tree))
 
 
 def brute_subtree_separation(d: GridDrawing) -> bool:
@@ -346,25 +327,25 @@ def leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
 
 
 def build_report(d: GridDrawing) -> VerificationReport:
-    """All checks, sharing one coordinate array, one pair of edge arrays and
-    one split. The arrays derived from d.pos die on return, not kept with the
+    """All checks, reading one ranking of the nodes, one pair of edge arrays
+    and one set of runs: four argsorts of n entries before the crossing
+    search. The arrays derived from d.pos die on return, not kept with the
     drawing, so they never add to a caller's peak memory."""
     P = d.pos
-    parent, child = edge_arrays(d.tree)
-    on_grid = _on_grid(P)
-    sep = _separated(P, d.tree, parent, child)
-    hs, vs, orthogonal = split_segments(P, parent, child)
-    valid = on_grid and orthogonal
-    planar = valid and _planar(P, hs, vs)
-    top = valid and _top_visible(P, d.tree.root, hs, vs)
-    ext = None if P.dtype.kind == "f" else segment_extents(P, d.tree.root, hs, vs)
+    r, parent, child, h, v, hs, vs = _ranked(d)
+    sep = _separated(r, d.tree, parent, child)
+    orthogonal = len(hs) + len(vs) == len(parent)
+    valid = r.on_grid and orthogonal
+    planar = valid and _planar(r, h, v, hs, vs)
+    top = valid and _top_visible(r, d.tree.root, hs)
+    ext = None if P.dtype.kind == "f" else rank_extents(r, d.tree.root, hs, vs)
     leg = lam = rho = None
     if planar:
         try:
             leg, lam, rho = leg_arm_lengths(d)
         except VerificationError:
             pass
-    return VerificationReport(planar, orthogonal, on_grid, top, sep, ext, leg, lam, rho)
+    return VerificationReport(planar, orthogonal, r.on_grid, top, sep, ext, leg, lam, rho)
 
 
 def report_to_json(r: VerificationReport) -> str:

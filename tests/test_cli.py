@@ -92,8 +92,12 @@ def test_verify_parse_failure(tmp_path):
     {"tree": {"n": 2, "root": 0, "children": [[1], []]}, "pos": [[0, 0]]},
     {"tree": {"n": 2, "root": 0, "children": [[1], []]}},
     {"tree": {"n": 2, "root": 0, "children": [[1], []]}, "pos": 5},
+    {"tree": {"n": 2, "root": 0, "children": [[1], []]}, "pos": [[0, 0], 5]},
+    {"tree": {"n": 2, "root": 0, "children": [[1], []]}, "pos": [[0, 0], "ab"]},
+    {"tree": {"n": 2, "root": 0, "children": [[1], []]}, "pos": [[0, 0], {"x": 1, "y": 0}]},
 ], ids=["float-coordinate", "bool-coordinate", "not-an-object", "three-numbers",
-        "ragged-row", "too-few-rows", "pos-missing", "pos-not-a-list"])
+        "ragged-row", "too-few-rows", "pos-missing", "pos-not-a-list", "number-row",
+        "string-row", "object-row"])
 def test_verify_rejects_malformed_drawing(tmp_path, capsys, doc):
     path = tmp_path / "d.json"
     path.write_text(json.dumps(doc))
@@ -101,7 +105,8 @@ def test_verify_rejects_malformed_drawing(tmp_path, capsys, doc):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("c", [2 ** 62, -2 ** 62 - 1], ids=["2^62", "-2^62-1"])
+@pytest.mark.parametrize("c", [2 ** 62, -2 ** 62 - 1, 2 ** 63, -2 ** 63 - 1, 2 ** 64],
+                         ids=["2^62", "-2^62-1", "2^63", "-2^63-1", "2^64"])
 def test_verify_rejects_out_of_range_coordinate(tmp_path, capsys, c):
     doc = {"tree": {"n": 2, "root": 0, "children": [[1], []]}, "pos": [[0, 0], [c, 0]]}
     path = tmp_path / "d.json"
@@ -157,14 +162,15 @@ def test_draw_gate_bounds_general_extents(monkeypatch, capsys, pos):
 
 
 def test_draw_splits_segments_and_measures_extents_once(monkeypatch, tmp_path):
+    # one ranking of the nodes, one set of runs and one count of grid lines
     calls = []
-    for module in (geometry, verify):
-        for name in ("split_segments", "segment_extents"):
-            real = getattr(module, name)
+    for name in ("node_ranks", "rank_runs", "rank_extents"):
+        real = getattr(geometry, name)
+        for module in (geometry, verify):
             monkeypatch.setattr(module, name,
                                 lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
     assert run("draw", "random:300:1", "--out", str(tmp_path / "d.json")) == 0
-    assert sorted(calls) == ["segment_extents", "split_segments"]
+    assert sorted(calls) == ["node_ranks", "rank_extents", "rank_runs"]
 
 
 @pytest.mark.parametrize("algo", ["general", "upper1149", "pareto-min"])

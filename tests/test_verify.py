@@ -8,6 +8,8 @@ from ternarydraw.geometry import Extents, GridDrawing, edge_segments, extents
 from ternarydraw.layout_complete import draw_c1_only, draw_c2_only, draw_golden
 from ternarydraw.layout_general import draw_general
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree
+from report_oracle import oracle_report, segment_extents, split_segments
+from ternarydraw.geometry import edge_arrays
 from ternarydraw.verify import (VerificationError, brute_subtree_separation,
                                 build_report, check_on_grid, check_orthogonal,
                                 check_orthogonal_grid, check_planar,
@@ -96,6 +98,13 @@ def test_top_visibility_cases():
     assert not check_top_visibility(above)
     below = GridDrawing(t, ((0, 0), (0, 2)))
     assert check_top_visibility(below)
+    # a path over the root's column: diagonal edges reach a node on it, and
+    # a horizontal edge crosses it
+    path = TernaryTree(((1,), (2,), ()))
+    assert not check_top_visibility(GridDrawing(path, ((0, 0), (1, -1), (0, -2))))
+    hook = GridDrawing(TernaryTree(((1,), (2,), (3,), ())), ((0, 0), (1, 0), (1, -1), (-1, -1)))
+    assert check_planar(hook) and not check_top_visibility(hook)
+    assert not build_report(hook).top_visible
 
 
 def test_subtree_separation_violation():
@@ -335,3 +344,87 @@ def test_off_grid_report_json_writes_null_extents():
     for key in ("width", "height", "leftWidth", "rightWidth", "topHeight",
                 "bottomHeight", "area"):
         assert payload[key] is None
+
+
+_EDGE = 2 ** 62 - 1
+
+
+def _stretched(d):
+    """d with each axis's least and greatest values moved out to -(2**62 - 1)
+    and 2**62 - 1; every other value stays, so order and equality hold."""
+    P = d.pos.copy()
+    for c in P.T:
+        lo, hi = c.min(), c.max()
+        if lo < hi:
+            c[c == lo], c[c == hi] = -_EDGE, _EDGE
+    return GridDrawing(d.tree, P)
+
+
+@st.composite
+def ranked_drawings(draw):
+    """Drawings for the shared-rank verifier: random axis-parallel ones,
+    general layouts with one node moved onto the row of one node and the
+    column of another (diagonals, duplicate points, nodes inside edges,
+    crossings), off-grid ones, ones stretched to +-(2**62 - 1), and ones
+    with no vertical or no horizontal edge."""
+    kind = draw(st.sampled_from(["orthogonal", "moved", "off-grid", "stretched", "rows", "columns"]))
+    n, seed = draw(st.integers(1, 80)), draw(st.integers(0, 10 ** 6))
+    if kind in ("rows", "columns"):  # distinct x values: no vertical edge
+        rng = random.Random(seed)
+        rows = draw(st.integers(1, 3))
+        P = [(x, rng.randrange(rows)) for x in rng.sample(range(-2 * n, 2 * n), n)]
+        return GridDrawing(random_ternary_tree(n, seed), P if kind == "rows" else [p[::-1] for p in P])
+    if kind == "moved":
+        d = draw_general(random_ternary_tree(n, seed))
+        P = d.pos.copy()
+        v, i, j = (draw(st.integers(0, n - 1)) for _ in range(3))
+        P[v] = P[i, 0] + draw(st.integers(-1, 1)), P[j, 1] + draw(st.integers(-1, 1))
+        return GridDrawing(d.tree, P)
+    d = random_orthogonal_drawing(n, seed)
+    if kind == "off-grid":
+        P = d.pos / 2  # non-integral unless every coordinate is even
+        P[draw(st.integers(0, n - 1))] += draw(st.sampled_from([0.0, 0.25, -1.5]))
+        return GridDrawing(d.tree, P)
+    return _stretched(d) if kind == "stretched" else d
+
+
+_ONE = TernaryTree(((),))
+_TWO = TernaryTree(((1,), ()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranked_drawings())
+@example(GridDrawing(_ONE, ((_EDGE, -_EDGE),)))
+@example(GridDrawing(_TWO, ((0, 0), (0, 0))))  # n = 2, one point
+@example(GridDrawing(_TWO, ((-_EDGE, 0), (_EDGE, 0))))  # n = 2, width 2**63 - 1
+@example(GridDrawing(_TWO, ((0, _EDGE), (0, -_EDGE))))  # n = 2, not top-visible
+@example(GridDrawing(_TWO, ((0, 0), (0.5, 0))))  # n = 2, off the grid
+@example(GridDrawing(_T3, ((0, 0), (0, 2), (0, 1))))  # node inside a vertical edge
+@example(GridDrawing(_T3, ((0, 0), (0, 3), (0, 2))))  # vertical edges past each other
+@example(GridDrawing(_T3, ((0, 0), (-2, 0), (2, 0))))  # no vertical edge
+@example(GridDrawing(TernaryTree(((1, 2), (), (3,), (4,), ())),
+                     ((1, 1), (1, -1), (0, 1), (0, 0), (2, 0))))  # crossing
+def test_report_matches_sort_based_oracle(d):
+    r = build_report(d)
+    assert r == oracle_report(d)
+    assert r.planar == (r.on_grid and r.orthogonal and naive_check_planar(d))
+    if d.tree.n <= 60:
+        assert r.subtree_separated == brute_subtree_separation(d)
+    if r.extents is not None:
+        hs, vs, _ = split_segments(d.pos, *edge_arrays(d.tree))
+        assert r.extents == extents(d) == segment_extents(d.pos, d.tree.root, hs, vs)
+
+
+def test_collinear_overlap_needs_no_pass_of_its_own():
+    # every way two runs on one row share more than a point: a node always
+    # lies strictly inside one of them
+    t = TernaryTree(((1,), (2,), (3,), ()))
+    for xs in ((0, 3, 1, 4), (0, 3, 0, 1), (0, 3, 0, 4), (0, 4, 1, 2), (0, 4, 4, 1)):
+        path = GridDrawing(t, tuple((x, 0) for x in xs))
+        star = GridDrawing(TernaryTree(((1, 2), (), ())), ((0, 0), (xs[1], 0), (xs[3], 0)))
+        for d in (path, star):
+            if not check_on_grid(d):
+                continue
+            assert not naive_check_planar(d)
+            assert not check_planar(d)
+            assert build_report(d) == oracle_report(d)
