@@ -33,7 +33,7 @@ class VerificationReport:
 
 
 def _ranked(d: GridDrawing) -> tuple:
-    """The shared pass: the node ranks, the edge arrays, and rank_runs'."""
+    """The shared pass: node ranks, edge arrays, rank_runs' edges and runs."""
     parent, child = edge_arrays(d.tree)
     r = node_ranks(d.pos)
     return r, parent, child, *rank_runs(r, parent, child)
@@ -98,10 +98,10 @@ def check_planar(d: GridDrawing) -> bool:
     in the interior of any edge. Reads the shared node ranks, plus one
     search per level of a dyadic split of the verticals for the crossings;
     handles 1e6 edges."""
-    r, parent, _, *runs = _ranked(d)
-    if not (r.on_grid and len(runs[2]) + len(runs[3]) == len(parent)):
+    r, parent, _, h, v, hs, vs = _ranked(d)
+    if not (r.on_grid and len(hs) + len(vs) == len(parent)):
         raise ValueError("check_planar requires an orthogonal grid drawing")
-    return _planar(r, *runs)
+    return _planar(r, h, v, hs, vs)
 
 
 def _planar(r: NodeRanks, h: tuple, v: tuple, hs: np.ndarray, vs: np.ndarray) -> bool:

@@ -4,12 +4,10 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ternarydraw.geometry import Extents, GridDrawing, edge_segments, extents
+from ternarydraw.geometry import Extents, GridDrawing, edge_arrays, edge_segments, extents
 from ternarydraw.layout_complete import draw_c1_only, draw_c2_only, draw_golden
 from ternarydraw.layout_general import draw_general
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree
-from report_oracle import oracle_report, segment_extents, split_segments
-from ternarydraw.geometry import edge_arrays
 from ternarydraw.verify import (VerificationError, brute_subtree_separation,
                                 build_report, check_on_grid, check_orthogonal,
                                 check_orthogonal_grid, check_planar,
@@ -17,6 +15,8 @@ from ternarydraw.verify import (VerificationError, brute_subtree_separation,
                                 check_top_visibility, fib_lower_bound,
                                 leg_arm_lengths, naive_check_planar,
                                 report_to_json)
+
+from report_oracle import oracle_report, segment_extents, split_segments
 
 
 def random_orthogonal_drawing(n, seed):
@@ -416,15 +416,12 @@ def test_report_matches_sort_based_oracle(d):
 
 
 def test_collinear_overlap_needs_no_pass_of_its_own():
-    # every way two runs on one row share more than a point: a node always
-    # lies strictly inside one of them
-    t = TernaryTree(((1,), (2,), (3,), ()))
-    for xs in ((0, 3, 1, 4), (0, 3, 0, 1), (0, 3, 0, 4), (0, 4, 1, 2), (0, 4, 4, 1)):
-        path = GridDrawing(t, tuple((x, 0) for x in xs))
-        star = GridDrawing(TernaryTree(((1, 2), (), ())), ((0, 0), (xs[1], 0), (xs[3], 0)))
-        for d in (path, star):
-            if not check_on_grid(d):
-                continue
-            assert not naive_check_planar(d)
-            assert not check_planar(d)
+    # two runs on one line sharing more than a point, from different nodes
+    # (a path) or from one node (a star): check_planar, which has no overlap
+    # pass, rejects them as the all-pairs oracle does
+    path, star = TernaryTree(((1,), (2,), (3,), ())), TernaryTree(((1, 2), (), ()))
+    for t, xs in ((path, (0, 3, 1, 4)), (path, (0, 4, 1, 2)), (star, (0, 3, 4)), (star, (0, -3, -1))):
+        for pos in ([(x, 0) for x in xs], [(0, x) for x in xs]):
+            d = GridDrawing(t, pos)
+            assert not naive_check_planar(d) and not check_planar(d)
             assert build_report(d) == oracle_report(d)
