@@ -133,7 +133,7 @@ def node_ranks(P: np.ndarray) -> NodeRanks:
     return NodeRanks(rx, ry, ux, uy, place_yx, place_xy, P.dtype.kind != "f" and len(points) == len(P))
 
 
-def rank_runs(r: NodeRanks, parent: np.ndarray, child: np.ndarray) -> tuple[tuple, tuple, np.ndarray, np.ndarray]:
+def rank_runs(r: NodeRanks, parent: np.ndarray, child: np.ndarray) -> tuple:
     """The (a, b) node ids of the horizontal and of the vertical edges, of
     positive length along exactly one axis, and their runs in rank space:
     (ry, rx1, rx2) and (rx, ry1, ry2) as (m, 3) arrays with lo < hi.

@@ -170,7 +170,7 @@ def _top_visible(r: NodeRanks, root: int, hs: np.ndarray) -> bool:
 
 def _subtree_boxes(r: NodeRanks, t: TernaryTree) -> np.ndarray:
     """Per place in topo_order(), (xmin, ymin, -xmax, -ymax) over the subtree
-    rooted there, in int32 ranks, which keep order and so which boxes meet.
+    rooted there, in int32 ranks: ranks keep order, so the same boxes meet.
 
     topo_order() is a preorder, so a subtree is the block of its size from
     its root on. Each block's minimum comes from the sparse table of
@@ -328,7 +328,7 @@ def leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
 
 def build_report(d: GridDrawing) -> VerificationReport:
     """All checks, reading one ranking of the nodes, one pair of edge arrays
-    and one set of runs: four argsorts of n entries before the crossing
+    and one set of runs: four sorts of n entries before the crossing
     search. The arrays derived from d.pos die on return, not kept with the
     drawing, so they never add to a caller's peak memory."""
     P = d.pos
