@@ -3,7 +3,8 @@
 2*n^c - 1 bound across tree sizes. The tree column times random_ternary_tree,
 its validation included. With --verify, each drawing also gets one
 build_report (all verifier checks and its extents), timed in the verify
-column. The peak RSS column is the process's peak so far (getrusage), so a
+column, and one read of its drawing_json bytes by read_canonical (the bytes
+are written untimed), timed in the read column. The peak RSS column is the process's peak so far (getrusage), so a
 row's figure covers its own size and every size before it: for one size's
 peak, run that size alone, e.g. ``--sizes 1000000 --seeds 1``. The frames
 column is the mean number of decompositions the layout performs, and levels
@@ -16,7 +17,7 @@ import math
 import resource
 import time
 
-from ternarydraw.geometry import extents
+from ternarydraw.geometry import drawing_json, extents, read_canonical
 from ternarydraw.layout_general import LayoutParams, all_decompositions, draw_general
 from ternarydraw.tree import TernaryTree, random_ternary_tree
 from ternarydraw.verify import build_report
@@ -44,10 +45,10 @@ def main() -> None:
     args = ap.parse_args()
 
     params = LayoutParams()
-    print(f"{'n':>8} {'tree (s)':>9} {'layout (s)':>11} {'peak RSS (MB)':>14} {'verify (s)':>11} {'width':>8} "
+    print(f"{'n':>8} {'tree (s)':>9} {'layout (s)':>11} {'peak RSS (MB)':>14} {'verify (s)':>11} {'read (s)':>9} {'width':>8} "
           f"{'height':>7} {'bound':>7} {'ratio':>6} {'frames':>7} {'levels':>6}")
     for n in args.sizes:
-        t_tree = t_layout = t_verify = 0.0
+        t_tree = t_layout = t_verify = t_read = 0.0
         worst_h = worst_ratio = 0
         worst_w = 0
         for seed in range(args.seeds):
@@ -64,6 +65,13 @@ def main() -> None:
                 t_verify += time.perf_counter() - t0
                 if not (r.planar and r.top_visible):
                     raise SystemExit(f"n={n} seed={seed}: drawing failed verification")
+                data = drawing_json(d).encode()
+                t0 = time.perf_counter()
+                read = read_canonical(data)
+                t_read += time.perf_counter() - t0
+                if read != d:
+                    raise SystemExit(f"n={n} seed={seed}: drawing_json's bytes read back wrong")
+                del data, read
                 e = r.extents
             else:
                 e = extents(d)
@@ -73,11 +81,12 @@ def main() -> None:
                 worst_h, worst_w = e.height, e.width
         bound = max(1, math.ceil(2 * n ** params.c - 1))
         verify = f"{t_verify / args.seeds:.4f}" if args.verify else "-"
+        read = f"{t_read / args.seeds:.4f}" if args.verify else "-"
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
         del t, d
         frames, levels = zip(*(count_frames(random_ternary_tree(n, seed), params)
                                for seed in range(args.seeds)))
-        print(f"{n:>8} {t_tree / args.seeds:>9.4f} {t_layout / args.seeds:>11.4f} {rss:>14.1f} {verify:>11} {worst_w:>8} "
+        print(f"{n:>8} {t_tree / args.seeds:>9.4f} {t_layout / args.seeds:>11.4f} {rss:>14.1f} {verify:>11} {read:>9} {worst_w:>8} "
               f"{worst_h:>7} {bound:>7} {worst_ratio:>6.2f} {round(sum(frames) / args.seeds):>7} {max(levels):>6}")
 
 

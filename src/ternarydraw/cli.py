@@ -8,13 +8,14 @@ unexpected exception).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
 from typing import Optional
 
 from . import pareto
-from .geometry import GridDrawing, drawing_from_json, drawing_json
+from .geometry import GridDrawing, drawing_from_json, drawing_json_blocks, read_canonical
 from .geometry import drawing_to_json  # unused here; perfbench/child.py wraps cli.drawing_to_json
 from .geometry import extents  # unused here; perfbench/child.py wraps cli.extents
 from .layout_complete import draw_c1_only, draw_c2_only, draw_golden, draw_upper_1149
@@ -66,7 +67,10 @@ def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
         return draw_upper_1149(h)
     if algo == "pareto-min":
         _, pair = pareto.min_area(h, cache_dir)
-        return pareto.reconstruct_drawing(h, pair, cache_dir)
+        try:
+            return pareto.reconstruct_drawing(h, pair, cache_dir)
+        except ValueError as e:  # the cache's pair and recipes disagree
+            raise UserError(f"cannot reconstruct the drawing from {cache_dir!r}: {e}") from e
     raise UserError(f"unknown algorithm {algo!r}")
 
 
@@ -85,15 +89,16 @@ def cmd_draw(args) -> int:
               file=sys.stderr)
         return 3
     if args.format == "svg":
-        payload = drawing_to_svg(drawing, RenderSpec())
-    else:
-        payload = drawing_json(drawing)
+        blocks = [drawing_to_svg(drawing, RenderSpec())]
+    else:  # written block by block: the document is never joined
+        blocks = drawing_json_blocks(drawing)
     if args.out:
         with open(args.out, "w") as f:
-            f.write(payload)
+            f.writelines(blocks)
             f.write("\n")
     else:
-        print(payload)
+        sys.stdout.writelines(blocks)
+        sys.stdout.write("\n")
     print(f"nodes={n} width={ext.width} height={ext.height} area={ext.area}",
           file=sys.stderr)
     return 0
@@ -142,10 +147,21 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _read_drawing(path: str) -> GridDrawing:
+    """The file's bytes are read once. The exact layout ``draw`` writes is
+    parsed by geometry.read_canonical; any other layout goes through json,
+    decoded from those bytes as ``open(path)`` would decode the file."""
+    with open(path, "rb") as f:
+        data = f.read()
+    drawing = read_canonical(data)
+    if drawing is None:
+        drawing = drawing_from_json(json.load(io.TextIOWrapper(io.BytesIO(data))))
+    return drawing
+
+
 def cmd_verify(args) -> int:
     try:
-        with open(args.drawing) as f:
-            drawing = drawing_from_json(json.load(f))
+        drawing = _read_drawing(args.drawing)
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise UserError(f"cannot read drawing {args.drawing!r}: {e}") from e
     report = build_report(drawing)

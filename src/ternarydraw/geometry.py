@@ -7,9 +7,10 @@ joined to its parent by an axis-parallel straight-line segment.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -176,33 +177,144 @@ def drawing_to_json(d: GridDrawing) -> dict:
     return {"tree": tree_to_json(d.tree), "pos": d.pos.tolist()}
 
 
-# json.dumps(..., indent=2) layout of one child list, by its length, and of
-# one position row.
+# json.dumps(..., indent=2) layout of a drawing: its head, the children, the
+# text between them and the positions, its tail; one child list, by its
+# length, and one position row.
+_HEAD = '{\n  "tree": {\n    "n": %d,\n    "root": %d,\n    "children": [\n'
+_MIDDLE = '\n    ]\n  },\n  "pos": [\n'
+_TAIL = "\n  ]\n}"
 _CHILD_TEMPLATES = ("      []",) + tuple(
     "      [\n" + ",\n".join(["        %d"] * k) + "\n      ]" for k in (1, 2, 3))
 _ROW_TEMPLATE = "    [\n      %d,\n      %d\n    ]"
 _BLOCK = 1 << 16  # nodes formatted per % operation, bounding the Python ints alive at once
 
 
+def drawing_json_blocks(d: GridDrawing) -> Iterator[str]:
+    """The pieces of ``drawing_json(d)`` in order, the children and the
+    positions of at most _BLOCK nodes each, formatted as they are asked for.
+    ValueError at once unless ``d.pos`` is int64, so a fractional coordinate
+    is never rounded."""
+    if d.pos.dtype != np.int64:
+        raise ValueError("only integer coordinates can be written")
+    return _blocks(d.tree, d.pos)
+
+
+def _blocks(t: TernaryTree, P: np.ndarray) -> Iterator[str]:
+    counts = (t.table >= 0).sum(axis=1)
+    ids, starts = t.table[t.table >= 0], np.append(0, np.cumsum(counts))[::_BLOCK].tolist()
+    yield _HEAD % (t.n, t.root)
+    for i, a, b in zip(range(0, t.n, _BLOCK), starts, starts[1:] + [len(ids)]):
+        if i:
+            yield ",\n"
+        lists = [_CHILD_TEMPLATES[k] for k in counts[i:i + _BLOCK].tolist()]
+        yield ",\n".join(lists) % tuple(ids[a:b].tolist())
+    yield _MIDDLE
+    for i in range(0, t.n, _BLOCK):
+        if i:
+            yield ",\n"
+        rows = P[i:i + _BLOCK]
+        yield ",\n".join([_ROW_TEMPLATE] * len(rows)) % tuple(rows.ravel().tolist())
+    yield _TAIL
+
+
 def drawing_json(d: GridDrawing) -> str:
     """Exactly ``json.dumps(drawing_to_json(d), indent=2)`` for a drawing with
     integer coordinates, from one format string per block of nodes instead
-    of the pure-Python encoder. ValueError unless ``d.pos`` is int64, so a
-    fractional coordinate is never rounded."""
-    P = d.pos
-    if P.dtype != np.int64:
-        raise ValueError("only integer coordinates can be written")
-    t = d.tree
-    counts = (t.table >= 0).sum(axis=1)
-    ids, starts = t.table[t.table >= 0], np.append(0, np.cumsum(counts))[::_BLOCK].tolist()
-    children = ['{\n  "tree": {\n    "n": %d,\n    "root": %d,\n    "children": [\n' % (t.n, t.root)]
-    rows = ['\n    ]\n  },\n  "pos": [\n']
-    for i, a, b in zip(range(0, t.n, _BLOCK), starts, starts[1:] + [len(ids)]):
-        block = counts[i:i + _BLOCK].tolist()
-        children += ",\n".join([_CHILD_TEMPLATES[k] for k in block]) % tuple(ids[a:b].tolist()), ",\n"
-        rows += ",\n".join([_ROW_TEMPLATE] * len(block)) % tuple(P[i:i + _BLOCK].ravel().tolist()), ",\n"
-    rows[-1] = "\n  ]\n}"
-    return "".join(children[:-1] + rows)  # one join: no section is copied twice
+    of the pure-Python encoder: the join of drawing_json_blocks(d)."""
+    return "".join(drawing_json_blocks(d))
+
+
+_HEAD_RE = re.compile(re.escape(_HEAD.encode()).replace(rb"%d", rb"(\d{1,19})"))
+_CHUNK = 1 << 18  # bytes scanned per numpy pass, bounding the per-digit arrays
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def read_canonical(data: bytes) -> Optional[GridDrawing]:
+    """The drawing d with ``drawing_json(d)`` equal to ``data``, with or
+    without one trailing newline; None if there is none. The numbers are
+    read with numpy byte masks, the drawing is built by the validating
+    constructors, and it is accepted only if its drawing_json_blocks equal
+    the bytes of ``data`` one by one. So an accepted drawing is exactly what
+    ``drawing_from_json(json.loads(data))`` builds, and any other layout,
+    valid or not, gets None."""
+    head = _HEAD_RE.match(data)
+    middle = data.find(_MIDDLE.encode(), head.end()) if head else -1
+    if middle < 0:
+        return None
+    n, root = int(head[1]), int(head[2])
+    table = _child_table(data, head.end(), middle, n)
+    pos = _positions(data, middle + len(_MIDDLE), len(data), n)
+    if table is None or pos is None:
+        return None
+    try:
+        d = GridDrawing(TernaryTree(table, root), pos)
+    except ValueError:  # TreeError included
+        return None
+    at = 0
+    for block in map(str.encode, drawing_json_blocks(d)):
+        if not data.startswith(block, at):
+            return None
+        at += len(block)
+    return d if data[at:at + 2] in (b"", b"\n") else None
+
+
+def _child_table(data: bytes, lo: int, hi: int, n: int) -> Optional[np.ndarray]:
+    """The (n, 3) child table, -1 in the empty slots, of the n lists in
+    data[lo:hi]: each id belongs to the list opened last before it. None
+    unless there are n lists of at most 3 ids each. Like _positions, it
+    returns only what it keeps, so the scan's offsets die with its call."""
+    scanned = _scan(data, lo, hi)
+    if scanned is None or len(scanned[2]) != n:
+        return None
+    starts, ids, opens = scanned
+    node = np.searchsorted(opens, starts) - 1
+    counts = np.bincount(node[node >= 0], minlength=n)
+    if len(ids) and (node[0] < 0 or counts.max() > 3):
+        return None
+    table = np.full((n, 3), -1)
+    table[np.arange(3) < counts[:, None]] = ids
+    return table
+
+
+def _positions(data: bytes, lo: int, hi: int, n: int) -> Optional[np.ndarray]:
+    """The n (x, y) rows of the numbers in data[lo:hi]; None unless there
+    are 2n numbers."""
+    scanned = _scan(data, lo, hi)
+    if scanned is None or len(scanned[1]) != 2 * n:
+        return None
+    return scanned[1].reshape(n, 2)
+
+
+def _scan(data: bytes, lo: int, hi: int) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The offsets of the digit runs in data[lo:hi] (lo >= 1), their values
+    (negated after a '-') and the offsets of the '[' bytes, read in chunks
+    that end at a newline. None if a run has more than 19 digits (beyond
+    int64) or a chunk would hold no newline (no line of drawing_json is that
+    long)."""
+    buf = np.frombuffer(data, np.uint8)
+    starts, values, opens = [], [], []
+    while lo < hi:
+        cut = hi if hi - lo <= _CHUNK else data.rfind(b"\n", lo, lo + _CHUNK) + 1
+        if cut <= lo:
+            return None
+        chunk = buf[lo:cut]
+        digit = chunk - ord("0")  # wraps below "0"
+        is_digit = digit < 10
+        s, e = np.flatnonzero(np.diff(is_digit, prepend=False, append=False)).reshape(-1, 2).T
+        if len(s):
+            length = e - s
+            if length.max() > 19:
+                return None
+            first = np.cumsum(length) - length  # each run's first digit among the chunk's digits
+            digit = digit[is_digit]
+            place = np.repeat(first + length - 1, length) - np.arange(len(digit))
+            v = np.add.reduceat(digit * _POW10[place], first)
+            values.append(np.where(buf[lo + s - 1] == ord("-"), -v, v))
+            starts.append(lo + s)
+        opens.append(lo + np.flatnonzero(chunk == ord("[")))
+        lo = cut
+    return tuple(np.concatenate(a, dtype=np.int64) if a else np.zeros(0, np.int64)
+                 for a in (starts, values, opens))
 
 
 def drawing_from_json(obj: dict) -> GridDrawing:

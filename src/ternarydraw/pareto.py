@@ -217,7 +217,8 @@ def reconstruct_drawing(h: int, pair: Pair,
                         cache_dir: Optional[str] = None) -> GridDrawing:
     """Geometric witness for a frontier pair, following the stored recipes.
     Arms reuse one drawing, so they are congruent up to the 180° rotation
-    applied inside the constructions."""
+    applied inside the constructions. ValueError unless the drawing built
+    is exactly pair[0] wide and pair[1] tall, as a corrupt cache can make it."""
     fronts = [None, *levels(h, cache_dir)]  # fronts[level]
     try:
         top_idx = fronts[h].pairs.index((int(pair[0]), int(pair[1])))
@@ -240,7 +241,12 @@ def reconstruct_drawing(h: int, pair: Pair,
         memo[key] = P
         return P
 
-    return as_drawing(h, build(h, top_idx))
+    P = build(h, top_idx)
+    built = tuple((P.max(axis=0) - P.min(axis=0) + 1).tolist())  # its bounding box
+    if built != tuple(pair):
+        raise ValueError(f"the recipes for h={h} build a {built[0]}x{built[1]} drawing, "
+                         f"not the pair {pair} they were read for")
+    return as_drawing(h, P)
 
 
 _EXHAUSTIVE_MAX_H = 4

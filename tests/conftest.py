@@ -1,5 +1,11 @@
-import pytest
+import json
 
+import numpy as np
+import pytest
+from hypothesis import strategies as st
+
+from ternarydraw.geometry import GridDrawing, drawing_json, drawing_to_json
+from ternarydraw.layout_general import draw_general
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree
 
 
@@ -38,3 +44,41 @@ def corpus():
     for spine in (1, 5, 50, 300):
         trees.append(caterpillar_tree(spine))
     return trees
+
+
+def shuffled(t, seed):
+    """t with its node ids permuted, so that any id can be the root."""
+    perm = np.random.default_rng(seed).permutation(t.n)
+    table = np.full((t.n, 3), -1)
+    table[perm] = np.where(t.table >= 0, perm[t.table], -1)
+    return TernaryTree(table, perm[t.root].item())
+
+
+coordinate = st.one_of(st.integers(-3, 3), st.integers(-2 ** 62 + 1, 2 ** 62 - 1))
+
+
+@st.composite
+def drawings(draw, max_n=30):
+    """A random tree under random ids, at random positions (mostly not a
+    planar drawing) or at those of its general layout."""
+    t = shuffled(random_ternary_tree(draw(st.integers(1, max_n)), draw(st.integers(0, 99))),
+                 draw(st.integers(0, 99)))
+    if draw(st.booleans()):
+        return draw_general(t)
+    return GridDrawing(t, np.array(draw(st.lists(coordinate, min_size=2 * t.n,
+                                                 max_size=2 * t.n))).reshape(-1, 2))
+
+
+def layouts(d):
+    """Other JSON layouts of d's document: none of them is drawing_json's."""
+    obj, text = drawing_to_json(d), drawing_json(d)
+    reordered = {"pos": obj["pos"], "tree": dict(reversed(obj["tree"].items()))}
+    return (json.dumps(obj, indent=4), json.dumps(obj), json.dumps(obj, separators=(",", ":")),
+            json.dumps(reordered, indent=2), text + "\n\n", " " + text, "\n" + text,
+            text.replace("\n", "\r\n"))
+
+
+def canonical_bytes(children, pos, root=0):
+    """The drawing_json layout of a document, whatever its values."""
+    return json.dumps({"tree": {"n": len(children), "root": root, "children": children},
+                       "pos": pos}, indent=2).encode()

@@ -1,4 +1,10 @@
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
 
 from ternarydraw import cli, geometry, pareto, tree, verify
 from ternarydraw.cli import main
@@ -8,6 +14,8 @@ from ternarydraw.layout_complete import draw_c1_only, draw_golden
 from ternarydraw.tree import TernaryTree
 
 import pytest
+
+from conftest import canonical_bytes, drawings, layouts
 
 
 def run(*argv):
@@ -313,3 +321,110 @@ def test_golden_draws_equal_the_library_drawings(capsys, h):
     for algo, d in zip(("golden-narrow", "golden-wide"), draw_golden(h)):
         assert run("draw", f"complete:{h}", "--algo", algo) == 0
         assert capsys.readouterr().out == drawing_json(d) + "\n"
+
+
+def verify_outcome(path, fast=True):
+    """verify's exit code, stdout and stderr; with fast=False every file
+    takes the json path, as every file did before the canonical reader."""
+    out, err = io.StringIO(), io.StringIO()
+    reader = cli.read_canonical if fast else (lambda data: None)
+    with mock.patch.object(cli, "read_canonical", reader), redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=drawings())
+def test_verify_gives_one_verdict_for_every_layout(tmp_path_factory, d):
+    path = tmp_path_factory.mktemp("layouts") / "d.json"
+    path.write_bytes(drawing_json(d).encode() + b"\n")
+    canonical = verify_outcome(path)
+    assert canonical[0] in (0, 1) and canonical == verify_outcome(path, fast=False)
+    for text in layouts(d):
+        path.write_bytes(text.encode())
+        assert verify_outcome(path) == canonical
+
+
+def mutated(data: bytes, kind: str, k: int) -> bytes:
+    """data with one byte replaced, inserted or deleted at the k-th site
+    (cyclically) of the kind."""
+    pattern = {"digit": rb"\d", "sign": rb"\d+", "leading-zero": rb"\d+",
+               "minus-zero": rb"(?<![-\d])0(?!\d)", "bracket": rb"[][]", "space": rb" ",
+               "newline": rb"\n", "comma": rb","}[kind]
+    sites = [m.start() for m in re.finditer(pattern, data)]
+    i = sites[k % len(sites)]
+    if kind == "digit":
+        return data[:i] + bytes([ord("0") + (data[i] - ord("0") + 1 + k % 9) % 10]) + data[i + 1:]
+    if kind == "sign" and data[i - 1] == ord("-"):
+        return data[:i - 1] + data[i:]
+    if kind in ("sign", "minus-zero", "leading-zero"):
+        return data[:i] + (b"0" if kind == "leading-zero" else b"-") + data[i:]
+    if kind == "bracket":
+        return data[:i] + (b"]" if data[i] == ord("[") else b"[") + data[i + 1:]
+    return data[:i] + data[i + 1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=drawings(max_n=8),
+       kind=st.sampled_from(["digit", "sign", "leading-zero", "minus-zero", "bracket",
+                             "space", "newline", "comma"]),
+       k=st.integers(0, 10 ** 6))
+def test_verify_verdict_on_mutated_canonical_files(tmp_path_factory, d, kind, k):
+    # a digit mutation mostly keeps the layout and is read by read_canonical;
+    # every other one falls back to json. Both give json's verdict.
+    path = tmp_path_factory.mktemp("mutated") / "d.json"
+    path.write_bytes(mutated(drawing_json(d).encode() + b"\n", kind, k))
+    assert verify_outcome(path) == verify_outcome(path, fast=False)
+
+
+@pytest.mark.parametrize("children,pos,accepted", [
+    ([[1], []], [[0, 0], [2 ** 62 - 1, 0]], True),
+    ([[1], []], [[0, 0], [-2 ** 62 + 1, 0]], True),
+    ([[1], []], [[0, 0], [2 ** 62, 0]], False),
+    ([[1], []], [[0, 0], [0, -2 ** 62]], False),
+    ([[1], []], [[0, 0], [2 ** 63, 0]], False),
+    ([[1], []], [[0, 0], [-2 ** 63, 0]], False),
+    ([[12345678901234567890], []], [[0, 0], [1, 0]], False),
+    ([[1, 2, 3, 4], [], [], [], []], [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]], False),
+], ids=["2^62-1", "-2^62+1", "2^62", "-2^62", "2^63", "-2^63", "20-digit-child", "4-children"])
+def test_verify_canonical_layout_at_the_limits(tmp_path, children, pos, accepted):
+    # in drawing_json's layout, but only the first two are drawings
+    path = tmp_path / "d.json"
+    path.write_bytes(canonical_bytes(children, pos))
+    assert (geometry.read_canonical(path.read_bytes()) is not None) == accepted
+    outcome = verify_outcome(path)
+    assert outcome == verify_outcome(path, fast=False)
+    assert outcome[0] == (0 if accepted else 2)
+
+
+def test_verify_calls_json_only_off_the_draw_layout(tmp_path, capsys, monkeypatch):
+    calls = []
+    load = json.load
+    monkeypatch.setattr(cli.json, "load", lambda f: calls.append(f) or load(f))
+    out = tmp_path / "d.json"
+    assert run("draw", "random:300:1", "--out", str(out)) == 0
+    assert run("verify", str(out)) == 0
+    assert calls == []
+    report = capsys.readouterr().out
+    compact = tmp_path / "compact.json"
+    compact.write_text(json.dumps(json.loads(out.read_text()), separators=(",", ":")))
+    assert run("verify", str(compact)) == 0
+    assert len(calls) == 1 and capsys.readouterr().out == report
+
+
+@pytest.mark.parametrize("row", ["9 10 1 1 2", "9 11 0 1 2", "9 11 1 1 1"],
+                         ids=["pair", "recipe-arm", "recipe-construction"])
+def test_pareto_min_rejects_a_pair_its_recipes_do_not_build(tmp_path, capsys, row):
+    # the minimum-area row of T_4's frontier is "9 11 1 1 2"
+    cache, out = tmp_path / "cache", tmp_path / "d.json"
+    assert run("--cache-dir", str(cache), "table", "4") == 0
+    level = cache / "frontier_h04.txt"
+    lines = level.read_text().splitlines()
+    assert lines[1] == "9 11 1 1 2"
+    level.write_text("\n".join([lines[0], row, *lines[2:]]) + "\n")
+    capsys.readouterr()
+    assert run("--cache-dir", str(cache), "draw", "complete:4", "--algo", "pareto-min",
+               "--out", str(out)) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert "h=4" in err and str(tuple(map(int, row.split()[:2]))) in err

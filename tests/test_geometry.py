@@ -2,16 +2,19 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from ternarydraw import geometry
 from ternarydraw.geometry import (Extents, GridDrawing, drawing_from_json,
-                                  drawing_json, drawing_to_json, edge_segments,
-                                  extents, rotate)
+                                  drawing_json, drawing_json_blocks, drawing_to_json,
+                                  edge_segments, extents, read_canonical, rotate)
 from ternarydraw.layout_complete import (draw_c1_only, draw_c2_only,
                                          draw_golden, draw_upper_1149)
 from ternarydraw.pareto import min_area, reconstruct_drawing
 from ternarydraw.layout_general import draw_general
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree
+
+from conftest import canonical_bytes, drawings, layouts
 
 
 def t2_drawing():
@@ -151,3 +154,56 @@ def test_drawing_json_never_rounds():
 def test_extents_reject_off_grid_drawings():
     with pytest.raises(ValueError):
         extents(GridDrawing(TernaryTree(((1,), ())), ((0, 0), (0.5, 0))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawings())
+def test_read_canonical_accepts_exactly_the_drawing_json_layout(d):
+    text = drawing_json(d)
+    assert read_canonical(text.encode()) == d
+    assert read_canonical(text.encode() + b"\n") == d
+    for other in layouts(d):
+        assert read_canonical(other.encode()) is None
+        assert drawing_from_json(json.loads(other)) == d
+
+
+def test_drawing_json_is_the_join_of_its_blocks():
+    d = draw_general(random_ternary_tree(3 * geometry._BLOCK + 5, 1))
+    blocks = list(drawing_json_blocks(d))
+    text = "".join(blocks)
+    assert text == drawing_json(d) == dumped(d)
+    assert max(block.count("[") for block in blocks) == geometry._BLOCK  # one per list or row
+    assert read_canonical(drawing_json(d).encode()) == d
+
+
+@pytest.mark.parametrize("chunk", [32, 1000])
+def test_read_canonical_in_small_chunks(monkeypatch, chunk):
+    # every line of drawing_json is shorter than 32 bytes, so runs, signs and
+    # list openers fall on either side of many chunk ends
+    monkeypatch.setattr(geometry, "_CHUNK", chunk)
+    big = 2 ** 62 - 1
+    t = TernaryTree(((1, 2, 3), (4,), (5, 6), (), (), (), ()), root=0)
+    for d in (GridDrawing(t, ((0, 0), (-big, 0), (0, -1), (big, 0), (-big, big), (-7, -1), (0, big))),
+              draw_general(random_ternary_tree(500, 3)), draw_upper_1149(4)):
+        text = drawing_json(d)
+        assert read_canonical(text.encode()) == d
+        long_line = text.replace("\n      [\n", "\n      [" + " " * 40 + "\n", 1)
+        assert read_canonical(long_line.encode()) is None  # a chunk with no newline
+
+
+@pytest.mark.parametrize("c", [2 ** 62 - 1, 2 ** 62, 2 ** 63, 2 ** 63 - 1, 10 ** 19 - 1, 10 ** 19])
+def test_read_canonical_coordinate_range(c):
+    for sign in (1, -1):
+        data = canonical_bytes([[1], []], [[0, 0], [sign * c, 0]])
+        d = read_canonical(data)
+        assert (d is not None) == (c < 2 ** 62)
+        if d is not None:
+            assert d.pos.tolist() == [[0, 0], [sign * c, 0]]
+
+
+@pytest.mark.parametrize("bad", [3, -1, 2 ** 63, 2 ** 63 + 1, 12345678901234567890])
+def test_read_canonical_rejects_bad_child_ids(bad):
+    # -1 is an empty slot in the table, 2**63 wraps to -2**63 in int64 digit
+    # arithmetic, and a 20-digit id does not fit: none is read as a drawing
+    assert read_canonical(canonical_bytes([[1, bad], [], []], [[0, 0], [1, 0], [2, 0]])) is None
+    assert read_canonical(canonical_bytes([[bad], []], [[0, 0], [1, 0]])) is None
