@@ -12,17 +12,48 @@ import io
 import json
 import math
 import sys
-from typing import Optional
+from importlib import import_module
+from typing import TYPE_CHECKING, Optional
 
 from . import pareto
-from .geometry import GridDrawing, drawing_from_json, drawing_json_blocks, read_canonical
-from .geometry import drawing_to_json  # unused here; perfbench/child.py wraps cli.drawing_to_json
-from .geometry import extents  # unused here; perfbench/child.py wraps cli.extents
-from .layout_complete import draw_c1_only, draw_c2_only, draw_golden, draw_upper_1149
-from .layout_general import LayoutParams, draw_general
-from .render import RenderSpec, drawing_to_svg
-from .tree import TernaryTree, TreeError, complete_height, random_ternary_tree, tree_from_json
-from .verify import build_report, report_to_json
+
+if TYPE_CHECKING:
+    from .geometry import GridDrawing
+    from .tree import TernaryTree
+
+# The names draw and verify use, with the submodule each comes from. They are
+# bound on first use, by module __getattr__ or by _bind, so that `table` on a
+# warm cache imports neither numpy nor the layouts. perfbench/child.py and
+# tests set some of these names on this module to wrap them (drawing_to_json
+# and extents are here only for child.py), and a name already set is never
+# bound again.
+_LAZY = {
+    **dict.fromkeys(("drawing_from_json", "drawing_json_blocks", "drawing_to_json",
+                     "extents", "read_canonical"), "geometry"),
+    **dict.fromkeys(("draw_c1_only", "draw_c2_only", "draw_golden",
+                     "draw_upper_1149"), "layout_complete"),
+    **dict.fromkeys(("LayoutParams", "draw_general"), "layout_general"),
+    **dict.fromkeys(("RenderSpec", "drawing_to_svg"), "render"),
+    **dict.fromkeys(("TreeError", "complete_height", "random_ternary_tree",
+                     "tree_from_json"), "tree"),
+    **dict.fromkeys(("build_report", "report_to_json"), "verify"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _bind() -> None:
+    """Bind every name of _LAZY that is not set yet."""
+    for name in _LAZY:
+        if name not in globals():
+            __getattr__(name)
 
 
 class UserError(Exception):
@@ -47,6 +78,15 @@ def _parse_treespec(spec: str) -> TernaryTree:
                     "(expected complete:<h>, random:<n>:<seed>, or file:<path>)")
 
 
+def _levels(h: int, cache_dir: str) -> list[pareto.ParetoFrontier]:
+    """Frontiers of T_1..T_h, every cached level read and checked before
+    any is used."""
+    try:
+        return list(pareto.levels(h, cache_dir))
+    except (pareto.CacheError, OSError) as e:
+        raise UserError(f"unusable frontier cache {cache_dir!r}: {e}") from e
+
+
 def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
     if algo == "general":
         drawing = draw_general(tree, LayoutParams())
@@ -66,15 +106,17 @@ def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
     if algo == "upper1149":
         return draw_upper_1149(h)
     if algo == "pareto-min":
-        _, pair = pareto.min_area(h, cache_dir)
+        fronts = _levels(h, cache_dir)
+        _, pair = fronts[-1].min_area()
         try:
-            return pareto.reconstruct_drawing(h, pair, cache_dir)
+            return pareto.reconstruct_drawing(h, pair, fronts=fronts)
         except ValueError as e:  # the cache's pair and recipes disagree
             raise UserError(f"cannot reconstruct the drawing from {cache_dir!r}: {e}") from e
     raise UserError(f"unknown algorithm {algo!r}")
 
 
 def cmd_draw(args) -> int:
+    _bind()
     tree = _parse_treespec(args.tree)
     drawing = _build(tree, args.algo, args.cache_dir)
     report = build_report(drawing)
@@ -107,8 +149,9 @@ def cmd_draw(args) -> int:
 def cmd_table(args) -> int:
     if not 1 <= args.h_max <= 20:
         raise UserError("h must be between 1 and 20")
+    fronts = _levels(args.h_max, args.cache_dir)
     print(f"{'h':>3} {'n':>12} {'min area':>14}")
-    for fr in pareto.levels(args.h_max, args.cache_dir):
+    for fr in fronts:
         area, _ = fr.min_area()
         n = (3 ** fr.h - 1) // 2
         print(f"{fr.h:>3} {n:>12} {area:>14}")
@@ -160,6 +203,7 @@ def _read_drawing(path: str) -> GridDrawing:
 
 
 def cmd_verify(args) -> int:
+    _bind()
     try:
         drawing = _read_drawing(args.drawing)
     except (OSError, ValueError, KeyError, TypeError) as e:

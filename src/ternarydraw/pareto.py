@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-import numpy as np
-
-from .geometry import GridDrawing
-from .layout_complete import as_drawing, construct1, construct2
+if TYPE_CHECKING:  # numpy and the layouts load on first use: a warm `table` needs neither
+    from .geometry import GridDrawing
 
 Pair = tuple[int, int]
 Recipe = tuple[int, int, int]  # (arm index, center index, construction)
@@ -69,7 +68,7 @@ def _base_frontier() -> ParetoFrontier:
 # Arms per block of enumerated construction-1 pairs: the DP's scratch arrays
 # hold at most _ARM_BLOCK * k entries each, whatever the level.
 _ARM_BLOCK = 64
-_EMPTY = np.iinfo(np.int64).max
+_EMPTY = 2**63 - 1  # the int64 maximum
 
 
 def _next_frontier(prev: ParetoFrontier) -> ParetoFrontier:
@@ -94,6 +93,8 @@ def _next_frontier(prev: ParetoFrontier) -> ParetoFrontier:
     dense array to its key, packed so that integer order is (H, arm, center,
     construction) order; a running minimum of H over W leaves the frontier.
     """
+    import numpy as np
+
     k = len(prev.pairs)
     span = 2 * k * k  # keys per value of H
     if (prev.pairs[-1][0] + prev.pairs[0][1] + 1) * span > _EMPTY:  # H <= w_top + e_top
@@ -164,34 +165,94 @@ def save_frontier(fr: ParetoFrontier, cache_dir: str) -> str:
     return path
 
 
-def load_frontier(cache_dir: str, h: int) -> Optional[ParetoFrontier]:
+class CacheError(ValueError):
+    """A frontier cache file that fails load_frontier's checks."""
+
+
+_HEADER = re.compile(r"h=(\d+) count=([1-9]\d*)")
+
+
+def load_frontier(cache_dir: str, h: int,
+                  below: Optional[ParetoFrontier] = None) -> Optional[ParetoFrontier]:
+    """The frontier of T_h read from ``cache_dir``, or None if it has no file
+    for h. ``below`` is the frontier of T_{h-1}, computed when not given.
+
+    The whole file is checked before any of it is used, in O(k): the header
+    ``h=<h> count=<k>``, then exactly k rows ``w e arm center construction``
+    written as save_frontier writes them, with odd widths, w strictly
+    increasing and e strictly decreasing, construction 1 or 2, arm and center
+    indices into ``below``, and each pair the one its recipe builds from
+    ``below``. The first failure raises CacheError naming the file and the
+    row (row 0 is the header). Only a frontier pair missing from an otherwise
+    valid file goes unnoticed: finding it means recomputing the level."""
     path = _cache_path(cache_dir, h)
-    if not os.path.exists(path):
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except FileNotFoundError:
         return None
-    with open(path) as f:
-        header = f.readline().split()
-        stated_h = int(header[0].split("=")[1])
-        count = int(header[1].split("=")[1])
-        if stated_h != h:
-            raise ValueError(f"cache file {path} declares h={stated_h}")
-        pairs, recipes = [], []
-        for _ in range(count):
-            w, e, a, c, cn = (int(tok) for tok in f.readline().split())
-            pairs.append((w, e))
-            recipes.append((a, c, cn))
+
+    def bad(row: int, why: str) -> CacheError:
+        return CacheError(f"{path} for h={h}, row {row}: {why}")
+
+    try:
+        rows = data.decode("ascii").split("\n")
+    except UnicodeDecodeError as e:
+        raise bad(data.count(b"\n", 0, e.start), "a byte is not ASCII") from None
+    if rows[-1] == "":  # the final newline
+        rows.pop()
+    header = _HEADER.fullmatch(rows[0]) if rows else None
+    if header is None or rows[0] != f"h={h} count={int(header[2])}":
+        raise bad(0, f"header {rows[0] if rows else ''!r} is not 'h={h} count=<rows>'")
+    count = int(header[2])
+    if len(rows) != count + 1:
+        raise bad(min(len(rows), count + 1),
+                  f"the header declares {count} rows, the file holds {len(rows) - 1}")
+    if below is None:
+        below = frontier(h - 1)
+    k = len(below.pairs)
+    wb, eb = [w for w, _ in below.pairs], [e for _, e in below.pairs]
+    lam = [(w - 1) // 2 for w in wb]
+    pairs: list[Pair] = []
+    recipes: list[Recipe] = []
+    for r in range(1, count + 1):
+        line = rows[r]
+        try:
+            w, e, arm, center, constr = map(int, line.split(" "))
+        except ValueError:
+            raise bad(r, f"{line!r} is not five integers") from None
+        if line != f"{w} {e} {arm} {center} {constr}":
+            raise bad(r, f"{line!r} is not in the form save_frontier writes")
+        if w % 2 == 0:
+            raise bad(r, f"width {w} is even")
+        if pairs and not (w > pairs[-1][0] and e < pairs[-1][1]):
+            raise bad(r, f"pair {(w, e)} is not wider and lower than the pair {pairs[-1]} above it")
+        if constr not in (1, 2):
+            raise bad(r, f"construction {constr} is not 1 or 2")
+        if not (0 <= arm < k and 0 <= center < k):
+            raise bad(r, f"arm {arm} or center {center} is not an index into the {k} "
+                         f"pairs of h={h - 1}")
+        if constr == 1:  # the two formulas of _next_frontier
+            built = wb[center] + 2 * eb[arm], lam[arm] + max(lam[arm], eb[center]) + 1
+        else:
+            built = 2 * max(lam[center], eb[arm]) + 1, wb[arm] + eb[center]
+        if (w, e) != built:
+            raise bad(r, f"pair {(w, e)} is not {built}, the pair its recipe builds")
+        pairs.append((w, e))
+        recipes.append((arm, center, constr))
     return ParetoFrontier(h, tuple(pairs), tuple(recipes))
 
 
 def levels(h: int, cache_dir: Optional[str] = None) -> Iterator[ParetoFrontier]:
     """Frontiers of T_1..T_h, in order, holding only the last one: each level
-    is read from the cache, or computed from the one below and then saved to
-    it."""
+    is read from the cache and checked against the one below, or computed
+    from the one below and then saved to the cache."""
     if h < 1:
         raise ValueError("h must be >= 1")
     fr = _base_frontier()
     yield fr
     for level in range(2, h + 1):
-        loaded = load_frontier(cache_dir, level) if cache_dir else None
+        loaded = load_frontier(cache_dir, level, fr) if cache_dir else None
         if loaded is None:
             loaded = _next_frontier(fr)
             if cache_dir:
@@ -213,15 +274,22 @@ def min_area(h: int, cache_dir: Optional[str] = None) -> tuple[int, Pair]:
     return frontier(h, cache_dir).min_area()
 
 
-def reconstruct_drawing(h: int, pair: Pair,
-                        cache_dir: Optional[str] = None) -> GridDrawing:
-    """Geometric witness for a frontier pair, following the stored recipes.
-    Arms reuse one drawing, so they are congruent up to the 180° rotation
-    applied inside the constructions. ValueError unless the drawing built
-    is exactly pair[0] wide and pair[1] tall, as a corrupt cache can make it."""
-    fronts = [None, *levels(h, cache_dir)]  # fronts[level]
+def reconstruct_drawing(h: int, pair: Pair, cache_dir: Optional[str] = None, *,
+                        fronts: Optional[Sequence[ParetoFrontier]] = None) -> GridDrawing:
+    """Geometric witness for a frontier pair, following the stored recipes of
+    ``fronts``, the frontiers of T_1..T_h as levels yields them (walked from
+    ``cache_dir`` when not given). Arms reuse one drawing, so they are
+    congruent up to the 180° rotation applied inside the constructions.
+    ValueError unless the drawing built is exactly pair[0] wide and pair[1]
+    tall, as a corrupt cache can make it."""
+    import numpy as np
+
+    from .layout_complete import as_drawing, construct1, construct2
+
+    if fronts is None:
+        fronts = list(levels(h, cache_dir))
     try:
-        top_idx = fronts[h].pairs.index((int(pair[0]), int(pair[1])))
+        top_idx = fronts[h - 1].pairs.index((int(pair[0]), int(pair[1])))
     except ValueError:
         raise ValueError(f"pair {pair} is not on the frontier for h={h}") from None
 
@@ -234,7 +302,7 @@ def reconstruct_drawing(h: int, pair: Pair,
         if level == 1:
             P = np.zeros((1, 2), dtype=np.int64)
         else:
-            arm_idx, center_idx, constr = fronts[level].recipes[idx]
+            arm_idx, center_idx, constr = fronts[level - 1].recipes[idx]
             center = build(level - 1, center_idx)
             arm = build(level - 1, arm_idx)
             P = (construct1 if constr == 1 else construct2)(center, arm, arm)
@@ -305,6 +373,8 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
     (a, c) solved in closed form at each probe."""
     if len(points) < 3:
         raise ValueError("need at least 3 points")
+    import numpy as np
+
     ns = np.array([p[0] for p in points], dtype=float)
     ys = np.array([p[1] for p in points], dtype=float)
     if not np.all(np.diff(ns) > 0):

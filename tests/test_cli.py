@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -265,6 +266,22 @@ def test_table_walks_the_levels_once(tmp_path, capsys, monkeypatch):
     assert calls == ["load_frontier"] * 5
 
 
+def test_pareto_min_walks_the_levels_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    for name in ("load_frontier", "_next_frontier"):
+        fn = getattr(pareto, name)
+        monkeypatch.setattr(pareto, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    args = ("--cache-dir", str(tmp_path / "cache"), "draw", "complete:6", "--algo", "pareto-min")
+    assert run(*args) == 0
+    cold = capsys.readouterr().out
+    assert calls == ["load_frontier", "_next_frontier"] * 5
+    calls.clear()
+    assert run(*args) == 0
+    assert capsys.readouterr().out == cold
+    assert calls == ["load_frontier"] * 5
+
+
 def test_table_rejects_out_of_range():
     assert run("table", "0") == 2
     assert run("table", "25") == 2
@@ -428,3 +445,70 @@ def test_pareto_min_rejects_a_pair_its_recipes_do_not_build(tmp_path, capsys, ro
     stdout, err = capsys.readouterr()
     assert stdout == "" and not out.exists()
     assert "h=4" in err and str(tuple(map(int, row.split()[:2]))) in err
+
+
+
+@pytest.fixture(scope="module")
+def table5_cache(tmp_path_factory):
+    """The cache files `table 5` writes: name -> text."""
+    cache = tmp_path_factory.mktemp("table5") / "cache"
+    assert main(["--cache-dir", str(cache), "table", "5"]) == 0
+    return {p.name: p.read_text() for p in sorted(cache.iterdir())}
+
+
+def corrupted_caches(files):
+    """(file name, row the error names, corrupted text): each field of each
+    row of each level made wrong, then faults of a whole file."""
+    for name, text in files.items():
+        header, *rows = text.splitlines()
+        h = int(header.split()[0][2:])
+        k = len(files[f"frontier_h{h - 1:02d}.txt"].splitlines()) - 1 if h > 2 else 1
+        for r, row in enumerate(rows, 1):
+            fields = row.split()
+            # width, height, arm, center, construction
+            for i, value in enumerate((int(fields[0]) + 2, int(fields[1]) + 1, k, -1, 0)):
+                bad = " ".join([*fields[:i], str(value), *fields[i + 1:]])
+                yield name, r, "\n".join([header, *rows[:r - 1], bad, *rows[r:]]) + "\n"
+    name = "frontier_h04.txt"
+    header, *rows = files[name].splitlines()
+    yield name, 4, "\n".join([header, *rows[:-1]]) + "\n"  # truncated
+    yield name, 5, "\n".join([header, *rows, rows[-1]]) + "\n"  # a trailing row
+    yield name, 0, "\n".join(["h=5" + header[3:], *rows]) + "\n"
+    yield name, 1, "\n".join([header, "abc" + rows[0][1:], *rows[1:]]) + "\n"
+    yield name, 1, "\n".join([header, "3 2 0 0 1", *rows[1:]]) + "\n"  # keeps the staircase
+
+
+def test_corrupt_cache_exits_2_and_is_left_as_it_is(tmp_path, capsys, table5_cache):
+    cases = list(corrupted_caches(table5_cache))
+    assert len(cases) == 5 * (1 + 2 + 4 + 8) + 5
+    out = tmp_path / "d.json"
+    for n, (name, row, text) in enumerate(cases):
+        cache = tmp_path / f"cache{n}"
+        cache.mkdir()
+        for level, level_text in table5_cache.items():
+            (cache / level).write_text(level_text)
+        (cache / name).write_text(text)
+        for args in (["table", "5"], ["draw", "complete:5", "--algo", "pareto-min", "--out", str(out)]):
+            assert run("--cache-dir", str(cache), *args) == 2, (name, text)
+            stdout, err = capsys.readouterr()
+            assert stdout == "" and not out.exists()
+            assert err.startswith("error: unusable frontier cache") and f"{name} for h=" in err
+            assert f"row {row}:" in err, err
+        assert sorted(os.listdir(cache)) == sorted(table5_cache)
+        assert (cache / name).read_text() == text  # neither recomputed nor rewritten
+
+
+def test_unusable_cache_dir_exits_2(tmp_path, capsys):
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    a_level_is_a_dir = tmp_path / "cache"
+    (a_level_is_a_dir / "frontier_h03.txt").mkdir(parents=True)
+    caches = [a_file, a_level_is_a_dir]
+    if os.geteuid() != 0:  # root writes to a read-only directory
+        caches.append(tmp_path / "read-only")
+        caches[-1].mkdir(mode=0o500)
+    for cache in caches:
+        for args in (["table", "3"], ["draw", "complete:3", "--algo", "pareto-min"]):
+            assert run("--cache-dir", str(cache), *args) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: unusable frontier cache")

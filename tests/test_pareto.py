@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ternarydraw.geometry import extents
-from ternarydraw.pareto import (REFERENCE_AREA_TABLE, ParetoFrontier,
+from ternarydraw.pareto import (_EMPTY, REFERENCE_AREA_TABLE, ParetoFrontier,
                                 _next_frontier, exhaustive_dimension_tuples,
                                 exhaustive_frontier, fit_power_law, frontier,
                                 levels, load_frontier, min_area,
@@ -199,6 +199,15 @@ def test_failed_cache_write_leaves_no_level_file(tmp_path):
 
 def test_load_frontier_missing(tmp_path):
     assert load_frontier(str(tmp_path), 3) is None
+
+
+def test_every_saved_level_passes_the_read_checks(tmp_path):
+    computed = list(levels(13, str(tmp_path)))
+    assert list(levels(13, str(tmp_path))) == computed
+
+
+def test_empty_key_is_the_int64_maximum():
+    assert _EMPTY == np.iinfo(np.int64).max
 
 
 def test_fit_builtin_beats_reference():
