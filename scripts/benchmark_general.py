@@ -31,7 +31,7 @@ def count_frames(t: TernaryTree, params: LayoutParams) -> tuple[int, int]:
         level = depth.pop(d.root)
         levels = max(levels, level + 1)
         for c in (*d.top.values(), *d.bottom.values()):
-            if not t.is_leaf(c):
+            if t.table[c, 0] >= 0:  # not a leaf
                 depth[c] = level + 1
     return frames, levels
 

@@ -10,20 +10,18 @@ from importlib import import_module
 
 _EXPORTS = {
     **dict.fromkeys(("Extents", "GridDrawing", "drawing_from_json", "drawing_json",
-                     "drawing_to_json", "edge_segments", "extents", "rotate"), "geometry"),
-    **dict.fromkeys(("construction1", "construction2", "draw_c1_only", "draw_c2_only",
-                     "draw_golden", "draw_upper_1149"), "layout_complete"),
+                     "drawing_to_json", "edge_segments", "extents"), "geometry"),
+    **dict.fromkeys(("draw_c1_only", "draw_c2_only", "draw_golden", "draw_upper_1149"),
+                    "layout_complete"),
     **dict.fromkeys(("DecompositionStats", "LayoutParams", "RailDecomposition",
                      "all_decompositions", "decompose", "decomposition_stats",
                      "draw_general"), "layout_general"),
     **dict.fromkeys(("REFERENCE_AREA_TABLE", "ParetoFrontier", "PowerLawFit",
                      "exhaustive_frontier", "fit_power_law", "frontier", "min_area",
                      "reconstruct_drawing"), "pareto"),
-    **dict.fromkeys(("RenderSpec", "drawing_to_svg"), "render"),
-    **dict.fromkeys(("HeavyOrder", "TernaryTree", "TreeError", "complete_height",
-                     "complete_tree", "heavy_order", "heavy_path", "is_complete",
-                     "random_ternary_tree", "subtree_sizes", "tree_from_json",
-                     "tree_to_json"), "tree"),
+    "drawing_to_svg": "render",
+    **dict.fromkeys(("TernaryTree", "TreeError", "complete_tree", "random_ternary_tree",
+                     "tree_from_json", "tree_to_json"), "tree"),
     **dict.fromkeys(("VerificationError", "VerificationReport", "build_report",
                      "check_on_grid", "check_orthogonal", "check_orthogonal_grid",
                      "check_planar", "check_subtree_separation", "check_top_visibility",

@@ -33,9 +33,8 @@ _LAZY = {
     **dict.fromkeys(("draw_c1_only", "draw_c2_only", "draw_golden",
                      "draw_upper_1149"), "layout_complete"),
     **dict.fromkeys(("LayoutParams", "draw_general"), "layout_general"),
-    **dict.fromkeys(("RenderSpec", "drawing_to_svg"), "render"),
-    **dict.fromkeys(("TreeError", "complete_height", "random_ternary_tree",
-                     "tree_from_json"), "tree"),
+    "drawing_to_svg": "render",
+    **dict.fromkeys(("TreeError", "random_ternary_tree", "tree_from_json"), "tree"),
     **dict.fromkeys(("build_report", "report_to_json"), "verify"),
 }
 
@@ -72,7 +71,7 @@ def _parse_treespec(spec: str) -> TernaryTree:
         if kind == "file":
             with open(rest) as f:
                 return tree_from_json(json.load(f))
-    except (ValueError, TreeError, OSError, KeyError, TypeError) as e:
+    except (ValueError, TreeError, OSError, KeyError, TypeError, RecursionError) as e:
         raise UserError(f"bad tree spec {spec!r}: {e}") from e
     raise UserError(f"unknown tree spec kind {kind!r} "
                     "(expected complete:<h>, random:<n>:<seed>, or file:<path>)")
@@ -94,7 +93,7 @@ def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
         # verifier's and writer's peaks would sit on them (64 MB at 1e6 nodes)
         vars(tree).pop("heavy", None)
         return drawing
-    h = complete_height(tree)
+    h = tree.complete_height
     if h is None:
         raise UserError(f"algorithm {algo!r} requires a complete ternary tree")
     if algo == "c1":
@@ -109,7 +108,7 @@ def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
         fronts = _levels(h, cache_dir)
         _, pair = fronts[-1].min_area()
         try:
-            return pareto.reconstruct_drawing(h, pair, fronts=fronts)
+            return pareto.reconstruct_drawing(fronts, pair)
         except ValueError as e:  # the cache's pair and recipes disagree
             raise UserError(f"cannot reconstruct the drawing from {cache_dir!r}: {e}") from e
     raise UserError(f"unknown algorithm {algo!r}")
@@ -131,13 +130,16 @@ def cmd_draw(args) -> int:
               file=sys.stderr)
         return 3
     if args.format == "svg":
-        blocks = [drawing_to_svg(drawing, RenderSpec())]
+        blocks = [drawing_to_svg(drawing)]
     else:  # written block by block: the document is never joined
         blocks = drawing_json_blocks(drawing)
     if args.out:
-        with open(args.out, "w") as f:
-            f.writelines(blocks)
-            f.write("\n")
+        try:
+            with open(args.out, "w") as f:
+                f.writelines(blocks)
+                f.write("\n")
+        except OSError as e:
+            raise UserError(f"cannot write {args.out!r}: {e}") from e
     else:
         sys.stdout.writelines(blocks)
         sys.stdout.write("\n")
@@ -206,7 +208,7 @@ def cmd_verify(args) -> int:
     _bind()
     try:
         drawing = _read_drawing(args.drawing)
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as e:
         raise UserError(f"cannot read drawing {args.drawing!r}: {e}") from e
     report = build_report(drawing)
     print(report_to_json(report))

@@ -1,4 +1,4 @@
-"""Grid drawings, rigid transforms, and extent measurement relative to the root.
+"""Grid drawings, their JSON form, and extent measurement relative to the root.
 
 Coordinate convention: x grows rightward, y grows DOWNWARD (SVG-style), so
 "below the root" means larger y. Edges are implicit: each non-root node is
@@ -45,9 +45,9 @@ COORD_LIMIT = 2 ** 62  # |c| below this keeps every difference, width and sum ex
 class GridDrawing:
     """Assignment of grid points to the nodes of a tree: row v of ``pos`` is
     node v's (x, y). ``pos`` is a read-only copy of the positions given, as an
-    (n, 2) int64 array; float64 if some coordinate is not integral (such a
-    drawing is off the grid). ValueError for a coordinate with
-    |c| >= COORD_LIMIT, or one that is not a finite number."""
+    (n, 2) int64 array. ValueError unless the positions are integers, as
+    numpy types them (a float, bool or object array is refused, even with
+    integral values), with |c| < COORD_LIMIT."""
 
     tree: TernaryTree
     pos: np.ndarray
@@ -56,12 +56,9 @@ class GridDrawing:
         P = np.array(self.pos)
         if P.shape != (self.tree.n, 2):
             raise ValueError("one (x, y) position per node required")
-        if not (np.all(P < COORD_LIMIT) and np.all(P > -COORD_LIMIT)):
-            raise ValueError("coordinates must be numbers with |c| < 2**62")
-        if P.dtype.kind not in "biu":
-            P = P.astype(np.float64)
-        if P.dtype.kind != "f" or np.all(P == np.floor(P)):
-            P = P.astype(np.int64, copy=False)
+        if P.dtype.kind not in "iu" or not (np.all(P < COORD_LIMIT) and np.all(P > -COORD_LIMIT)):
+            raise ValueError("coordinates must be integers with |c| < 2**62")
+        P = P.astype(np.int64, copy=False)
         P.setflags(write=False)
         object.__setattr__(self, "pos", P)
 
@@ -95,24 +92,11 @@ def bbox(d: GridDrawing) -> tuple[int, int, int, int]:
     return xmin, xmax, ymin, ymax
 
 
-def rotate(d: GridDrawing, quarter_turns_cw: int) -> GridDrawing:
-    """Rotate about the root's position by 90° clockwise steps (screen sense,
-    y-down). The root keeps its position."""
-    if quarter_turns_cw not in (1, 2, 3):
-        raise ValueError("quarter_turns_cw must be 1, 2, or 3")
-    root = d.pos[d.tree.root]
-    D = d.pos - root
-    for _ in range(quarter_turns_cw):
-        D = np.stack([-D[:, 1], D[:, 0]], axis=1)
-    return GridDrawing(d.tree, D + root)
-
-
 class NodeRanks(NamedTuple):
     """Each node's dense rank among the distinct x and y values, those values
     in increasing order, its dense rank in (y, x) and in (x, y) order (its
     place there when no two nodes share a point), and whether the drawing
-    is on the grid: integral coordinates (GridDrawing keeps floats only
-    otherwise), no two nodes at one point."""
+    is on the grid: no two nodes at one point."""
 
     rx: np.ndarray
     ry: np.ndarray
@@ -127,11 +111,11 @@ def node_ranks(P: np.ndarray) -> NodeRanks:
     """One sort per axis gives the ranks; one sort of the int64 key
     ry * len(ux) + rx (resp. rx * len(uy) + ry), below n**2, gives each
     order. Ranks keep order and equality, so every check can read them in
-    place of the coordinates, integral or not."""
+    place of the coordinates."""
     (ux, rx), (uy, ry) = (np.unique(c, return_inverse=True) for c in P.T)
     points, place_yx = np.unique(ry * len(ux) + rx, return_inverse=True)
     place_xy = np.unique(rx * len(uy) + ry, return_inverse=True)[1]
-    return NodeRanks(rx, ry, ux, uy, place_yx, place_xy, P.dtype.kind != "f" and len(points) == len(P))
+    return NodeRanks(rx, ry, ux, uy, place_yx, place_xy, len(points) == len(P))
 
 
 def rank_runs(r: NodeRanks, parent: np.ndarray, child: np.ndarray) -> tuple:
@@ -165,10 +149,7 @@ def rank_extents(r: NodeRanks, root: int, hs: np.ndarray, vs: np.ndarray) -> Ext
 
 def extents(d: GridDrawing) -> Extents:
     """Exact grid-line counts; a column/row counts if it meets a node or any
-    point of an edge segment. ValueError off the grid (a coordinate that is
-    not integral), where no grid lines are counted."""
-    if d.pos.dtype.kind == "f":
-        raise ValueError("an off-grid drawing has no grid-line counts")
+    point of an edge segment."""
     r = node_ranks(d.pos)
     return rank_extents(r, d.tree.root, *rank_runs(r, *edge_arrays(d.tree))[2:])
 
@@ -191,15 +172,8 @@ _BLOCK = 1 << 16  # nodes formatted per % operation, bounding the Python ints al
 
 def drawing_json_blocks(d: GridDrawing) -> Iterator[str]:
     """The pieces of ``drawing_json(d)`` in order, the children and the
-    positions of at most _BLOCK nodes each, formatted as they are asked for.
-    ValueError at once unless ``d.pos`` is int64, so a fractional coordinate
-    is never rounded."""
-    if d.pos.dtype != np.int64:
-        raise ValueError("only integer coordinates can be written")
-    return _blocks(d.tree, d.pos)
-
-
-def _blocks(t: TernaryTree, P: np.ndarray) -> Iterator[str]:
+    positions of at most _BLOCK nodes each, formatted as they are asked for."""
+    t, P = d.tree, d.pos
     counts = (t.table >= 0).sum(axis=1)
     ids, starts = t.table[t.table >= 0], np.append(0, np.cumsum(counts))[::_BLOCK].tolist()
     yield _HEAD % (t.n, t.root)
@@ -218,9 +192,9 @@ def _blocks(t: TernaryTree, P: np.ndarray) -> Iterator[str]:
 
 
 def drawing_json(d: GridDrawing) -> str:
-    """Exactly ``json.dumps(drawing_to_json(d), indent=2)`` for a drawing with
-    integer coordinates, from one format string per block of nodes instead
-    of the pure-Python encoder: the join of drawing_json_blocks(d)."""
+    """Exactly ``json.dumps(drawing_to_json(d), indent=2)``, from one format
+    string per block of nodes instead of the pure-Python encoder: the join
+    of drawing_json_blocks(d)."""
     return "".join(drawing_json_blocks(d))
 
 

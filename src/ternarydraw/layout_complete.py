@@ -1,12 +1,12 @@
 """1-2 drawing combinators and closed-form constructions for complete trees.
 
-Both combinators take the three child drawings PRE-rotation; the required
-90° rotations of the flanking drawings happen inside. Child-slot mapping is
-fixed for determinism: slot 1 is the center subtree (below the root), slot 0
-the left arm (rotated clockwise), slot 2 the right arm (rotated
-counterclockwise).
+Both combinators, construct1 and construct2, take the three child drawings
+PRE-rotation; the required 90° rotations of the flanking drawings happen
+inside. Child-slot mapping is fixed for determinism: slot 1 is the center
+subtree (below the root), slot 0 the left arm (rotated clockwise), slot 2 the
+right arm (rotated counterclockwise).
 
-The cores work on (m, 2) int64 coordinate arrays in the preorder of
+They work on (m, 2) int64 coordinate arrays in the preorder of
 ``complete_tree``, root in row 0 at the origin. In that preorder the three
 child subtrees of T_h are the contiguous id blocks [1, 1+m), [1+m, 1+2m) and
 [1+2m, 1+3m), m = |T_{h-1}|, so a level is one rotated and translated slice
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import GridDrawing
-from .tree import TernaryTree, TreeError, complete_height, complete_tree
+from .tree import TreeError, complete_tree
 
 _POINT = np.zeros((1, 2), dtype=np.int64)  # T_1, shared by every layout
 _POINT.setflags(write=False)
@@ -62,35 +62,6 @@ def construct2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 def as_drawing(h: int, P: np.ndarray) -> GridDrawing:
     """The drawing of T_h whose node v sits at row v of P."""
     return GridDrawing(complete_tree(h), P)
-
-
-def _child_arrays(ga: GridDrawing, gb: GridDrawing, gc: GridDrawing,
-                  root_tree: TernaryTree) -> list[np.ndarray]:
-    """Each child drawing as a root-relative int64 array, after checking that
-    root_tree is T_h and every child drawing's tree is T_{h-1}."""
-    h = complete_height(root_tree) or 0
-    if h < 2 or root_tree != complete_tree(h):
-        raise TreeError("constructions need a complete tree with at least 2 levels")
-    if any(g.tree != complete_tree(h - 1) for g in (ga, gb, gc)):
-        raise TreeError("subtree shape does not match the supplied drawing")
-    arrays = [g.pos for g in (ga, gb, gc)]
-    if any(P.dtype != np.int64 for P in arrays):
-        raise ValueError("constructions need integer coordinates")
-    return [P - P[0] for P in arrays]
-
-
-def construction1(ga: GridDrawing, gb: GridDrawing, gc: GridDrawing,
-                  root_tree: TernaryTree) -> GridDrawing:
-    """Center drawing ga hangs one row below the root; gb (rotated cw) and gc
-    (rotated ccw) flank it, their roots on the root's row."""
-    return GridDrawing(root_tree, construct1(*_child_arrays(ga, gb, gc, root_tree)))
-
-
-def construction2(ga: GridDrawing, gb: GridDrawing, gc: GridDrawing,
-                  root_tree: TernaryTree) -> GridDrawing:
-    """gb (rotated cw) and gc (rotated ccw) flank the root directly; the
-    center drawing ga hangs one row below the lower of the two."""
-    return GridDrawing(root_tree, construct2(*_child_arrays(ga, gb, gc, root_tree)))
 
 
 def _check_h(h: int) -> None:

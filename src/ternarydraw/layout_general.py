@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from .geometry import GridDrawing
-from .tree import TernaryTree, subtree_sizes
+from .tree import TernaryTree
 
 
 @dataclass(frozen=True)
@@ -210,20 +210,13 @@ def decompose(t: TernaryTree, params: Optional[LayoutParams] = None) -> RailDeco
     return next(_rail_decompositions(t, _decompose(t, np.array([t.root]), params.p)))
 
 
-def decomposition_stats(d: RailDecomposition,
-                        sizes: Optional[list[int]] = None,
-                        t: Optional[TernaryTree] = None) -> DecompositionStats:
-    """Attachment-size maxima. Needs the tree (or its size table) that
-    produced ``d``; sizes are recomputed from ``t`` when omitted."""
-    if sizes is None:
-        if t is None:
-            raise ValueError("pass the source tree or its subtree sizes")
-        sizes = subtree_sizes(t)
-    p_set = set(d.P)
+def decomposition_stats(d: RailDecomposition, t: TernaryTree) -> DecompositionStats:
+    """Attachment-size maxima of ``d``, a decomposition of the tree ``t``."""
+    sizes, p_set = t.walk[2], set(d.P)
 
     def attach_max(mapping: dict[int, int], on_p: bool) -> int:
-        vals = [sizes[c] for v, c in mapping.items() if (v in p_set) == on_p]
-        return max(vals, default=0)
+        vals = [c for v, c in mapping.items() if (v in p_set) == on_p]
+        return int(sizes[vals].max(initial=0))
 
     general = d.x is None or d.x >= 3
     a = attach_max(d.top, True) if general else None

@@ -150,9 +150,8 @@ def save_frontier(fr: ParetoFrontier, cache_dir: str) -> str:
     reader never sees a half-written level."""
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, fr.h)
-    recipes = fr.recipes or tuple((-1, -1, 0) for _ in fr.pairs)
     lines = [f"h={fr.h} count={len(fr.pairs)}"]
-    for (w, e), (a, c, cn) in zip(fr.pairs, recipes):
+    for (w, e), (a, c, cn) in zip(fr.pairs, fr.recipes):
         lines.append(f"{w} {e} {a} {c} {cn}")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -172,10 +171,9 @@ class CacheError(ValueError):
 _HEADER = re.compile(r"h=(\d+) count=([1-9]\d*)")
 
 
-def load_frontier(cache_dir: str, h: int,
-                  below: Optional[ParetoFrontier] = None) -> Optional[ParetoFrontier]:
+def load_frontier(cache_dir: str, h: int, below: ParetoFrontier) -> Optional[ParetoFrontier]:
     """The frontier of T_h read from ``cache_dir``, or None if it has no file
-    for h. ``below`` is the frontier of T_{h-1}, computed when not given.
+    for h. ``below`` is the frontier of T_{h-1}.
 
     The whole file is checked before any of it is used, in O(k): the header
     ``h=<h> count=<k>``, then exactly k rows ``w e arm center construction``
@@ -208,8 +206,6 @@ def load_frontier(cache_dir: str, h: int,
     if len(rows) != count + 1:
         raise bad(min(len(rows), count + 1),
                   f"the header declares {count} rows, the file holds {len(rows) - 1}")
-    if below is None:
-        below = frontier(h - 1)
     k = len(below.pairs)
     wb, eb = [w for w, _ in below.pairs], [e for _, e in below.pairs]
     lam = [(w - 1) // 2 for w in wb]
@@ -274,20 +270,18 @@ def min_area(h: int, cache_dir: Optional[str] = None) -> tuple[int, Pair]:
     return frontier(h, cache_dir).min_area()
 
 
-def reconstruct_drawing(h: int, pair: Pair, cache_dir: Optional[str] = None, *,
-                        fronts: Optional[Sequence[ParetoFrontier]] = None) -> GridDrawing:
-    """Geometric witness for a frontier pair, following the stored recipes of
-    ``fronts``, the frontiers of T_1..T_h as levels yields them (walked from
-    ``cache_dir`` when not given). Arms reuse one drawing, so they are
-    congruent up to the 180° rotation applied inside the constructions.
-    ValueError unless the drawing built is exactly pair[0] wide and pair[1]
-    tall, as a corrupt cache can make it."""
+def reconstruct_drawing(fronts: Sequence[ParetoFrontier], pair: Pair) -> GridDrawing:
+    """Geometric witness for a pair on the frontier of T_h, following the
+    stored recipes of ``fronts``, the frontiers of T_1..T_h as levels yields
+    them (so h = len(fronts)). Arms reuse one drawing, so they are congruent
+    up to the 180° rotation applied inside the constructions. ValueError
+    unless the drawing built is exactly pair[0] wide and pair[1] tall, as a
+    corrupt cache can make it."""
     import numpy as np
 
     from .layout_complete import as_drawing, construct1, construct2
 
-    if fronts is None:
-        fronts = list(levels(h, cache_dir))
+    h = len(fronts)
     try:
         top_idx = fronts[h - 1].pairs.index((int(pair[0]), int(pair[1])))
     except ValueError:
@@ -377,6 +371,10 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
 
     ns = np.array([p[0] for p in points], dtype=float)
     ys = np.array([p[1] for p in points], dtype=float)
+    if not (np.all(np.isfinite(ns)) and np.all(np.isfinite(ys))):
+        raise ValueError("n and area values must be finite numbers")
+    if not np.all(ns > 0):
+        raise ValueError("n values must be positive")
     if not np.all(np.diff(ns) > 0):
         raise ValueError("n values must be strictly increasing")
 

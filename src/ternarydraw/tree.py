@@ -1,4 +1,4 @@
-"""Rooted ternary trees on dense integer ids, subtree statistics, heavy paths.
+"""Rooted ternary trees on dense integer ids, subtree sizes, heavy paths.
 
 A tree is stored as an (n, 3) int64 child table padded with -1 and a parent
 array, built and validated once by numpy passes, never node by node."""
@@ -27,8 +27,8 @@ class TernaryTree:
     dense labeling is accepted). ``children`` lists each node's children in
     slot order, or is an (n, 3) integer table with -1 in the empty slots after
     them. The tree keeps it as ``table`` and each node's parent (-1 for the
-    root) as ``parents``, read-only int64 arrays; ``children`` is a tuple view
-    of the table, built on first use. Trees compare by value, unhashable."""
+    root) as ``parents``, read-only int64 arrays. Trees compare by value,
+    unhashable."""
 
     def __init__(self, children, root: int = 0) -> None:
         if isinstance(children, np.ndarray):
@@ -70,21 +70,15 @@ class TernaryTree:
                 and np.array_equal(self.table, other.table))
 
     @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, tree_to_json(self)["children"]))
-
-    def parent(self, v: int) -> Optional[int]:
-        return None if v == self.root else int(self.parents[v])
-
-    @cached_property
     def walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(order, pos, size): topo_order() as an array, each node's place in
-        it, and each node's subtree size. The order is the stack walk that
-        pushes children in slot order, so it visits the last slot first. A
-        node's successor there is its last child; for a leaf, the sibling one
-        slot lower of its nearest ancestor-or-self that has one, found by
-        pointer jumping. List ranking then places every node: O(log n) numpy
-        passes for any shape."""
+        """(order, pos, size): the nodes in an order where every parent
+        precedes its children, each node's place in it, and each node's
+        subtree size. The order is the stack walk that pushes children in
+        slot order, so it visits the last slot first. A node's successor
+        there is its last child; for a leaf, the sibling one slot lower of
+        its nearest ancestor-or-self that has one, found by pointer jumping.
+        List ranking then places every node: O(log n) numpy passes for any
+        shape."""
         K, n = self.table, self.n
         sib = np.full(n, -1)  # the sibling one slot lower; the end, n, for the root
         rows, slots = np.nonzero(K[:, 1:] >= 0)
@@ -105,16 +99,18 @@ class TernaryTree:
         order[pos[:n]] = np.arange(n)
         return _frozen(order, pos[:n], (pos[after] - pos)[:n])
 
-    def topo_order(self) -> tuple[int, ...]:
-        """Nodes in an order where every parent precedes its children."""
-        return tuple(self.walk[0].tolist())
-
-    def is_leaf(self, v: int) -> bool:
-        return bool(self.table[v, 0] < 0)
-
     @cached_property
     def complete_height(self) -> Optional[int]:
-        return _complete_height(self)
+        """Number of nodes on every root-to-leaf path if the tree is a
+        complete ternary tree, else None. It is complete iff every node has
+        0 or 3 children and each node's three child subtrees have one size
+        (by induction on the size, they are then complete trees of one
+        height)."""
+        inner = self.table[:, 2] >= 0
+        if np.any(self.table[~inner, 0] >= 0):  # a node with 1 or 2 children
+            return None
+        S = self.walk[2][self.table[inner]]
+        return None if np.any(S != S[:, :1]) else round(math.log(2 * self.n + 1, 3))
 
     @cached_property
     def heavy(self) -> HeavyPaths:
@@ -164,20 +160,6 @@ class HeavyPaths:
     hp: np.ndarray
 
 
-@dataclass(frozen=True)
-class HeavyOrder:
-    """Per-node ordering of child subtrees by non-increasing size.
-
-    ``heaviest[v]`` / ``second[v]`` / ``lightest[v]`` hold child ids or None
-    when the node has fewer than 1/2/3 children. Ties broken by smaller
-    child-slot index, so the order is deterministic across runs.
-    """
-
-    heaviest: tuple[Optional[int], ...]
-    second: tuple[Optional[int], ...]
-    lightest: tuple[Optional[int], ...]
-
-
 @lru_cache(maxsize=None)
 def complete_tree(h: int) -> TernaryTree:
     """Complete ternary tree where every root-to-leaf path has h nodes, ids in
@@ -205,23 +187,6 @@ def complete_tree(h: int) -> TernaryTree:
     return t
 
 
-def subtree_sizes(t: TernaryTree) -> list[int]:
-    """size[v] = 1 + sum of the children's subtree sizes."""
-    return t.walk[2].tolist()
-
-
-def heavy_order(t: TernaryTree) -> HeavyOrder:
-    return HeavyOrder(*(tuple([None if c < 0 else c for c in col])
-                        for col in t.heavy.order.T.tolist()))
-
-
-def heavy_path(t: TernaryTree, start: int, order: Optional[HeavyOrder] = None) -> list[int]:
-    """Path from ``start`` following heaviest-child links down to a leaf,
-    read from ``t.heavy``; ``order``, if given, must be ``heavy_order(t)``."""
-    h = t.heavy
-    return h.hp[h.start[start] + h.depth[start]:h.start[start] + h.length[start]].tolist()
-
-
 def random_ternary_tree(n: int, seed: int) -> TernaryTree:
     """Random rooted ternary tree: node i attaches to a uniformly random
     existing node that still has a free child slot (``random.Random(seed)``).
@@ -243,27 +208,6 @@ def random_ternary_tree(n: int, seed: int) -> TernaryTree:
             open_nodes.pop()
         open_nodes.append(v)
     return TernaryTree(table.reshape(n, 3))
-
-
-def complete_height(t: TernaryTree) -> Optional[int]:
-    """Number of nodes on every root-to-leaf path if t is a complete ternary
-    tree, else None; computed once per tree and kept on it."""
-    return t.complete_height
-
-
-def _complete_height(t: TernaryTree) -> Optional[int]:
-    """t is complete iff every node has 0 or 3 children and each node's
-    three child subtrees have one size (by induction on the size, they are
-    then complete trees of one height)."""
-    inner = t.table[:, 2] >= 0
-    if np.any(t.table[~inner, 0] >= 0):  # a node with 1 or 2 children
-        return None
-    S = t.walk[2][t.table[inner]]
-    return None if np.any(S != S[:, :1]) else round(math.log(2 * t.n + 1, 3))
-
-
-def is_complete(t: TernaryTree) -> bool:
-    return complete_height(t) is not None
 
 
 def tree_to_json(t: TernaryTree) -> dict:

@@ -12,7 +12,7 @@ import numpy as np
 from .geometry import (Extents, GridDrawing, NodeRanks, edge_arrays, edge_segments,
                        node_ranks, rank_extents, rank_runs)
 from .geometry import extents  # unused here; perfbench/child.py wraps verify.extents
-from .tree import TernaryTree, complete_height
+from .tree import TernaryTree
 
 
 class VerificationError(Exception):
@@ -26,7 +26,7 @@ class VerificationReport:
     on_grid: bool
     top_visible: bool
     subtree_separated: bool
-    extents: Optional[Extents]  # None off the grid, where no grid lines are counted
+    extents: Extents
     leg_length: Optional[int] = None
     left_arm_length: Optional[int] = None
     right_arm_length: Optional[int] = None
@@ -40,7 +40,7 @@ def _ranked(d: GridDrawing) -> tuple:
 
 
 def check_on_grid(d: GridDrawing) -> bool:
-    """Integer coordinates, pairwise distinct."""
+    """Pairwise distinct points (GridDrawing holds only integers)."""
     return node_ranks(d.pos).on_grid
 
 
@@ -169,10 +169,11 @@ def _top_visible(r: NodeRanks, root: int, hs: np.ndarray) -> bool:
 
 
 def _subtree_boxes(r: NodeRanks, t: TernaryTree) -> np.ndarray:
-    """Per place in topo_order(), (xmin, ymin, -xmax, -ymax) over the subtree
-    rooted there, in int32 ranks: ranks keep order, so the same boxes meet.
+    """Per place in the walk order ``t.walk[0]``, (xmin, ymin, -xmax, -ymax)
+    over the subtree rooted there, in int32 ranks: ranks keep order, so the
+    same boxes meet.
 
-    topo_order() is a preorder, so a subtree is the block of its size from
+    The walk order is a preorder, so a subtree is the block of its size from
     its root on. Each block's minimum comes from the sparse table of
     power-of-two windows, built one level at a time: O(log n) passes
     whatever the tree's height, each reading the table forward."""
@@ -219,11 +220,11 @@ def brute_subtree_separation(d: GridDrawing) -> bool:
     """Oracle: check ALL node-disjoint subtree pairs (ancestry-free node
     pairs), each box taken over the subtree's members found from ancestor
     sets. O(n^2); for small drawings only."""
-    n, pos = d.tree.n, d.pos.tolist()
+    n, pos, parents = d.tree.n, d.pos.tolist(), d.tree.parents.tolist()
     ancestors: list[set[int]] = [set() for _ in range(n)]
-    for v in d.tree.topo_order():
-        p = d.tree.parent(v)
-        if p is not None:
+    for v in d.tree.walk[0].tolist():  # parents first
+        p = parents[v]
+        if p >= 0:
             ancestors[v] = ancestors[p] | {p}
     boxes = []
     for u in range(n):
@@ -265,7 +266,7 @@ def leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
     too ambiguous to measure and VerificationError is raised.
     """
     t = d.tree
-    h = complete_height(t)
+    h = t.complete_height
     if h is None:
         raise VerificationError("leg/arm lengths are defined for complete ternary trees")
     if h == 1:
@@ -292,7 +293,7 @@ def leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
             if (x if vertical else y) != fixed:
                 raise VerificationError("path left its line")
             coords.append(y if vertical else x)
-            if t.is_leaf(cur):
+            if t.table[cur, 0] < 0:  # a leaf
                 break
             on_line = [c for c in t.table[cur].tolist() if P[c, 0 if vertical else 1] == fixed]
             if len(on_line) != 1:
@@ -331,14 +332,13 @@ def build_report(d: GridDrawing) -> VerificationReport:
     and one set of runs: four sorts of n entries before the crossing
     search. The arrays derived from d.pos die on return, not kept with the
     drawing, so they never add to a caller's peak memory."""
-    P = d.pos
     r, parent, child, h, v, hs, vs = _ranked(d)
     sep = _separated(r, d.tree, parent, child)
     orthogonal = len(hs) + len(vs) == len(parent)
     valid = r.on_grid and orthogonal
     planar = valid and _planar(r, h, v, hs, vs)
     top = valid and _top_visible(r, d.tree.root, hs)
-    ext = None if P.dtype.kind == "f" else rank_extents(r, d.tree.root, hs, vs)
+    ext = rank_extents(r, d.tree.root, hs, vs)
     leg = lam = rho = None
     if planar:
         try:
@@ -350,17 +350,19 @@ def build_report(d: GridDrawing) -> VerificationReport:
 
 def report_to_json(r: VerificationReport) -> str:
     ext = r.extents
-    counts = (None,) * 7 if ext is None else (
-        ext.width, ext.height, ext.left_width, ext.right_width, ext.top_height,
-        ext.bottom_height, ext.area)
     payload = {
         "planar": r.planar,
         "orthogonal": r.orthogonal,
         "onGrid": r.on_grid,
         "topVisible": r.top_visible,
         "subtreeSeparated": r.subtree_separated,
-        **dict(zip(("width", "height", "leftWidth", "rightWidth", "topHeight",
-                    "bottomHeight", "area"), counts)),
+        "width": ext.width,
+        "height": ext.height,
+        "leftWidth": ext.left_width,
+        "rightWidth": ext.right_width,
+        "topHeight": ext.top_height,
+        "bottomHeight": ext.bottom_height,
+        "area": ext.area,
         "legLength": r.leg_length,
         "leftArmLength": r.left_arm_length,
         "rightArmLength": r.right_arm_length,

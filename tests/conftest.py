@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ternarydraw.geometry import GridDrawing, drawing_json, drawing_to_json
 from ternarydraw.layout_general import draw_general
+from ternarydraw.pareto import levels, reconstruct_drawing
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree
 
 
@@ -24,6 +25,12 @@ def caterpillar_tree(spine: int) -> TernaryTree:
         children[i].extend((leaf, leaf + 1))
         leaf += 2
     return TernaryTree(tuple(tuple(c) for c in children))
+
+
+def min_area_drawing(h: int):
+    """The minimum-area 1-2 drawing of T_h, rebuilt from the frontiers' recipes."""
+    fronts = list(levels(h))
+    return reconstruct_drawing(fronts, fronts[-1].min_area()[1])
 
 
 @pytest.fixture(scope="session")

@@ -52,8 +52,6 @@ def segment_extents(P, root, hs, vs):
 
 
 def _on_grid(P):
-    if P.dtype.kind == "f":
-        return False
     S = P[np.lexsort((P[:, 0], P[:, 1]))]
     return not np.any((S[1:, 0] == S[:-1, 0]) & (S[1:, 1] == S[:-1, 1]))
 
@@ -162,7 +160,7 @@ def oracle_report(d: GridDrawing) -> VerificationReport:
     valid = on_grid and orthogonal
     planar = valid and _planar(P, hs, vs)
     top = valid and _top_visible(P, d.tree.root, hs, vs)
-    ext = None if P.dtype.kind == "f" else segment_extents(P, d.tree.root, hs, vs)
+    ext = segment_extents(P, d.tree.root, hs, vs)
     leg = lam = rho = None
     if planar:
         try:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from conftest import min_area_drawing
 from ternarydraw.geometry import GridDrawing, extents
 from ternarydraw.layout_complete import (draw_c1_only, draw_c2_only,
                                          draw_golden, draw_upper_1149)
@@ -13,8 +14,8 @@ from ternarydraw.layout_general import (LayoutParams, all_decompositions,
                                         decomposition_stats, draw_general)
 from ternarydraw.pareto import (REFERENCE_AREA_TABLE, exhaustive_dimension_tuples,
                                 exhaustive_frontier, fit_power_law, frontier,
-                                min_area, reconstruct_drawing)
-from ternarydraw.tree import complete_tree, random_ternary_tree, subtree_sizes
+                                min_area)
+from ternarydraw.tree import complete_tree, random_ternary_tree
 from ternarydraw.verify import (check_orthogonal_grid, check_planar,
                                 check_top_visibility, fib_lower_bound,
                                 naive_check_planar)
@@ -99,9 +100,8 @@ def test_criterion_6_inequality_sweep(corpus):
     for t in corpus:
         if t.n < 2:
             continue
-        sizes = subtree_sizes(t)
         for dec in all_decompositions(t):
-            st = decomposition_stats(dec, sizes=sizes)
+            st = decomposition_stats(dec, t)
             if st.a is None:
                 continue
             checked += 1
@@ -123,7 +123,7 @@ def test_criterion_7_lower_bound_consistency():
     for h in range(1, 10):
         f = fib_lower_bound(h)
         drawings = [draw_c1_only(h), draw_c2_only(h), draw_upper_1149(h),
-                    *draw_golden(h), reconstruct_drawing(h, min_area(h)[1])]
+                    *draw_golden(h), min_area_drawing(h)]
         for d in drawings:
             e = extents(d)
             ok &= min(e.width, e.height) >= f
@@ -153,10 +153,8 @@ def _random_orthogonal_drawing(n, seed):
     pos = [None] * n
     pos[t.root] = (0, 0)
     used = {(0, 0)}
-    for v in t.topo_order():
-        if v == t.root:
-            continue
-        px, py = pos[t.parent(v)]
+    for v in t.walk[0].tolist()[1:]:  # parents first, the root first of all
+        px, py = pos[t.parents[v]]
         while True:
             dx, dy = rng.choice([(1, 0), (-1, 0), (0, 1), (0, -1)])
             step = rng.randint(1, 6)
@@ -173,11 +171,11 @@ def _inject_crossing(d, seed):
     other geometry, keeping the drawing orthogonal and on-grid."""
     rng = random.Random(seed)
     t = d.tree
-    leaves = [v for v in range(t.n) if t.is_leaf(v) and v != t.root]
+    leaves = [v for v in range(t.n) if t.table[v, 0] < 0 and v != t.root]
     if not leaves:
         return d
     v = rng.choice(leaves)
-    px, py = d.pos[t.parent(v)].tolist()
+    px, py = d.pos[t.parents[v]].tolist()
     vx, vy = d.pos[v].tolist()
     dx = (vx > px) - (vx < px)
     dy = (vy > py) - (vy < py)

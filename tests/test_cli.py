@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import os
@@ -10,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from ternarydraw import cli, geometry, pareto, tree, verify
 from ternarydraw.cli import main
 from ternarydraw.geometry import GridDrawing, drawing_from_json, drawing_json, extents
-from ternarydraw.render import RenderSpec, drawing_to_svg
 from ternarydraw.layout_complete import draw_c1_only, draw_golden
 from ternarydraw.tree import TernaryTree
 
@@ -90,6 +90,24 @@ def test_verify_parse_failure(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
     assert run("verify", str(path)) == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "svg"])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, fmt):
+    out = tmp_path / "no-such-dir" / "d.out"
+    assert run("draw", "complete:3", "--algo", "c1", "--format", fmt, "--out", str(out)) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: cannot write") and "no-such-dir" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "draw"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    argv = ("verify", str(path)) if command == "verify" else ("draw", f"file:{path}")
+    assert run(*argv) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("doc", [
@@ -185,29 +203,14 @@ def test_draw_splits_segments_and_measures_extents_once(monkeypatch, tmp_path):
 @pytest.mark.parametrize("algo", ["general", "upper1149", "pareto-min"])
 def test_draw_computes_complete_height_once(monkeypatch, tmp_path, algo):
     calls = []
-    real = tree._complete_height
-    monkeypatch.setattr(tree, "_complete_height", lambda t: calls.append(t.n) or real(t))
+    real = TernaryTree.complete_height.func
+    counted = functools.cached_property(lambda t: calls.append(t.n) or real(t))
+    counted.__set_name__(TernaryTree, "complete_height")
+    monkeypatch.setattr(TernaryTree, "complete_height", counted)
     tree.complete_tree.cache_clear()  # a fresh T_6, with no height kept yet
     assert run("--cache-dir", str(tmp_path / "cache"), "draw", "complete:6", "--algo", algo,
                "--out", str(tmp_path / "d.json")) == 0
     assert calls == [364]
-
-
-def test_no_cli_path_builds_the_children_tuples(monkeypatch, tmp_path, capsys):
-    def built(t):
-        raise AssertionError("TernaryTree.children built")
-    monkeypatch.setattr(TernaryTree, "children", property(built))
-    tree.complete_tree.cache_clear()
-    tpath = tmp_path / "tree.json"
-    tpath.write_text(json.dumps({"n": 4, "root": 0, "children": [[1, 2], [3], [], []]}))
-    for spec, algo in (("complete:5", "upper1149"), ("random:300:1", "general"),
-                       (f"file:{tpath}", "general")):
-        out = tmp_path / "d.json"
-        assert run("--cache-dir", str(tmp_path / "cache"), "draw", spec, "--algo", algo,
-                   "--out", str(out)) == 0
-        assert run("verify", str(out)) == 0
-    assert run("draw", "complete:3", "--algo", "c1", "--format", "svg") == 0
-    assert "internal error" not in capsys.readouterr().err
 
 
 def test_draw_frees_the_heavy_paths_before_verifying(monkeypatch):
@@ -308,6 +311,15 @@ def test_fit_malformed_table(tmp_path):
     assert run("fit", str(table)) == 2
 
 
+@pytest.mark.parametrize("row", ["1 nan", "1 inf", "0 5", "-2 5"])
+def test_fit_rejects_non_finite_or_non_positive_rows(tmp_path, capfd, row):
+    table = tmp_path / "t.txt"
+    table.write_text(row + "\n" + "\n".join(f"{n} {2 * n}" for n in range(2, 20)))
+    assert run("fit", str(table)) == 2
+    out, err = capfd.readouterr()  # file-descriptor level: LAPACK writes there
+    assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_svg_output(tmp_path):
     out = tmp_path / "d.svg"
     assert run("draw", "complete:3", "--algo", "c1", "--format", "svg",
@@ -317,13 +329,6 @@ def test_svg_output(tmp_path):
     assert svg.count("<circle") == 13
     assert svg.count("<line") == 12
     assert "crimson" in svg
-
-
-def test_render_spec_validation():
-    with pytest.raises(ValueError):
-        RenderSpec(cell_size=8, node_radius=4)
-    svg = drawing_to_svg(draw_c1_only(2), RenderSpec(cell_size=20, node_radius=5))
-    assert 'r="5"' in svg
 
 
 def test_file_treespec(tmp_path):

@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 from ternarydraw import geometry
 from ternarydraw.geometry import (Extents, GridDrawing, drawing_from_json,
                                   drawing_json, drawing_json_blocks, drawing_to_json,
-                                  edge_segments, extents, read_canonical, rotate)
+                                  edge_segments, extents, read_canonical)
 from ternarydraw.layout_complete import (draw_c1_only, draw_c2_only,
                                          draw_golden, draw_upper_1149)
-from ternarydraw.pareto import min_area, reconstruct_drawing
 from ternarydraw.layout_general import draw_general
-from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree
+from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree, tree_to_json
 
-from conftest import canonical_bytes, drawings, layouts
+from conftest import canonical_bytes, drawings, layouts, min_area_drawing
+from test_layout_complete import rotate  # the construction oracle's rotation
 
 
 def t2_drawing():
@@ -94,9 +94,15 @@ def test_pos_is_a_read_only_copy_compared_by_value():
 
 
 def test_pos_dtype_follows_integrality():
+    # any integer dtype is kept as int64; any other is refused, even with
+    # integral values, so no drawing is off the grid
     t = TernaryTree(((1,), ()))
-    assert GridDrawing(t, ((0, 0), (0.5, 0))).pos.dtype == np.float64
-    assert GridDrawing(t, ((0, 0), (1.0, 0))).pos.dtype == np.int64
+    for dtype in (np.int8, np.uint32, np.int64):
+        assert GridDrawing(t, np.array([[0, 0], [1, 0]], dtype)).pos.dtype == np.int64
+    for pos in (((0, 0), (0.5, 0)), ((0, 0), (2.0, 0)), np.zeros((2, 2), bool),
+                np.zeros((2, 2), object)):
+        with pytest.raises(ValueError):
+            GridDrawing(t, pos)
 
 
 def test_position_count_mismatch_rejected():
@@ -128,7 +134,7 @@ def test_drawing_json_matches_json_dumps_on_general_drawings(corpus):
 def test_drawing_json_matches_json_dumps_on_complete_drawings():
     for h in range(1, 8):
         for d in (draw_c1_only(h), draw_c2_only(h), draw_upper_1149(h),
-                  *draw_golden(h), reconstruct_drawing(h, min_area(h)[1])):
+                  *draw_golden(h), min_area_drawing(h)):
             assert drawing_json(d) == dumped(d)
 
 
@@ -137,7 +143,7 @@ def test_drawing_json_child_counts_and_extreme_coordinates():
     t = TernaryTree(((1, 2, 3), (4,), (5, 6), (), (), (), ()), root=0)
     d = GridDrawing(t, ((0, 0), (-big, 0), (0, -1), (big, 0), (-big, big),
                         (-7, -1), (0, big)))
-    assert sorted({len(k) for k in t.children}) == [0, 1, 2, 3]
+    assert sorted({len(k) for k in tree_to_json(t)["children"]}) == [0, 1, 2, 3]
     assert drawing_json(d) == dumped(d)
     single = GridDrawing(complete_tree(1), ((-3, 5),))
     assert drawing_json(single) == dumped(single)
@@ -146,9 +152,9 @@ def test_drawing_json_child_counts_and_extreme_coordinates():
 
 
 def test_drawing_json_never_rounds():
-    d = GridDrawing(TernaryTree(((1,), ())), ((0, 0), (0.5, 0)))
+    # a fractional coordinate is refused before any drawing holds it
     with pytest.raises(ValueError):
-        drawing_json(d)
+        drawing_json(GridDrawing(TernaryTree(((1,), ())), ((0, 0), (0.5, 0))))
 
 
 def test_extents_reject_off_grid_drawings():

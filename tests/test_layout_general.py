@@ -11,8 +11,7 @@ from ternarydraw.geometry import extents
 from ternarydraw.layout_general import (LayoutParams, RailDecomposition,
                                         all_decompositions, decompose,
                                         decomposition_stats, draw_general)
-from ternarydraw.tree import (TernaryTree, complete_tree, heavy_order,
-                              random_ternary_tree, subtree_sizes)
+from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree
 from ternarydraw.verify import (check_orthogonal_grid, check_planar,
                                 check_top_visibility)
 
@@ -103,28 +102,28 @@ def test_rails_are_tree_paths():
     d = decompose(t)
     for rail in (d.P, d.Q):
         for u, v in zip(rail, rail[1:]):
-            assert t.parent(v) == u or t.parent(u) == v
+            assert t.parents[v] == u or t.parents[u] == v
 
 
 def test_stats_on_path_are_zero():
-    d = decompose(path_tree(9))
-    s = decomposition_stats(d, t=path_tree(9))
+    t = path_tree(9)
+    s = decomposition_stats(decompose(t), t)
     assert (s.a, s.b, s.r, s.s) == (0, 0, 0, 0)
 
 
 def test_stats_absent_for_small_turn_index():
-    s = decomposition_stats(decompose(complete_tree(4)), t=complete_tree(4))
+    s = decomposition_stats(decompose(complete_tree(4)), complete_tree(4))
     assert s.a is None and s.b is None
-    s = decomposition_stats(decompose(_sized_example()), t=_sized_example())
+    t = _sized_example()
+    s = decomposition_stats(decompose(t), t)
     assert s.a is None and s.b is None
 
 
 def test_stats_inequalities_complete_tree():
     t = complete_tree(5)
-    sizes = subtree_sizes(t)
     p = 9.956
     for dec in all_decompositions(t):
-        st_ = decomposition_stats(dec, sizes=sizes)
+        st_ = decomposition_stats(dec, t)
         m = dec.n
         if st_.a is not None:
             assert st_.a < m / p and st_.b < m / p
@@ -166,7 +165,7 @@ def test_all_decompositions_cover_tree():
     for dec in all_decompositions(t):
         covered.update(dec.P)
         covered.update(dec.Q)
-    leaves = {v for v in range(t.n) if t.is_leaf(v)}
+    leaves = set(np.flatnonzero(t.table[:, 0] < 0).tolist())
     assert covered | leaves == set(range(t.n))
 
 
@@ -176,8 +175,8 @@ def test_all_decompositions_cover_tree():
 
 def oracle_heavy_path(order, start):
     path = [start]
-    while order.heaviest[path[-1]] is not None:
-        path.append(order.heaviest[path[-1]])
+    while order[path[-1]][0] >= 0:
+        path.append(order[path[-1]][0])
     return path
 
 
@@ -185,8 +184,8 @@ def _turn_index(pi, sizes, order, threshold):
     """Smallest 1-based i such that pi_i has at least two subtrees with at
     least ``threshold`` nodes each, that is, its second-heaviest has."""
     for i, v in enumerate(pi, start=1):
-        c = order.second[v]
-        if c is not None and sizes[c] >= threshold:
+        c = order[v][1]
+        if c >= 0 and sizes[c] >= threshold:
             return i
     return None
 
@@ -198,31 +197,31 @@ def _decompose(t, root, sizes, order, p):
     k = len(pi)
 
     def hp_of(child):
-        return () if child is None else tuple(oracle_heavy_path(order, child))
+        return () if child < 0 else tuple(oracle_heavy_path(order, child))
 
     rho = sigma = tau = ()
     exception = None  # rail node whose lightest subtree goes top
 
     if x == 1:
-        tau = hp_of(order.second[pi[0]])
+        tau = hp_of(order[pi[0]][1])
         P = ()
         Q = tuple(reversed(pi)) + tau
     elif x == 2:
         # the root plays both ends of P: its lightest subtree takes the
         # leftward rail slot the second-heaviest normally gets, while the
         # second-heaviest runs straight to the right
-        rho = hp_of(order.lightest[pi[0]])
-        sigma = hp_of(order.second[pi[0]])
+        rho = hp_of(order[pi[0]][2])
+        sigma = hp_of(order[pi[0]][1])
         P = tuple(reversed(rho)) + (pi[0],) + sigma
-        tau = hp_of(order.second[pi[1]])
+        tau = hp_of(order[pi[1]][1])
         Q = tuple(reversed(pi[1:])) + tau
     else:
         x_eff = k + 1 if x is None else x
-        rho = hp_of(order.second[pi[0]])
-        sigma = hp_of(order.second[pi[x_eff - 2]])
+        rho = hp_of(order[pi[0]][1])
+        sigma = hp_of(order[pi[x_eff - 2]][1])
         P = tuple(reversed(rho)) + pi[: x_eff - 1] + sigma
         if x is not None:
-            tau = hp_of(order.second[pi[x_eff - 1]])
+            tau = hp_of(order[pi[x_eff - 1]][1])
             Q = tuple(reversed(pi[x_eff - 1:])) + tau
             exception = pi[x_eff - 2]
         else:
@@ -232,10 +231,10 @@ def _decompose(t, root, sizes, order, p):
     top = {}
     bottom = {}
     for v in rail:  # a rail node has at most one top and one bottom child
-        for c in (order.heaviest[v], order.second[v], order.lightest[v]):
-            if c is None or c in rail:
+        for c in order[v]:
+            if c < 0 or c in rail:
                 continue
-            if c == order.lightest[v] and v != exception:
+            if c == order[v][2] and v != exception:
                 bottom[v] = c
             else:
                 top[v] = c
@@ -247,11 +246,11 @@ def _decompose(t, root, sizes, order, p):
 def oracle_decompositions(t, params=None):
     """Every decomposition of the layout recursion, by its root."""
     params = params or LayoutParams()
-    sizes, order = subtree_sizes(t), heavy_order(t)
+    sizes, order = t.walk[2].tolist(), t.heavy.order.tolist()
     found, stack = {}, [t.root]
     while stack:
         v = stack.pop()
-        if not t.is_leaf(v):
+        if order[v][0] >= 0:  # not a leaf
             found[v] = d = _decompose(t, v, sizes, order, params.p)
             stack.extend(d.top.values())
             stack.extend(d.bottom.values())
@@ -348,7 +347,7 @@ class _Cluster:
 
 
 def _layout(t, root, sizes, order, p):
-    if t.is_leaf(root):
+    if order[root][0] < 0:  # a leaf
         return {root: (0, 0)}
     d = _decompose(t, root, sizes, order, p)
 
@@ -412,8 +411,7 @@ def _layout(t, root, sizes, order, p):
 
 def oracle_positions(t, params=None):
     params = params or LayoutParams()
-    sizes = subtree_sizes(t)
-    raw = _layout(t, t.root, sizes, heavy_order(t), params.p)
+    raw = _layout(t, t.root, t.walk[2].tolist(), t.heavy.order.tolist(), params.p)
     rx, ry = raw[t.root]
     return tuple((raw[v][0] - rx, raw[v][1] - ry) for v in range(t.n))
 

@@ -8,21 +8,19 @@ import sys
 
 import ternarydraw
 
-# The names the package re-exported when it imported every submodule eagerly.
+# The names the package re-exports, each bound from its submodule on first use.
 REEXPORTS = {
     "geometry": ("Extents", "GridDrawing", "drawing_from_json", "drawing_json",
-                 "drawing_to_json", "edge_segments", "extents", "rotate"),
-    "layout_complete": ("construction1", "construction2", "draw_c1_only", "draw_c2_only",
-                        "draw_golden", "draw_upper_1149"),
+                 "drawing_to_json", "edge_segments", "extents"),
+    "layout_complete": ("draw_c1_only", "draw_c2_only", "draw_golden", "draw_upper_1149"),
     "layout_general": ("DecompositionStats", "LayoutParams", "RailDecomposition",
                        "all_decompositions", "decompose", "decomposition_stats",
                        "draw_general"),
     "pareto": ("REFERENCE_AREA_TABLE", "ParetoFrontier", "PowerLawFit", "exhaustive_frontier",
                "fit_power_law", "frontier", "min_area", "reconstruct_drawing"),
-    "render": ("RenderSpec", "drawing_to_svg"),
-    "tree": ("HeavyOrder", "TernaryTree", "TreeError", "complete_height", "complete_tree",
-             "heavy_order", "heavy_path", "is_complete", "random_ternary_tree",
-             "subtree_sizes", "tree_from_json", "tree_to_json"),
+    "render": ("drawing_to_svg",),
+    "tree": ("TernaryTree", "TreeError", "complete_tree", "random_ternary_tree",
+             "tree_from_json", "tree_to_json"),
     "verify": ("VerificationError", "VerificationReport", "build_report", "check_on_grid",
                "check_orthogonal", "check_orthogonal_grid", "check_planar",
                "check_subtree_separation", "check_top_visibility", "fib_lower_bound",

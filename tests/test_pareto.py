@@ -140,9 +140,9 @@ def test_min_area_against_table():
 
 def test_reconstruction_realizes_frontier_pairs():
     for h in range(1, 8):
-        fr = frontier(h)
-        for pair in fr.pairs:
-            d = reconstruct_drawing(h, pair)
+        fronts = list(levels(h))
+        for pair in fronts[-1].pairs:
+            d = reconstruct_drawing(fronts, pair)
             e = extents(d)
             assert (e.width, e.height) == pair
             assert check_planar(d)
@@ -152,25 +152,28 @@ def test_reconstruction_realizes_frontier_pairs():
 
 def test_reconstruction_rejects_off_frontier_pair():
     with pytest.raises(ValueError):
-        reconstruct_drawing(3, (6, 6))
+        reconstruct_drawing(list(levels(3)), (6, 6))
 
 
 def test_reconstruction_saves_the_levels_it_computes(tmp_path):
+    # the walk that feeds a reconstruction saves each level it computes, and
+    # the levels read back rebuild the same drawing
     _, pair = min_area(5)
-    d = reconstruct_drawing(5, pair, str(tmp_path))
+    d = reconstruct_drawing(list(levels(5, str(tmp_path))), pair)
     assert (extents(d).width, extents(d).height) == pair
-    assert [load_frontier(str(tmp_path), h) for h in range(2, 6)] == [frontier(h) for h in range(2, 6)]
-    assert reconstruct_drawing(5, pair, str(tmp_path)) == d
+    assert ([load_frontier(str(tmp_path), h, frontier(h - 1)) for h in range(2, 6)]
+            == [frontier(h) for h in range(2, 6)])
+    assert reconstruct_drawing(list(levels(5, str(tmp_path))), pair) == d
 
 
 def test_cache_roundtrip(tmp_path):
     fr = frontier(6)
     save_frontier(fr, str(tmp_path))
-    loaded = load_frontier(str(tmp_path), 6)
+    loaded = load_frontier(str(tmp_path), 6, frontier(5))
     assert loaded == fr
     # a warm cache reproduces the same frontier and area
     assert min_area(8, cache_dir=str(tmp_path)) == min_area(8)
-    assert load_frontier(str(tmp_path), 8) is not None
+    assert load_frontier(str(tmp_path), 8, frontier(7)) is not None
     assert min_area(8, cache_dir=str(tmp_path)) == min_area(8)
 
 
@@ -194,11 +197,11 @@ def test_failed_cache_write_leaves_no_level_file(tmp_path):
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert os.listdir(tmp_path) == []
-    assert load_frontier(str(tmp_path), 6) is None
+    assert load_frontier(str(tmp_path), 6, frontier(5)) is None
 
 
 def test_load_frontier_missing(tmp_path):
-    assert load_frontier(str(tmp_path), 3) is None
+    assert load_frontier(str(tmp_path), 3, frontier(2)) is None
 
 
 def test_every_saved_level_passes_the_read_checks(tmp_path):
@@ -240,6 +243,14 @@ def test_fit_input_validation():
         fit_power_law([(1.0, 1.0), (2.0, 2.0)])
     with pytest.raises(ValueError):
         fit_power_law([(1.0, 1.0), (1.0, 2.0), (3.0, 3.0)])
+
+
+@pytest.mark.parametrize("row", [(2.0, math.nan), (2.0, math.inf), (math.nan, 2.0),
+                                 (-math.inf, 2.0), (0.0, 2.0), (-1.0, 2.0)])
+def test_fit_rejects_non_finite_values_and_non_positive_n(row):
+    points = [row, (3.0, 6.0), (4.0, 8.0), (5.0, 10.0)]
+    with pytest.raises(ValueError, match="finite|positive"):
+        fit_power_law(points)
 
 
 @settings(max_examples=25, deadline=None)

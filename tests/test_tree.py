@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ternarydraw.geometry import edge_arrays
-from ternarydraw.tree import (HeavyOrder, TernaryTree, TreeError, complete_height,
-                              complete_tree, heavy_order, heavy_path,
-                              is_complete, random_ternary_tree, subtree_sizes,
+from ternarydraw.tree import (TernaryTree, TreeError, complete_tree, random_ternary_tree,
                               tree_from_json, tree_to_json)
 
 
@@ -13,8 +11,7 @@ def test_complete_tree_sizes():
     for h in range(1, 8):
         t = complete_tree(h)
         assert t.n == (3 ** h - 1) // 2
-        assert complete_height(t) == h
-        assert is_complete(t)
+        assert t.complete_height == h
 
 
 def recursive_complete_children(h):
@@ -35,7 +32,7 @@ def recursive_complete_children(h):
 def test_complete_tree_matches_recursive_definition():
     for h in range(1, 9):
         t = complete_tree(h)  # built by arithmetic, not validated
-        assert t.children == recursive_complete_children(h)
+        assert tuple(map(tuple, tree_to_json(t)["children"])) == recursive_complete_children(h)
         checked = TernaryTree(recursive_complete_children(h))
         assert t == checked and t.n == checked.n
         for a, b in zip((t.parents, *t.walk), (checked.parents, *checked.walk)):
@@ -50,8 +47,8 @@ def test_complete_tree_rejects_bad_height():
 def test_single_node():
     t = TernaryTree(((),))
     assert t.n == 1
-    assert t.is_leaf(0)
-    assert t.parent(0) is None
+    assert t.table.tolist() == [[-1, -1, -1]]
+    assert t.parents.tolist() == [-1]
 
 
 def test_validation_too_many_children():
@@ -73,18 +70,17 @@ def test_validation_disconnected():
 
 def test_parent_and_topo():
     t = complete_tree(3)
-    topo = t.topo_order()
     seen = set()
-    for v in topo:
-        p = t.parent(v)
-        assert p is None or p in seen
+    for v in t.walk[0].tolist():
+        p = t.parents[v]
+        assert p == -1 or p in seen
         seen.add(v)
     assert seen == set(range(t.n))
 
 
 def test_subtree_sizes_complete():
     t = complete_tree(3)
-    sizes = subtree_sizes(t)
+    sizes = t.walk[2].tolist()
     assert sizes[t.root] == 13
     assert sorted(sizes).count(1) == 9
     assert sizes.count(4) == 3
@@ -92,17 +88,15 @@ def test_subtree_sizes_complete():
 
 def test_heavy_order_tiebreak_by_slot():
     t = complete_tree(2)
-    order = heavy_order(t)
-    assert order.heaviest[0] == t.children[0][0]
-    assert order.second[0] == t.children[0][1]
-    assert order.lightest[0] == t.children[0][2]
+    assert t.heavy.order[0].tolist() == t.table[0].tolist() == [1, 2, 3]
 
 
 def test_heavy_path_reaches_leaf():
     t = complete_tree(4)
-    path = heavy_path(t, t.root)
-    assert len(path) == 4
-    assert t.is_leaf(path[-1])
+    h = t.heavy
+    path = h.hp[h.start[t.root]:h.start[t.root] + h.length[t.root]]
+    assert len(path) == 4 and path[0] == t.root
+    assert t.table[path[-1], 0] < 0
 
 
 def test_building_a_tree_leaves_its_heavy_paths_unbuilt():
@@ -110,7 +104,7 @@ def test_building_a_tree_leaves_its_heavy_paths_unbuilt():
              TernaryTree(((1, 2), (), ())), TernaryTree(random_ternary_tree(50, 2).table))
     for t in trees:
         assert "heavy" not in vars(t)
-        assert heavy_path(t, t.root)[0] == t.root
+        assert t.heavy.hp[t.heavy.start[t.root]] == t.root
         assert "heavy" in vars(t)
 
 
@@ -125,14 +119,15 @@ def test_random_tree_determinism():
 def test_random_tree_is_valid_ternary(n, seed):
     t = random_ternary_tree(n, seed)
     assert t.n == n
-    assert all(len(kids) <= 3 for kids in t.children)
+    assert t.table.shape == (n, 3)
+    assert tree_from_json(tree_to_json(t)) == t
 
 
 def test_complete_height_negative_cases():
-    assert complete_height(TernaryTree(((1,), ()))) is None  # 1 child
+    assert TernaryTree(((1,), ())).complete_height is None  # 1 child
     # uneven leaf depths
     t = TernaryTree(((1, 2, 3), (), (), (4, 5, 6), (), (), ()))
-    assert complete_height(t) is None
+    assert t.complete_height is None
 
 
 @given(st.integers(1, 120), st.integers(0, 20))
@@ -160,8 +155,9 @@ def test_json_ids_must_be_integers(field, value):
 
 
 # The tuple-walking tree code the array tree replaced, kept as the oracle:
-# validation and topo_order from TernaryTree.__post_init__, then
-# subtree_sizes, heavy_order, edge_arrays and complete_height on top of it.
+# validation and the walk order from TernaryTree.__post_init__, then the
+# subtree sizes, heavy order and paths, edge_arrays and complete_height on
+# top of it.
 
 def oracle_tree(children, root):
     """(parent, topo) of a valid tree, TreeError otherwise."""
@@ -200,22 +196,16 @@ def oracle_sizes(children, topo):
 
 
 def oracle_heavy_order(children, sizes):
-    heaviest, second, lightest = ([None] * len(children) for _ in range(3))
-    for v, kids in enumerate(children):
-        if len(kids) > 1:
-            kids = sorted(kids, key=sizes.__getitem__, reverse=True)
-            second[v] = kids[1]
-            if len(kids) > 2:
-                lightest[v] = kids[2]
-        if kids:
-            heaviest[v] = kids[0]
-    return HeavyOrder(tuple(heaviest), tuple(second), tuple(lightest))
+    """Per node, its children by non-increasing subtree size, ties by slot,
+    padded with -1."""
+    return [sorted(kids, key=sizes.__getitem__, reverse=True) + [-1] * (3 - len(kids))
+            for kids in children]
 
 
 def oracle_heavy_path(order, start):
     path = [start]
-    while order.heaviest[path[-1]] is not None:
-        path.append(order.heaviest[path[-1]])
+    while order[path[-1]][0] >= 0:
+        path.append(order[path[-1]][0])
     return path
 
 
@@ -258,15 +248,15 @@ def trees(draw):
     """(children as lists, root) with ids shuffled, so the root is not 0."""
     kind = draw(st.sampled_from(["random", "path", "spider", "complete"]))
     if kind == "random":
-        children = [list(k) for k in random_ternary_tree(draw(st.integers(1, 150)),
-                                                          draw(st.integers(0, 10 ** 6))).children]
+        children = tree_to_json(random_ternary_tree(draw(st.integers(1, 150)),
+                                                    draw(st.integers(0, 10 ** 6))))["children"]
     elif kind == "path":
         n = draw(st.integers(1, 150))
         children = [[v + 1] if v + 1 < n else [] for v in range(n)]
     elif kind == "spider":
         children = spider(draw(st.lists(st.integers(0, 40), max_size=3)))
     else:
-        children = [list(k) for k in complete_tree(draw(st.integers(1, 7))).children]
+        children = tree_to_json(complete_tree(draw(st.integers(1, 7))))["children"]
     n = len(children)
     ids = draw(st.permutations(range(n)))
     if n > 1 and ids[0] == 0:
@@ -281,22 +271,21 @@ def assert_matches_oracle(children, root):
     parent, topo = oracle_tree(children, root)
     t = TernaryTree(tuple(map(tuple, children)), root)
     assert t.n == len(children) and t.root == root
-    assert t.children == tuple(map(tuple, children))
     assert t.parents.tolist() == parent
-    assert [t.parent(v) for v in range(t.n)] == [None if p == -1 else p for p in parent]
-    assert t.topo_order() == topo
-    assert [t.is_leaf(v) for v in range(t.n)] == [not k for k in children]
+    assert tuple(t.walk[0].tolist()) == topo
+    assert (t.table[:, 0] < 0).tolist() == [not k for k in children]
     sizes = oracle_sizes(children, topo)
-    assert subtree_sizes(t) == sizes
+    assert t.walk[2].tolist() == sizes
     order = oracle_heavy_order(children, sizes)
-    assert heavy_order(t) == order
-    paths = [oracle_heavy_path(order, v) for v in range(t.n)]
-    assert [heavy_path(t, v) for v in range(t.n)] == paths
     h = t.heavy
+    assert h.order.tolist() == order
+    paths = [oracle_heavy_path(order, v) for v in range(t.n)]
+    assert [h.hp[s + d:s + k].tolist()
+            for s, d, k in zip(h.start.tolist(), h.depth.tolist(), h.length.tolist())] == paths
     assert [paths[u][d] for u, d in zip(h.head.tolist(), h.depth.tolist())] == list(range(t.n))
-    assert all(v == root or order.heaviest[parent[v]] != v for v in h.head.tolist())
+    assert all(v == root or order[parent[v]][0] != v for v in h.head.tolist())
     assert [a.tolist() for a in edge_arrays(t)] == list(oracle_edge_arrays(children))
-    assert complete_height(t) == oracle_complete_height(children, topo)
+    assert t.complete_height == oracle_complete_height(children, topo)
     assert TernaryTree(t.table, root) == t == tree_from_json(tree_to_json(t))
     assert tree_to_json(t)["children"] == children
 
