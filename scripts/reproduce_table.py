@@ -14,7 +14,7 @@ from ternarydraw.pareto import REFERENCE_AREA_TABLE, levels
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--h-max", type=int, default=12)
+    ap.add_argument("--h-max", type=int, default=20)
     ap.add_argument("--cache-dir", default=None)
     args = ap.parse_args()
 

@@ -11,6 +11,7 @@ import argparse
 import io
 import json
 import math
+import os
 import sys
 from importlib import import_module
 from typing import TYPE_CHECKING, Optional
@@ -249,6 +250,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # OpenBLAS reads this once, as numpy loads: no command does BLAS work
+    # worth the start-up of its thread pool. A value set by the user wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -47,7 +47,8 @@ class GridDrawing:
     node v's (x, y). ``pos`` is a read-only copy of the positions given, as an
     (n, 2) int64 array. ValueError unless the positions are integers, as
     numpy types them (a float, bool or object array is refused, even with
-    integral values), with |c| < COORD_LIMIT."""
+    integral values, and so is a bool among positions given as sequences),
+    with |c| < COORD_LIMIT."""
 
     tree: TernaryTree
     pos: np.ndarray
@@ -56,7 +57,9 @@ class GridDrawing:
         P = np.array(self.pos)
         if P.shape != (self.tree.n, 2):
             raise ValueError("one (x, y) position per node required")
-        if P.dtype.kind not in "iu" or not (np.all(P < COORD_LIMIT) and np.all(P > -COORD_LIMIT)):
+        bools = not isinstance(self.pos, np.ndarray) and not {bool, np.bool_}.isdisjoint(
+            map(type, chain.from_iterable(self.pos)))  # numpy types (True, 0) as int64
+        if bools or P.dtype.kind not in "iu" or not (np.all(P < COORD_LIMIT) and np.all(P > -COORD_LIMIT)):
             raise ValueError("coordinates must be integers with |c| < 2**62")
         P = P.astype(np.int64, copy=False)
         P.setflags(write=False)

@@ -65,8 +65,8 @@ def _base_frontier() -> ParetoFrontier:
     return ParetoFrontier(1, ((1, 1),), ((-1, -1, 0),))
 
 
-# Arms per block of enumerated construction-1 pairs: the DP's scratch arrays
-# hold at most _ARM_BLOCK * k entries each, whatever the level.
+# Arms per block, and centers per tile, of enumerated construction-1 pairs:
+# the DP's scratch arrays hold at most _ARM_BLOCK * k entries each.
 _ARM_BLOCK = 64
 _EMPTY = 2**63 - 1  # the int64 maximum
 
@@ -87,11 +87,22 @@ def _next_frontier(prev: ParetoFrontier) -> ParetoFrontier:
     - C2 with lam_i <= e_j (W = 2 e_j + 1): per arm, the largest such center;
     - C2 with e_j <= lam_i (W = w_i): per center, the first such arm;
     - C1 with e_i <= lam_j (H = w_j): per arm, the first such center;
-    - C1 with e_i >= lam_j: every pair, about k^2 / 2, offered in blocks of
-      _ARM_BLOCK arms (a block's rectangle adds a few clamped C1 pairs).
+    - C1 with e_i >= lam_j: about k^2 / 2 pairs, in tiles of _ARM_BLOCK arms
+      [j0, j1) by _ARM_BLOCK centers [i0, i1) (a block's rectangle adds a
+      few clamped C1 pairs).
     Every W is odd. Each candidate lowers the entry at (W - 1) / 2 of one
     dense array to its key, packed so that integer order is (H, arm, center,
     construction) order; a running minimum of H over W leaves the frontier.
+
+    The tile test: every candidate of a tile has slot (W - 1) / 2 at least
+    cs = lam_i0 + e_(j1-1) and H at least ch = e_(i1-1) + lam_j0 + 1, the
+    corner of the tile. Once the three O(k) groups are in, let cap[s] be the
+    lower of H[s] + 1 and the least H at any slot below s. If cap[cs] <= ch,
+    a pair already offered either lies at a slot below the tile's with H no
+    larger, or at slot cs with H smaller than all the tile's; offers only
+    lower keys, so that pair or a better one stays, and it strictly
+    dominates every candidate of the tile or outranks it at slot cs. Such a
+    tile is skipped: no frontier pair, recipe or running minimum changes.
     """
     import numpy as np
 
@@ -117,13 +128,22 @@ def _next_frontier(prev: ParetoFrontier) -> ParetoFrontier:
     x, y = x[y < k], y[y < k]
     offer(lam[x], w[y] + e[x], y, x, 2)  # C2, e_j <= lam_i: center x, first arm y
     offer(lam[y] + e[x], w[x], x, y, 1)  # C1, e_i <= lam_j: arm x, first center y
+    H = best // span  # _EMPTY // span, above every H, at an empty slot
+    cap = H + 1
+    cap[1:] = np.minimum(cap[1:], np.minimum.accumulate(H)[:-1])
+    tile = np.arange(_ARM_BLOCK)
     count = np.searchsorted(-e, -lam, side="right")  # C1, e_i >= lam_j: centers 0..count_j-1
     for j0 in range(0, k, _ARM_BLOCK):
         m = int(count[j0])
         if m == 0:
             break
-        arm = np.arange(j0, min(j0 + _ARM_BLOCK, k))[:, None]
-        center = np.arange(m)[None, :]
+        j1 = min(j0 + _ARM_BLOCK, k)
+        i0 = np.arange(0, m, _ARM_BLOCK)
+        i1 = np.minimum(i0 + _ARM_BLOCK, m)
+        i0 = i0[cap[lam[i0] + e[j1 - 1]] > e[i1 - 1] + lam[j0] + 1]  # the tile test
+        center = (i0[:, None] + tile).ravel()
+        arm = np.arange(j0, j1)[:, None]
+        center = center[center < m][None, :]
         H = np.maximum(lam[arm], e[center]) + (lam[arm] + 1)
         offer(lam[center] + e[arm], H, arm, center, 1)
 

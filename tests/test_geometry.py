@@ -105,6 +105,15 @@ def test_pos_dtype_follows_integrality():
             GridDrawing(t, pos)
 
 
+@pytest.mark.parametrize("pos", [((0, 0), (True, 0)), [[0, False], [1, 0]],
+                                 [(0, 0), (np.True_, 0)], [np.zeros(2, int), np.ones(2, bool)]])
+def test_bool_among_sequence_positions_rejected(pos):
+    # numpy types each of these as int64, so the dtype test alone lets them in
+    assert np.array(pos).dtype == np.int64
+    with pytest.raises(ValueError, match="integers"):
+        GridDrawing(TernaryTree(((1,), ())), pos)
+
+
 def test_position_count_mismatch_rejected():
     with pytest.raises(ValueError):
         GridDrawing(complete_tree(2), ((0, 0),))

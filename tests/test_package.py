@@ -1,10 +1,13 @@
 """Lazy imports: `import ternarydraw` and a warm `table` load no numpy, and
-every name keeps resolving to its submodule's object."""
+every name keeps resolving to its submodule's object. The CLI, and only the
+CLI, has numpy start OpenBLAS with one thread."""
 
 import importlib
 import os
 import subprocess
 import sys
+
+import pytest
 
 import ternarydraw
 
@@ -67,6 +70,40 @@ def test_warm_table_loads_no_numpy(tmp_path):
     assert cold.splitlines()[-1] == "True"
     assert warm.splitlines()[-1] == "False"
     assert cold.splitlines()[:-1] == warm.splitlines()[:-1]
+
+
+# Records OPENBLAS_NUM_THREADS as it is when numpy is imported, then runs
+# the rest of the script; the variable starts unset unless PRESET is given.
+OPENBLAS_SPY = """\
+import os, sys
+os.environ.pop("OPENBLAS_NUM_THREADS", None)
+os.environ.update({PRESET})
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Spy())
+"""
+
+
+@pytest.mark.parametrize("preset, seen", [({}, "['1']"), ({"OPENBLAS_NUM_THREADS": "2"}, "['2']")])
+def test_cli_starts_numpy_with_one_openblas_thread_unless_preset(tmp_path, preset, seen):
+    out = fresh(OPENBLAS_SPY.format(PRESET=preset) +
+                "from ternarydraw import cli\n"
+                f"assert cli.main(['--cache-dir', {str(tmp_path)!r}, 'table', '4']) == 0\n"
+                "print(seen)")
+    assert out.splitlines()[-1] == seen
+
+
+def test_library_import_leaves_openblas_unset():
+    out = fresh(OPENBLAS_SPY.format(PRESET={}) +
+                "import ternarydraw\n"
+                "from ternarydraw import (cli, geometry, layout_complete, layout_general,\n"
+                "                         pareto, render, tree, verify)\n"
+                "pareto.frontier(4)\n"
+                "print(seen, os.environ.get('OPENBLAS_NUM_THREADS'))")
+    assert out.splitlines()[-1] == "[None] None"
 
 
 def test_a_name_set_on_cli_before_main_is_the_one_called(tmp_path):

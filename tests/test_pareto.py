@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ternarydraw import pareto
 from ternarydraw.geometry import extents
-from ternarydraw.pareto import (_EMPTY, REFERENCE_AREA_TABLE, ParetoFrontier,
+from ternarydraw.pareto import (_ARM_BLOCK, _EMPTY, REFERENCE_AREA_TABLE, ParetoFrontier,
                                 _next_frontier, exhaustive_dimension_tuples,
                                 exhaustive_frontier, fit_power_law, frontier,
                                 levels, load_frontier, min_area,
@@ -74,6 +75,53 @@ def brute_next_frontier(prev: ParetoFrontier) -> ParetoFrontier:
                                     constr[keep].tolist())))
 
 
+def unpruned_next_frontier(prev: ParetoFrontier) -> ParetoFrontier:
+    """The DP step before the tile test: the same three O(k) groups, then
+    every construction-1 pair with e_i >= lam_j, in blocks of _ARM_BLOCK
+    arms by all their centers."""
+    k = len(prev.pairs)
+    span = 2 * k * k  # keys per value of H
+    w = np.array([p[0] for p in prev.pairs], dtype=np.int64)
+    e = np.array([p[1] for p in prev.pairs], dtype=np.int64)
+    lam = (w - 1) // 2
+    best = np.full(int(lam[-1] + e[0]) + 1, _EMPTY, dtype=np.int64)
+
+    def offer(slot, H, arm, center, constr):
+        key = H * span + (arm * (2 * k) + (constr - 1) + center * 2)
+        np.minimum.at(best, slot.ravel(), key.ravel())
+
+    center = np.searchsorted(lam, e, side="right") - 1
+    arm = np.flatnonzero(center >= 0)
+    center = center[arm]
+    offer(e[arm], w[arm] + e[center], arm, center, 2)
+    x = np.arange(k)
+    y = np.searchsorted(-e, -lam, side="left")
+    x, y = x[y < k], y[y < k]
+    offer(lam[x], w[y] + e[x], y, x, 2)
+    offer(lam[y] + e[x], w[x], x, y, 1)
+    count = np.searchsorted(-e, -lam, side="right")
+    for j0 in range(0, k, _ARM_BLOCK):
+        m = int(count[j0])
+        if m == 0:
+            break
+        arm = np.arange(j0, min(j0 + _ARM_BLOCK, k))[:, None]
+        center = np.arange(m)[None, :]
+        H = np.maximum(lam[arm], e[center]) + (lam[arm] + 1)
+        offer(lam[center] + e[arm], H, arm, center, 1)
+
+    slot = np.flatnonzero(best != _EMPTY)
+    key = best[slot]
+    H = key // span
+    keep = np.empty(H.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = H[1:] < np.minimum.accumulate(H)[:-1]
+    slot, key, H = slot[keep], key[keep] % span, H[keep]
+    pairs = tuple(zip((2 * slot + 1).tolist(), H.tolist()))
+    recipes = tuple(zip((key // (2 * k)).tolist(), (key // 2 % k).tolist(),
+                        (key % 2 + 1).tolist()))
+    return ParetoFrontier(prev.h + 1, pairs, recipes)
+
+
 def test_next_frontier_matches_brute_force_up_to_h12():
     for fr in levels(11):
         assert _next_frontier(fr) == brute_next_frontier(fr)
@@ -99,6 +147,16 @@ def test_next_frontier_matches_brute_force_on_staircases(prev):
     assert _next_frontier(prev) == brute_next_frontier(prev)
 
 
+@pytest.mark.parametrize("block", [1, 2, 3])
+@settings(max_examples=400, deadline=None)
+@given(prev=staircases())
+def test_next_frontier_matches_brute_force_with_small_tiles(block, prev):
+    # k <= 10 here, so with 64 x 64 tiles the tile test never skips a tile
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pareto, "_ARM_BLOCK", block)
+        assert _next_frontier(prev) == brute_next_frontier(prev)
+
+
 def test_next_frontier_rejects_keys_beyond_int64():
     # H reaches w_top + e_top = 2^62 + 2, and 2k^2 = 8 keys per value of H
     prev = ParetoFrontier(3, ((1, 2 ** 61), (2 ** 61 + 1, 1)))
@@ -111,24 +169,54 @@ def levels_to_18():
     return list(levels(18))
 
 
-# sha256 of repr((pairs, recipes)) for levels 13-15, recorded from the DP
-# that Pareto-filtered all 2k^2 candidates with one lexsort.
+@pytest.fixture(scope="module")
+def levels_19_20(levels_to_18):
+    fr19 = _next_frontier(levels_to_18[-1])
+    return [fr19, _next_frontier(fr19)]
+
+
+def level_sha256(fr: ParetoFrontier) -> str:
+    return hashlib.sha256(repr((fr.pairs, fr.recipes)).encode()).hexdigest()
+
+
+# sha256 of repr((pairs, recipes)): levels 13-15 recorded from the DP that
+# Pareto-filtered all 2k^2 candidates with one lexsort, levels 16-20 from
+# the DP without the tile test (unpruned_next_frontier).
 LEVEL_SHA256 = {
     13: "6bc2219ccafcfa25e0c588448865502f3caf057981b42226c758dd054c319473",
     14: "fb8b0925985b0524002c9836f745cd979cc06809d2576cef685a776f3627023c",
     15: "e0e9ff5de740c0804572595b8be270a5bcc035daa7baec72a0fd52df6461465a",
+    16: "cb2990d485e246d0a264fce6abcf922844f612e93effe49039f94add37f7dff6",
+    17: "4dc25b6eeb215482efd5dfc9965fc64d77d58cbc29798eebc84e645da126a7d4",
+    18: "58edbdede31c574d84d548b5f9e1988498ab2a867cca844ed2c2927d0b87b411",
+    19: "a463eac3c654393f1284219a9c6017aec6cc37b91aa60947dc748fe5bb6820e8",
+    20: "f0d4fe81d90d8dafb06ca976248293e34dd0bfe0d782bc1342b9822584fe8fb9",
 }
 
 
 def test_levels_13_to_15_match_recorded_digests(levels_to_18):
     for fr in levels_to_18[12:15]:
-        digest = hashlib.sha256(repr((fr.pairs, fr.recipes)).encode()).hexdigest()
-        assert digest == LEVEL_SHA256[fr.h]
+        assert level_sha256(fr) == LEVEL_SHA256[fr.h]
+
+
+def test_levels_16_to_20_match_recorded_digests(levels_to_18, levels_19_20):
+    for fr in levels_to_18[15:] + levels_19_20:
+        assert level_sha256(fr) == LEVEL_SHA256[fr.h]
+
+
+def test_next_frontier_matches_unpruned_step_up_to_h18(levels_to_18):
+    for fr, nxt in zip(levels_to_18, levels_to_18[1:]):
+        assert unpruned_next_frontier(fr) == nxt
 
 
 def test_min_area_rows_13_to_18(levels_to_18):
     got = [(fr.h, fr.min_area()[0]) for fr in levels_to_18[12:]]
     assert got == [(h, area) for h, _, area in REFERENCE_AREA_TABLE[12:18]]
+
+
+def test_min_area_rows_19_20(levels_19_20):
+    got = [(fr.h, fr.min_area()[0]) for fr in levels_19_20]
+    assert got == [(h, area) for h, _, area in REFERENCE_AREA_TABLE[18:20]]
 
 
 def test_min_area_against_table():
