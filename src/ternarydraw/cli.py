@@ -72,7 +72,8 @@ def _parse_treespec(spec: str) -> TernaryTree:
         if kind == "file":
             with open(rest) as f:
                 return tree_from_json(json.load(f))
-    except (ValueError, TreeError, OSError, KeyError, TypeError, RecursionError) as e:
+    except (ValueError, TreeError, OSError, KeyError, TypeError, RecursionError,
+            MemoryError) as e:  # MemoryError: a tree too large to allocate
         raise UserError(f"bad tree spec {spec!r}: {e}") from e
     raise UserError(f"unknown tree spec kind {kind!r} "
                     "(expected complete:<h>, random:<n>:<seed>, or file:<path>)")

@@ -190,29 +190,40 @@ def complete_tree(h: int) -> TernaryTree:
 def random_ternary_tree(n: int, seed: int) -> TernaryTree:
     """Random rooted ternary tree: node i attaches to a uniformly random
     existing node that still has a free child slot (``random.Random(seed)``).
-    """
+
+    The open nodes sit in a list, each as the flat table index of its next
+    free slot; a full node is swap-removed and the new node appended. The
+    index into that list is ``rng.randrange(len)`` drawn inline, as CPython's
+    ``_randbelow_with_getrandbits`` draws it: ``getrandbits(len.bit_length())``
+    until it is below len, so the trees are those of ``randrange``."""
     if n < 1:
         raise TreeError("random_ternary_tree requires n >= 1")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     table = np.full(3 * n, -1)
     slots = memoryview(table)  # Python-speed item writes into the array
-    filled = bytearray(n)
-    open_nodes = [0]
+    free, size, bits = [0], 1, 1
     for v in range(1, n):
-        i = rng.randrange(len(open_nodes))
-        u = open_nodes[i]
-        slots[3 * u + filled[u]] = v
-        filled[u] += 1
-        if filled[u] == 3:
-            open_nodes[i] = open_nodes[-1]
-            open_nodes.pop()
-        open_nodes.append(v)
+        i = getrandbits(bits)
+        while i >= size:
+            i = getrandbits(bits)
+        s = free[i]
+        slots[s] = v
+        if s % 3 == 2:  # full: the last open node moves to i, then v is appended
+            free[i] = free[-1]
+            free[-1] = 3 * v
+        else:
+            free[i] = s + 1
+            free.append(3 * v)
+            size += 1
+            bits = size.bit_length()
     return TernaryTree(table.reshape(n, 3))
 
 
 def tree_to_json(t: TernaryTree) -> dict:
-    counts = (t.table >= 0).sum(axis=1).tolist()
-    return {"n": t.n, "root": t.root, "children": [r[:k] for r, k in zip(t.table.tolist(), counts)]}
+    rows = t.table.tolist()
+    for row, k in zip(rows, (t.table >= 0).sum(axis=1).tolist()):
+        del row[k:]  # in place: one list per node
+    return {"n": t.n, "root": t.root, "children": rows}
 
 
 def require_json_ints(values, what: str) -> None:

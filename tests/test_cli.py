@@ -86,6 +86,20 @@ def test_bad_tree_spec(capsys):
     assert run("draw", "lattice:3") == 2
 
 
+@pytest.mark.parametrize("spec", ["random:10:1", "complete:30"])
+def test_tree_spec_too_large_to_allocate_exits_2(capsys, monkeypatch, spec):
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate the tree")
+
+    # the builders raise as numpy does on a huge spec; nothing is allocated
+    monkeypatch.setattr(cli, "random_ternary_tree", out_of_memory)
+    monkeypatch.setattr(tree, "complete_tree", out_of_memory)
+    assert run("draw", spec) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: bad tree spec {spec!r}")
+    assert "Unable to allocate" in err and "internal error" not in err
+
+
 def test_verify_parse_failure(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

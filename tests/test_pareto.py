@@ -209,6 +209,47 @@ def test_next_frontier_matches_unpruned_step_up_to_h18(levels_to_18):
         assert unpruned_next_frontier(fr) == nxt
 
 
+class CountingMinimum:
+    """Stands in for numpy.minimum: forwards calls and ``accumulate``, and
+    counts the keys that ``at`` offers to the DP's dense array."""
+
+    def __init__(self, ufunc):
+        self.ufunc, self.keys = ufunc, 0
+
+    def __call__(self, *args, **kwargs):
+        return self.ufunc(*args, **kwargs)
+
+    def accumulate(self, *args, **kwargs):
+        return self.ufunc.accumulate(*args, **kwargs)
+
+    def at(self, a, indices, values):
+        self.keys += len(indices)
+        return self.ufunc.at(a, indices, values)
+
+
+# Keys offered per level, recorded from the tile-pruned _next_frontier with
+# tiles of 64 (the default), 2 and 1 arms by as many centers. The output
+# alone cannot show a weaker tile test that skips fewer tiles; these bounds
+# do. A cap of H + 2 skips the same 64 x 64 tiles at every level up to 20,
+# so the small tiles are the ones that catch it.
+OFFERED_KEYS = {
+    64: {15: 452_502, 16: 929_228, 17: 1_942_676, 18: 4_348_829},
+    2: {12: 8_320, 13: 21_691, 14: 56_602, 15: 150_568},
+    1: {12: 8_004, 13: 21_127, 14: 55_723, 15: 148_861},
+}
+
+
+@pytest.mark.parametrize("block", OFFERED_KEYS)
+def test_next_frontier_offers_at_most_the_recorded_keys(levels_to_18, monkeypatch, block):
+    monkeypatch.setattr(pareto, "_ARM_BLOCK", block)
+    for h, bound in OFFERED_KEYS[block].items():
+        counter = CountingMinimum(np.minimum)
+        with monkeypatch.context() as m:
+            m.setattr(np, "minimum", counter)
+            assert _next_frontier(levels_to_18[h - 2]) == levels_to_18[h - 1]
+        assert 0 < counter.keys <= bound, h
+
+
 def test_min_area_rows_13_to_18(levels_to_18):
     got = [(fr.h, fr.min_area()[0]) for fr in levels_to_18[12:]]
     assert got == [(h, area) for h, _, area in REFERENCE_AREA_TABLE[12:18]]

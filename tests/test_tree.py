@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +115,65 @@ def test_random_tree_determinism():
     b = random_ternary_tree(200, 7)
     assert a == b
     assert a != random_ternary_tree(200, 8)
+
+
+def randrange_random_tree(n, seed):
+    """random_ternary_tree's definition: one rng.randrange per node, over the
+    open nodes, with a full node swap-removed before the new one is appended.
+    """
+    rng = random.Random(seed)
+    table = np.full((n, 3), -1)
+    filled = [0] * n
+    open_nodes = [0]
+    for v in range(1, n):
+        i = rng.randrange(len(open_nodes))
+        u = open_nodes[i]
+        table[u, filled[u]] = v
+        filled[u] += 1
+        if filled[u] == 3:
+            open_nodes[i] = open_nodes[-1]
+            open_nodes.pop()
+        open_nodes.append(v)
+    return table
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, -5, 2 ** 32 + 1, 2 ** 70 + 3])
+def test_random_tree_matches_randrange_oracle(seed):
+    for n in (1, 2, 3, 4, 10, 1000, 20000):
+        t = random_ternary_tree(n, seed)
+        assert np.array_equal(t.table, randrange_random_tree(n, seed)), n
+
+
+def inline_randbelow(getrandbits, m):
+    bits = m.bit_length()
+    r = getrandbits(bits)
+    while r >= m:
+        r = getrandbits(bits)
+    return r
+
+
+def test_randrange_is_the_inline_rejection_draw():
+    # random_ternary_tree draws randrange(m) this way; a Python whose
+    # randrange draws otherwise fails here by name
+    for seed in (0, 1, 7, 2 ** 70 + 3):
+        a, b = random.Random(seed), random.Random(seed)
+        for m in [*range(1, 71), 2 ** 20 - 1, 2 ** 20, 2 ** 20 + 1, 3 << 19]:
+            for _ in range(20):
+                assert a.randrange(m) == inline_randbelow(b.getrandbits, m), (seed, m)
+
+
+def slicing_tree_to_json(t):
+    """tree_to_json as one sliced list per row of the table's list."""
+    counts = (t.table >= 0).sum(axis=1).tolist()
+    return {"n": t.n, "root": t.root, "children": [r[:k] for r, k in zip(t.table.tolist(), counts)]}
+
+
+def test_tree_to_json_matches_slicing_oracle():
+    path = TernaryTree([[v + 1] for v in range(99)] + [[]])
+    trees = [TernaryTree(((),)), complete_tree(6), path, TernaryTree(((), (0, 2), ()), root=1),
+             *(random_ternary_tree(n, seed) for n in (2, 50, 3000) for seed in (0, 3))]
+    for t in trees:
+        assert tree_to_json(t) == slicing_tree_to_json(t)
 
 
 @given(st.integers(1, 300), st.integers(0, 50))
