@@ -210,7 +210,8 @@ def cmd_verify(args) -> int:
     _bind()
     try:
         drawing = _read_drawing(args.drawing)
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as e:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError,
+            MemoryError) as e:  # MemoryError: a drawing too large to hold
         raise UserError(f"cannot read drawing {args.drawing!r}: {e}") from e
     report = build_report(drawing)
     print(report_to_json(report))

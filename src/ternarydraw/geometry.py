@@ -202,96 +202,94 @@ def drawing_json(d: GridDrawing) -> str:
 
 
 _HEAD_RE = re.compile(re.escape(_HEAD.encode()).replace(rb"%d", rb"(\d{1,19})"))
-_CHUNK = 1 << 18  # bytes scanned per numpy pass, bounding the per-digit arrays
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
 def read_canonical(data: bytes) -> Optional[GridDrawing]:
     """The drawing d with ``drawing_json(d)`` equal to ``data``, with or
-    without one trailing newline; None if there is none. The numbers are
-    read with numpy byte masks, the drawing is built by the validating
-    constructors, and it is accepted only if its drawing_json_blocks equal
-    the bytes of ``data`` one by one. So an accepted drawing is exactly what
+    without one trailing newline; None if there is none. The head and the
+    tail are compared whole; _lists checks the children and the positions
+    line by line as it reads their numbers, and the drawing is built by the
+    validating constructors. So an accepted drawing is exactly what
     ``drawing_from_json(json.loads(data))`` builds, and any other layout,
     valid or not, gets None."""
     head = _HEAD_RE.match(data)
-    middle = data.find(_MIDDLE.encode(), head.end()) if head else -1
-    if middle < 0:
+    if head is None:
         return None
-    n, root = int(head[1]), int(head[2])
-    table = _child_table(data, head.end(), middle, n)
-    pos = _positions(data, middle + len(_MIDDLE), len(data), n)
-    if table is None or pos is None:
+    n, root, lo = int(head[1]), int(head[2]), head.end()
+    middle, hi = data.find(_MIDDLE.encode(), lo), len(data) - data.endswith(b"\n") - len(_TAIL)
+    if (data[:lo] != (_HEAD % (n, root)).encode()  # the regex takes leading zeros
+            or middle < 0 or hi < middle + len(_MIDDLE) or not data.startswith(_TAIL.encode(), hi)):
         return None
-    try:
-        d = GridDrawing(TernaryTree(table, root), pos)
-    except ValueError:  # TreeError included
-        return None
-    at = 0
-    for block in map(str.encode, drawing_json_blocks(d)):
-        if not data.startswith(block, at):
-            return None
-        at += len(block)
-    return d if data[at:at + 2] in (b"", b"\n") else None
-
-
-def _child_table(data: bytes, lo: int, hi: int, n: int) -> Optional[np.ndarray]:
-    """The (n, 3) child table, -1 in the empty slots, of the n lists in
-    data[lo:hi]: each id belongs to the list opened last before it. None
-    unless there are n lists of at most 3 ids each. Like _positions, it
-    returns only what it keeps, so the scan's offsets die with its call."""
-    scanned = _scan(data, lo, hi)
-    if scanned is None or len(scanned[2]) != n:
-        return None
-    starts, ids, opens = scanned
-    node = np.searchsorted(opens, starts) - 1
-    counts = np.bincount(node[node >= 0], minlength=n)
-    if len(ids) and (node[0] < 0 or counts.max() > 3):
+    buf = np.frombuffer(data, np.uint8)
+    children = _lists(buf, lo, middle, 6, n, signed=False)
+    rows = _lists(buf, middle + len(_MIDDLE), hi, 4, n, signed=True)
+    if children is None or rows is None or np.any(rows[0] != 2) or children[0].max() > 3:
         return None
     table = np.full((n, 3), -1)
-    table[np.arange(3) < counts[:, None]] = ids
-    return table
-
-
-def _positions(data: bytes, lo: int, hi: int, n: int) -> Optional[np.ndarray]:
-    """The n (x, y) rows of the numbers in data[lo:hi]; None unless there
-    are 2n numbers."""
-    scanned = _scan(data, lo, hi)
-    if scanned is None or len(scanned[1]) != 2 * n:
+    table[np.arange(3) < children[0][:, None]] = children[1]
+    try:
+        return GridDrawing(TernaryTree(table, root), rows[1].reshape(n, 2))
+    except ValueError:  # TreeError included
         return None
-    return scanned[1].reshape(n, 2)
 
 
-def _scan(data: bytes, lo: int, hi: int) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The offsets of the digit runs in data[lo:hi] (lo >= 1), their values
-    (negated after a '-') and the offsets of the '[' bytes, read in chunks
-    that end at a newline. None if a run has more than 19 digits (beyond
-    int64) or a chunk would hold no newline (no line of drawing_json is that
-    long)."""
-    buf = np.frombuffer(data, np.uint8)
-    starts, values, opens = [], [], []
-    while lo < hi:
-        cut = hi if hi - lo <= _CHUNK else data.rfind(b"\n", lo, lo + _CHUNK) + 1
-        if cut <= lo:
+def _lists(buf: np.ndarray, lo: int, hi: int, indent: int, n: int,
+           signed: bool) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The item count of each list in buf[lo:hi] and the items in order, if
+    it holds n lists of integers as drawing_json lays them out at ``indent``
+    spaces: "[]", or "[" then one item a line two spaces deeper then "]",
+    lists and items joined by a comma and a newline. None otherwise. Each
+    line is told by its width and its bytes after the indent, and each byte
+    checked outside the indents is not a space, so one count of the spaces
+    checks every indent. Line j is buf[bounds[j] + 1:bounds[j + 1]]; the
+    per-line arrays die before the numbers are read."""
+    bounds = np.flatnonzero(buf[lo:hi] == ord("\n"))
+    bounds += lo
+    bounds = np.concatenate(([lo - 1], bounds, [hi]))
+    comma, width = buf[bounds[1:] - 1] == ord(","), np.diff(bounds)
+    width -= 1
+    width -= comma  # the width without the comma
+    key, after = buf[indent + 1:][bounds[:-1]], buf[indent + 2:][bounds[:-1]]
+    opener = (key == ord("[")) & (width == indent + 1) & ~comma
+    closer = (key == ord("]")) & (width == indent + 1)
+    empty = (key == ord("[")) & (after == ord("]")) & (width == indent + 2)
+    first, last, item = opener | empty, empty | closer, ~(opener | empty | closer)
+    lists = np.flatnonzero(first)
+    if (len(lists) != n or not (first[0] and last[-1]) or np.any(first[1:] != last[:-1])
+            or np.any(opener[:-1] & closer[1:]) or comma[-1]
+            or np.any(comma[:-1] != ~(opener[:-1] | closer[1:]))
+            or np.count_nonzero(buf[lo:hi] == ord(" ")) != indent * len(width) + 2 * item.sum()):
+        return None
+    counts = np.diff(np.append(lists, len(width))) - 1 - opener[lists]
+    ends, sizes = bounds[1:][item] - comma[item], width[item] - (indent + 2)
+    del bounds, width
+    values = _integers(buf, ends, sizes, signed)
+    return None if values is None else (counts, values)
+
+
+def _integers(buf: np.ndarray, ends: np.ndarray, sizes: np.ndarray, signed: bool) -> Optional[np.ndarray]:
+    """The integer written in each buf[end - size:end] (end >= 19; ends and
+    sizes are used as scratch): 1 to 19 decimal digits, after a "-" if
+    signed, with no leading zero and no -0. None if one is not. The digits
+    are read a column at a time, each number right-aligned in a window as
+    wide as the widest; 19 digits past 2**63 - 1 wrap in int64, and no
+    drawing holds such a number."""
+    neg = signed & (buf.take(ends - sizes, mode="clip") == ord("-"))
+    sizes -= neg
+    if len(sizes) and (sizes.min() < 1 or sizes.max() > 19
+                       or np.any((buf[ends - sizes] == ord("0")) & ((sizes > 1) | neg))):
+        return None
+    w = sizes.max(initial=0)
+    ends -= w  # now each window's start
+    outside, value = (w - sizes).astype(np.uint8), np.zeros(len(sizes), np.int64)
+    for j in range(w):
+        digit = buf[j:][ends] - ord("0")  # wraps below "0"
+        digit *= outside <= j
+        if digit.max(initial=0) > 9:
             return None
-        chunk = buf[lo:cut]
-        digit = chunk - ord("0")  # wraps below "0"
-        is_digit = digit < 10
-        s, e = np.flatnonzero(np.diff(is_digit, prepend=False, append=False)).reshape(-1, 2).T
-        if len(s):
-            length = e - s
-            if length.max() > 19:
-                return None
-            first = np.cumsum(length) - length  # each run's first digit among the chunk's digits
-            digit = digit[is_digit]
-            place = np.repeat(first + length - 1, length) - np.arange(len(digit))
-            v = np.add.reduceat(digit * _POW10[place], first)
-            values.append(np.where(buf[lo + s - 1] == ord("-"), -v, v))
-            starts.append(lo + s)
-        opens.append(lo + np.flatnonzero(chunk == ord("[")))
-        lo = cut
-    return tuple(np.concatenate(a, dtype=np.int64) if a else np.zeros(0, np.int64)
-                 for a in (starts, values, opens))
+        value *= 10
+        value += digit
+    return np.negative(value, out=value, where=neg)
 
 
 def drawing_from_json(obj: dict) -> GridDrawing:

@@ -382,13 +382,18 @@ def test_verify_gives_one_verdict_for_every_layout(tmp_path_factory, d):
 
 
 def mutated(data: bytes, kind: str, k: int) -> bytes:
-    """data with one byte replaced, inserted or deleted at the k-th site
-    (cyclically) of the kind."""
+    """data with one byte replaced, inserted or deleted, or two adjacent
+    bytes swapped, at the k-th site (cyclically) of the kind."""
     pattern = {"digit": rb"\d", "sign": rb"\d+", "leading-zero": rb"\d+",
                "minus-zero": rb"(?<![-\d])0(?!\d)", "bracket": rb"[][]", "space": rb" ",
-               "newline": rb"\n", "comma": rb","}[kind]
+               "newline": rb"\n", "comma": rb",", "insert-space": rb"(?s).",
+               "insert-newline": rb"(?s).", "swap": rb"(?s)(.)(?=(?!\1).)"}[kind]
     sites = [m.start() for m in re.finditer(pattern, data)]
     i = sites[k % len(sites)]
+    if kind.startswith("insert-"):
+        return data[:i] + (b" " if kind == "insert-space" else b"\n") + data[i:]
+    if kind == "swap":
+        return data[:i] + data[i + 1:i + 2] + data[i:i + 1] + data[i + 2:]
     if kind == "digit":
         return data[:i] + bytes([ord("0") + (data[i] - ord("0") + 1 + k % 9) % 10]) + data[i + 1:]
     if kind == "sign" and data[i - 1] == ord("-"):
@@ -403,7 +408,8 @@ def mutated(data: bytes, kind: str, k: int) -> bytes:
 @settings(max_examples=200, deadline=None)
 @given(d=drawings(max_n=8),
        kind=st.sampled_from(["digit", "sign", "leading-zero", "minus-zero", "bracket",
-                             "space", "newline", "comma"]),
+                             "space", "newline", "comma", "insert-space", "insert-newline",
+                             "swap"]),
        k=st.integers(0, 10 ** 6))
 def test_verify_verdict_on_mutated_canonical_files(tmp_path_factory, d, kind, k):
     # a digit mutation mostly keeps the layout and is read by read_canonical;
@@ -431,6 +437,27 @@ def test_verify_canonical_layout_at_the_limits(tmp_path, children, pos, accepted
     outcome = verify_outcome(path)
     assert outcome == verify_outcome(path, fast=False)
     assert outcome[0] == (0 if accepted else 2)
+
+
+@pytest.mark.parametrize("n", [10 ** 18, 2 ** 63 - 1])
+def test_verify_refuses_a_lying_header(tmp_path, n):
+    path = tmp_path / "d.json"
+    path.write_bytes(canonical_bytes([[1], []], [[0, 0], [1, 0]]).replace(b'"n": 2,', b'"n": %d,' % n))
+    code, out, err = verify_outcome(path)
+    assert (code, out) == (2, "") and err.startswith(f"error: cannot read drawing {str(path)!r}")
+
+
+def test_verify_of_a_drawing_too_large_to_hold_exits_2(tmp_path, monkeypatch):
+    def out_of_memory(data):
+        raise MemoryError("Unable to allocate the drawing")
+
+    # the reader raises as numpy does on a huge file; nothing is allocated
+    path = tmp_path / "d.json"
+    path.write_bytes(drawing_json(draw_c1_only(2)).encode())
+    monkeypatch.setattr(cli, "read_canonical", out_of_memory)
+    code, out, err = verify_outcome(path)
+    assert (code, out) == (2, "") and err.startswith(f"error: cannot read drawing {str(path)!r}")
+    assert "Unable to allocate" in err and "internal error" not in err
 
 
 def test_verify_calls_json_only_off_the_draw_layout(tmp_path, capsys, monkeypatch):

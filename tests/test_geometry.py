@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from ternarydraw.layout_general import draw_general
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree, tree_to_json
 
 from conftest import canonical_bytes, drawings, layouts, min_area_drawing
+from reader_oracle import oracle_read_canonical
 from test_layout_complete import rotate  # the construction oracle's rotation
 
 
@@ -192,21 +195,86 @@ def test_drawing_json_is_the_join_of_its_blocks():
 
 
 @pytest.mark.parametrize("chunk", [32, 1000])
-def test_read_canonical_in_small_chunks(monkeypatch, chunk):
-    # every line of drawing_json is shorter than 32 bytes, so runs, signs and
-    # list openers fall on either side of many chunk ends
-    monkeypatch.setattr(geometry, "_CHUNK", chunk)
+def test_read_canonical_in_small_chunks(chunk):
+    # every line of drawing_json is shorter than 32 bytes, so the oracle's
+    # runs, signs and list openers fall on either side of many chunk ends.
+    # Both readers read each drawing back exactly, and both refuse a long
+    # line and an indent one space too deep or too shallow. A number of two
+    # or more digits keeps the shallow line's width: only the count of the
+    # spaces refuses it.
     big = 2 ** 62 - 1
     t = TernaryTree(((1, 2, 3), (4,), (5, 6), (), (), (), ()), root=0)
     for d in (GridDrawing(t, ((0, 0), (-big, 0), (0, -1), (big, 0), (-big, big), (-7, -1), (0, big))),
               draw_general(random_ternary_tree(500, 3)), draw_upper_1149(4)):
         text = drawing_json(d)
-        assert read_canonical(text.encode()) == d
+        assert read_canonical(text.encode()) == oracle_read_canonical(text.encode(), chunk) == d
         long_line = text.replace("\n      [\n", "\n      [" + " " * 40 + "\n", 1)
-        assert read_canonical(long_line.encode()) is None  # a chunk with no newline
+        deeper = text.replace("\n        ", "\n         ", 1)
+        shallower = re.sub(r"\n ( *-?\d\d)", r"\n\1", text, count=1)
+        for bad in (long_line, deeper, shallower):
+            assert bad != text
+            assert read_canonical(bad.encode()) is None
+            assert oracle_read_canonical(bad.encode(), chunk) is None
 
 
-@pytest.mark.parametrize("c", [2 ** 62 - 1, 2 ** 62, 2 ** 63, 2 ** 63 - 1, 10 ** 19 - 1, 10 ** 19])
+@pytest.mark.parametrize("old,new", [
+    ('"n": 2,', '"n": 02,'),
+    ('"root": 0,', '"root": 00,'),
+    ("      []", "      [\n      ]"),
+    ("      [\n        1\n      ],\n      []", "      [],\n        1,\n      []"),
+    ("      []\n    ]", "      [],\n    ]"),
+    ("      0\n    ]\n  ]", "      0\n    ],\n  ]"),
+    ("    [\n      0,\n      0\n    ],\n    [\n      1,", "    [\n      0\n    ],\n    [\n      0,\n      1,"),
+    ("\n  ]\n}", "\n  }\n}"),
+], ids=["n-leading-zero", "root-leading-zero", "empty-list-on-two-lines", "id-outside-a-list",
+        "comma-after-the-last-list", "comma-after-the-last-row", "rows-of-one-and-three", "tail"])
+def test_read_canonical_refuses_near_canonical_layouts(old, new):
+    # one change each that keeps every line's own layout, so only the head,
+    # the tail, or the order and count of the lines can refuse it
+    data = canonical_bytes([[1], []], [[0, 0], [1, 0]])
+    assert read_canonical(data) is not None and data.count(old.encode()) == 1
+    data = data.replace(old.encode(), new.encode())
+    assert read_canonical(data) is None and oracle_read_canonical(data) is None
+
+
+EDIT_BYTES = b" \n,[]-0123456789x"
+
+
+def edit(data: bytes, kind: str, at: int, byte: int) -> bytes:
+    """data with one byte substituted, inserted or deleted at ``at`` (cyclically)."""
+    i = at % (len(data) + (kind == "insert"))
+    return data[:i] + bytes([byte] * (kind != "delete")) + data[i + (kind != "insert"):]
+
+
+@settings(max_examples=400, deadline=None)
+@given(d=drawings(max_n=10), newline=st.booleans(),
+       edits=st.lists(st.tuples(st.sampled_from(["substitute", "insert", "delete"]),
+                                st.integers(0, 10 ** 6), st.sampled_from(EDIT_BYTES)),
+                      min_size=1, max_size=3))
+def test_read_canonical_agrees_with_the_oracle_on_edited_files(d, newline, edits):
+    data = drawing_json(d).encode() + b"\n" * newline
+    for kind, at, byte in edits:
+        data = edit(data, kind, at, byte)
+    read = read_canonical(data)
+    assert read == oracle_read_canonical(data)
+    assert read is None or data in (drawing_json(read).encode(), drawing_json(read).encode() + b"\n")
+
+
+@pytest.mark.parametrize("n", [10 ** 18, 2 ** 63 - 1])
+def test_read_canonical_allocates_nothing_for_a_lying_header(n):
+    data = canonical_bytes([[1], []], [[0, 0], [1, 0]]).replace(b'"n": 2,', b'"n": %d,' % n)
+    assert b'"n": %d,' % n in data
+    tracemalloc.start()
+    try:
+        assert read_canonical(data) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("c", [2 ** 62 - 1, 2 ** 62, 2 ** 63, 2 ** 63 - 1, 10 ** 19 - 1, 10 ** 19,
+                               2 ** 64 + 1])
 def test_read_canonical_coordinate_range(c):
     for sign in (1, -1):
         data = canonical_bytes([[1], []], [[0, 0], [sign * c, 0]])
