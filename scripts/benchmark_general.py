@@ -8,10 +8,13 @@ column, and one read of its drawing_json bytes by read_canonical (the bytes
 are written untimed), timed in the read column. The peak RSS column is the process's peak so far (getrusage), so a
 row's figure covers its own size and every size before it: for one size's
 peak, run that size alone, e.g. ``--sizes 1000000 --seeds 1``. The frames
-column is the mean number of decompositions the layout performs, and levels
-the most frame levels (the frame depth + 1, one batch of numpy passes each);
-both are counted from all_decompositions, untimed, on the same trees built
-again after the row's peak RSS is read."""
+column is the mean number of decompositions the layout performs, levels the
+most frame levels (the frame depth + 1, one batch of numpy passes each), and
+slack the largest ratio of an attachment size to its bound in the paper's
+size inequalities (a, b < m/p and s <= (m - a - b)/3 on frames with a
+general P part, r + s <= 2(p - 1)m/(3p) on every frame) over the row's
+frames. All three are read from frame_stats, untimed, on the same trees
+built again after the row's peak RSS is read."""
 
 import argparse
 import math
@@ -19,22 +22,19 @@ import resource
 import time
 
 from ternarydraw.geometry import drawing_json, extents, read_canonical
-from ternarydraw.layout_general import LayoutParams, all_decompositions, draw_general
+from ternarydraw.layout_general import LayoutParams, draw_general, frame_stats
 from ternarydraw.tree import TernaryTree, random_ternary_tree, tree_to_json
 from ternarydraw.verify import build_report
 
 
-def count_frames(t: TernaryTree, params: LayoutParams) -> tuple[int, int]:
-    """(decompositions, frame levels) of the general layout of t."""
-    depth, frames, levels = {t.root: 0}, 0, 0
-    for d in all_decompositions(t, params):  # top-down: a frame after the one it hangs off
-        frames += 1
-        level = depth.pop(d.root)
-        levels = max(levels, level + 1)
-        for c in (*d.top.values(), *d.bottom.values()):
-            if t.table[c, 0] >= 0:  # not a leaf
-                depth[c] = level + 1
-    return frames, levels
+def count_frames(t: TernaryTree, params: LayoutParams) -> tuple[int, int, float]:
+    """(decompositions, frame levels, slack) of the general layout of t."""
+    s, p = frame_stats(t, params), params.p
+    g = s.a >= 0
+    m = s.m[g]
+    ratios = (s.a[g] * p / m, s.b[g] * p / m, 3 * s.s[g] / (m - s.a[g] - s.b[g]),
+              (s.r + s.s) * 3 * p / (2 * (p - 1) * s.m))
+    return len(s.level), int(s.level.max(initial=-1)) + 1, max(r.max(initial=0) for r in ratios)
 
 
 def main() -> None:
@@ -47,7 +47,7 @@ def main() -> None:
 
     params = LayoutParams()
     print(f"{'n':>8} {'tree (s)':>9} {'tree json (s)':>14} {'layout (s)':>11} {'peak RSS (MB)':>14} {'verify (s)':>11} {'read (s)':>9} {'width':>8} "
-          f"{'height':>7} {'bound':>7} {'ratio':>6} {'frames':>7} {'levels':>6}")
+          f"{'height':>7} {'bound':>7} {'ratio':>6} {'frames':>7} {'levels':>6} {'slack':>6}")
     for n in args.sizes:
         t_tree = t_json = t_layout = t_verify = t_read = 0.0
         worst_h = worst_ratio = 0
@@ -88,10 +88,10 @@ def main() -> None:
         read = f"{t_read / args.seeds:.4f}" if args.verify else "-"
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
         del t, d
-        frames, levels = zip(*(count_frames(random_ternary_tree(n, seed), params)
-                               for seed in range(args.seeds)))
+        frames, levels, slack = zip(*(count_frames(random_ternary_tree(n, seed), params)
+                                      for seed in range(args.seeds)))
         print(f"{n:>8} {t_tree / args.seeds:>9.4f} {t_json / args.seeds:>14.4f} {t_layout / args.seeds:>11.4f} {rss:>14.1f} {verify:>11} {read:>9} {worst_w:>8} "
-              f"{worst_h:>7} {bound:>7} {worst_ratio:>6.2f} {round(sum(frames) / args.seeds):>7} {max(levels):>6}")
+              f"{worst_h:>7} {bound:>7} {worst_ratio:>6.2f} {round(sum(frames) / args.seeds):>7} {max(levels):>6} {max(slack):>6.3f}")
 
 
 if __name__ == "__main__":

@@ -13,9 +13,8 @@ _EXPORTS = {
                      "drawing_to_json", "edge_segments", "extents"), "geometry"),
     **dict.fromkeys(("draw_c1_only", "draw_c2_only", "draw_golden", "draw_upper_1149"),
                     "layout_complete"),
-    **dict.fromkeys(("DecompositionStats", "LayoutParams", "RailDecomposition",
-                     "all_decompositions", "decompose", "decomposition_stats",
-                     "draw_general"), "layout_general"),
+    **dict.fromkeys(("FrameStats", "LayoutParams", "draw_general", "frame_stats"),
+                    "layout_general"),
     **dict.fromkeys(("REFERENCE_AREA_TABLE", "ParetoFrontier", "PowerLawFit",
                      "exhaustive_frontier", "fit_power_law", "frontier", "min_area",
                      "reconstruct_drawing"), "pareto"),

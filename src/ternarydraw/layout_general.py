@@ -10,7 +10,7 @@ columns wide, and at most 2*n^c - 1 rows tall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -32,46 +32,6 @@ class LayoutParams:
     @property
     def c(self) -> float:
         return 1.0 / math.log2(3 * self.p / (self.p - 1))
-
-
-@dataclass
-class RailDecomposition:
-    """Rails and attachments for one recursion level rooted at ``root``.
-
-    ``x`` is the turn index (None when the heavy path never turns down);
-    internally the undefined case behaves like x = k(pi) + 1. ``top``/
-    ``bottom`` map a rail node to the root of its attached subtree; top
-    subtrees are drawn rotated 180° above the rail, bottom subtrees upright
-    below it.
-    """
-
-    root: int
-    n: int
-    x: Optional[int]
-    pi: tuple[int, ...]
-    rho: tuple[int, ...] = ()
-    sigma: tuple[int, ...] = ()
-    tau: tuple[int, ...] = ()
-    P: tuple[int, ...] = ()
-    Q: tuple[int, ...] = ()
-    top: dict[int, int] = field(default_factory=dict)
-    bottom: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def x_eff(self) -> int:
-        return self.x if self.x is not None else len(self.pi) + 1
-
-
-@dataclass(frozen=True)
-class DecompositionStats:
-    """Maximum attachment sizes: a/b over top/bottom subtrees of P, r/s over
-    top/bottom subtrees of Q. a and b are None when x < 3 (no general P
-    part exists)."""
-
-    a: Optional[int]
-    b: Optional[int]
-    r: int
-    s: int
 
 
 class _Level(NamedTuple):
@@ -182,58 +142,38 @@ def _levels(t: TernaryTree, p: float) -> Iterator[_Level]:
         roots = level.sub[level.frame]
 
 
-def _rail_decompositions(t: TernaryTree, level: _Level) -> Iterator[RailDecomposition]:
-    """One level's decompositions, as lists, tuples and dicts of node ids."""
-    h, size = t.heavy, t.walk[2]
+class FrameStats(NamedTuple):
+    """Attachment-size maxima of every frame the layout places, as int64
+    arrays with one entry per frame, top-down in frame-level order.
 
-    def path(v: int) -> tuple[int, ...]:
-        return () if v < 0 else tuple(h.hp[h.start[v]:h.start[v] + h.length[v]].tolist())
+    Frame f is rooted at ``root[f]`` on frame level ``level[f]`` and has
+    ``m[f]`` nodes. ``a``/``b`` are the largest subtrees attached above/below
+    its upper rail P, and ``r``/``s`` above/below its lower rail Q (0 when
+    there are none). ``a`` and ``b`` are -1 when x < 3, where no general P
+    part exists."""
 
-    top, bottom = [{} for _ in level.roots], [{} for _ in level.roots]
-    frame_of = np.searchsorted(level.offs, level.at, side="right") - 1
-    for f, v, c, s in zip(frame_of.tolist(), level.rail[level.at].tolist(),
-                          level.sub.tolist(), level.sign.tolist()):
-        (top if s < 0 else bottom)[f][v] = c
-    rail, offs, kP = level.rail.tolist(), level.offs.tolist(), level.kP.tolist()
-    for f, (r, k, turn, ends) in enumerate(zip(level.roots.tolist(), level.k.tolist(),
-                                               level.turn.tolist(), level.ends.tolist())):
-        P = offs[f] + kP[f]
-        yield RailDecomposition(r, int(size[r]), turn + 1 if turn < k else None, path(r),
-                                *map(path, ends), tuple(rail[offs[f]:P]),
-                                tuple(rail[P:offs[f + 1]]), top[f], bottom[f])
+    root: np.ndarray
+    level: np.ndarray
+    m: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
 
 
-def decompose(t: TernaryTree, params: Optional[LayoutParams] = None) -> RailDecomposition:
-    if t.n < 2:
-        raise ValueError("decompose needs a tree with at least 2 nodes")
+def frame_stats(t: TernaryTree, params: Optional[LayoutParams] = None) -> FrameStats:
+    """The attachment-size maxima of every frame of the general layout of t."""
     params = params or LayoutParams()
-    return next(_rail_decompositions(t, _decompose(t, np.array([t.root]), params.p)))
-
-
-def decomposition_stats(d: RailDecomposition, t: TernaryTree) -> DecompositionStats:
-    """Attachment-size maxima of ``d``, a decomposition of the tree ``t``."""
-    sizes, p_set = t.walk[2], set(d.P)
-
-    def attach_max(mapping: dict[int, int], on_p: bool) -> int:
-        vals = [c for v, c in mapping.items() if (v in p_set) == on_p]
-        return int(sizes[vals].max(initial=0))
-
-    general = d.x is None or d.x >= 3
-    a = attach_max(d.top, True) if general else None
-    b = attach_max(d.bottom, True) if general else None
-    r = attach_max(d.top, False)
-    s = attach_max(d.bottom, False)
-    return DecompositionStats(a, b, r, s)
-
-
-def all_decompositions(t: TernaryTree,
-                       params: Optional[LayoutParams] = None
-                       ) -> Iterator[RailDecomposition]:
-    """Every decomposition the layout performs, one frame level at a time,
-    top-down."""
-    params = params or LayoutParams()
-    for level in _levels(t, params.p):
-        yield from _rail_decompositions(t, level)
+    size, rows = t.walk[2], [np.zeros((0, 7), np.int64)]
+    for i, lv in enumerate(_levels(t, params.p)):
+        F = len(lv.roots)
+        fr = np.repeat(np.arange(F), np.diff(lv.offs))[lv.at]
+        on_Q = lv.at >= (lv.offs[:-1] + lv.kP)[fr]
+        most = np.zeros((F, 2, 2), np.int64)  # frame, P or Q, above or below
+        np.maximum.at(most, (fr, on_Q.astype(np.int64), (lv.sign + 1) // 2), size[lv.sub])
+        most[lv.turn < 2, 0] = -1  # x < 3: a frame's pi has k >= 2 nodes, so x is defined
+        rows.append(np.column_stack([lv.roots, np.full(F, i), size[lv.roots], most.reshape(F, 4)]))
+    return FrameStats(*np.concatenate(rows).T.copy())
 
 
 def draw_general(t: TernaryTree, params: Optional[LayoutParams] = None) -> GridDrawing:

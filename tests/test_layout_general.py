@@ -1,5 +1,7 @@
 import hashlib
 import math
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -8,9 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import caterpillar_tree, path_tree
 from ternarydraw import cli, layout_general
 from ternarydraw.geometry import extents
-from ternarydraw.layout_general import (LayoutParams, RailDecomposition,
-                                        all_decompositions, decompose,
-                                        decomposition_stats, draw_general)
+from ternarydraw.layout_general import LayoutParams, draw_general, frame_stats
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree
 from ternarydraw.verify import (check_orthogonal_grid, check_planar,
                                 check_top_visibility)
@@ -92,9 +92,8 @@ def test_turn_index_two():
     assert_drawing_ok(t)
 
 
-def test_decompose_rejects_singleton():
-    with pytest.raises(ValueError):
-        decompose(complete_tree(1))
+def test_single_node_has_no_frames():
+    assert len(frame_stats(complete_tree(1)).m) == 0
 
 
 def test_rails_are_tree_paths():
@@ -106,29 +105,24 @@ def test_rails_are_tree_paths():
 
 
 def test_stats_on_path_are_zero():
-    t = path_tree(9)
-    s = decomposition_stats(decompose(t), t)
-    assert (s.a, s.b, s.r, s.s) == (0, 0, 0, 0)
+    s = frame_stats(path_tree(9))
+    assert [x.tolist() for x in s] == [[0], [0], [9], [0], [0], [0], [0]]
 
 
 def test_stats_absent_for_small_turn_index():
-    s = decomposition_stats(decompose(complete_tree(4)), complete_tree(4))
-    assert s.a is None and s.b is None
-    t = _sized_example()
-    s = decomposition_stats(decompose(t), t)
-    assert s.a is None and s.b is None
+    s = frame_stats(complete_tree(4))
+    assert s.a[0] == s.b[0] == -1
+    s = frame_stats(_sized_example())
+    assert s.a[0] == s.b[0] == -1
 
 
 def test_stats_inequalities_complete_tree():
-    t = complete_tree(5)
-    p = 9.956
-    for dec in all_decompositions(t):
-        st_ = decomposition_stats(dec, t)
-        m = dec.n
-        if st_.a is not None:
-            assert st_.a < m / p and st_.b < m / p
-            assert st_.s <= (m - st_.a - st_.b) / 3
-        assert st_.r + st_.s <= 2 * (p - 1) * m / (3 * p)
+    s = frame_stats(complete_tree(5))
+    p, g = 9.956, s.a >= 0  # the frames with a general P part
+    m = s.m[g]
+    assert np.all(s.a[g] < m / p) and np.all(s.b[g] < m / p)
+    assert np.all(s.s[g] <= (m - s.a[g] - s.b[g]) / 3)
+    assert np.all(s.r + s.s <= 2 * (p - 1) * s.m / (3 * p))
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,16 +156,92 @@ def test_complete_h3_height_bound():
 def test_all_decompositions_cover_tree():
     t = random_ternary_tree(300, 4)
     covered = set()
-    for dec in all_decompositions(t):
+    for dec in batched_decompositions(t):
         covered.update(dec.P)
         covered.update(dec.Q)
     leaves = set(np.flatnonzero(t.table[:, 0] < 0).tolist())
     assert covered | leaves == set(range(t.n))
 
 
-# The per-root decomposition the batched one replaced: it walks each heavy
-# path node by node. It is kept here as the oracle for every field of every
-# decomposition, and the recursive layout oracle below decomposes with it.
+# The per-frame views of the decompositions, as lists, tuples and dicts of
+# node ids: the batched levels read into them, and the per-root
+# decomposition the batched one replaced, which walks each heavy path node
+# by node. They are the oracle for every field of every decomposition and
+# for frame_stats, and the recursive layout oracle below decomposes with the
+# per-root one.
+
+@dataclass
+class RailDecomposition:
+    """Rails and attachments for one recursion level rooted at ``root``.
+
+    ``x`` is the turn index (None when the heavy path never turns down).
+    ``top``/``bottom`` map a rail node to the root of its attached subtree;
+    top subtrees are drawn rotated 180° above the rail, bottom subtrees
+    upright below it.
+    """
+
+    root: int
+    n: int
+    x: Optional[int]
+    pi: tuple[int, ...]
+    rho: tuple[int, ...] = ()
+    sigma: tuple[int, ...] = ()
+    tau: tuple[int, ...] = ()
+    P: tuple[int, ...] = ()
+    Q: tuple[int, ...] = ()
+    top: dict[int, int] = field(default_factory=dict)
+    bottom: dict[int, int] = field(default_factory=dict)
+
+
+def rail_decompositions(t, level):
+    """One batched level's decompositions, as RailDecompositions."""
+    h, size = t.heavy, t.walk[2]
+
+    def path(v):
+        return () if v < 0 else tuple(h.hp[h.start[v]:h.start[v] + h.length[v]].tolist())
+
+    top, bottom = [{} for _ in level.roots], [{} for _ in level.roots]
+    frame_of = np.searchsorted(level.offs, level.at, side="right") - 1
+    for f, v, c, s in zip(frame_of.tolist(), level.rail[level.at].tolist(),
+                          level.sub.tolist(), level.sign.tolist()):
+        (top if s < 0 else bottom)[f][v] = c
+    rail, offs, kP = level.rail.tolist(), level.offs.tolist(), level.kP.tolist()
+    for f, (r, k, turn, ends) in enumerate(zip(level.roots.tolist(), level.k.tolist(),
+                                               level.turn.tolist(), level.ends.tolist())):
+        P = offs[f] + kP[f]
+        yield RailDecomposition(r, int(size[r]), turn + 1 if turn < k else None, path(r),
+                                *map(path, ends), tuple(rail[offs[f]:P]),
+                                tuple(rail[P:offs[f + 1]]), top[f], bottom[f])
+
+
+def batched_decompositions(t, params=None):
+    """Every decomposition the layout performs, top-down, read from its
+    batched levels."""
+    params = params or LayoutParams()
+    for level in layout_general._levels(t, params.p):
+        yield from rail_decompositions(t, level)
+
+
+def decompose(t, params=None):
+    """The decomposition of the root frame."""
+    return next(batched_decompositions(t, params))
+
+
+def decomposition_stats(d, t):
+    """Attachment-size maxima (a, b, r, s) of ``d``, a decomposition of the
+    tree ``t``: a/b over top/bottom subtrees of P, r/s over those of Q; a and
+    b are None when x < 3."""
+    sizes, p_set = t.walk[2], set(d.P)
+
+    def attach_max(mapping, on_p):
+        vals = [c for v, c in mapping.items() if (v in p_set) == on_p]
+        return int(sizes[vals].max(initial=0))
+
+    general = d.x is None or d.x >= 3
+    a = attach_max(d.top, True) if general else None
+    b = attach_max(d.bottom, True) if general else None
+    return a, b, attach_max(d.top, False), attach_max(d.bottom, False)
+
 
 def oracle_heavy_path(order, start):
     path = [start]
@@ -244,29 +314,37 @@ def _decompose(t, root, sizes, order, p):
 
 
 def oracle_decompositions(t, params=None):
-    """Every decomposition of the layout recursion, by its root."""
+    """Every decomposition of the layout recursion by its root, and each
+    root's frame level."""
     params = params or LayoutParams()
     sizes, order = t.walk[2].tolist(), t.heavy.order.tolist()
-    found, stack = {}, [t.root]
+    found, level, stack = {}, {}, [(t.root, 0)]
     while stack:
-        v = stack.pop()
+        v, i = stack.pop()
         if order[v][0] >= 0:  # not a leaf
             found[v] = d = _decompose(t, v, sizes, order, params.p)
-            stack.extend(d.top.values())
-            stack.extend(d.bottom.values())
-    return found
+            level[v] = i
+            stack.extend((c, i + 1) for c in (*d.top.values(), *d.bottom.values()))
+    return found, level
 
 
 FIELDS = ("n", "x", "pi", "rho", "sigma", "tau", "P", "Q", "top", "bottom")
 
 
 def assert_decompositions_match_oracle(t, params=None):
-    oracle = oracle_decompositions(t, params)
-    got = list(all_decompositions(t, params))
+    oracle, level = oracle_decompositions(t, params)
+    got = list(batched_decompositions(t, params))
     assert sorted(d.root for d in got) == sorted(oracle)
     for d in got:
         for name in FIELDS:
             assert getattr(d, name) == getattr(oracle[d.root], name), (d.root, name)
+    stats = frame_stats(t, params)
+    assert all(x.dtype == np.int64 for x in stats)
+    assert stats.root.tolist() == [d.root for d in got]
+    for root, *row in zip(*(x.tolist() for x in stats)):
+        a, b, r, s = decomposition_stats(oracle[root], t)
+        want = [level[root], oracle[root].n, -1 if a is None else a, -1 if b is None else b, r, s]
+        assert row == want, root
 
 
 @settings(max_examples=80, deadline=None)
@@ -460,19 +538,15 @@ def test_draw_general_decomposes_each_frame_once(monkeypatch):
     """One batched _decompose call per frame level, each frame root in
     exactly one of them."""
     t = random_ternary_tree(3000, 5)
-    decompositions = list(all_decompositions(t))
-    depth = {t.root: 0}
-    for d in decompositions:  # top-down: a frame comes after the one it hangs off
-        for c in (*d.top.values(), *d.bottom.values()):
-            depth[c] = depth[d.root] + 1
+    stats = frame_stats(t)
     calls = []
     decompose_ = layout_general._decompose
     monkeypatch.setattr(layout_general, "_decompose",
                         lambda t, roots, p: calls.append(roots.tolist()) or decompose_(t, roots, p))
     draw_general(t)
-    assert sorted(r for roots in calls for r in roots) == sorted(d.root for d in decompositions)
-    assert len({d.root for d in decompositions}) == len(decompositions)
-    assert len(calls) == max(depth[d.root] for d in decompositions) + 1 > 2
+    assert sorted(r for roots in calls for r in roots) == sorted(stats.root.tolist())
+    assert len(set(stats.root.tolist())) == len(stats.root)
+    assert len(calls) == stats.level.max() + 1 > 2
 
 
 # sha256 of `ternarydraw draw <spec> --algo general` stdout, recorded before

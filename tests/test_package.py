@@ -16,9 +16,7 @@ REEXPORTS = {
     "geometry": ("Extents", "GridDrawing", "drawing_from_json", "drawing_json",
                  "drawing_to_json", "edge_segments", "extents"),
     "layout_complete": ("draw_c1_only", "draw_c2_only", "draw_golden", "draw_upper_1149"),
-    "layout_general": ("DecompositionStats", "LayoutParams", "RailDecomposition",
-                       "all_decompositions", "decompose", "decomposition_stats",
-                       "draw_general"),
+    "layout_general": ("FrameStats", "LayoutParams", "draw_general", "frame_stats"),
     "pareto": ("REFERENCE_AREA_TABLE", "ParetoFrontier", "PowerLawFit", "exhaustive_frontier",
                "fit_power_law", "frontier", "min_area", "reconstruct_drawing"),
     "render": ("drawing_to_svg",),

@@ -6,6 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from ternarydraw.layout_general import LayoutParams, frame_stats
+from ternarydraw.tree import random_ternary_tree
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -35,3 +38,11 @@ def test_benchmark_general_verifies(tmp_path):
     assert run.returncode == 0, run.stdout + run.stderr
     header, row = run.stdout.splitlines()
     assert header.split()[0] == "n" and row.split()[0] == "100"
+    assert header.split()[-3:] == ["frames", "levels", "slack"]
+    s, p = frame_stats(random_ternary_tree(100, 0)), LayoutParams().p
+    slack = 0.0
+    for m, a, b, r, s_ in zip(*(x.tolist() for x in s[2:])):
+        if a >= 0:
+            slack = max(slack, a / (m / p), b / (m / p), s_ / ((m - a - b) / 3))
+        slack = max(slack, (r + s_) / (2 * (p - 1) * m / (3 * p)))
+    assert row.split()[-3:] == [str(len(s.m)), str(s.level.max() + 1), f"{slack:.3f}"]
