@@ -10,7 +10,8 @@ from importlib import import_module
 
 _EXPORTS = {
     **dict.fromkeys(("Extents", "GridDrawing", "drawing_from_json", "drawing_json",
-                     "drawing_to_json", "edge_segments", "extents"), "geometry"),
+                     "drawing_json_blocks", "drawing_to_json", "edge_segments", "extents",
+                     "read_canonical"), "geometry"),
     **dict.fromkeys(("draw_c1_only", "draw_c2_only", "draw_golden", "draw_upper_1149"),
                     "layout_complete"),
     **dict.fromkeys(("FrameStats", "LayoutParams", "draw_general", "frame_stats"),

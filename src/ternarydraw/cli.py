@@ -22,29 +22,22 @@ if TYPE_CHECKING:
     from .geometry import GridDrawing
     from .tree import TernaryTree
 
-# The names draw and verify use, with the submodule each comes from. They are
-# bound on first use, by module __getattr__ or by _bind, so that `table` on a
-# warm cache imports neither numpy nor the layouts. perfbench/child.py and
-# tests set some of these names on this module to wrap them (drawing_to_json
-# and extents are here only for child.py), and a name already set is never
-# bound again.
-_LAZY = {
-    **dict.fromkeys(("drawing_from_json", "drawing_json_blocks", "drawing_to_json",
-                     "extents", "read_canonical"), "geometry"),
-    **dict.fromkeys(("draw_c1_only", "draw_c2_only", "draw_golden",
-                     "draw_upper_1149"), "layout_complete"),
-    **dict.fromkeys(("LayoutParams", "draw_general"), "layout_general"),
-    "drawing_to_svg": "render",
-    **dict.fromkeys(("TreeError", "random_ternary_tree", "tree_from_json"), "tree"),
-    **dict.fromkeys(("build_report", "report_to_json"), "verify"),
-}
+# The names draw and verify use, each resolved through the package's export
+# table. They are bound on first use, by module __getattr__ or by _bind, so
+# that `table` on a warm cache imports neither numpy nor the layouts.
+# perfbench/child.py and tests set some of these names on this module to wrap
+# them (drawing_to_json and extents are here only for child.py), and a name
+# already set is never bound again.
+_LAZY = ("drawing_from_json", "drawing_json_blocks", "drawing_to_json", "extents",
+         "read_canonical", "draw_c1_only", "draw_c2_only", "draw_golden", "draw_upper_1149",
+         "LayoutParams", "draw_general", "drawing_to_svg", "TreeError",
+         "random_ternary_tree", "tree_from_json", "build_report", "report_to_json")
 
 
 def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __package__), name)
+    value = getattr(import_module(__package__), name)
     globals()[name] = value
     return value
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import GridDrawing
-from .tree import TreeError, complete_tree
+from .tree import complete_tree
 
 _POINT = np.zeros((1, 2), dtype=np.int64)  # T_1, shared by every layout
 _POINT.setflags(write=False)
@@ -64,15 +64,9 @@ def as_drawing(h: int, P: np.ndarray) -> GridDrawing:
     return GridDrawing(complete_tree(h), P)
 
 
-def _check_h(h: int) -> None:
-    if h < 1:
-        raise TreeError("h must be >= 1")
-
-
 def draw_c1_only(h: int) -> GridDrawing:
     """1-2 drawing of T_h built with Construction 1 at every level.
     Dimensions: width 2^h - 1, height 2^(h-1)."""
-    _check_h(h)
     P = _POINT
     for _ in range(h - 1):
         P = construct1(P, P, P)
@@ -83,7 +77,6 @@ def draw_c2_only(h: int) -> GridDrawing:
     """1-2 drawing of T_h built with Construction 2 at every level.
     Dimensions: (2^(h+1)-1)/3 square for odd h; ((2^(h+1)+1)/3,
     (2^(h+1)-2)/3) for even h."""
-    _check_h(h)
     P = _POINT
     for _ in range(h - 1):
         P = construct2(P, P, P)
@@ -97,7 +90,6 @@ def draw_golden(h: int) -> tuple[GridDrawing, GridDrawing]:
     eta(h) = eta(h-1) + eta(h-2) + 1), g2 the narrow-width companion used
     for g1's arms. For h <= 2 both are the unique 1-2 drawing.
     """
-    _check_h(h)
     g1 = g2 = _POINT if h == 1 else construct1(_POINT, _POINT, _POINT)
     for _ in range(h - 2):
         g1, g2 = construct1(g1, g2, g2), construct2(g2, g1, g1)
@@ -109,7 +101,6 @@ def draw_upper_1149(h: int) -> GridDrawing:
     Construction-1 combination of three drawings two levels down, flanked by
     the previous level's drawings via Construction 2. Width and height both
     stay within O(1.8794^h)."""
-    _check_h(h)
     below, last = _POINT, construct1(_POINT, _POINT, _POINT)  # levels 1 and 2
     for _ in range(h - 2):
         below, last = last, construct2(construct1(below, below, below), last, last)

@@ -247,23 +247,24 @@ def fib_lower_bound(h: int) -> int:
     if h < 1:
         raise ValueError("h must be >= 1")
     a, b = 1, 2
-    if h == 1:
-        return a
-    for _ in range(h - 2):
+    for _ in range(h - 1):
         a, b = b, a + b
-    return b
+    return a
 
 
 def leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
     """Lengths (grid lines spanned) of the leg and of the left/right arms of
     a drawing of a complete ternary tree.
 
-    The leg starts at the root child that shares its line through the root
-    with no sibling; the arms are the two children on the other line. Left
-    and right are assigned so that left arm, leg, right arm occur
-    counterclockwise around the root. Each path descends through the unique
-    child drawn on the same line; if that child is not unique the drawing is
-    too ambiguous to measure and VerificationError is raised.
+    The leg starts at the root child alone on one of the root's two lines;
+    the arms start at the two children on the other line. The left arm is
+    the one whose cross product with the leg is positive, the leg turned a
+    quarter clockwise on the y-down screen, so left arm, leg, right arm
+    occur counterclockwise around the root. Every root-to-leaf path of T_h
+    has h nodes, so each chain is one walk of h - 2 steps below its root
+    child, each to the unique child on the chain's line. VerificationError
+    if no line holds a leg alone, the arms are not on either side of the
+    leg, or a step has no unique child to take.
     """
     t = d.tree
     h = t.complete_height
@@ -271,60 +272,35 @@ def leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
         raise VerificationError("leg/arm lengths are defined for complete ternary trees")
     if h == 1:
         return 1, 1, 1
-    P = d.pos
-    rx, ry = d.root_pos()
-    kids = t.table[t.root].tolist()  # a complete tree's inner nodes have 3 children
-    on_row = [c for c in kids if P[c, 1] == ry]
-    on_col = [c for c in kids if P[c, 0] == rx]
-    if len(on_row) == 1 and len(on_col) == 2:
-        leg_child, arm_children = on_row[0], on_col
-    elif len(on_col) == 1 and len(on_row) == 2:
-        leg_child, arm_children = on_col[0], on_row
-    else:
+    P, table = d.pos, t.table
+    root = P[t.root].tolist()
+    kids = table[t.root].tolist()  # a complete tree's inner nodes have 3 children
+    at = P[kids].tolist()
+    on = [[i for i in range(3) if at[i][a] == root[a]] for a in (0, 1)]  # column, row
+    count = list(map(len, on))
+    if sorted(count) != [1, 2]:
         raise VerificationError("cannot identify a unique leg among the root children")
+    a = count.index(1)  # the axis the leg's line fixes
+    (leg,), arms = on[a], on[1 - a]
+    (lx, ly), (px, py), (qx, qy) = ([u - r for u, r in zip(at[i], root)] for i in (leg, *arms))
+    turn = lx * py - ly * px
+    if turn * (lx * qy - ly * qx) >= 0:  # both arms on one side, or a child on the root
+        raise VerificationError("the arms are not on either side of the leg")
+    left, right = arms if turn > 0 else arms[::-1]
 
-    def chain_length(start: int, vertical: bool) -> int:
-        fixed = rx if vertical else ry
-        coords = [ry if vertical else rx]
-        cur = start
-        count = 2
-        while True:
-            x, y = P[cur].tolist()
-            if (x if vertical else y) != fixed:
-                raise VerificationError("path left its line")
-            coords.append(y if vertical else x)
-            if t.table[cur, 0] < 0:  # a leaf
-                break
-            on_line = [c for c in t.table[cur].tolist() if P[c, 0 if vertical else 1] == fixed]
-            if len(on_line) != 1:
+    def chain_length(c: int, axis: int) -> int:
+        fixed, chain = root[axis], [c]
+        for _ in range(h - 2):
+            line = [v for v in table[c].tolist() if P.item(v, axis) == fixed]
+            if len(line) != 1:
                 raise VerificationError("chain continuation is ambiguous")
-            cur = on_line[0]
-            count += 1
-        if count != h:
-            raise VerificationError("collinear chain does not reach depth h")
-        return max(coords) - min(coords) + 1
+            c, = line
+            chain.append(c)
+        span = [root[1 - axis], *P[chain, 1 - axis].tolist()]
+        return max(span) - min(span) + 1
 
-    lx, ly = P[leg_child].tolist()
-    leg_vertical = lx == rx
-    gamma = chain_length(leg_child, leg_vertical)
-    # screen coords are y-down; counterclockwise order left arm, leg, right
-    # arm puts the left arm at the leg direction rotated to (-dy, dx)
-    ldx = 1 if lx > rx else (-1 if lx < rx else 0)
-    ldy = 1 if ly > ry else (-1 if ly < ry else 0)
-    left_dir = (-ldy, ldx)
-    arms = {}
-    for c in arm_children:
-        cx, cy = P[c].tolist()
-        adx = 1 if cx > rx else (-1 if cx < rx else 0)
-        ady = 1 if cy > ry else (-1 if cy < ry else 0)
-        arms[(adx, ady)] = c
-    if left_dir not in arms:
-        raise VerificationError("arm directions are inconsistent with the leg")
-    left_child = arms[left_dir]
-    right_child = arms[(-left_dir[0], -left_dir[1])]
-    lam = chain_length(left_child, not leg_vertical)
-    rho = chain_length(right_child, not leg_vertical)
-    return gamma, lam, rho
+    return (chain_length(kids[leg], a), chain_length(kids[left], 1 - a),
+            chain_length(kids[right], 1 - a))
 
 
 def build_report(d: GridDrawing) -> VerificationReport:

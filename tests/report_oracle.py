@@ -1,14 +1,15 @@
 """The sort-based verifier the shared node ranking replaced, kept as an
-oracle: every check sorts or uniques the coordinates it needs afresh, and
-collinear overlaps get a pass of their own. ``oracle_report`` must agree
-with ``verify.build_report`` field for field, and ``segment_extents`` with
+oracle: every check sorts or uniques the coordinates it needs afresh,
+collinear overlaps get a pass of their own, and the leg and arms are
+measured by the old per-node chain walk. ``oracle_report`` must agree with
+``verify.build_report`` field for field, and ``segment_extents`` with
 ``geometry.extents``."""
 
 import numpy as np
 
 from ternarydraw.geometry import Extents, GridDrawing, edge_arrays
 from ternarydraw.tree import TernaryTree
-from ternarydraw.verify import VerificationError, VerificationReport, leg_arm_lengths
+from ternarydraw.verify import VerificationError, VerificationReport
 
 
 def split_segments(P, parent, child):
@@ -151,6 +152,83 @@ def _separated(P, t, parent, child):
     return True
 
 
+def oracle_leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
+    """verify.leg_arm_lengths before it became one walk per chain: the leg's
+    direction from sign arithmetic, the arms looked up in a dict of
+    directions, and each chain followed until a leaf and checked against h.
+    It can raise KeyError where both arms lie on one side of the root, and
+    returns lengths for some off-grid drawings with a child on the root's
+    point, where leg_arm_lengths raises VerificationError.
+
+    The leg starts at the root child that shares its line through the root
+    with no sibling; the arms are the two children on the other line. Left
+    and right are assigned so that left arm, leg, right arm occur
+    counterclockwise around the root. Each path descends through the unique
+    child drawn on the same line; if that child is not unique the drawing is
+    too ambiguous to measure and VerificationError is raised.
+    """
+    t = d.tree
+    h = t.complete_height
+    if h is None:
+        raise VerificationError("leg/arm lengths are defined for complete ternary trees")
+    if h == 1:
+        return 1, 1, 1
+    P = d.pos
+    rx, ry = d.root_pos()
+    kids = t.table[t.root].tolist()  # a complete tree's inner nodes have 3 children
+    on_row = [c for c in kids if P[c, 1] == ry]
+    on_col = [c for c in kids if P[c, 0] == rx]
+    if len(on_row) == 1 and len(on_col) == 2:
+        leg_child, arm_children = on_row[0], on_col
+    elif len(on_col) == 1 and len(on_row) == 2:
+        leg_child, arm_children = on_col[0], on_row
+    else:
+        raise VerificationError("cannot identify a unique leg among the root children")
+
+    def chain_length(start: int, vertical: bool) -> int:
+        fixed = rx if vertical else ry
+        coords = [ry if vertical else rx]
+        cur = start
+        count = 2
+        while True:
+            x, y = P[cur].tolist()
+            if (x if vertical else y) != fixed:
+                raise VerificationError("path left its line")
+            coords.append(y if vertical else x)
+            if t.table[cur, 0] < 0:  # a leaf
+                break
+            on_line = [c for c in t.table[cur].tolist() if P[c, 0 if vertical else 1] == fixed]
+            if len(on_line) != 1:
+                raise VerificationError("chain continuation is ambiguous")
+            cur = on_line[0]
+            count += 1
+        if count != h:
+            raise VerificationError("collinear chain does not reach depth h")
+        return max(coords) - min(coords) + 1
+
+    lx, ly = P[leg_child].tolist()
+    leg_vertical = lx == rx
+    gamma = chain_length(leg_child, leg_vertical)
+    # screen coords are y-down; counterclockwise order left arm, leg, right
+    # arm puts the left arm at the leg direction rotated to (-dy, dx)
+    ldx = 1 if lx > rx else (-1 if lx < rx else 0)
+    ldy = 1 if ly > ry else (-1 if ly < ry else 0)
+    left_dir = (-ldy, ldx)
+    arms = {}
+    for c in arm_children:
+        cx, cy = P[c].tolist()
+        adx = 1 if cx > rx else (-1 if cx < rx else 0)
+        ady = 1 if cy > ry else (-1 if cy < ry else 0)
+        arms[(adx, ady)] = c
+    if left_dir not in arms:
+        raise VerificationError("arm directions are inconsistent with the leg")
+    left_child = arms[left_dir]
+    right_child = arms[(-left_dir[0], -left_dir[1])]
+    lam = chain_length(left_child, not leg_vertical)
+    rho = chain_length(right_child, not leg_vertical)
+    return gamma, lam, rho
+
+
 def oracle_report(d: GridDrawing) -> VerificationReport:
     P = d.pos
     parent, child = edge_arrays(d.tree)
@@ -164,7 +242,7 @@ def oracle_report(d: GridDrawing) -> VerificationReport:
     leg = lam = rho = None
     if planar:
         try:
-            leg, lam, rho = leg_arm_lengths(d)
+            leg, lam, rho = oracle_leg_arm_lengths(d)
         except VerificationError:
             pass
     return VerificationReport(planar, orthogonal, on_grid, top, sep, ext, leg, lam, rho)

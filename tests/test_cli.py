@@ -319,6 +319,12 @@ def test_fit_from_file(tmp_path, capsys):
     assert abs(b - 1.0) < 1e-3
 
 
+def test_fit_without_a_table_exits_2(capsys):
+    assert run("fit") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: pass a table path or --builtin\n"
+
+
 def test_fit_malformed_table(tmp_path):
     table = tmp_path / "t.txt"
     table.write_text("one\n")
@@ -522,11 +528,14 @@ def corrupted_caches(files):
     yield name, 0, "\n".join(["h=5" + header[3:], *rows]) + "\n"
     yield name, 1, "\n".join([header, "abc" + rows[0][1:], *rows[1:]]) + "\n"
     yield name, 1, "\n".join([header, "3 2 0 0 1", *rows[1:]]) + "\n"  # keeps the staircase
+    yield name, 2, "\n".join([header, rows[0], "\u00e9" + rows[1], *rows[2:]]) + "\n"  # not ASCII
+    yield name, 1, "\n".join([header, "0" + rows[0], *rows[1:]]) + "\n"  # not as written
+    yield name, 1, "\n".join([header, "10" + rows[0][1:], *rows[1:]]) + "\n"  # an even width
 
 
 def test_corrupt_cache_exits_2_and_is_left_as_it_is(tmp_path, capsys, table5_cache):
     cases = list(corrupted_caches(table5_cache))
-    assert len(cases) == 5 * (1 + 2 + 4 + 8) + 5
+    assert len(cases) == 5 * (1 + 2 + 4 + 8) + 8
     out = tmp_path / "d.json"
     for n, (name, row, text) in enumerate(cases):
         cache = tmp_path / f"cache{n}"

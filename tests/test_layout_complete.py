@@ -321,6 +321,14 @@ def test_draw_complete9_golden_sha256(algo, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == COMPLETE9_SHA256[algo]
 
 
+@pytest.mark.parametrize("h", [0, -1])
+@pytest.mark.parametrize("draw", [draw_c1_only, draw_c2_only, draw_golden, draw_upper_1149])
+def test_layouts_reject_heights_below_one(draw, h):
+    # complete_tree(h) is the check: no layout has one of its own
+    with pytest.raises(TreeError):
+        draw(h)
+
+
 @pytest.mark.parametrize("draw", [draw_c1_only, draw_c2_only, draw_upper_1149,
                                   lambda h: draw_golden(h)[0]],
                          ids=["c1", "c2", "upper1149", "golden"])

@@ -14,7 +14,8 @@ import ternarydraw
 # The names the package re-exports, each bound from its submodule on first use.
 REEXPORTS = {
     "geometry": ("Extents", "GridDrawing", "drawing_from_json", "drawing_json",
-                 "drawing_to_json", "edge_segments", "extents"),
+                 "drawing_json_blocks", "drawing_to_json", "edge_segments", "extents",
+                 "read_canonical"),
     "layout_complete": ("draw_c1_only", "draw_c2_only", "draw_golden", "draw_upper_1149"),
     "layout_general": ("FrameStats", "LayoutParams", "draw_general", "frame_stats"),
     "pareto": ("REFERENCE_AREA_TABLE", "ParetoFrontier", "PowerLawFit", "exhaustive_frontier",

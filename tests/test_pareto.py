@@ -44,6 +44,12 @@ def test_exhaustive_tuples_h2():
     assert exhaustive_dimension_tuples(2) == {(3, 2, 1, 1)}
 
 
+@pytest.mark.parametrize("h", [0, 5])
+def test_exhaustive_tuples_reject_heights_out_of_range(h):
+    with pytest.raises(ValueError, match="h must be >= 1|limited to h <= 4"):
+        exhaustive_dimension_tuples(h)
+
+
 def test_frontier_is_pareto_and_odd():
     for h in range(1, 10):
         pairs = frontier(h).pairs
@@ -282,6 +288,16 @@ def test_reconstruction_realizes_frontier_pairs():
 def test_reconstruction_rejects_off_frontier_pair():
     with pytest.raises(ValueError):
         reconstruct_drawing(list(levels(3)), (6, 6))
+
+
+def test_reconstruction_rejects_recipes_that_build_another_pair():
+    # T_3's two pairs with their recipes swapped: each recipe builds the other pair
+    fronts = list(levels(3))
+    top = fronts[-1]
+    assert top.pairs == ((5, 5), (7, 4))
+    fronts[-1] = ParetoFrontier(3, top.pairs, top.recipes[::-1])
+    with pytest.raises(ValueError, match="build a 7x4 drawing, not the pair"):
+        reconstruct_drawing(fronts, (5, 5))
 
 
 def test_reconstruction_saves_the_levels_it_computes(tmp_path):

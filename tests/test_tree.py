@@ -46,6 +46,12 @@ def test_complete_tree_rejects_bad_height():
         complete_tree(0)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_random_tree_rejects_fewer_than_one_node(n):
+    with pytest.raises(TreeError):
+        random_ternary_tree(n, 0)
+
+
 def test_single_node():
     t = TernaryTree(((),))
     assert t.n == 1
@@ -200,6 +206,12 @@ def test_json_roundtrip(n, seed):
 def test_json_rejects_bad_count():
     obj = tree_to_json(complete_tree(2))
     obj["n"] = 99
+    with pytest.raises(TreeError):
+        tree_from_json(obj)
+
+
+@pytest.mark.parametrize("obj", [[], None])
+def test_json_tree_must_be_an_object(obj):
     with pytest.raises(TreeError):
         tree_from_json(obj)
 

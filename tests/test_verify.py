@@ -1,12 +1,15 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ternarydraw.geometry import Extents, GridDrawing, edge_arrays, edge_segments, extents
-from ternarydraw.layout_complete import draw_c1_only, draw_c2_only, draw_golden
+from ternarydraw.layout_complete import (draw_c1_only, draw_c2_only, draw_golden,
+                                         draw_upper_1149)
 from ternarydraw.layout_general import draw_general
+from ternarydraw.pareto import levels, reconstruct_drawing
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree
 from ternarydraw.verify import (VerificationError, brute_subtree_separation,
                                 build_report, check_on_grid, check_orthogonal,
@@ -16,7 +19,8 @@ from ternarydraw.verify import (VerificationError, brute_subtree_separation,
                                 leg_arm_lengths, naive_check_planar,
                                 report_to_json)
 
-from report_oracle import oracle_report, segment_extents, split_segments
+from report_oracle import (oracle_leg_arm_lengths, oracle_report, segment_extents,
+                           split_segments)
 
 
 def random_orthogonal_drawing(n, seed):
@@ -184,6 +188,97 @@ def test_leg_arm_lengths_requires_complete_tree():
     d = draw_general(random_ternary_tree(10, 0))
     with pytest.raises(VerificationError):
         leg_arm_lengths(d)
+
+
+# the eight symmetries of the grid, as matrices acting on (x, y) rows
+SYMMETRIES = [np.array(m) * s for m in ([[1, 0], [0, 1]], [[0, 1], [1, 0]])
+              for s in ([1, 1], [1, -1], [-1, 1], [-1, -1])]
+
+
+def one_two_drawings(h_max):
+    """Every 1-2 drawing the package builds for T_1..T_h_max: both
+    constructions alone, both golden drawings, upper1149, and the
+    reconstruction of every frontier pair."""
+    for h in range(1, h_max + 1):
+        yield from (draw_c1_only(h), draw_c2_only(h), *draw_golden(h), draw_upper_1149(h))
+        fronts = list(levels(h))
+        yield from (reconstruct_drawing(fronts, pair) for pair in fronts[-1].pairs)
+
+
+def test_leg_arm_lengths_match_the_oracle_in_every_symmetry():
+    # a leg on the root's row, not its column, only in the turned symmetries
+    count = 0
+    for d in one_two_drawings(8):
+        for m in SYMMETRIES:
+            turned = GridDrawing(d.tree, d.pos @ m)
+            legs = leg_arm_lengths(turned)
+            assert legs == oracle_leg_arm_lengths(turned)
+            assert all(type(v) is int for v in legs)
+            count += 1
+    assert count == 1336
+
+
+_ARMS_ON_ONE_SIDE = GridDrawing(complete_tree(2), ((0, 0), (-1, 0), (0, 1), (-2, 0)))
+
+
+@pytest.mark.parametrize("pos", [_ARMS_ON_ONE_SIDE.pos, _ARMS_ON_ONE_SIDE.pos * (-1, 1)],
+                         ids=["left", "mirrored"])
+def test_arms_on_one_side_of_the_root_raise_verification_error(pos):
+    # the oracle raises KeyError on the first and VerificationError on its mirror image
+    with pytest.raises(VerificationError):
+        leg_arm_lengths(GridDrawing(complete_tree(2), pos))
+
+
+def test_a_child_on_the_root_point_raises_verification_error():
+    # off the grid: the oracle measured a leg from the root to itself
+    d = GridDrawing(complete_tree(2), ((0, 0), (0, 0), (0, 1), (5, 5)))
+    assert oracle_leg_arm_lengths(d) == (1, 1, 1)
+    with pytest.raises(VerificationError):
+        leg_arm_lengths(d)
+
+
+_STEPS = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+
+@st.composite
+def complete_tree_drawings(draw):
+    """Drawings of T_2..T_4: a 1-2 drawing in one of its symmetries with up
+    to three nodes moved by at most two lines, or every node a short step
+    along an axis from its parent, which leaves children on the root's
+    lines, arms on one side and points drawn twice."""
+    h = draw(st.integers(2, 4))
+    t, n = complete_tree(h), (3 ** h - 1) // 2
+    if draw(st.booleans()):
+        d = draw(st.sampled_from([draw_c1_only, draw_c2_only, draw_upper_1149,
+                                  lambda h: draw_golden(h)[0], lambda h: draw_golden(h)[1]]))(h)
+        P = d.pos @ draw(st.sampled_from(SYMMETRIES))
+        for _ in range(draw(st.integers(0, 3))):
+            P[draw(st.integers(0, n - 1))] += draw(st.tuples(*[st.integers(-2, 2)] * 2))
+        return GridDrawing(t, P)
+    P = np.zeros((n, 2), dtype=np.int64)
+    for v in t.walk[0].tolist()[1:]:  # parents first
+        dx, dy = draw(st.sampled_from(_STEPS))
+        step = draw(st.integers(1, 3))
+        P[v] = P[t.parents[v]] + (dx * step, dy * step)
+    return GridDrawing(t, P)
+
+
+@settings(max_examples=400, deadline=None)
+@given(complete_tree_drawings())
+@example(_ARMS_ON_ONE_SIDE)
+def test_leg_arm_lengths_match_the_oracle_on_moved_nodes(d):
+    try:
+        want = oracle_leg_arm_lengths(d)
+    except (KeyError, VerificationError):
+        want = VerificationError
+    kids = d.tree.table[d.tree.root]
+    if np.any(np.all(d.pos[kids] == d.pos[d.tree.root], axis=1)):
+        want = VerificationError  # a child on the root's point, off the grid
+    try:
+        got = leg_arm_lengths(d)
+    except VerificationError:
+        got = VerificationError
+    assert got == want
 
 
 def test_report_json_shape():
