@@ -295,8 +295,8 @@ def _integers(buf: np.ndarray, ends: np.ndarray, sizes: np.ndarray, signed: bool
 def drawing_from_json(obj: dict) -> GridDrawing:
     """Parse {"tree", "pos"}; every coordinate must be a JSON integer with
     |c| < 2**62."""
-    if not isinstance(obj, dict):
-        raise ValueError("a drawing must be a JSON object")
+    if not isinstance(obj, dict) or not {"tree", "pos"} <= obj.keys():
+        raise ValueError('a drawing must be a JSON object with "tree" and "pos"')
     tree = tree_from_json(obj["tree"])
     pos = obj["pos"]
     if not (type(pos) is list and set(map(type, pos)) <= {list} and set(map(len, pos)) <= {2}):

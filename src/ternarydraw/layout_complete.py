@@ -1,4 +1,5 @@
-"""1-2 drawing combinators and closed-form constructions for complete trees.
+"""1-2 drawings of complete trees: the two combinators, and compose, which
+builds every layout here and every pareto witness from per-level recipes.
 
 Both combinators, construct1 and construct2, take the three child drawings
 PRE-rotation; the required 90° rotations of the flanking drawings happen
@@ -14,6 +15,8 @@ per block.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -59,28 +62,38 @@ def construct2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def as_drawing(h: int, P: np.ndarray) -> GridDrawing:
-    """The drawing of T_h whose node v sits at row v of P."""
-    return GridDrawing(complete_tree(h), P)
+def compose(h: int, rows: Sequence[Sequence[tuple[int, int, int]]],
+            tops: Sequence[int]) -> tuple[GridDrawing, ...]:
+    """The drawings of T_h of the types ``tops``, built level by level from
+    T_1's point. ``rows[l][t]`` is the recipe (arm, center, construction) of
+    type t of T_{l+2}, as a frontier stores it: arm and center are types one
+    level down, both arms one drawing. A named layout repeats one schedule
+    row at every level. Only the types the tops reach are built, each once."""
+    tree = complete_tree(h)
+    reach = [set(tops)]
+    for row in reversed(rows):  # the types each level below must supply
+        reach.append({t for top in reach[-1] for t in row[top][:2]})
+    P = dict.fromkeys(reach.pop(), _POINT)
+    for row in rows:
+        built = {}
+        for t in reach.pop():
+            arm, center, constr = row[t]
+            built[t] = (construct1 if constr == 1 else construct2)(P[center], P[arm], P[arm])
+        P = built
+    return tuple(GridDrawing(tree, P[t]) for t in tops)
 
 
 def draw_c1_only(h: int) -> GridDrawing:
     """1-2 drawing of T_h built with Construction 1 at every level.
     Dimensions: width 2^h - 1, height 2^(h-1)."""
-    P = _POINT
-    for _ in range(h - 1):
-        P = construct1(P, P, P)
-    return as_drawing(h, P)
+    return compose(h, [((0, 0, 1),)] * (h - 1), (0,))[0]
 
 
 def draw_c2_only(h: int) -> GridDrawing:
     """1-2 drawing of T_h built with Construction 2 at every level.
     Dimensions: (2^(h+1)-1)/3 square for odd h; ((2^(h+1)+1)/3,
     (2^(h+1)-2)/3) for even h."""
-    P = _POINT
-    for _ in range(h - 1):
-        P = construct2(P, P, P)
-    return as_drawing(h, P)
+    return compose(h, [((0, 0, 2),)] * (h - 1), (0,))[0]
 
 
 def draw_golden(h: int) -> tuple[GridDrawing, GridDrawing]:
@@ -90,10 +103,7 @@ def draw_golden(h: int) -> tuple[GridDrawing, GridDrawing]:
     eta(h) = eta(h-1) + eta(h-2) + 1), g2 the narrow-width companion used
     for g1's arms. For h <= 2 both are the unique 1-2 drawing.
     """
-    g1 = g2 = _POINT if h == 1 else construct1(_POINT, _POINT, _POINT)
-    for _ in range(h - 2):
-        g1, g2 = construct1(g1, g2, g2), construct2(g2, g1, g1)
-    return as_drawing(h, g1), as_drawing(h, g2)
+    return compose(h, [((1, 0, 1), (0, 1, 2))] * (h - 1), (0, 1))
 
 
 def draw_upper_1149(h: int) -> GridDrawing:
@@ -101,7 +111,4 @@ def draw_upper_1149(h: int) -> GridDrawing:
     Construction-1 combination of three drawings two levels down, flanked by
     the previous level's drawings via Construction 2. Width and height both
     stay within O(1.8794^h)."""
-    below, last = _POINT, construct1(_POINT, _POINT, _POINT)  # levels 1 and 2
-    for _ in range(h - 2):
-        below, last = last, construct2(construct1(below, below, below), last, last)
-    return as_drawing(h, below if h == 1 else last)
+    return compose(h, [((0, 1, 2), (0, 0, 1))] * (h - 1), (0,))[0]

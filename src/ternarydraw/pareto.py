@@ -61,6 +61,16 @@ REFERENCE_AREA_TABLE: tuple[tuple[int, int, int], ...] = tuple(
 )
 
 
+def recipe_pair(arm: Pair, center: Pair, constr: int) -> Pair:
+    """The (width, height) pair that construction ``constr`` builds from a
+    center drawing of pair ``center`` and two arms of pair ``arm``, each
+    with equal left and right width, as is every drawing it builds."""
+    (wa, ea), (wc, ec) = arm, center
+    if constr == 1:
+        return wc + 2 * ea, (wa - 1) // 2 + max((wa - 1) // 2, ec) + 1
+    return 2 * max((wc - 1) // 2, ea) + 1, wa + ec
+
+
 def _base_frontier() -> ParetoFrontier:
     return ParetoFrontier(1, ((1, 1),), ((-1, -1, 0),))
 
@@ -227,8 +237,6 @@ def load_frontier(cache_dir: str, h: int, below: ParetoFrontier) -> Optional[Par
         raise bad(min(len(rows), count + 1),
                   f"the header declares {count} rows, the file holds {len(rows) - 1}")
     k = len(below.pairs)
-    wb, eb = [w for w, _ in below.pairs], [e for _, e in below.pairs]
-    lam = [(w - 1) // 2 for w in wb]
     pairs: list[Pair] = []
     recipes: list[Recipe] = []
     for r in range(1, count + 1):
@@ -248,10 +256,7 @@ def load_frontier(cache_dir: str, h: int, below: ParetoFrontier) -> Optional[Par
         if not (0 <= arm < k and 0 <= center < k):
             raise bad(r, f"arm {arm} or center {center} is not an index into the {k} "
                          f"pairs of h={h - 1}")
-        if constr == 1:  # the two formulas of _next_frontier
-            built = wb[center] + 2 * eb[arm], lam[arm] + max(lam[arm], eb[center]) + 1
-        else:
-            built = 2 * max(lam[center], eb[arm]) + 1, wb[arm] + eb[center]
+        built = recipe_pair(below.pairs[arm], below.pairs[center], constr)
         if (w, e) != built:
             raise bad(r, f"pair {(w, e)} is not {built}, the pair its recipe builds")
         pairs.append((w, e))
@@ -297,38 +302,19 @@ def reconstruct_drawing(fronts: Sequence[ParetoFrontier], pair: Pair) -> GridDra
     up to the 180° rotation applied inside the constructions. ValueError
     unless the drawing built is exactly pair[0] wide and pair[1] tall, as a
     corrupt cache can make it."""
-    import numpy as np
-
-    from .layout_complete import as_drawing, construct1, construct2
+    from .layout_complete import compose
 
     h = len(fronts)
     try:
         top_idx = fronts[h - 1].pairs.index((int(pair[0]), int(pair[1])))
     except ValueError:
         raise ValueError(f"pair {pair} is not on the frontier for h={h}") from None
-
-    memo: dict[tuple[int, int], np.ndarray] = {}
-
-    def build(level: int, idx: int) -> np.ndarray:
-        key = (level, idx)
-        if key in memo:
-            return memo[key]
-        if level == 1:
-            P = np.zeros((1, 2), dtype=np.int64)
-        else:
-            arm_idx, center_idx, constr = fronts[level - 1].recipes[idx]
-            center = build(level - 1, center_idx)
-            arm = build(level - 1, arm_idx)
-            P = (construct1 if constr == 1 else construct2)(center, arm, arm)
-        memo[key] = P
-        return P
-
-    P = build(h, top_idx)
-    built = tuple((P.max(axis=0) - P.min(axis=0) + 1).tolist())  # its bounding box
+    d = compose(h, [fr.recipes for fr in fronts[1:]], (top_idx,))[0]
+    built = tuple((d.pos.max(axis=0) - d.pos.min(axis=0) + 1).tolist())  # its bounding box
     if built != tuple(pair):
         raise ValueError(f"the recipes for h={h} build a {built[0]}x{built[1]} drawing, "
                          f"not the pair {pair} they were read for")
-    return as_drawing(h, P)
+    return d
 
 
 _EXHAUSTIVE_MAX_H = 4

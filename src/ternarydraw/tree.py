@@ -38,8 +38,10 @@ class TernaryTree:
             if len(counts) and counts.max() > 3:
                 raise TreeError(f"node {counts.argmax()} has {counts.max()} children (max 3)")
             ids = list(chain.from_iterable(children))
-            bools, ids = bool in set(map(type, ids)), np.array(ids or np.zeros(0, np.int64))
-            if bools or ids.dtype.kind != "i" or np.any(ids < 0):  # no True, 1.0, -1 or 2**63
+            if not all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, ids))):
+                raise TreeError("child ids must be integers in 0..n-1")  # no True, 1.0 or [1]
+            ids = np.array(ids or np.zeros(0, np.int64))
+            if ids.dtype.kind != "i" or np.any(ids < 0):  # no -1 or 2**63
                 raise TreeError("child ids must be integers in 0..n-1")
             table = np.full((len(counts), 3), -1)
             table[np.arange(3) < counts[:, None]] = ids
@@ -226,19 +228,22 @@ def tree_to_json(t: TernaryTree) -> dict:
     return {"n": t.n, "root": t.root, "children": rows}
 
 
-def require_json_ints(values, what: str) -> None:
+def require_json_ints(values, what: str, error: type[ValueError] = ValueError) -> None:
     """Reject, not coerce, floats and bools (which Python counts as ints)."""
     if not set(map(type, values)) <= {int}:
-        raise ValueError(f"{what} must be JSON integers")
+        raise error(f"{what} must be JSON integers")
 
 
 def tree_from_json(obj: dict) -> TernaryTree:
     """Parse {"n", "root", "children"}; "n" and "root" are optional. Every
-    child id must be a JSON integer in 0..n-1: -1 is not an empty slot."""
+    child id must be a JSON integer in 0..n-1: -1 is not an empty slot. Any
+    malformed tree raises TreeError."""
     if not isinstance(obj, dict):
         raise TreeError("a tree must be a JSON object")
-    n, root = obj.get("n"), obj.get("root", 0)
-    require_json_ints([root] if n is None else [root, n], "root and n")
-    if n is not None and n != len(obj["children"]):
+    n, root, children = obj.get("n"), obj.get("root", 0), obj.get("children")
+    if type(children) is not list or not set(map(type, children)) <= {list}:
+        raise TreeError("children must be a list of child-id lists")
+    require_json_ints([root] if n is None else [root, n], "root and n", TreeError)
+    if n is not None and n != len(children):
         raise TreeError("declared node count does not match children table")
-    return TernaryTree(obj["children"], root)
+    return TernaryTree(children, root)

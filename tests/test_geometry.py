@@ -133,6 +133,14 @@ def test_drawing_json_roundtrip(n, seed):
     assert drawing_from_json(drawing_to_json(d)) == d
 
 
+@pytest.mark.parametrize("missing", ["tree", "pos"])
+def test_drawing_json_without_tree_or_pos_is_a_value_error(missing):
+    obj = drawing_to_json(t2_drawing())
+    del obj[missing]
+    with pytest.raises(ValueError, match='"tree" and "pos"'):  # not KeyError
+        drawing_from_json(obj)
+
+
 def dumped(d):
     return json.dumps(drawing_to_json(d), indent=2)
 

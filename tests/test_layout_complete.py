@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ternarydraw import layout_complete
 from ternarydraw.cli import main
 from ternarydraw.geometry import GridDrawing, bbox, extents
 from ternarydraw.layout_complete import (construct1, construct2,
                                          draw_c1_only, draw_c2_only,
                                          draw_golden, draw_upper_1149)
-from ternarydraw.pareto import levels, reconstruct_drawing
+from ternarydraw.pareto import levels, recipe_pair, reconstruct_drawing
 from ternarydraw.tree import TernaryTree, TreeError, complete_tree
 from ternarydraw.verify import (check_planar, check_subtree_separation,
                                 check_top_visibility)
@@ -300,6 +301,57 @@ def test_reconstruct_drawing_matches_oracle_on_every_recipe():
 
         for idx, pair in enumerate(fr.pairs):
             assert reconstruct_drawing(fronts, pair) == build(h, idx)
+
+
+# Each named layout's schedule row, (arm, center, construction) per type, the
+# types its draw function returns, and their (width, height) pairs at h = 10.
+SCHEDULE_ROWS = {
+    "c1": (draw_c1_only, ((0, 0, 1),), (0,), [(1023, 512)]),
+    "c2": (draw_c2_only, ((0, 0, 2),), (0,), [(683, 682)]),
+    "golden": (draw_golden, ((1, 0, 1), (0, 1, 2)), (0, 1), [(3363, 143), (177, 2378)]),
+    "upper1149": (draw_upper_1149, ((0, 1, 2), (0, 0, 1)), (0,), [(481, 439)]),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(SCHEDULE_ROWS))
+def test_schedule_rows_keep_the_dp_normalization(layout):
+    """recipe_pair, fed the row level by level from T_1's (1, 1), gives each
+    drawing's width and height, and every drawing has equal left and right
+    width: the named layouts lie inside the frontier DP's search space."""
+    draw, row, tops, at10 = SCHEDULE_ROWS[layout]
+    pairs = [(1, 1)] * len(row)
+    for h in range(2, 11):
+        pairs = [recipe_pair(pairs[arm], pairs[center], constr) for arm, center, constr in row]
+        drawings = draw(h)
+        drawings = drawings if isinstance(drawings, tuple) else (drawings,)
+        for t, d in zip(tops, drawings, strict=True):
+            e = extents(d)
+            assert (e.width, e.height) == pairs[t]
+            assert e.left_width == e.right_width
+    assert [pairs[t] for t in tops] == at10
+
+
+def test_compose_builds_each_reached_type_once(monkeypatch):
+    """Construction calls at h = 12: one per level and type that the types
+    read reach. golden builds both of its types at every level from T_2 on
+    (22; sharing one T_2 drawing between them would make 21), upper1149
+    skips its type 1 at the top level, and pareto-min builds only the
+    frontier entries its recipes reach."""
+    calls = []
+    for name in ("construct1", "construct2"):
+        real = getattr(layout_complete, name)
+        monkeypatch.setattr(layout_complete, name,
+                            lambda *a, real=real: calls.append(1) or real(*a))
+    fronts = list(levels(12))
+    runs = {"c1": lambda: draw_c1_only(12), "c2": lambda: draw_c2_only(12),
+            "upper1149": lambda: draw_upper_1149(12), "golden": lambda: draw_golden(12),
+            "pareto-min": lambda: reconstruct_drawing(fronts, fronts[-1].min_area()[1])}
+    counts = {}
+    for layout, run in runs.items():
+        calls.clear()
+        run()
+        counts[layout] = len(calls)
+    assert counts == {"c1": 11, "c2": 11, "upper1149": 21, "golden": 22, "pareto-min": 76}
 
 
 # sha256 of `draw complete:9 --algo A` stdout, recorded with the subtree-map

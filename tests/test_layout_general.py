@@ -138,6 +138,15 @@ def test_other_parameter_values(n, seed, p):
     assert_drawing_ok(random_ternary_tree(n, seed), LayoutParams(p=p))
 
 
+@pytest.mark.parametrize("p", [4.2, 5, 30])
+def test_promise_holds_at_other_p_on_larger_trees(p):
+    """Planar, orthogonal and top-visible, at most n columns and at most
+    ceil(2 n^c - 1) rows, with the c of this p."""
+    trees = [random_ternary_tree(n, seed) for n in (2000, 20000) for seed in (1, 2, 3)]
+    for t in (*trees, complete_tree(7)):
+        assert_drawing_ok(t, LayoutParams(p))
+
+
 def test_caterpillars():
     for spine in (1, 2, 10, 80):
         assert_drawing_ok(caterpillar_tree(spine))

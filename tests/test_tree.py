@@ -210,7 +210,11 @@ def test_json_rejects_bad_count():
         tree_from_json(obj)
 
 
-@pytest.mark.parametrize("obj", [[], None])
+@pytest.mark.parametrize("obj", [
+    [], None, {}, {"n": 2}, {"children": 5}, {"children": [[1], 5]},
+    {"root": 0.0, "children": [[]]}, {"n": "1", "children": [[]]},
+    {"children": [[[1]], []]}, {"children": [[1, [2]], [], []]},
+])
 def test_json_tree_must_be_an_object(obj):
     with pytest.raises(TreeError):
         tree_from_json(obj)
@@ -223,7 +227,7 @@ def test_json_tree_must_be_an_object(obj):
 def test_json_ids_must_be_integers(field, value):
     obj = {"n": 3, "root": 0, "children": [[1, 2], [], []]}
     obj[field] = value
-    with pytest.raises(ValueError):
+    with pytest.raises(TreeError):
         tree_from_json(obj)
 
 
