@@ -17,7 +17,6 @@ frames. All three are read from frame_stats, untimed, on the same trees
 built again after the row's peak RSS is read."""
 
 import argparse
-import math
 import resource
 import time
 
@@ -52,6 +51,7 @@ def main() -> None:
         t_tree = t_json = t_layout = t_verify = t_read = 0.0
         worst_h = worst_ratio = 0
         worst_w = 0
+        bound = params.max_rows(n)
         for seed in range(args.seeds):
             t0 = time.perf_counter()
             t = random_ternary_tree(n, seed)
@@ -79,11 +79,9 @@ def main() -> None:
                 e = r.extents
             else:
                 e = extents(d)
-            bound = max(1, math.ceil(2 * n ** params.c - 1))
             if e.height / bound > worst_ratio:
                 worst_ratio = e.height / bound
                 worst_h, worst_w = e.height, e.width
-        bound = max(1, math.ceil(2 * n ** params.c - 1))
         verify = f"{t_verify / args.seeds:.4f}" if args.verify else "-"
         read = f"{t_read / args.seeds:.4f}" if args.verify else "-"
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux

@@ -16,17 +16,15 @@ _EXPORTS = {
                     "layout_complete"),
     **dict.fromkeys(("FrameStats", "LayoutParams", "draw_general", "frame_stats"),
                     "layout_general"),
-    **dict.fromkeys(("REFERENCE_AREA_TABLE", "ParetoFrontier", "PowerLawFit",
-                     "exhaustive_frontier", "fit_power_law", "frontier", "min_area",
-                     "reconstruct_drawing"), "pareto"),
+    **dict.fromkeys(("REFERENCE_AREA_TABLE", "ParetoFrontier", "PowerLawFit", "fit_power_law",
+                     "frontier", "min_area", "reconstruct_drawing"), "pareto"),
     "drawing_to_svg": "render",
     **dict.fromkeys(("TernaryTree", "TreeError", "complete_tree", "random_ternary_tree",
                      "tree_from_json", "tree_to_json"), "tree"),
     **dict.fromkeys(("VerificationError", "VerificationReport", "build_report",
-                     "check_on_grid", "check_orthogonal", "check_orthogonal_grid",
-                     "check_planar", "check_subtree_separation", "check_top_visibility",
-                     "fib_lower_bound", "leg_arm_lengths", "naive_check_planar",
-                     "report_to_json"), "verify"),
+                     "check_on_grid", "check_orthogonal", "check_planar",
+                     "check_subtree_separation", "check_top_visibility", "fib_lower_bound",
+                     "leg_arm_lengths", "report_to_json"), "verify"),
 }
 
 __all__ = list(_EXPORTS)

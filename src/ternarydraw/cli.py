@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import os
 import sys
 from importlib import import_module
@@ -116,7 +115,7 @@ def cmd_draw(args) -> int:
     report = build_report(drawing)
     ext, n = report.extents, tree.n
     if args.algo == "general":  # at most n columns and 2*n^c - 1 rows
-        promised = ext.width <= n and ext.height <= max(1, math.ceil(2 * n ** LayoutParams().c - 1))
+        promised = ext.width <= n and ext.height <= LayoutParams().max_rows(n)
     else:  # every other algorithm draws 1-2 drawings
         promised = report.subtree_separated
     if not (report.planar and report.orthogonal and report.on_grid

@@ -33,6 +33,11 @@ class LayoutParams:
     def c(self) -> float:
         return 1.0 / math.log2(3 * self.p / (self.p - 1))
 
+    def max_rows(self, n: int) -> int:
+        """The promised height of a drawing of n nodes: 2*n^c - 1 rows,
+        rounded down to whole rows, and at least one."""
+        return max(1, math.floor(2 * n ** self.c - 1))
+
 
 class _Level(NamedTuple):
     """The decompositions of one frame level, as arrays over its frames.

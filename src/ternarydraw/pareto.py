@@ -1,10 +1,11 @@
 """Pareto-optimal width-height pairs for 1-2 drawings of complete ternary
-trees, minimum-area extraction, witness reconstruction, a brute-force oracle
-for small heights, and power-law fitting of the area table.
+trees, minimum-area extraction, witness reconstruction, and power-law
+fitting of the area table.
 
 The level-to-level transition assumes every frontier drawing has equal left
 and right width (hence odd width); drawings with that normalization are never
-worse, and the exhaustive oracle confirms the frontier is exact for h <= 4.
+worse, and the exhaustive check in tests/frontier_oracle.py confirms the
+frontier is exact for h <= 4.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from itertools import product
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 if TYPE_CHECKING:  # numpy and the layouts load on first use: a warm `table` needs neither
@@ -315,57 +315,6 @@ def reconstruct_drawing(fronts: Sequence[ParetoFrontier], pair: Pair) -> GridDra
         raise ValueError(f"the recipes for h={h} build a {built[0]}x{built[1]} drawing, "
                          f"not the pair {pair} they were read for")
     return d
-
-
-_EXHAUSTIVE_MAX_H = 4
-
-DimTuple = tuple[int, int, int, int]  # width, height, left width, right width
-
-
-def _combine_dims(ga: DimTuple, gb: DimTuple, gc: DimTuple, constr: int) -> DimTuple:
-    wa, ea, la, ra = ga
-    wb, eb, lb, rb = gb
-    wc, ec, lc, rc = gc
-    if constr == 1:
-        return (wa + eb + ec,
-                max(lb, rc) + max(rb, ea, lc) + 1,
-                eb + la,
-                ec + ra)
-    return (max(la, eb) + max(ra, ec) + 1,
-            max(lb, rc) + max(rb, lc) + ea + 1,
-            max(la, eb),
-            max(ra, ec))
-
-
-def exhaustive_dimension_tuples(h: int) -> set[DimTuple]:
-    """All (width, height, left width, right width) tuples reachable by the
-    1-2 drawing definition: every triple of level-(h-1) tuples under both
-    constructions, with no equal-arm or equal-side-width assumption."""
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    if h > _EXHAUSTIVE_MAX_H:
-        raise ValueError(f"exhaustive enumeration is limited to h <= {_EXHAUSTIVE_MAX_H}")
-    level: set[DimTuple] = {(1, 1, 0, 0)}
-    for _ in range(h - 1):
-        nxt: set[DimTuple] = set()
-        for ga, gb, gc in product(level, repeat=3):
-            nxt.add(_combine_dims(ga, gb, gc, 1))
-            nxt.add(_combine_dims(ga, gb, gc, 2))
-        level = nxt
-    return level
-
-
-def exhaustive_frontier(h: int) -> ParetoFrontier:
-    """Brute-force oracle: Pareto-filter the full dimension enumeration."""
-    tuples = exhaustive_dimension_tuples(h)
-    cands = sorted({(w, e) for w, e, _, _ in tuples})
-    pairs = []
-    best = math.inf
-    for w, e in cands:
-        if e < best:
-            pairs.append((w, e))
-            best = e
-    return ParetoFrontier(h, tuple(pairs))
 
 
 def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:

@@ -9,9 +9,9 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (Extents, GridDrawing, NodeRanks, edge_arrays, edge_segments,
-                       node_ranks, rank_extents, rank_runs)
-from .geometry import extents  # unused here; perfbench/child.py wraps verify.extents
+from .geometry import (Extents, GridDrawing, NodeRanks, edge_arrays, node_ranks,
+                       rank_extents, rank_runs)
+from .geometry import edge_segments, extents  # unused here; perfbench/child.py wraps both
 from .tree import TernaryTree
 
 
@@ -48,10 +48,6 @@ def check_orthogonal(d: GridDrawing) -> bool:
     """Every edge a horizontal or vertical segment of positive length."""
     _, parent, _, _, _, hs, vs = _ranked(d)
     return len(hs) + len(vs) == len(parent)
-
-
-def check_orthogonal_grid(d: GridDrawing) -> bool:
-    return check_on_grid(d) and check_orthogonal(d)
 
 
 def _interior_crossing(hs: np.ndarray, vs: np.ndarray, width: int, height: int) -> bool:
@@ -124,34 +120,6 @@ def _planar(r: NodeRanks, h: tuple, v: tuple, hs: np.ndarray, vs: np.ndarray) ->
     return not _interior_crossing(hs, vs[at[at >= 0]], len(r.ux), len(r.uy))
 
 
-def naive_check_planar(d: GridDrawing) -> bool:
-    """O(m^2) all-pairs oracle for check_planar (numpy-vectorized brute
-    force). Intended for m <= a few thousand."""
-    if not check_orthogonal_grid(d):
-        raise ValueError("naive_check_planar requires an orthogonal grid drawing")
-    x1, y1, x2, y2 = edge_segments(d).T
-    h, v = y1 == y2, x1 == x2
-    hy, hx1, hx2 = hs = np.stack([y1[h], np.minimum(x1, x2)[h], np.maximum(x1, x2)[h]])
-    vx, vy1, vy2 = vs = np.stack([x1[v], np.minimum(y1, y2)[v], np.maximum(y1, y2)[v]])
-    px, py = d.pos.T
-    # node strictly inside a horizontal / vertical edge
-    if np.any((py[:, None] == hy) & (px[:, None] > hx1) & (px[:, None] < hx2)):
-        return False
-    if np.any((px[:, None] == vx) & (py[:, None] > vy1) & (py[:, None] < vy2)):
-        return False
-    # proper overlap of two edges on one line
-    for line, lo, hi in (hs, vs):
-        ov = (line[:, None] == line) & (lo[:, None] < hi) & (lo < hi[:, None])
-        np.fill_diagonal(ov, False)
-        if np.any(ov):
-            return False
-    cross = ((vx >= hx1[:, None]) & (vx <= hx2[:, None])
-             & (hy[:, None] >= vy1) & (hy[:, None] <= vy2))
-    shared_endpoint = (((vx == hx1[:, None]) | (vx == hx2[:, None]))
-                       & ((hy[:, None] == vy1) | (hy[:, None] == vy2)))
-    return not np.any(cross & ~shared_endpoint)
-
-
 def check_top_visibility(d: GridDrawing) -> bool:
     """The vertical half-line going up from the root meets the drawing only
     at the root."""
@@ -214,31 +182,6 @@ def check_subtree_separation(d: GridDrawing) -> bool:
     global pairwise one (two node-disjoint subtrees nest inside distinct
     child subtrees at their roots' lowest common ancestor)."""
     return _separated(node_ranks(d.pos), d.tree, *edge_arrays(d.tree))
-
-
-def brute_subtree_separation(d: GridDrawing) -> bool:
-    """Oracle: check ALL node-disjoint subtree pairs (ancestry-free node
-    pairs), each box taken over the subtree's members found from ancestor
-    sets. O(n^2); for small drawings only."""
-    n, pos, parents = d.tree.n, d.pos.tolist(), d.tree.parents.tolist()
-    ancestors: list[set[int]] = [set() for _ in range(n)]
-    for v in d.tree.walk[0].tolist():  # parents first
-        p = parents[v]
-        if p >= 0:
-            ancestors[v] = ancestors[p] | {p}
-    boxes = []
-    for u in range(n):
-        members = [pos[w] for w in range(n) if w == u or u in ancestors[w]]
-        xs, ys = [x for x, _ in members], [y for _, y in members]
-        boxes.append((min(xs), max(xs), min(ys), max(ys)))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if u in ancestors[v] or v in ancestors[u]:
-                continue
-            a, b = boxes[u], boxes[v]
-            if a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]:
-                return False
-    return True
 
 
 def fib_lower_bound(h: int) -> int:

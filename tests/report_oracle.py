@@ -1,15 +1,21 @@
-"""The sort-based verifier the shared node ranking replaced, kept as an
-oracle: every check sorts or uniques the coordinates it needs afresh,
-collinear overlaps get a pass of their own, and the leg and arms are
-measured by the old per-node chain walk. ``oracle_report`` must agree with
-``verify.build_report`` field for field, and ``segment_extents`` with
-``geometry.extents``."""
+"""The verifier's oracles.
+
+The sort-based verifier the shared node ranking replaced: every check sorts
+or uniques the coordinates it needs afresh, collinear overlaps get a pass of
+their own, and the leg and arms are measured by the old per-node chain walk.
+``oracle_report`` must agree with ``verify.build_report`` field for field,
+and ``segment_extents`` with ``geometry.extents``.
+
+Beside it, the brute-force checks ``naive_check_planar`` (all edge pairs)
+and ``brute_subtree_separation`` (all node-disjoint subtree pairs), for
+small drawings only."""
 
 import numpy as np
 
-from ternarydraw.geometry import Extents, GridDrawing, edge_arrays
+from ternarydraw.geometry import Extents, GridDrawing, edge_arrays, edge_segments
 from ternarydraw.tree import TernaryTree
-from ternarydraw.verify import VerificationError, VerificationReport
+from ternarydraw.verify import (VerificationError, VerificationReport, check_on_grid,
+                                check_orthogonal)
 
 
 def split_segments(P, parent, child):
@@ -246,3 +252,56 @@ def oracle_report(d: GridDrawing) -> VerificationReport:
         except VerificationError:
             pass
     return VerificationReport(planar, orthogonal, on_grid, top, sep, ext, leg, lam, rho)
+
+
+def naive_check_planar(d: GridDrawing) -> bool:
+    """O(m^2) all-pairs oracle for check_planar (numpy-vectorized brute
+    force). Intended for m <= a few thousand."""
+    if not (check_on_grid(d) and check_orthogonal(d)):
+        raise ValueError("naive_check_planar requires an orthogonal grid drawing")
+    x1, y1, x2, y2 = edge_segments(d).T
+    h, v = y1 == y2, x1 == x2
+    hy, hx1, hx2 = hs = np.stack([y1[h], np.minimum(x1, x2)[h], np.maximum(x1, x2)[h]])
+    vx, vy1, vy2 = vs = np.stack([x1[v], np.minimum(y1, y2)[v], np.maximum(y1, y2)[v]])
+    px, py = d.pos.T
+    # node strictly inside a horizontal / vertical edge
+    if np.any((py[:, None] == hy) & (px[:, None] > hx1) & (px[:, None] < hx2)):
+        return False
+    if np.any((px[:, None] == vx) & (py[:, None] > vy1) & (py[:, None] < vy2)):
+        return False
+    # proper overlap of two edges on one line
+    for line, lo, hi in (hs, vs):
+        ov = (line[:, None] == line) & (lo[:, None] < hi) & (lo < hi[:, None])
+        np.fill_diagonal(ov, False)
+        if np.any(ov):
+            return False
+    cross = ((vx >= hx1[:, None]) & (vx <= hx2[:, None])
+             & (hy[:, None] >= vy1) & (hy[:, None] <= vy2))
+    shared_endpoint = (((vx == hx1[:, None]) | (vx == hx2[:, None]))
+                       & ((hy[:, None] == vy1) | (hy[:, None] == vy2)))
+    return not np.any(cross & ~shared_endpoint)
+
+
+def brute_subtree_separation(d: GridDrawing) -> bool:
+    """Oracle: check ALL node-disjoint subtree pairs (ancestry-free node
+    pairs), each box taken over the subtree's members found from ancestor
+    sets. O(n^2); for small drawings only."""
+    n, pos, parents = d.tree.n, d.pos.tolist(), d.tree.parents.tolist()
+    ancestors: list[set[int]] = [set() for _ in range(n)]
+    for v in d.tree.walk[0].tolist():  # parents first
+        p = parents[v]
+        if p >= 0:
+            ancestors[v] = ancestors[p] | {p}
+    boxes = []
+    for u in range(n):
+        members = [pos[w] for w in range(n) if w == u or u in ancestors[w]]
+        xs, ys = [x for x, _ in members], [y for _, y in members]
+        boxes.append((min(xs), max(xs), min(ys), max(ys)))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if u in ancestors[v] or v in ancestors[u]:
+                continue
+            a, b = boxes[u], boxes[v]
+            if a[0] <= b[1] and b[0] <= a[1] and a[2] <= b[3] and b[2] <= a[3]:
+                return False
+    return True

@@ -12,13 +12,13 @@ from ternarydraw.geometry import GridDrawing, extents
 from ternarydraw.layout_complete import (draw_c1_only, draw_c2_only,
                                          draw_golden, draw_upper_1149)
 from ternarydraw.layout_general import LayoutParams, draw_general, frame_stats
-from ternarydraw.pareto import (REFERENCE_AREA_TABLE, exhaustive_dimension_tuples,
-                                exhaustive_frontier, fit_power_law, frontier,
-                                min_area)
+from ternarydraw.pareto import REFERENCE_AREA_TABLE, fit_power_law, frontier, min_area
 from ternarydraw.tree import complete_tree, random_ternary_tree
-from ternarydraw.verify import (check_orthogonal_grid, check_planar,
-                                check_top_visibility, fib_lower_bound,
-                                naive_check_planar)
+from ternarydraw.verify import (check_on_grid, check_orthogonal, check_planar,
+                                check_top_visibility, fib_lower_bound)
+
+from frontier_oracle import exhaustive_dimension_tuples, exhaustive_frontier
+from report_oracle import naive_check_planar
 
 
 def report(number, name, ok):
@@ -84,11 +84,11 @@ def test_criterion_5_general_layout_bounds(corpus_drawings):
     violations = 0
     for t, d in corpus_drawings:
         n = t.n
-        ok = (check_orthogonal_grid(d) and check_planar(d)
+        ok = (check_on_grid(d) and check_orthogonal(d) and check_planar(d)
               and check_top_visibility(d))
         ext = extents(d)
         ok &= ext.width <= n
-        ok &= ext.height <= max(1, math.ceil(2 * n ** 0.576 - 1))
+        ok &= ext.height <= max(1, math.floor(2 * n ** 0.576 - 1))
         violations += not ok
     report(5, "general layout verifies and meets width/height bounds "
               f"on {len(corpus_drawings)} trees", violations == 0)

@@ -191,11 +191,13 @@ def test_draw_gate_requires_subtree_separation(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("pos", [((0, 0), (5, 0), (10, 0)), ((0, 0), (0, 5), (0, 10))],
-                         ids=["too-wide", "too-tall"])
+@pytest.mark.parametrize("pos", [((0, 0), (5, 0), (10, 0)), ((0, 0), (0, 5), (0, 10)),
+                                 ((0, 0), (0, 1), (0, 2))],
+                         ids=["too-wide", "too-tall", "one-row-too-tall"])
 def test_draw_gate_bounds_general_extents(monkeypatch, capsys, pos):
-    # a planar path drawing of 3 nodes over 11 columns or 11 rows; the bounds
-    # are 3 columns and ceil(2*3^c - 1) = 3 rows
+    # a planar path drawing of 3 nodes over 11 columns, 11 rows or 3 rows;
+    # the bounds are 3 columns and floor(2*3^c - 1) = 2 rows (2*3^c - 1 is
+    # about 2.76)
     path = GridDrawing(TernaryTree(((1,), (2,), ())), pos)
     monkeypatch.setattr(cli, "draw_general", lambda tree, params: path)
     assert run("draw", "random:3:0", "--algo", "general") == 3

@@ -1,5 +1,4 @@
 import hashlib
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -12,20 +11,19 @@ from ternarydraw import cli, layout_general
 from ternarydraw.geometry import extents
 from ternarydraw.layout_general import LayoutParams, draw_general, frame_stats
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree
-from ternarydraw.verify import (check_orthogonal_grid, check_planar,
+from ternarydraw.verify import (check_on_grid, check_orthogonal, check_planar,
                                 check_top_visibility)
 
 
 def assert_drawing_ok(t, params=None):
     params = params or LayoutParams()
     d = draw_general(t, params)
-    assert check_orthogonal_grid(d)
+    assert check_on_grid(d) and check_orthogonal(d)
     assert check_planar(d)
     assert check_top_visibility(d)
     e = extents(d)
     assert e.width <= t.n
-    bound = max(1, math.ceil(2 * t.n ** params.c - 1))
-    assert e.height <= bound
+    assert e.height <= params.max_rows(t.n)
     return d, e
 
 
@@ -36,6 +34,7 @@ def test_params_validation():
     assert p.p == 9.956
     assert 0.5 < p.c < 1
     assert abs(p.c - 0.576) < 1e-3  # the exponent is quoted rounded up
+    assert [p.max_rows(n) for n in (1, 2, 3, 1000)] == [1, 1, 2, 105]
 
 
 def test_single_node():
@@ -141,7 +140,7 @@ def test_other_parameter_values(n, seed, p):
 @pytest.mark.parametrize("p", [4.2, 5, 30])
 def test_promise_holds_at_other_p_on_larger_trees(p):
     """Planar, orthogonal and top-visible, at most n columns and at most
-    ceil(2 n^c - 1) rows, with the c of this p."""
+    floor(2 n^c - 1) rows, with the c of this p."""
     trees = [random_ternary_tree(n, seed) for n in (2000, 20000) for seed in (1, 2, 3)]
     for t in (*trees, complete_tree(7)):
         assert_drawing_ok(t, LayoutParams(p))

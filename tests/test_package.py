@@ -18,15 +18,15 @@ REEXPORTS = {
                  "read_canonical"),
     "layout_complete": ("draw_c1_only", "draw_c2_only", "draw_golden", "draw_upper_1149"),
     "layout_general": ("FrameStats", "LayoutParams", "draw_general", "frame_stats"),
-    "pareto": ("REFERENCE_AREA_TABLE", "ParetoFrontier", "PowerLawFit", "exhaustive_frontier",
-               "fit_power_law", "frontier", "min_area", "reconstruct_drawing"),
+    "pareto": ("REFERENCE_AREA_TABLE", "ParetoFrontier", "PowerLawFit", "fit_power_law",
+               "frontier", "min_area", "reconstruct_drawing"),
     "render": ("drawing_to_svg",),
     "tree": ("TernaryTree", "TreeError", "complete_tree", "random_ternary_tree",
              "tree_from_json", "tree_to_json"),
     "verify": ("VerificationError", "VerificationReport", "build_report", "check_on_grid",
-               "check_orthogonal", "check_orthogonal_grid", "check_planar",
-               "check_subtree_separation", "check_top_visibility", "fib_lower_bound",
-               "leg_arm_lengths", "naive_check_planar", "report_to_json"),
+               "check_orthogonal", "check_planar", "check_subtree_separation",
+               "check_top_visibility", "fib_lower_bound", "leg_arm_lengths",
+               "report_to_json"),
 }
 
 

@@ -12,12 +12,13 @@ from hypothesis import example, given, settings, strategies as st
 from ternarydraw import pareto
 from ternarydraw.geometry import extents
 from ternarydraw.pareto import (_ARM_BLOCK, _EMPTY, REFERENCE_AREA_TABLE, ParetoFrontier,
-                                _next_frontier, exhaustive_dimension_tuples,
-                                exhaustive_frontier, fit_power_law, frontier,
-                                levels, load_frontier, min_area,
-                                reconstruct_drawing, save_frontier)
+                                _next_frontier, fit_power_law, frontier, levels,
+                                load_frontier, min_area, reconstruct_drawing,
+                                save_frontier)
 from ternarydraw.verify import (check_planar, check_subtree_separation,
                                 check_top_visibility)
+
+from frontier_oracle import exhaustive_dimension_tuples, exhaustive_frontier
 
 
 def test_frontier_base():

@@ -11,15 +11,14 @@ from ternarydraw.layout_complete import (draw_c1_only, draw_c2_only, draw_golden
 from ternarydraw.layout_general import draw_general
 from ternarydraw.pareto import levels, reconstruct_drawing
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree
-from ternarydraw.verify import (VerificationError, brute_subtree_separation,
-                                build_report, check_on_grid, check_orthogonal,
-                                check_orthogonal_grid, check_planar,
+from ternarydraw.verify import (VerificationError, build_report, check_on_grid,
+                                check_orthogonal, check_planar,
                                 check_subtree_separation,
                                 check_top_visibility, fib_lower_bound,
-                                leg_arm_lengths, naive_check_planar,
-                                report_to_json)
+                                leg_arm_lengths, report_to_json)
 
-from report_oracle import (oracle_leg_arm_lengths, oracle_report, segment_extents,
+from report_oracle import (brute_subtree_separation, naive_check_planar,
+                           oracle_leg_arm_lengths, oracle_report, segment_extents,
                            split_segments)
 
 
@@ -47,7 +46,8 @@ def random_orthogonal_drawing(n, seed):
 
 def test_on_grid_and_orthogonal_basics():
     t = TernaryTree(((1,), ()))
-    assert check_orthogonal_grid(GridDrawing(t, ((0, 0), (2, 0))))
+    d = GridDrawing(t, ((0, 0), (2, 0)))
+    assert check_on_grid(d) and check_orthogonal(d)
     assert not check_orthogonal(GridDrawing(t, ((0, 0), (1, 1))))
     # duplicate positions
     assert not check_on_grid(GridDrawing(t, ((0, 0), (0, 0))))
@@ -373,7 +373,6 @@ def test_report_matches_standalone_checks(d):
     valid = on_grid and orthogonal
     assert (r.on_grid, r.orthogonal) == (on_grid, orthogonal)
     assert on_grid == (len(set(map(tuple, d.pos.tolist()))) == len(d.pos))
-    assert valid == check_orthogonal_grid(d)
     assert r.planar == (valid and naive_check_planar(d))
     assert r.planar == (valid and check_planar(d))
     assert r.top_visible == (valid and check_top_visibility(d))
