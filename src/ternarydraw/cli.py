@@ -41,9 +41,9 @@ def __getattr__(name: str):
     return value
 
 
-def _bind() -> None:
-    """Bind every name of _LAZY that is not set yet."""
-    for name in _LAZY:
+def _bind(names: tuple[str, ...] = _LAZY) -> None:
+    """Bind each of names that is not set yet."""
+    for name in names:
         if name not in globals():
             __getattr__(name)
 
@@ -199,7 +199,8 @@ def _read_drawing(path: str) -> GridDrawing:
 
 
 def cmd_verify(args) -> int:
-    _bind()
+    # only what verify runs: no layout or render module is imported
+    _bind(("read_canonical", "drawing_from_json", "build_report", "report_to_json"))
     try:
         drawing = _read_drawing(args.drawing)
     except (OSError, ValueError, KeyError, TypeError, RecursionError,

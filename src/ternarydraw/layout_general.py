@@ -26,12 +26,13 @@ class LayoutParams:
     p: float = 9.956
 
     def __post_init__(self) -> None:
-        if not self.p > 4:
-            raise ValueError("p must be > 4")
+        if not (self.p > 4 and math.isfinite(self.p)):
+            raise ValueError("p must be finite and > 4")
 
     @property
     def c(self) -> float:
-        return 1.0 / math.log2(3 * self.p / (self.p - 1))
+        """1 / log2(3p / (p - 1)), in a form that does not overflow as p grows."""
+        return 1.0 / math.log2(3 / (1 - 1 / self.p))
 
     def max_rows(self, n: int) -> int:
         """The promised height of a drawing of n nodes: 2*n^c - 1 rows,
@@ -94,7 +95,7 @@ def _decompose(t: TernaryTree, roots: np.ndarray, p: float) -> _Level:
     - x >= 3 or undefined: rho from pi_1's second-heaviest child, sigma
       from pi_{x-1}'s, tau from pi_x's (Q empty when x is undefined).
     """
-    h, size = t.heavy, t.walk[2]
+    h, size = t.heavy, t.size
     K, F = h.order, len(roots)
     s0, k = h.start[roots], h.length[roots]
     # x: the first node of pi whose second-heaviest subtree has >= n/p nodes
@@ -169,7 +170,7 @@ class FrameStats(NamedTuple):
 def frame_stats(t: TernaryTree, params: Optional[LayoutParams] = None) -> FrameStats:
     """The attachment-size maxima of every frame of the general layout of t."""
     params = params or LayoutParams()
-    size, rows = t.walk[2], [np.zeros((0, 7), np.int64)]
+    size, rows = t.size, [np.zeros((0, 7), np.int64)]
     for i, lv in enumerate(_levels(t, params.p)):
         F = len(lv.roots)
         fr = np.repeat(np.arange(F), np.diff(lv.offs))[lv.at]

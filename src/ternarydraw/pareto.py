@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:  # numpy and the layouts load on first use: a warm `table` needs neither
     from .geometry import GridDrawing
@@ -23,8 +22,7 @@ Pair = tuple[int, int]
 Recipe = tuple[int, int, int]  # (arm index, center index, construction)
 
 
-@dataclass(frozen=True)
-class ParetoFrontier:
+class ParetoFrontier(NamedTuple):
     """Pareto-optimal (width, height) pairs for 1-2 drawings of T_h, sorted
     by strictly increasing width / strictly decreasing height. ``recipes[i]``
     indexes into the frontier one level down: both arms use the same pair."""
@@ -39,8 +37,7 @@ class ParetoFrontier:
         return min((w * e, (w, e)) for w, e in self.pairs)
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(NamedTuple):
     a: float
     b: float
     c: float

@@ -72,34 +72,32 @@ class TernaryTree:
                 and np.array_equal(self.table, other.table))
 
     @cached_property
-    def walk(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(order, pos, size): the nodes in an order where every parent
-        precedes its children, each node's place in it, and each node's
-        subtree size. The order is the stack walk that pushes children in
-        slot order, so it visits the last slot first. A node's successor
-        there is its last child; for a leaf, the sibling one slot lower of
-        its nearest ancestor-or-self that has one, found by pointer jumping.
-        List ranking then places every node: O(log n) numpy passes for any
-        shape."""
-        K, n = self.table, self.n
-        sib = np.full(n, -1)  # the sibling one slot lower; the end, n, for the root
-        rows, slots = np.nonzero(K[:, 1:] >= 0)
-        sib[K[rows, slots + 1]] = K[rows, slots]
-        sib[self.root] = n
-        jump = np.where(sib >= 0, np.arange(n), self.parents)
-        while not np.array_equal(nxt := jump[jump], jump):
-            jump = nxt
-        after = np.append(sib[jump], n)  # the node visited after v's subtree
-        last = K[np.arange(n), (K >= 0).sum(axis=1) - 1]
-        succ, dist = np.append(np.where(last >= 0, last, after[:n]), n), np.ones(n + 1, np.int64)
-        dist[n] = 0
-        for _ in range(n.bit_length()):  # dist[v]: the nodes from v to the end
-            dist += dist[succ]
-            succ = succ[succ]
-        pos = n - dist
-        order = np.empty(n, np.int64)
-        order[pos[:n]] = np.arange(n)
-        return _frozen(order, pos[:n], (pos[after] - pos)[:n])
+    def size(self) -> np.ndarray:
+        """Each node's subtree size, read-only int64."""
+        (size,) = self.reduce_subtrees(np.add, np.ones((1, self.n), np.int64))
+        return _frozen(size)[0]
+
+    def reduce_subtrees(self, ufunc: np.ufunc, values: np.ndarray) -> np.ndarray:
+        """``ufunc`` over each subtree, for every row of the (k, n) ``values``:
+        entry v of a row of the result reduces that row over v's subtree.
+
+        Doubling over ancestors: ``up`` starts as the parents, with n above
+        the root, and each pass scatters every row's starting copy onto
+        ``up`` and then jumps ``up`` to ``up[up]``. After pass j a node holds
+        its descendants fewer than 2^(j + 1) levels down, each once, so
+        ``np.add`` counts every node once. The passes stop once every entry
+        of ``up`` is n: ceil(log2(depth + 1)) passes. Column n only ever
+        receives values, so it never leaks into a real node."""
+        n = self.n
+        rows = np.zeros((len(values), n + 1), values.dtype)
+        rows[:, :n] = values
+        up = np.append(self.parents, n)
+        up[self.root] = n
+        while up.min() < n:
+            for row in rows:  # one 1-D ufunc.at per row: numpy's fast path
+                ufunc.at(row, up, row.copy())
+            up = up[up]
+        return rows[:, :n]
 
     @cached_property
     def complete_height(self) -> Optional[int]:
@@ -111,7 +109,7 @@ class TernaryTree:
         inner = self.table[:, 2] >= 0
         if np.any(self.table[~inner, 0] >= 0):  # a node with 1 or 2 children
             return None
-        S = self.walk[2][self.table[inner]]
+        S = self.size[self.table[inner]]
         return None if np.any(S != S[:, :1]) else round(math.log(2 * self.n + 1, 3))
 
     @cached_property
@@ -120,7 +118,7 @@ class TernaryTree:
         children ranked by subtree size, then each node's path head and
         depth by pointer jumping (a node's link is its parent when it is its
         parent's heaviest child), then every path laid out in ``hp``."""
-        S, K, n = self.walk[2], self.table, self.n
+        S, K, n = self.size, self.table, self.n
         key = np.where(K >= 0, -S[K], 1)  # empty slots last
         ranked = np.take_along_axis(K, np.argsort(key, axis=1, kind="stable"), axis=1)
         head, inner = np.arange(n), np.flatnonzero(ranked[:, 0] >= 0)
@@ -168,14 +166,12 @@ def complete_tree(h: int) -> TernaryTree:
     preorder: node v at depth d has children v+1, v+1+s and v+1+2s, where
     s = (3^(h-d-1) - 1) / 2 is the size of each child subtree. T_h is a root
     over copies of T_{h-1} at ids 1, 1+m and 1+2m (m = |T_{h-1}|), so its
-    walk is built from T_{h-1}'s, then its table from the sizes."""
+    sizes are built from T_{h-1}'s, then its table from the sizes."""
     if h < 1:
         raise TreeError("complete_tree requires h >= 1")
-    order, size, m = np.zeros(n := (3 ** h - 1) // 2, np.int64), np.ones(n, np.int64), 1
-    while m < n:  # [:m] holds T_{j-1}; write T_j's blocks far to near, as block 0 overlaps it
-        for k in (2, 1, 0):  # places in block k walk slot 2 - k; ids in it are slot k's
-            order[1 + k * m:1 + (k + 1) * m] = order[:m] + (1 + (2 - k) * m)
-            size[1 + k * m:1 + (k + 1) * m] = size[:m]
+    size, m = np.ones(n := (3 ** h - 1) // 2, np.int64), 1
+    while m < n:  # [:m] holds T_{j-1}'s sizes
+        size[1:1 + 3 * m] = np.tile(size[:m], 3)
         size[0] = m = 3 * m + 1
     inner = np.flatnonzero(size > 1)
     K, parents = np.full((n, 3), -1), np.full(n, -1)
@@ -184,8 +180,8 @@ def complete_tree(h: int) -> TernaryTree:
         K[inner, slot] = kids = inner + 1 + slot * step
         parents[kids] = inner
     t = TernaryTree.__new__(TernaryTree)  # a tree by construction: nothing to check
-    t.table, t.parents, t.root, t.n = *_frozen(K, parents), 0, len(K)
-    t.walk = _frozen(order, order, size)  # order maps ids to places and back
+    t.table, t.parents, t.size, t.root, t.n = *_frozen(K, parents, size), 0, len(K)
+    t.complete_height = h
     return t
 
 

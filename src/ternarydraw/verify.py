@@ -137,28 +137,12 @@ def _top_visible(r: NodeRanks, root: int, hs: np.ndarray) -> bool:
 
 
 def _subtree_boxes(r: NodeRanks, t: TernaryTree) -> np.ndarray:
-    """Per place in the walk order ``t.walk[0]``, (xmin, ymin, -xmax, -ymax)
-    over the subtree rooted there, in int32 ranks: ranks keep order, so the
-    same boxes meet.
-
-    The walk order is a preorder, so a subtree is the block of its size from
-    its root on. Each block's minimum comes from the sparse table of
-    power-of-two windows, built one level at a time: O(log n) passes
-    whatever the tree's height, each reading the table forward."""
-    order, _, size = t.walk
-    size = size[order]
-    level = (np.frexp(size)[1] - 1).astype(np.uint8)  # floor(log2(size)) < 64
-    by_level = np.argsort(level, kind="stable")
-    bounds = np.searchsorted(level[by_level], np.arange(int(level.max()) + 2))
-    Q = np.stack([r.rx[order], r.ry[order]], axis=1).astype(np.int32)
-    table = np.concatenate([Q, -Q], axis=1)  # windows of 1
-    box = table.copy()  # a leaf's box is its point
-    for k in range(1, len(bounds) - 1):
-        w = 1 << (k - 1)  # windows of 2**k from two of 2**(k-1)
-        table = np.minimum(table[:-w], table[w:])
-        a = by_level[bounds[k]:bounds[k + 1]]
-        box[a] = np.minimum(table[a], table[a + size[a] - (1 << k)])
-    return box
+    """Rows (xmin, ymin, -xmax, -ymax) over each node's subtree, indexed by
+    node id, in int32 ranks: ranks keep order, so the same boxes meet. The
+    four rank rows are reduced by one minimum over every subtree, in
+    O(log depth) passes (``t.reduce_subtrees``)."""
+    Q = np.stack([r.rx, r.ry]).astype(np.int32)
+    return t.reduce_subtrees(np.minimum, np.concatenate([Q, -Q]))
 
 
 def _separated(r: NodeRanks, t: TernaryTree, parent: np.ndarray, child: np.ndarray) -> bool:
@@ -166,12 +150,12 @@ def _separated(r: NodeRanks, t: TernaryTree, parent: np.ndarray, child: np.ndarr
     parent, so siblings sit one or two entries apart. With boxes stored as
     (xmin, ymin, -xmax, -ymax), a and b overlap iff a[:2] <= -b[2:] and
     b[:2] <= -a[2:]."""
-    box, start = _subtree_boxes(r, t), t.walk[1]
+    box = _subtree_boxes(r, t)
     for gap in (1, 2):
         sib = np.flatnonzero(parent[:-gap] == parent[gap:])
-        a, b = box[start[child[sib]]], box[start[child[sib + gap]]]
-        if np.any((a[:, 0] + b[:, 2] <= 0) & (a[:, 1] + b[:, 3] <= 0)
-                  & (b[:, 0] + a[:, 2] <= 0) & (b[:, 1] + a[:, 3] <= 0)):
+        a, b = box[:, child[sib]], box[:, child[sib + gap]]
+        if np.any((a[0] + b[2] <= 0) & (a[1] + b[3] <= 0)
+                  & (b[0] + a[2] <= 0) & (b[1] + a[3] <= 0)):
             return False
     return True
 

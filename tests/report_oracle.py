@@ -130,8 +130,28 @@ def _top_visible(P, root, hs, vs):
                 or np.any((vs[:, 0] == rx) & (vs[:, 1] < ry)))
 
 
+def parents_first(t: TernaryTree) -> list[int]:
+    """t's nodes in the preorder of a stack walk that pushes each node's
+    children in slot order: every parent before its children, and every
+    subtree one block of that order."""
+    table, order, stack = t.table.tolist(), [], [t.root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(c for c in table[v] if c >= 0)
+    return order
+
+
 def _subtree_boxes(P, t: TernaryTree):
-    order, start, length = t.walk
+    """Per node id, (xmin, ymin, -xmax, -ymax) over its subtree: a subtree is
+    the block of its size from its root on in a preorder, and each block's
+    minimum comes from a sparse table of power-of-two windows."""
+    order, length, parents = parents_first(t), [1] * t.n, t.parents.tolist()
+    for v in reversed(order[1:]):
+        length[parents[v]] += length[v]
+    order, length = np.array(order), np.array(length)
+    start = np.empty_like(order)
+    start[order] = np.arange(t.n)
     level = np.frexp(length)[1] - 1
     by_level = np.argsort(level, kind="stable")
     bounds = np.searchsorted(level[by_level], np.arange(level.max() + 2))
@@ -288,7 +308,7 @@ def brute_subtree_separation(d: GridDrawing) -> bool:
     sets. O(n^2); for small drawings only."""
     n, pos, parents = d.tree.n, d.pos.tolist(), d.tree.parents.tolist()
     ancestors: list[set[int]] = [set() for _ in range(n)]
-    for v in d.tree.walk[0].tolist():  # parents first
+    for v in parents_first(d.tree):
         p = parents[v]
         if p >= 0:
             ancestors[v] = ancestors[p] | {p}

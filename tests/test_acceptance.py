@@ -18,7 +18,7 @@ from ternarydraw.verify import (check_on_grid, check_orthogonal, check_planar,
                                 check_top_visibility, fib_lower_bound)
 
 from frontier_oracle import exhaustive_dimension_tuples, exhaustive_frontier
-from report_oracle import naive_check_planar
+from report_oracle import naive_check_planar, parents_first
 
 
 def report(number, name, ok):
@@ -149,7 +149,7 @@ def _random_orthogonal_drawing(n, seed):
     pos = [None] * n
     pos[t.root] = (0, 0)
     used = {(0, 0)}
-    for v in t.walk[0].tolist()[1:]:  # parents first, the root first of all
+    for v in parents_first(t)[1:]:  # parents first, the root first of all
         px, py = pos[t.parents[v]]
         while True:
             dx, dy = rng.choice([(1, 0), (-1, 0), (0, 1), (0, -1)])

@@ -223,8 +223,14 @@ def test_draw_computes_complete_height_once(monkeypatch, tmp_path, algo):
     counted = functools.cached_property(lambda t: calls.append(t.n) or real(t))
     counted.__set_name__(TernaryTree, "complete_height")
     monkeypatch.setattr(TernaryTree, "complete_height", counted)
-    tree.complete_tree.cache_clear()  # a fresh T_6, with no height kept yet
+    tree.complete_tree.cache_clear()  # a fresh T_6, which knows its height
     assert run("--cache-dir", str(tmp_path / "cache"), "draw", "complete:6", "--algo", algo,
+               "--out", str(tmp_path / "d.json")) == 0
+    assert calls == []
+    # the same tree read from a file: its height is computed, once
+    path = tmp_path / "t6.json"
+    path.write_text(json.dumps(tree.tree_to_json(tree.complete_tree(6))))
+    assert run("--cache-dir", str(tmp_path / "cache"), "draw", f"file:{path}", "--algo", algo,
                "--out", str(tmp_path / "d.json")) == 0
     assert calls == [364]
 

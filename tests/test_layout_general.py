@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -35,6 +36,14 @@ def test_params_validation():
     assert 0.5 < p.c < 1
     assert abs(p.c - 0.576) < 1e-3  # the exponent is quoted rounded up
     assert [p.max_rows(n) for n in (1, 2, 3, 1000)] == [1, 1, 2, 105]
+    # a p whose exponent overflowed: c was 0.0 at 1e308 (one row promised,
+    # five drawn) and NaN at infinity
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            LayoutParams(p=bad)
+    assert LayoutParams(1e17).c == 1 / math.log2(3 * 1e17 / (1e17 - 1)) == 1 / math.log2(3)
+    assert LayoutParams(1e308).c == 1 / math.log2(3)
+    assert_drawing_ok(random_ternary_tree(50, 1), LayoutParams(1e308))  # within its promise
 
 
 def test_single_node():
@@ -203,7 +212,7 @@ class RailDecomposition:
 
 def rail_decompositions(t, level):
     """One batched level's decompositions, as RailDecompositions."""
-    h, size = t.heavy, t.walk[2]
+    h, size = t.heavy, t.size
 
     def path(v):
         return () if v < 0 else tuple(h.hp[h.start[v]:h.start[v] + h.length[v]].tolist())
@@ -239,7 +248,7 @@ def decomposition_stats(d, t):
     """Attachment-size maxima (a, b, r, s) of ``d``, a decomposition of the
     tree ``t``: a/b over top/bottom subtrees of P, r/s over those of Q; a and
     b are None when x < 3."""
-    sizes, p_set = t.walk[2], set(d.P)
+    sizes, p_set = t.size, set(d.P)
 
     def attach_max(mapping, on_p):
         vals = [c for v, c in mapping.items() if (v in p_set) == on_p]
@@ -325,7 +334,7 @@ def oracle_decompositions(t, params=None):
     """Every decomposition of the layout recursion by its root, and each
     root's frame level."""
     params = params or LayoutParams()
-    sizes, order = t.walk[2].tolist(), t.heavy.order.tolist()
+    sizes, order = t.size.tolist(), t.heavy.order.tolist()
     found, level, stack = {}, {}, [(t.root, 0)]
     while stack:
         v, i = stack.pop()
@@ -497,7 +506,7 @@ def _layout(t, root, sizes, order, p):
 
 def oracle_positions(t, params=None):
     params = params or LayoutParams()
-    raw = _layout(t, t.root, t.walk[2].tolist(), t.heavy.order.tolist(), params.p)
+    raw = _layout(t, t.root, t.size.tolist(), t.heavy.order.tolist(), params.p)
     rx, ry = raw[t.root]
     return tuple((raw[v][0] - rx, raw[v][1] - ry) for v in range(t.n))
 

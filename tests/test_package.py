@@ -64,11 +64,27 @@ def test_warm_table_loads_no_numpy(tmp_path):
     script = ("import sys\n"
               "from ternarydraw import cli\n"
               f"assert cli.main(['--cache-dir', {str(tmp_path / 'cache')!r}, 'table', '6']) == 0\n"
-              "print('numpy' in sys.modules)")
+              "print('numpy' in sys.modules, 'dataclasses' in sys.modules)")
     cold, warm = fresh(script), fresh(script)
-    assert cold.splitlines()[-1] == "True"
-    assert warm.splitlines()[-1] == "False"
+    assert cold.splitlines()[-1].startswith("True ")
+    assert warm.splitlines()[-1] == "False False"
     assert cold.splitlines()[:-1] == warm.splitlines()[:-1]
+
+
+def test_verify_loads_no_layout_or_render(tmp_path):
+    path = tmp_path / "d.json"
+    out = fresh("import sys\n"
+                "from ternarydraw import cli\n"
+                f"assert cli.main(['draw', 'complete:3', '--algo', 'c1', '--out', {str(path)!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('ternarydraw.')))")
+    assert "ternarydraw.layout_complete" in out.splitlines()[-1]
+    out = fresh("import sys\n"
+                "from ternarydraw import cli\n"
+                f"assert cli.main(['verify', {str(path)!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('ternarydraw.')))")
+    assert out.splitlines()[-1] == str(["ternarydraw.cli", "ternarydraw.geometry",
+                                        "ternarydraw.pareto", "ternarydraw.tree",
+                                        "ternarydraw.verify"])
 
 
 # Records OPENBLAS_NUM_THREADS as it is when numpy is imported, then runs

@@ -4,16 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ternarydraw.geometry import edge_arrays
+from ternarydraw.geometry import edge_arrays, node_ranks
 from ternarydraw.tree import (TernaryTree, TreeError, complete_tree, random_ternary_tree,
                               tree_from_json, tree_to_json)
+from ternarydraw.verify import _subtree_boxes
 
 
 def test_complete_tree_sizes():
-    for h in range(1, 8):
-        t = complete_tree(h)
+    for h in range(1, 9):
+        t = complete_tree(h)  # its height and sizes set by construction
         assert t.n == (3 ** h - 1) // 2
         assert t.complete_height == h
+        rebuilt = TernaryTree(t.table)  # both computed from the table
+        assert rebuilt.complete_height == h
+        assert np.array_equal(rebuilt.size, t.size)
 
 
 def recursive_complete_children(h):
@@ -37,7 +41,7 @@ def test_complete_tree_matches_recursive_definition():
         assert tuple(map(tuple, tree_to_json(t)["children"])) == recursive_complete_children(h)
         checked = TernaryTree(recursive_complete_children(h))
         assert t == checked and t.n == checked.n
-        for a, b in zip((t.parents, *t.walk), (checked.parents, *checked.walk)):
+        for a, b in zip((t.parents, t.size), (checked.parents, checked.size)):
             assert np.array_equal(a, b)
 
 
@@ -76,19 +80,17 @@ def test_validation_disconnected():
         TernaryTree(((1,), (), (2,)))
 
 
-def test_parent_and_topo():
-    t = complete_tree(3)
-    seen = set()
-    for v in t.walk[0].tolist():
-        p = t.parents[v]
-        assert p == -1 or p in seen
-        seen.add(v)
-    assert seen == set(range(t.n))
+def test_sizes_match_the_oracle():
+    trees = (complete_tree.__wrapped__(3), random_ternary_tree(300, 4),
+             TernaryTree(((), (0, 2), ()), 1))
+    for t in trees:
+        children = tree_to_json(t)["children"]
+        assert t.size.tolist() == oracle_sizes(children, oracle_tree(children, t.root)[1])
 
 
 def test_subtree_sizes_complete():
     t = complete_tree(3)
-    sizes = t.walk[2].tolist()
+    sizes = t.size.tolist()
     assert sizes[t.root] == 13
     assert sorted(sizes).count(1) == 9
     assert sizes.count(4) == 3
@@ -349,10 +351,9 @@ def assert_matches_oracle(children, root):
     t = TernaryTree(tuple(map(tuple, children)), root)
     assert t.n == len(children) and t.root == root
     assert t.parents.tolist() == parent
-    assert tuple(t.walk[0].tolist()) == topo
     assert (t.table[:, 0] < 0).tolist() == [not k for k in children]
     sizes = oracle_sizes(children, topo)
-    assert t.walk[2].tolist() == sizes
+    assert t.size.tolist() == sizes
     order = oracle_heavy_order(children, sizes)
     h = t.heavy
     assert h.order.tolist() == order
@@ -431,6 +432,59 @@ def test_array_tree_rejects_what_the_oracle_rejects(tree, mutation, rnd):
             TernaryTree(table, root)
 
 
+def brute_subtree_members(children, v):
+    members, stack = [], [v]
+    while stack:
+        u = stack.pop()
+        members.append(u)
+        stack.extend(children[u])
+    return members
+
+
+def assert_boxes_match_brute_force(children, root, rnd):
+    """The doubling reductions against per-subtree min, max and sum, and the
+    verifier's subtree boxes against the min and max of each subtree's
+    ranks, for random positions."""
+    t = TernaryTree(tuple(map(tuple, children)), root)
+    members = [brute_subtree_members(children, v) for v in range(t.n)]
+    values = np.array([[rnd.randint(-9, 9) for _ in range(t.n)] for _ in range(2)])
+    for ufunc, fn in ((np.minimum, min), (np.maximum, max), (np.add, sum)):
+        assert t.reduce_subtrees(ufunc, values).tolist() == [
+            [fn(row[u] for u in m) for m in members] for row in values.tolist()]
+    r = node_ranks(np.array([[rnd.randint(-20, 20), rnd.randint(-20, 20)] for _ in range(t.n)]))
+    rx, ry = r.rx.tolist(), r.ry.tolist()
+    box = _subtree_boxes(r, t)
+    assert box.dtype == np.int32
+    assert box.T.tolist() == [[min(rx[u] for u in m), min(ry[u] for u in m),
+                               -max(rx[u] for u in m), -max(ry[u] for u in m)] for m in members]
+    assert t.size.tolist() == list(map(len, members))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trees(), st.randoms(use_true_random=False))
+def test_subtree_reductions_match_brute_force(tree, rnd):
+    assert_boxes_match_brute_force(*tree, rnd)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_subtree_reductions_on_paths_around_powers_of_two(k, extra):
+    # depth 2^k - 1 takes k doubling passes, 2^k and 2^k + 1 take k + 1
+    n, rnd = 2 ** k + extra + 1, random.Random(k * 3 + extra)
+    ids = list(range(n))
+    rnd.shuffle(ids)  # the root is ids[0], seldom node 0
+    children = [[] for _ in range(n)]
+    for a, b in zip(ids, ids[1:]):
+        children[a].append(b)
+    assert_boxes_match_brute_force(children, ids[0], rnd)
+
+
+def test_size_of_a_long_path():
+    n = 2 ** 17 + 1
+    t = TernaryTree(np.column_stack([np.append(np.arange(1, n), -1), np.full((n, 2), -1)]))
+    assert np.array_equal(t.size, np.arange(n, 0, -1))
+
+
 def test_child_table_rows_hold_children_before_empty_slots():
     with pytest.raises(TreeError):
         TernaryTree(np.array([[-1, 1, -1], [-1, -1, -1]]))
@@ -443,7 +497,7 @@ def test_child_table_rows_hold_children_before_empty_slots():
 
 def test_tree_arrays_are_read_only():
     t = random_ternary_tree(50, 1)
-    for a in (t.table, t.parents, *t.walk):
+    for a in (t.table, t.parents, t.size, complete_tree(3).size):
         with pytest.raises(ValueError):
             a[0] = 0
 

@@ -18,8 +18,8 @@ from ternarydraw.verify import (VerificationError, build_report, check_on_grid,
                                 leg_arm_lengths, report_to_json)
 
 from report_oracle import (brute_subtree_separation, naive_check_planar,
-                           oracle_leg_arm_lengths, oracle_report, segment_extents,
-                           split_segments)
+                           oracle_leg_arm_lengths, oracle_report, parents_first,
+                           segment_extents, split_segments)
 
 
 def random_orthogonal_drawing(n, seed):
@@ -31,7 +31,7 @@ def random_orthogonal_drawing(n, seed):
     pos = [None] * n
     pos[t.root] = (0, 0)
     used = {(0, 0)}
-    for v in t.walk[0].tolist()[1:]:  # parents first, the root first of all
+    for v in parents_first(t)[1:]:  # parents first, the root first of all
         px, py = pos[t.parents[v]]
         while True:
             dx, dy = rng.choice([(1, 0), (-1, 0), (0, 1), (0, -1)])
@@ -256,7 +256,7 @@ def complete_tree_drawings(draw):
             P[draw(st.integers(0, n - 1))] += draw(st.tuples(*[st.integers(-2, 2)] * 2))
         return GridDrawing(t, P)
     P = np.zeros((n, 2), dtype=np.int64)
-    for v in t.walk[0].tolist()[1:]:  # parents first
+    for v in parents_first(t)[1:]:  # parents first
         dx, dy = draw(st.sampled_from(_STEPS))
         step = draw(st.integers(1, 3))
         P[v] = P[t.parents[v]] + (dx * step, dy * step)
