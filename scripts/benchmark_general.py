@@ -62,7 +62,6 @@ def main() -> None:
             t0 = time.perf_counter()
             d = draw_general(t, params)
             t_layout += time.perf_counter() - t0
-            vars(t).pop("heavy", None)  # as the CLI does: nothing below reads the heavy paths
             if args.verify:
                 t0 = time.perf_counter()
                 r = build_report(d)

@@ -15,10 +15,9 @@ import sys
 from importlib import import_module
 from typing import TYPE_CHECKING, Optional
 
-from . import pareto
-
 if TYPE_CHECKING:
     from .geometry import GridDrawing
+    from .pareto import ParetoFrontier
     from .tree import TernaryTree
 
 # The names draw and verify use, each resolved through the package's export
@@ -71,9 +70,11 @@ def _parse_treespec(spec: str) -> TernaryTree:
                     "(expected complete:<h>, random:<n>:<seed>, or file:<path>)")
 
 
-def _levels(h: int, cache_dir: str) -> list[pareto.ParetoFrontier]:
+def _levels(h: int, cache_dir: str) -> list[ParetoFrontier]:
     """Frontiers of T_1..T_h, every cached level read and checked before
     any is used."""
+    from . import pareto  # imported where used: verify and the other draws never load it
+
     try:
         return list(pareto.levels(h, cache_dir))
     except (pareto.CacheError, OSError) as e:
@@ -82,11 +83,7 @@ def _levels(h: int, cache_dir: str) -> list[pareto.ParetoFrontier]:
 
 def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
     if algo == "general":
-        drawing = draw_general(tree, LayoutParams())
-        # nothing after the layout reads the tree's heavy-path arrays, and the
-        # verifier's and writer's peaks would sit on them (64 MB at 1e6 nodes)
-        vars(tree).pop("heavy", None)
-        return drawing
+        return draw_general(tree, LayoutParams())
     h = tree.complete_height
     if h is None:
         raise UserError(f"algorithm {algo!r} requires a complete ternary tree")
@@ -99,6 +96,8 @@ def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
     if algo == "upper1149":
         return draw_upper_1149(h)
     if algo == "pareto-min":
+        from . import pareto
+
         fronts = _levels(h, cache_dir)
         _, pair = fronts[-1].min_area()
         try:
@@ -172,6 +171,8 @@ def _load_table(path: str) -> list[tuple[float, float]]:
 
 
 def cmd_fit(args) -> int:
+    from . import pareto
+
     if args.builtin:
         points = [(float(n), float(area)) for _, n, area in pareto.REFERENCE_AREA_TABLE]
     elif args.table:

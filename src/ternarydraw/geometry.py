@@ -125,36 +125,21 @@ def rank_runs(r: NodeRanks, parent: np.ndarray, child: np.ndarray) -> tuple:
     """The (a, b) node ids of the horizontal and of the vertical edges, of
     positive length along exactly one axis, and their runs in rank space:
     (ry, rx1, rx2) and (rx, ry1, ry2) as (m, 3) arrays with lo < hi.
-    Diagonal and zero-length edges are in neither; they add only their
-    endpoints, which are nodes."""
+    Diagonal and zero-length edges are in neither."""
     dx, dy = r.rx[parent] != r.rx[child], r.ry[parent] != r.ry[child]
     h, v = (parent[dx & ~dy], child[dx & ~dy]), (parent[dy & ~dx], child[dy & ~dx])
     return h, v, *(np.stack([line[a], np.minimum(at[a], at[b]), np.maximum(at[a], at[b])], axis=1)
                    for line, at, (a, b) in ((r.ry, r.rx, h), (r.rx, r.ry, v)))
 
 
-def rank_extents(r: NodeRanks, root: int, hs: np.ndarray, vs: np.ndarray) -> Extents:
-    """extents from the node ranks and rank_runs' runs: the distinct node x
-    values plus each gap between two consecutive ones that a horizontal run
-    spans (it ends at nodes, so it spans a gap whole or not at all), found
-    by a bincount and a cumsum over the runs' rank ranges; no sort."""
-    def counts(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, pivot: int) -> tuple[int, int, int]:
-        k = len(values)
-        spanned = np.cumsum(np.bincount(lo, minlength=k) - np.bincount(hi, minlength=k))[:-1] > 0
-        gap = np.where(spanned, np.diff(values) - 1, 0)  # gap i lies between ranks i and i + 1
-        below, above = gap[:pivot].sum().item(), gap[pivot:].sum().item()
-        return k + below + above, pivot + below, k - 1 - pivot + above
-
-    w, lw, rw = counts(r.ux, hs[:, 1], hs[:, 2], r.rx[root].item())
-    h, th, bh = counts(r.uy, vs[:, 1], vs[:, 2], r.ry[root].item())
-    return Extents(w, h, lw, rw, th, bh)
-
-
 def extents(d: GridDrawing) -> Extents:
-    """Exact grid-line counts; a column/row counts if it meets a node or any
-    point of an edge segment."""
-    r = node_ranks(d.pos)
-    return rank_extents(r, d.tree.root, *rank_runs(r, *edge_arrays(d.tree))[2:])
+    """Exact grid-line counts, read off bbox(d) and the root's position. A
+    tree drawing is connected, so every column between its leftmost and
+    rightmost point meets it, diagonal edges included, and so does every
+    row."""
+    xmin, xmax, ymin, ymax = bbox(d)
+    x, y = d.root_pos()
+    return Extents(xmax - xmin + 1, ymax - ymin + 1, x - xmin, xmax - x, y - ymin, ymax - y)
 
 
 def drawing_to_json(d: GridDrawing) -> dict:

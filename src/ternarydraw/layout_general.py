@@ -82,7 +82,35 @@ def _segmented(ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray,
     return np.where(stops > starts, r, empty)
 
 
-def _decompose(t: TernaryTree, roots: np.ndarray, p: float) -> _Level:
+def heavy_paths(t: TernaryTree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tree's heavy paths as int64 arrays (order, start, length, hp),
+    the first three indexed by node id, built by numpy passes.
+
+    ``order[v]`` is v's children by non-increasing subtree size, ties by slot,
+    padded with -1. Each node lies on the path that follows heaviest children
+    from its head down to a leaf. All paths lie contiguously in ``hp``, each
+    from its head to its leaf, in the order of their heads' ids; v's path is
+    ``hp[start[v]:start[v] + length[v]]``. Each node's head and depth below
+    it are found by pointer jumping (a node's link is its parent when it is
+    its parent's heaviest child), and die here."""
+    S, K, n = t.size, t.table, t.n
+    key = np.where(K >= 0, -S[K], 1)  # empty slots last
+    order = np.take_along_axis(K, np.argsort(key, axis=1, kind="stable"), axis=1)
+    head, inner = np.arange(n), np.flatnonzero(order[:, 0] >= 0)
+    head[order[inner, 0]] = inner
+    depth = (head != np.arange(n)).astype(np.int64)
+    while not np.array_equal(jump := head[head], head):
+        depth += depth[head]
+        head = jump
+    count = np.bincount(head, minlength=n)
+    first = np.cumsum(count) - count
+    start, length = first[head], count[head]
+    hp = np.empty(n, np.int64)
+    hp[start + depth] = np.arange(n)
+    return order, start, length, hp
+
+
+def _decompose(t: TernaryTree, heavy: tuple, roots: np.ndarray, p: float) -> _Level:
     """Decompose every frame rooted at ``roots`` (inner nodes heading heavy
     paths) in one batch of numpy passes.
 
@@ -95,27 +123,26 @@ def _decompose(t: TernaryTree, roots: np.ndarray, p: float) -> _Level:
     - x >= 3 or undefined: rho from pi_1's second-heaviest child, sigma
       from pi_{x-1}'s, tau from pi_x's (Q empty when x is undefined).
     """
-    h, size = t.heavy, t.size
-    K, F = h.order, len(roots)
-    s0, k = h.start[roots], h.length[roots]
+    (K, start, length, hp), size, F = heavy, t.size, len(roots)
+    s0, k = start[roots], length[roots]
     # x: the first node of pi whose second-heaviest subtree has >= n/p nodes
     # (sizes below 2^53 compare exactly with the float n/p, as in Python)
-    pi = h.hp[_runs(s0, np.ones(F, np.int64), k)]  # frame f's is pi[first[f]:first[f] + k[f]]
+    pi = hp[_runs(s0, np.ones(F, np.int64), k)]  # frame f's is pi[first[f]:first[f] + k[f]]
     first = np.cumsum(k) - k
     second = K[pi, 1]
     big = (second >= 0) & (size[second] >= np.repeat(size[roots] / p, k))
     place = np.arange(len(pi)) - np.repeat(first, k)
     turn = np.minimum.reduceat(np.where(big, place, np.repeat(k, k)), first)
-    before = h.hp[s0 + np.maximum(turn - 1, 0)]  # pi_{x-1}
-    after = h.hp[s0 + np.minimum(turn, k - 1)]  # pi_x
+    before = hp[s0 + np.maximum(turn - 1, 0)]  # pi_{x-1}
+    after = hp[s0 + np.minimum(turn, k - 1)]  # pi_x
     ends = np.stack([np.where(turn > 0, K[roots, np.where(turn == 1, 2, 1)], -1),
                      np.where(turn > 0, K[before, 1], -1),
                      np.where(turn < k, K[after, 1], -1)], axis=1)
-    lens = np.where(ends >= 0, h.length[ends], 0)
-    starts = h.start[ends]
+    lens = np.where(ends >= 0, length[ends], 0)
+    starts = start[ends]
     runs = np.stack([starts[:, 0] + lens[:, 0] - 1, s0, starts[:, 1], s0 + k - 1, starts[:, 2]], axis=1)
-    rail = h.hp[_runs(runs.ravel(), np.tile([-1, 1, 1, -1, 1], F),
-                      np.stack([lens[:, 0], turn, lens[:, 1], k - turn, lens[:, 2]], axis=1).ravel())]
+    rail = hp[_runs(runs.ravel(), np.tile([-1, 1, 1, -1, 1], F),
+                    np.stack([lens[:, 0], turn, lens[:, 1], k - turn, lens[:, 2]], axis=1).ravel())]
     kP = lens[:, 0] + turn + lens[:, 1]
     offs = np.append(0, np.cumsum(lens.sum(axis=1) + k))
 
@@ -140,10 +167,11 @@ def _decompose(t: TernaryTree, roots: np.ndarray, p: float) -> _Level:
 def _levels(t: TernaryTree, p: float) -> Iterator[_Level]:
     """The decompositions the layout performs, one frame level at a time,
     top-down: the frames of a level are the attached subtrees of the level
-    above that are not leaves."""
-    roots = np.array([t.root] if t.n > 1 else [], np.int64)
+    above that are not leaves. The heavy paths are built once, for every
+    level, and die with the last one."""
+    heavy, roots = heavy_paths(t), np.array([t.root] if t.n > 1 else [], np.int64)
     while len(roots):
-        level = _decompose(t, roots, p)
+        level = _decompose(t, heavy, roots, p)
         yield level
         roots = level.sub[level.frame]
 

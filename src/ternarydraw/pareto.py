@@ -299,6 +299,7 @@ def reconstruct_drawing(fronts: Sequence[ParetoFrontier], pair: Pair) -> GridDra
     up to the 180° rotation applied inside the constructions. ValueError
     unless the drawing built is exactly pair[0] wide and pair[1] tall, as a
     corrupt cache can make it."""
+    from .geometry import extents
     from .layout_complete import compose
 
     h = len(fronts)
@@ -307,9 +308,9 @@ def reconstruct_drawing(fronts: Sequence[ParetoFrontier], pair: Pair) -> GridDra
     except ValueError:
         raise ValueError(f"pair {pair} is not on the frontier for h={h}") from None
     d = compose(h, [fr.recipes for fr in fronts[1:]], (top_idx,))[0]
-    built = tuple((d.pos.max(axis=0) - d.pos.min(axis=0) + 1).tolist())  # its bounding box
-    if built != tuple(pair):
-        raise ValueError(f"the recipes for h={h} build a {built[0]}x{built[1]} drawing, "
+    e = extents(d)
+    if (e.width, e.height) != tuple(pair):
+        raise ValueError(f"the recipes for h={h} build a {e.width}x{e.height} drawing, "
                          f"not the pair {pair} they were read for")
     return d
 

@@ -1,4 +1,4 @@
-"""Rooted ternary trees on dense integer ids, subtree sizes, heavy paths.
+"""Rooted ternary trees on dense integer ids, and their subtree sizes.
 
 A tree is stored as an (n, 3) int64 child table padded with -1 and a parent
 array, built and validated once by numpy passes, never node by node."""
@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from operator import index
@@ -112,52 +111,11 @@ class TernaryTree:
         S = self.size[self.table[inner]]
         return None if np.any(S != S[:, :1]) else round(math.log(2 * self.n + 1, 3))
 
-    @cached_property
-    def heavy(self) -> HeavyPaths:
-        """The heavy-path arrays, built on first use by numpy passes: the
-        children ranked by subtree size, then each node's path head and
-        depth by pointer jumping (a node's link is its parent when it is its
-        parent's heaviest child), then every path laid out in ``hp``."""
-        S, K, n = self.size, self.table, self.n
-        key = np.where(K >= 0, -S[K], 1)  # empty slots last
-        ranked = np.take_along_axis(K, np.argsort(key, axis=1, kind="stable"), axis=1)
-        head, inner = np.arange(n), np.flatnonzero(ranked[:, 0] >= 0)
-        head[ranked[inner, 0]] = inner
-        depth = (head != np.arange(n)).astype(np.int64)
-        while not np.array_equal(jump := head[head], head):
-            depth += depth[head]
-            head = jump
-        count = np.bincount(head, minlength=n)
-        first = np.cumsum(count) - count  # paths in the order of their heads' ids
-        start, length = first[head], count[head]
-        hp = np.empty(n, np.int64)
-        hp[start + depth] = np.arange(n)
-        return HeavyPaths(*_frozen(ranked, head, depth, start, length, hp))
-
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.setflags(write=False)
     return arrays
-
-
-@dataclass(frozen=True)
-class HeavyPaths:
-    """A tree's heavy paths, as read-only int64 arrays indexed by node id.
-
-    ``order[v]`` is v's children by non-increasing subtree size, ties by slot,
-    padded with -1. Each node lies on the path that follows heaviest children
-    from its ``head`` down to a leaf, ``depth[v]`` nodes below the head. All
-    paths lie contiguously in ``hp``, each from its head to its leaf; v's path
-    is ``hp[start[v]:start[v] + length[v]]``, with v at ``start[v] + depth[v]``.
-    """
-
-    order: np.ndarray
-    head: np.ndarray
-    depth: np.ndarray
-    start: np.ndarray
-    length: np.ndarray
-    hp: np.ndarray
 
 
 @lru_cache(maxsize=None)

@@ -9,9 +9,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (Extents, GridDrawing, NodeRanks, edge_arrays, node_ranks,
-                       rank_extents, rank_runs)
-from .geometry import edge_segments, extents  # unused here; perfbench/child.py wraps both
+from .geometry import Extents, GridDrawing, NodeRanks, edge_arrays, extents, node_ranks, rank_runs
+from .geometry import edge_segments  # unused here; perfbench/child.py wraps it
 from .tree import TernaryTree
 
 
@@ -241,7 +240,7 @@ def build_report(d: GridDrawing) -> VerificationReport:
     valid = r.on_grid and orthogonal
     planar = valid and _planar(r, h, v, hs, vs)
     top = valid and _top_visible(r, d.tree.root, hs)
-    ext = rank_extents(r, d.tree.root, hs, vs)
+    ext = extents(d)
     leg = lam = rho = None
     if planar:
         try:

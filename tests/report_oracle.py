@@ -48,13 +48,14 @@ def _union_counts(lo, hi, pivot):
     return total.item(), below.item(), above.item()
 
 
-def segment_extents(P, root, hs, vs):
-    """Extents by merging the intervals of the nodes and the runs."""
-    rx, ry = P[root]
-    w, lw, rw = _union_counts(np.concatenate([P[:, 0], hs[:, 1]]),
-                              np.concatenate([P[:, 0], hs[:, 2]]), rx)
-    h, th, bh = _union_counts(np.concatenate([P[:, 1], vs[:, 1]]),
-                              np.concatenate([P[:, 1], vs[:, 2]]), ry)
+def segment_extents(P, root, parent, child):
+    """Extents by merging the intervals of the nodes and of the edges' spans
+    along each axis, a diagonal edge's included."""
+    a, b = P[parent], P[child]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    (w, lw, rw), (h, th, bh) = (_union_counts(np.concatenate([P[:, i], lo[:, i]]),
+                                              np.concatenate([P[:, i], hi[:, i]]), P[root, i])
+                                for i in (0, 1))
     return Extents(w, h, lw, rw, th, bh)
 
 
@@ -264,7 +265,7 @@ def oracle_report(d: GridDrawing) -> VerificationReport:
     valid = on_grid and orthogonal
     planar = valid and _planar(P, hs, vs)
     top = valid and _top_visible(P, d.tree.root, hs, vs)
-    ext = segment_extents(P, d.tree.root, hs, vs)
+    ext = segment_extents(P, d.tree.root, parent, child)
     leg = lam = rho = None
     if planar:
         try:

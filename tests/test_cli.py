@@ -205,15 +205,15 @@ def test_draw_gate_bounds_general_extents(monkeypatch, capsys, pos):
 
 
 def test_draw_splits_segments_and_measures_extents_once(monkeypatch, tmp_path):
-    # one ranking of the nodes, one set of runs and one count of grid lines
+    # one ranking of the nodes, one set of runs and one bounding box
     calls = []
-    for name in ("node_ranks", "rank_runs", "rank_extents"):
+    for name in ("node_ranks", "rank_runs", "extents"):
         real = getattr(geometry, name)
         for module in (geometry, verify):
             monkeypatch.setattr(module, name,
                                 lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
     assert run("draw", "random:300:1", "--out", str(tmp_path / "d.json")) == 0
-    assert sorted(calls) == ["node_ranks", "rank_extents", "rank_runs"]
+    assert sorted(calls) == ["extents", "node_ranks", "rank_runs"]
 
 
 @pytest.mark.parametrize("algo", ["general", "upper1149", "pareto-min"])
@@ -239,10 +239,10 @@ def test_draw_frees_the_heavy_paths_before_verifying(monkeypatch):
     kept = []
     report = cli.build_report
     monkeypatch.setattr(cli, "build_report",
-                        lambda d: kept.append("heavy" in vars(d.tree)) or report(d))
+                        lambda d: kept.append(set(vars(d.tree))) or report(d))
     for spec in ("random:300:1", "random:1:0"):
         assert run("draw", spec, "--algo", "general") == 0
-    assert kept == [False, False]
+    assert kept == [{"table", "parents", "root", "n", "size"}] * 2
 
 
 # -1 would be an empty slot in the child table, so it is checked as an id

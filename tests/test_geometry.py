@@ -14,6 +14,7 @@ from ternarydraw.layout_complete import (draw_c1_only, draw_c2_only,
                                          draw_golden, draw_upper_1149)
 from ternarydraw.layout_general import draw_general
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree, tree_to_json
+from ternarydraw.verify import build_report
 
 from conftest import canonical_bytes, drawings, layouts, min_area_drawing
 from reader_oracle import oracle_read_canonical
@@ -49,6 +50,13 @@ def test_extents_counts_edge_spans():
     d = GridDrawing(t, ((0, 0), (5, 0)))
     e = extents(d)
     assert (e.width, e.right_width) == (6, 5)
+
+
+def test_extents_count_the_lines_a_diagonal_edge_crosses():
+    # a tree drawing is connected, so the edge (0, 0)-(2, 1) meets column 1
+    # though no node lies on it
+    d = GridDrawing(TernaryTree(((1,), ())), ((0, 0), (2, 1)))
+    assert extents(d) == build_report(d).extents == Extents(3, 2, 0, 2, 0, 1)
 
 
 def test_rotate_t2_cw():

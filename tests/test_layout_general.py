@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import caterpillar_tree, path_tree
 from ternarydraw import cli, layout_general
 from ternarydraw.geometry import extents
-from ternarydraw.layout_general import LayoutParams, draw_general, frame_stats
+from ternarydraw.layout_general import LayoutParams, draw_general, frame_stats, heavy_paths
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree
 from ternarydraw.verify import (check_on_grid, check_orthogonal, check_planar,
                                 check_top_visibility)
@@ -212,10 +212,10 @@ class RailDecomposition:
 
 def rail_decompositions(t, level):
     """One batched level's decompositions, as RailDecompositions."""
-    h, size = t.heavy, t.size
+    (_, start, length, hp), size = heavy_paths(t), t.size
 
     def path(v):
-        return () if v < 0 else tuple(h.hp[h.start[v]:h.start[v] + h.length[v]].tolist())
+        return () if v < 0 else tuple(hp[start[v]:start[v] + length[v]].tolist())
 
     top, bottom = [{} for _ in level.roots], [{} for _ in level.roots]
     frame_of = np.searchsorted(level.offs, level.at, side="right") - 1
@@ -334,7 +334,7 @@ def oracle_decompositions(t, params=None):
     """Every decomposition of the layout recursion by its root, and each
     root's frame level."""
     params = params or LayoutParams()
-    sizes, order = t.size.tolist(), t.heavy.order.tolist()
+    sizes, order = t.size.tolist(), heavy_paths(t)[0].tolist()
     found, level, stack = {}, {}, [(t.root, 0)]
     while stack:
         v, i = stack.pop()
@@ -506,7 +506,7 @@ def _layout(t, root, sizes, order, p):
 
 def oracle_positions(t, params=None):
     params = params or LayoutParams()
-    raw = _layout(t, t.root, t.size.tolist(), t.heavy.order.tolist(), params.p)
+    raw = _layout(t, t.root, t.size.tolist(), heavy_paths(t)[0].tolist(), params.p)
     rx, ry = raw[t.root]
     return tuple((raw[v][0] - rx, raw[v][1] - ry) for v in range(t.n))
 
@@ -553,14 +553,17 @@ def test_two_passes_match_oracle_in_each_turn_index_case(tree, case):
 
 def test_draw_general_decomposes_each_frame_once(monkeypatch):
     """One batched _decompose call per frame level, each frame root in
-    exactly one of them."""
+    exactly one of them, all reading one build of the heavy paths."""
     t = random_ternary_tree(3000, 5)
     stats = frame_stats(t)
-    calls = []
+    calls, built = [], []
     decompose_ = layout_general._decompose
-    monkeypatch.setattr(layout_general, "_decompose",
-                        lambda t, roots, p: calls.append(roots.tolist()) or decompose_(t, roots, p))
+    monkeypatch.setattr(layout_general, "_decompose", lambda t, heavy, roots, p:
+                        calls.append(roots.tolist()) or decompose_(t, heavy, roots, p))
+    monkeypatch.setattr(layout_general, "heavy_paths",
+                        lambda t: built.append(t) or heavy_paths(t))
     draw_general(t)
+    assert built == [t]
     assert sorted(r for roots in calls for r in roots) == sorted(stats.root.tolist())
     assert len(set(stats.root.tolist())) == len(stats.root)
     assert len(calls) == stats.level.max() + 1 > 2

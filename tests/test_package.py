@@ -83,8 +83,7 @@ def test_verify_loads_no_layout_or_render(tmp_path):
                 f"assert cli.main(['verify', {str(path)!r}]) == 0\n"
                 "print(sorted(m for m in sys.modules if m.startswith('ternarydraw.')))")
     assert out.splitlines()[-1] == str(["ternarydraw.cli", "ternarydraw.geometry",
-                                        "ternarydraw.pareto", "ternarydraw.tree",
-                                        "ternarydraw.verify"])
+                                        "ternarydraw.tree", "ternarydraw.verify"])
 
 
 # Records OPENBLAS_NUM_THREADS as it is when numpy is imported, then runs

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ternarydraw.geometry import edge_arrays, node_ranks
+from ternarydraw.layout_general import draw_general, heavy_paths
 from ternarydraw.tree import (TernaryTree, TreeError, complete_tree, random_ternary_tree,
                               tree_from_json, tree_to_json)
 from ternarydraw.verify import _subtree_boxes
@@ -98,24 +99,39 @@ def test_subtree_sizes_complete():
 
 def test_heavy_order_tiebreak_by_slot():
     t = complete_tree(2)
-    assert t.heavy.order[0].tolist() == t.table[0].tolist() == [1, 2, 3]
+    assert heavy_paths(t)[0][0].tolist() == t.table[0].tolist() == [1, 2, 3]
+
+
+def test_building_a_tree_leaves_its_heavy_paths_unbuilt():
+    # the heavy paths belong to the layout and die with it: neither building
+    # the tree, nor reading its paths, nor drawing it caches more than sizes
+    trees = (random_ternary_tree(500, 1), complete_tree.__wrapped__(6),
+             TernaryTree(((1, 2), (), ())), TernaryTree(random_ternary_tree(50, 2).table),
+             TernaryTree(((),)))
+    for t in trees:
+        assert not set(vars(t)) - {"table", "parents", "root", "n", "size", "complete_height"}
+        _, start, _, hp = heavy_paths(t)
+        assert hp[start[t.root]] == t.root
+        cached = set(vars(t))
+        draw_general(t)
+        assert set(vars(t)) == cached | {"size"}
+        assert not cached - {"table", "parents", "root", "n", "size", "complete_height"}
 
 
 def test_heavy_path_reaches_leaf():
     t = complete_tree(4)
-    h = t.heavy
-    path = h.hp[h.start[t.root]:h.start[t.root] + h.length[t.root]]
+    _, start, length, hp = heavy_paths(t)
+    path = hp[start[t.root]:start[t.root] + length[t.root]]
     assert len(path) == 4 and path[0] == t.root
     assert t.table[path[-1], 0] < 0
 
 
-def test_building_a_tree_leaves_its_heavy_paths_unbuilt():
-    trees = (random_ternary_tree(500, 1), complete_tree.__wrapped__(6),
-             TernaryTree(((1, 2), (), ())), TernaryTree(random_ternary_tree(50, 2).table))
-    for t in trees:
-        assert "heavy" not in vars(t)
-        assert t.heavy.hp[t.heavy.start[t.root]] == t.root
-        assert "heavy" in vars(t)
+def heads_and_depths(start, hp):
+    """Each node's path head and its depth below it, from heavy_paths'
+    ``start`` and ``hp``: v sits at hp[start[v] + depth[v]]."""
+    at = np.empty(len(hp), np.int64)
+    at[hp] = np.arange(len(hp))
+    return hp[start], at - start
 
 
 def test_random_tree_determinism():
@@ -355,13 +371,14 @@ def assert_matches_oracle(children, root):
     sizes = oracle_sizes(children, topo)
     assert t.size.tolist() == sizes
     order = oracle_heavy_order(children, sizes)
-    h = t.heavy
-    assert h.order.tolist() == order
+    K, start, length, hp = heavy_paths(t)
+    head, depth = heads_and_depths(start, hp)
+    assert K.tolist() == order
     paths = [oracle_heavy_path(order, v) for v in range(t.n)]
-    assert [h.hp[s + d:s + k].tolist()
-            for s, d, k in zip(h.start.tolist(), h.depth.tolist(), h.length.tolist())] == paths
-    assert [paths[u][d] for u, d in zip(h.head.tolist(), h.depth.tolist())] == list(range(t.n))
-    assert all(v == root or order[parent[v]][0] != v for v in h.head.tolist())
+    assert [hp[s + d:s + k].tolist()
+            for s, d, k in zip(start.tolist(), depth.tolist(), length.tolist())] == paths
+    assert [paths[u][d] for u, d in zip(head.tolist(), depth.tolist())] == list(range(t.n))
+    assert all(v == root or order[parent[v]][0] != v for v in head.tolist())
     assert [a.tolist() for a in edge_arrays(t)] == list(oracle_edge_arrays(children))
     assert t.complete_height == oracle_complete_height(children, topo)
     assert TernaryTree(t.table, root) == t == tree_from_json(tree_to_json(t))

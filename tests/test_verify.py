@@ -1,11 +1,14 @@
+import importlib
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ternarydraw.geometry import Extents, GridDrawing, edge_arrays, edge_segments, extents
+from ternarydraw.geometry import (Extents, GridDrawing, drawing_to_json, edge_arrays,
+                                  edge_segments, extents)
 from ternarydraw.layout_complete import (draw_c1_only, draw_c2_only, draw_golden,
                                          draw_upper_1149)
 from ternarydraw.layout_general import draw_general
@@ -17,9 +20,10 @@ from ternarydraw.verify import (VerificationError, build_report, check_on_grid,
                                 check_top_visibility, fib_lower_bound,
                                 leg_arm_lengths, report_to_json)
 
+from conftest import min_area_drawing
 from report_oracle import (brute_subtree_separation, naive_check_planar,
                            oracle_leg_arm_lengths, oracle_report, parents_first,
-                           segment_extents, split_segments)
+                           segment_extents)
 
 
 def random_orthogonal_drawing(n, seed):
@@ -300,9 +304,9 @@ def test_large_drawing_planarity_speed():
 def reference_extents(d):
     """Extents by listing the covered grid lines without merging intervals:
     every node's line, plus each gap between consecutive node lines that
-    some positive-length horizontal/vertical edge spans whole (an edge ends
-    at nodes, so it covers a gap whole or not at all); a diagonal edge
-    covers only its endpoints."""
+    some edge of positive span along that axis spans whole, a diagonal edge
+    included (an edge ends at nodes, so it covers a gap whole or not at
+    all)."""
     segs = edge_segments(d)
     rx, ry = d.root_pos()
 
@@ -316,9 +320,9 @@ def reference_extents(d):
                 sum(hi - lo + 1 for lo, hi in covered if lo > pivot))
 
     w, lw, rw = counts([x for x, _ in d.pos], [(min(x1, x2), max(x1, x2))
-                       for x1, y1, x2, y2 in segs if y1 == y2 and x1 != x2], rx)
+                       for x1, _, x2, _ in segs if x1 != x2], rx)
     h, th, bh = counts([y for _, y in d.pos], [(min(y1, y2), max(y1, y2))
-                       for x1, y1, x2, y2 in segs if x1 == x2 and y1 != y2], ry)
+                       for _, y1, _, y2 in segs if y1 != y2], ry)
     return w, h, lw, rw, th, bh
 
 
@@ -393,6 +397,31 @@ def test_report_matches_standalone_checks(d):
     fields = (r.planar, r.orthogonal, r.on_grid, r.top_visible, r.subtree_separated)
     assert all(type(f) is bool for f in fields)
     assert all(type(v) is int for v in (*vars(e).values(), *legs) if v is not None)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# drawings at the sizes the CLI is run at: (build, algorithm, complete height)
+LATTICE_CASES = {
+    "general-200000-1": (lambda: draw_general(random_ternary_tree(200_000, 1)), "general", None),
+    "general-200000-2": (lambda: draw_general(random_ternary_tree(200_000, 2)), "general", None),
+    "c1-10": (lambda: draw_c1_only(10), "c1", 10),
+    "golden-narrow-10": (lambda: draw_golden(10)[0], "golden-narrow", 10),
+    "pareto-min-10": (lambda: min_area_drawing(10), "pareto-min", 10),
+}
+
+
+@pytest.mark.parametrize("case", LATTICE_CASES)
+def test_report_extents_match_the_benchmark_lattice_count(monkeypatch, case):
+    # perfbench/check.py counts the distinct columns and rows of the nodes
+    # and of every lattice point inside an edge, without the package
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    check = importlib.import_module("check")
+    build, algo, h = LATTICE_CASES[case]
+    d = build()
+    dims = check.check_drawing(drawing_to_json(d), n=d.tree.n, algo=algo, complete_h=h)
+    e = build_report(d).extents
+    assert (e.width, e.height) == (dims.width, dims.height)
 
 
 def test_report_on_a_path_drawn_on_one_row():
@@ -471,8 +500,7 @@ def test_report_matches_sort_based_oracle(d):
     assert r.planar == (r.on_grid and r.orthogonal and naive_check_planar(d))
     if d.tree.n <= 60:
         assert r.subtree_separated == brute_subtree_separation(d)
-    hs, vs, _ = split_segments(d.pos, *edge_arrays(d.tree))
-    assert r.extents == extents(d) == segment_extents(d.pos, d.tree.root, hs, vs)
+    assert r.extents == extents(d) == segment_extents(d.pos, d.tree.root, *edge_arrays(d.tree))
 
 
 def test_collinear_overlap_needs_no_pass_of_its_own():
