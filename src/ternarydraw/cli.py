@@ -1,8 +1,11 @@
 """Command-line entry point: draw, tabulate, fit, verify.
 
-Exit codes: 0 ok, 1 verification-negative, 2 user error, 3 internal error
-(a construction produced a drawing that failed its own verification, or an
-unexpected exception).
+Exit codes: 0 ok, 1 verification-negative, 2 user error (a failed write to
+standard output included), 3 internal error (a construction produced a
+drawing that failed its own verification, or an unexpected exception).
+
+``run()`` is the console entry point: ``main()``, then the process ends
+without the interpreter's teardown. In-process callers use ``main()``.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import json
 import os
 import sys
 from importlib import import_module
-from typing import TYPE_CHECKING, Optional
+from itertools import chain
+from typing import TYPE_CHECKING, NoReturn, Optional
 
 if TYPE_CHECKING:
     from .geometry import GridDrawing
@@ -22,7 +26,8 @@ if TYPE_CHECKING:
 
 # The names draw and verify use, each resolved through the package's export
 # table. They are bound on first use, by module __getattr__ or by _bind, so
-# that `table` on a warm cache imports neither numpy nor the layouts.
+# that `table` on a warm cache imports neither numpy nor the layouts, and a
+# draw loads only its own layout module.
 # perfbench/child.py and tests set some of these names on this module to wrap
 # them (drawing_to_json and extents are here only for child.py), and a name
 # already set is never bound again.
@@ -40,7 +45,7 @@ def __getattr__(name: str):
     return value
 
 
-def _bind(names: tuple[str, ...] = _LAZY) -> None:
+def _bind(names: tuple[str, ...]) -> None:
     """Bind each of names that is not set yet."""
     for name in names:
         if name not in globals():
@@ -49,6 +54,16 @@ def _bind(names: tuple[str, ...] = _LAZY) -> None:
 
 class UserError(Exception):
     pass
+
+
+def _emit(blocks) -> None:
+    """Write blocks to standard output and flush it, so that a failed write
+    surfaces here, buffered or not: a user error (exit 2), not a crash."""
+    try:
+        sys.stdout.writelines(blocks)
+        sys.stdout.flush()
+    except OSError as e:
+        raise UserError(f"cannot write standard output: {e}") from e
 
 
 def _parse_treespec(spec: str) -> TernaryTree:
@@ -107,8 +122,15 @@ def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
     raise UserError(f"unknown algorithm {algo!r}")
 
 
+# The names each kind of draw binds besides the tree parsers and the verifier.
+_LAYOUT_NAMES = {"general": ("draw_general", "LayoutParams"), "pareto-min": ()}
+_COMPLETE_LAYOUT_NAMES = ("draw_c1_only", "draw_c2_only", "draw_golden", "draw_upper_1149")
+
+
 def cmd_draw(args) -> int:
-    _bind()
+    _bind(("TreeError", "random_ternary_tree", "tree_from_json", "build_report",
+           *_LAYOUT_NAMES.get(args.algo, _COMPLETE_LAYOUT_NAMES),
+           "drawing_to_svg" if args.format == "svg" else "drawing_json_blocks"))
     tree = _parse_treespec(args.tree)
     drawing = _build(tree, args.algo, args.cache_dir)
     report = build_report(drawing)
@@ -134,8 +156,7 @@ def cmd_draw(args) -> int:
         except OSError as e:
             raise UserError(f"cannot write {args.out!r}: {e}") from e
     else:
-        sys.stdout.writelines(blocks)
-        sys.stdout.write("\n")
+        _emit(chain(blocks, ["\n"]))
     print(f"nodes={n} width={ext.width} height={ext.height} area={ext.area}",
           file=sys.stderr)
     return 0
@@ -145,11 +166,12 @@ def cmd_table(args) -> int:
     if not 1 <= args.h_max <= 20:
         raise UserError("h must be between 1 and 20")
     fronts = _levels(args.h_max, args.cache_dir)
-    print(f"{'h':>3} {'n':>12} {'min area':>14}")
+    lines = [f"{'h':>3} {'n':>12} {'min area':>14}\n"]
     for fr in fronts:
         area, _ = fr.min_area()
         n = (3 ** fr.h - 1) // 2
-        print(f"{fr.h:>3} {n:>12} {area:>14}")
+        lines.append(f"{fr.h:>3} {n:>12} {area:>14}\n")
+    _emit(lines)
     return 0
 
 
@@ -183,7 +205,7 @@ def cmd_fit(args) -> int:
         fit = pareto.fit_power_law(points)
     except ValueError as e:
         raise UserError(str(e)) from e
-    print(f"a={fit.a:.6g} b={fit.b:.6g} c={fit.c:.6g} sse={fit.sse:.6g}")
+    _emit([f"a={fit.a:.6g} b={fit.b:.6g} c={fit.c:.6g} sse={fit.sse:.6g}\n"])
     return 0
 
 
@@ -208,7 +230,7 @@ def cmd_verify(args) -> int:
             MemoryError) as e:  # MemoryError: a drawing too large to hold
         raise UserError(f"cannot read drawing {args.drawing!r}: {e}") from e
     report = build_report(drawing)
-    print(report_to_json(report))
+    _emit([report_to_json(report), "\n"])
     return 0 if (report.planar and report.orthogonal and report.on_grid) else 1
 
 
@@ -261,5 +283,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
 
 
+def run() -> NoReturn:
+    """Console entry point: ``main()``, then stdout and stderr flushed and
+    the process ended by ``os._exit``, without the interpreter's teardown
+    (so no ``atexit`` handler runs). argparse's SystemExit (``--help``, bad
+    arguments) passes through."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # main() flushes stdout and reported its failed write
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -83,16 +83,19 @@ def edge_segments(d: GridDrawing) -> np.ndarray:
 
 def edge_arrays(t: TernaryTree) -> tuple[np.ndarray, np.ndarray]:
     """(parent, child) node ids, one entry per edge, ordered by parent id and
-    then by child slot."""
-    parent, slot = np.nonzero(t.table >= 0)
-    return parent, t.table[parent, slot]
+    then by child slot: the filled entries of the raveled table in order."""
+    table = t.table.ravel()
+    at = np.flatnonzero(table >= 0)
+    return at // 3, table[at]
 
 
 def bbox(d: GridDrawing) -> tuple[int, int, int, int]:
     """(xmin, xmax, ymin, ymax) of the whole drawing. Every edge joins two
-    nodes, so the box over the node positions is exact."""
-    (xmin, ymin), (xmax, ymax) = d.pos.min(axis=0).tolist(), d.pos.max(axis=0).tolist()
-    return xmin, xmax, ymin, ymax
+    nodes, so the box over the node positions is exact. One 1-D reduction
+    per column and bound: an axis-0 reduction of the (n, 2) array runs a
+    two-wide inner loop per row."""
+    x, y = d.pos.T
+    return int(x.min()), int(x.max()), int(y.min()), int(y.max())
 
 
 class NodeRanks(NamedTuple):
@@ -110,12 +113,27 @@ class NodeRanks(NamedTuple):
     on_grid: bool
 
 
+def _dense_ranks(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(c, return_inverse=True)``: the distinct values in order
+    and each entry's rank among them. When c spans at most len(c) values,
+    as on every drawing the layouts make, they are counted instead of
+    sorted: a presence mask over the span and its running sum."""
+    lo, hi = c.min(), c.max()
+    if hi - lo >= len(c):  # sparse: only a sort bounds the work
+        return np.unique(c, return_inverse=True)
+    present = np.zeros(hi - lo + 1, bool)
+    present[c - lo] = True
+    rank = np.cumsum(present)
+    rank -= 1
+    return np.flatnonzero(present) + lo, rank[c - lo]
+
+
 def node_ranks(P: np.ndarray) -> NodeRanks:
-    """One sort per axis gives the ranks; one sort of the int64 key
+    """Dense ranks per axis (_dense_ranks); one sort of the int64 key
     ry * len(ux) + rx (resp. rx * len(uy) + ry), below n**2, gives each
     order. Ranks keep order and equality, so every check can read them in
     place of the coordinates."""
-    (ux, rx), (uy, ry) = (np.unique(c, return_inverse=True) for c in P.T)
+    (ux, rx), (uy, ry) = map(_dense_ranks, P.T)
     points, place_yx = np.unique(ry * len(ux) + rx, return_inverse=True)
     place_xy = np.unique(rx * len(uy) + ry, return_inverse=True)[1]
     return NodeRanks(rx, ry, ux, uy, place_yx, place_xy, len(points) == len(P))
@@ -246,8 +264,12 @@ def _lists(buf: np.ndarray, lo: int, hi: int, indent: int, n: int,
             or np.count_nonzero(buf[lo:hi] == ord(" ")) != indent * len(width) + 2 * item.sum()):
         return None
     counts = np.diff(np.append(lists, len(width))) - 1 - opener[lists]
-    ends, sizes = bounds[1:][item] - comma[item], width[item] - (indent + 2)
-    del bounds, width
+    items = np.flatnonzero(item)  # the item lines, selected once
+    del key, after, opener, closer, empty, first, last, item  # before the per-item arrays
+    ends, sizes = bounds[1:].take(items), width.take(items)
+    ends -= comma.take(items)
+    sizes -= indent + 2
+    del bounds, width, comma, items
     values = _integers(buf, ends, sizes, signed)
     return None if values is None else (counts, values)
 

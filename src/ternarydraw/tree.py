@@ -5,7 +5,6 @@ array, built and validated once by numpy passes, never node by node."""
 
 from __future__ import annotations
 
-import math
 import random
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -101,15 +100,20 @@ class TernaryTree:
     @cached_property
     def complete_height(self) -> Optional[int]:
         """Number of nodes on every root-to-leaf path if the tree is a
-        complete ternary tree, else None. It is complete iff every node has
-        0 or 3 children and each node's three child subtrees have one size
-        (by induction on the size, they are then complete trees of one
-        height)."""
-        inner = self.table[:, 2] >= 0
-        if np.any(self.table[~inner, 0] >= 0):  # a node with 1 or 2 children
-            return None
-        S = self.size[self.table[inner]]
-        return None if np.any(S != S[:, :1]) else round(math.log(2 * self.n + 1, 3))
+        complete ternary tree, else None. Its levels are walked from the
+        root: each must be all inner nodes (three children each) until one
+        is all leaves, and the levels must hold all n nodes. The walk stops
+        at the first level that is neither, so it reads at most
+        log3(2n + 1) levels and never the subtree sizes."""
+        level, seen, h = np.array([self.root]), 0, 1
+        while True:
+            seen += len(level)
+            rows = self.table.take(level, axis=0)
+            if np.all(rows[:, 0] < 0):  # all leaves
+                return h if seen == self.n else None
+            if np.any(rows[:, 2] < 0):  # a leaf or a node with 1 or 2 children
+                return None
+            level, h = rows.ravel(), h + 1
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -231,9 +231,10 @@ def leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
 
 def build_report(d: GridDrawing) -> VerificationReport:
     """All checks, reading one ranking of the nodes, one pair of edge arrays
-    and one set of runs: four sorts of n entries before the crossing
-    search. The arrays derived from d.pos die on return, not kept with the
-    drawing, so they never add to a caller's peak memory."""
+    and one set of runs: two sorts of n entries before the crossing
+    search, and one more per axis too sparse to count (node_ranks). The
+    arrays derived from d.pos die on return, not kept with the drawing, so
+    they never add to a caller's peak memory."""
     r, parent, child, h, v, hs, vs = _ranked(d)
     sep = _separated(r, d.tree, parent, child)
     orthogonal = len(hs) + len(vs) == len(parent)

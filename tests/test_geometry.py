@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ternarydraw import geometry
 from ternarydraw.geometry import (Extents, GridDrawing, drawing_from_json,
                                   drawing_json, drawing_json_blocks, drawing_to_json,
-                                  edge_segments, extents, read_canonical)
+                                  edge_segments, extents, node_ranks, read_canonical)
 from ternarydraw.layout_complete import (draw_c1_only, draw_c2_only,
                                          draw_golden, draw_upper_1149)
 from ternarydraw.layout_general import draw_general
@@ -183,6 +183,55 @@ def test_drawing_json_never_rounds():
     # a fractional coordinate is refused before any drawing holds it
     with pytest.raises(ValueError):
         drawing_json(GridDrawing(TernaryTree(((1,), ())), ((0, 0), (0.5, 0))))
+
+
+def sorted_node_ranks(P):
+    """node_ranks with every rank from np.unique: the sort-only path."""
+    (ux, rx), (uy, ry) = (np.unique(c, return_inverse=True) for c in P.T)
+    points, place_yx = np.unique(ry * len(ux) + rx, return_inverse=True)
+    place_xy = np.unique(rx * len(uy) + ry, return_inverse=True)[1]
+    return rx, ry, ux, uy, place_yx, place_xy, len(points) == len(P)
+
+
+BIG = 2 ** 62 - 1
+
+
+@pytest.mark.parametrize("axis", [
+    [0, 5, 2, 2, 3, 1],  # spans exactly n values: counted
+    [0, 6, 2, 2, 3, 1],  # spans n + 1 values: sorted
+    [-3, -1, -3, 0, -2, 1],
+    [-9, -5, -9, -4, -6, -8],
+    [-BIG, BIG, 0, BIG, -BIG, 7],
+    [BIG, BIG - 5, BIG - 2, BIG - 2, BIG - 1, BIG - 3],
+    [-BIG, -BIG + 5, -BIG + 2, -BIG, -BIG + 4, -BIG + 1],
+    [4, 4, 4, 4, 4, 4],
+])
+def test_node_ranks_equal_the_sorted_ranks(axis):
+    other = [3, 1, 4, 1, 5, 9]
+    for P in (np.array([axis, other]).T, np.array([other, axis]).T, np.array([axis, axis]).T):
+        got, want = node_ranks(P), sorted_node_ranks(P)
+        for a, b in zip(got, want):
+            assert np.asarray(a).dtype == np.asarray(b).dtype
+            assert np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 80), st.sampled_from([0, -BIG, BIG - 80]),
+       st.randoms(use_true_random=False))
+def test_node_ranks_equal_the_sorted_ranks_on_dense_and_sparse_axes(n, spread, offset, rnd):
+    P = np.array([[offset + rnd.randint(0, spread) for _ in range(2)] for _ in range(n)])
+    got, want = node_ranks(P), sorted_node_ranks(P)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_extents_exact_at_the_coordinate_limit():
+    t = TernaryTree(((1, 2, 3), (4,), (), (), ()))
+    d = GridDrawing(t, ((0, 0), (-BIG, 0), (0, -BIG), (BIG, 0), (-BIG, BIG)))
+    assert extents(d) == Extents(2 * BIG + 1, 2 * BIG + 1, BIG, BIG, BIG, BIG)
+    d = GridDrawing(t, ((BIG, -BIG), (BIG - 1, -BIG), (BIG, -BIG + 2), (BIG - 3, -BIG), (BIG, 1 - BIG)))
+    assert extents(d) == Extents(4, 3, 3, 0, 0, 2)
+    assert geometry.bbox(d) == (BIG - 3, BIG, -BIG, 2 - BIG)
+    assert all(type(c) is int for c in geometry.bbox(d))
 
 
 def test_extents_reject_off_grid_drawings():

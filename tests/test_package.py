@@ -86,6 +86,23 @@ def test_verify_loads_no_layout_or_render(tmp_path):
                                         "ternarydraw.tree", "ternarydraw.verify"])
 
 
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (["draw", "random:30:1"], "layout_general", ("layout_complete", "render")),
+    (["draw", "complete:3", "--algo", "golden-wide"], "layout_complete", ("layout_general", "render")),
+    (["draw", "complete:3", "--algo", "upper1149"], "layout_complete", ("layout_general", "render")),
+    (["draw", "complete:3", "--algo", "c1", "--format", "svg"], "render", ("layout_general",)),
+    (["draw", "random:30:1", "--format", "svg"], "render", ("layout_complete",)),
+])
+def test_draw_loads_only_its_layout_and_format(tmp_path, argv, loaded, absent):
+    out = fresh("import sys\n"
+                "from ternarydraw import cli\n"
+                f"assert cli.main({argv + ['--out', str(tmp_path / 'd')]!r}) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('ternarydraw.')))")
+    modules = out.splitlines()[-1]
+    assert f"ternarydraw.{loaded}" in modules
+    assert not [m for m in absent if f"ternarydraw.{m}" in modules]
+
+
 # Records OPENBLAS_NUM_THREADS as it is when numpy is imported, then runs
 # the rest of the script; the variable starts unset unless PRESET is given.
 OPENBLAS_SPY = """\

@@ -10,6 +10,8 @@ from ternarydraw.tree import (TernaryTree, TreeError, complete_tree, random_tern
                               tree_from_json, tree_to_json)
 from ternarydraw.verify import _subtree_boxes
 
+from conftest import path_tree, shuffled
+
 
 def test_complete_tree_sizes():
     for h in range(1, 9):
@@ -213,6 +215,48 @@ def test_complete_height_negative_cases():
     # uneven leaf depths
     t = TernaryTree(((1, 2, 3), (), (), (4, 5, 6), (), (), ()))
     assert t.complete_height is None
+
+
+def off_zero(t):
+    """t relabelled so that its root is not node 0."""
+    return next(u for u in (shuffled(t, s) for s in range(20)) if u.root != 0)
+
+
+def test_complete_height_of_a_single_node():
+    assert TernaryTree(((),)).complete_height == 1
+    assert TernaryTree(np.full((1, 3), -1)).complete_height == 1
+
+
+@pytest.mark.parametrize("h", range(2, 8))
+def test_complete_height_of_relabelled_complete_trees(h):
+    t = off_zero(complete_tree(h))
+    assert "complete_height" not in vars(t)  # found by the level walk, not copied
+    assert t.complete_height == h
+
+
+@pytest.mark.parametrize("h", range(2, 6))
+@pytest.mark.parametrize("leaf", ["first", "last"])
+def test_complete_height_is_none_when_leaves_lie_on_two_depths(h, leaf):
+    # every node has 0 or 3 children: one leaf of T_h grows three leaves
+    t = complete_tree(h)
+    leaves = np.flatnonzero(t.table[:, 0] < 0)
+    table = np.concatenate([t.table, np.full((3, 3), -1)])
+    table[leaves[0 if leaf == "first" else -1]] = np.arange(t.n, t.n + 3)
+    grown = TernaryTree(table)
+    assert set((grown.table >= 0).sum(axis=1).tolist()) == {0, 3}
+    assert grown.complete_height is None
+    assert off_zero(grown).complete_height is None
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_edge_arrays_keep_the_nonzero_order(seed):
+    for t in (random_ternary_tree(300, seed), off_zero(random_ternary_tree(300, seed)),
+              off_zero(complete_tree(5)), path_tree(50)):
+        parent, slot = np.nonzero(t.table >= 0)  # row-major: by parent, then by slot
+        got = edge_arrays(t)
+        assert [a.dtype for a in got] == [parent.dtype, t.table.dtype]
+        assert got[0].tolist() == parent.tolist()
+        assert got[1].tolist() == t.table[parent, slot].tolist()
 
 
 @given(st.integers(1, 120), st.integers(0, 20))
