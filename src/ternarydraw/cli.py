@@ -24,23 +24,16 @@ if TYPE_CHECKING:
     from .pareto import ParetoFrontier
     from .tree import TernaryTree
 
-# The names draw and verify use, each resolved through the package's export
-# table. They are bound on first use, by module __getattr__ or by _bind, so
-# that `table` on a warm cache imports neither numpy nor the layouts, and a
-# draw loads only its own layout module.
-# perfbench/child.py and tests set some of these names on this module to wrap
-# them (drawing_to_json and extents are here only for child.py), and a name
-# already set is never bound again.
-_LAZY = ("drawing_from_json", "drawing_json_blocks", "drawing_to_json", "extents",
-         "read_canonical", "draw_c1_only", "draw_c2_only", "draw_golden", "draw_upper_1149",
-         "LayoutParams", "draw_general", "drawing_to_svg", "TreeError",
-         "random_ternary_tree", "tree_from_json", "build_report", "report_to_json")
-
-
+# The names draw and verify use are bound on first use, by module
+# __getattr__ (any name of the package's export table) or by _bind, so that
+# `table` on a warm cache imports neither numpy nor the layouts, and a draw
+# loads only its own layout module. A name already set on this module (tests
+# and perfbench/child.py set some to wrap them) is never bound again.
 def __getattr__(name: str):
-    if name not in _LAZY:
+    package = import_module(__package__)
+    if name not in package._EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(__package__), name)
+    value = getattr(package, name)
     globals()[name] = value
     return value
 
@@ -56,14 +49,20 @@ class UserError(Exception):
     pass
 
 
-def _emit(blocks) -> None:
-    """Write blocks to standard output and flush it, so that a failed write
-    surfaces here, buffered or not: a user error (exit 2), not a crash."""
+def _emit(blocks, path: Optional[str] = None) -> None:
+    """Write blocks to the file at path, or to standard output and flush it,
+    so that a failed write surfaces here, buffered or not: a user error
+    (exit 2), not a crash."""
     try:
-        sys.stdout.writelines(blocks)
-        sys.stdout.flush()
+        if path:
+            with open(path, "w") as f:
+                f.writelines(blocks)
+        else:
+            sys.stdout.writelines(blocks)
+            sys.stdout.flush()
     except OSError as e:
-        raise UserError(f"cannot write standard output: {e}") from e
+        raise UserError(f"cannot write {path!r}: {e}" if path
+                        else f"cannot write standard output: {e}") from e
 
 
 def _parse_treespec(spec: str) -> TernaryTree:
@@ -148,15 +147,7 @@ def cmd_draw(args) -> int:
         blocks = [drawing_to_svg(drawing)]
     else:  # written block by block: the document is never joined
         blocks = drawing_json_blocks(drawing)
-    if args.out:
-        try:
-            with open(args.out, "w") as f:
-                f.writelines(blocks)
-                f.write("\n")
-        except OSError as e:
-            raise UserError(f"cannot write {args.out!r}: {e}") from e
-    else:
-        _emit(chain(blocks, ["\n"]))
+    _emit(chain(blocks, ["\n"]), args.out)
     print(f"nodes={n} width={ext.width} height={ext.height} area={ext.area}",
           file=sys.stderr)
     return 0

@@ -196,6 +196,7 @@ class CacheError(ValueError):
 
 
 _HEADER = re.compile(r"h=(\d+) count=([1-9]\d*)")
+_ROW = re.compile(r"(0|[1-9]\d*) (0|[1-9]\d*) (0|[1-9]\d*) (0|[1-9]\d*) ([12])")
 
 
 def load_frontier(cache_dir: str, h: int, below: ParetoFrontier) -> Optional[ParetoFrontier]:
@@ -204,12 +205,13 @@ def load_frontier(cache_dir: str, h: int, below: ParetoFrontier) -> Optional[Par
 
     The whole file is checked before any of it is used, in O(k): the header
     ``h=<h> count=<k>``, then exactly k rows ``w e arm center construction``
-    written as save_frontier writes them, with odd widths, w strictly
-    increasing and e strictly decreasing, construction 1 or 2, arm and center
-    indices into ``below``, and each pair the one its recipe builds from
-    ``below``. The first failure raises CacheError naming the file and the
-    row (row 0 is the header). Only a frontier pair missing from an otherwise
-    valid file goes unnoticed: finding it means recomputing the level."""
+    written as save_frontier writes them, construction 1 or 2, with w
+    strictly increasing and e strictly decreasing, arm and center indices
+    into ``below``, and each pair the one its recipe builds from ``below``
+    (so every width is odd). The first failure raises CacheError naming the
+    file and the row (row 0 is the header). Only a frontier pair missing
+    from an otherwise valid file goes unnoticed: finding it means
+    recomputing the level."""
     path = _cache_path(cache_dir, h)
     try:
         with open(path, "rb") as f:
@@ -237,19 +239,13 @@ def load_frontier(cache_dir: str, h: int, below: ParetoFrontier) -> Optional[Par
     pairs: list[Pair] = []
     recipes: list[Recipe] = []
     for r in range(1, count + 1):
-        line = rows[r]
-        try:
-            w, e, arm, center, constr = map(int, line.split(" "))
-        except ValueError:
-            raise bad(r, f"{line!r} is not five integers") from None
-        if line != f"{w} {e} {arm} {center} {constr}":
-            raise bad(r, f"{line!r} is not in the form save_frontier writes")
-        if w % 2 == 0:
-            raise bad(r, f"width {w} is even")
+        row = _ROW.fullmatch(rows[r])
+        if row is None:
+            raise bad(r, f"{rows[r]!r} is not 'w e arm center construction' as "
+                         "save_frontier writes it (construction 1 or 2)")
+        w, e, arm, center, constr = map(int, row.groups())
         if pairs and not (w > pairs[-1][0] and e < pairs[-1][1]):
             raise bad(r, f"pair {(w, e)} is not wider and lower than the pair {pairs[-1]} above it")
-        if constr not in (1, 2):
-            raise bad(r, f"construction {constr} is not 1 or 2")
         if not (0 <= arm < k and 0 <= center < k):
             raise bad(r, f"arm {arm} or center {center} is not an index into the {k} "
                          f"pairs of h={h - 1}")
@@ -341,16 +337,22 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
     lo, hi = 0.5, 2.0
     m1 = hi - invphi * (hi - lo)
     m2 = lo + invphi * (hi - lo)
-    f1, f2 = solve(m1)[2], solve(m2)[2]
-    while hi - lo > 1e-6:
-        if f1 <= f2:
-            hi, m2, f2 = m2, m1, f1
-            m1 = hi - invphi * (hi - lo)
-            f1 = solve(m1)[2]
-        else:
-            lo, m1, f1 = m1, m2, f2
-            m2 = lo + invphi * (hi - lo)
-            f2 = solve(m2)[2]
-    b = (lo + hi) / 2
-    a, c, sse = solve(b)
+    try:  # an overflow anywhere in the search is an error, never a printed inf
+        with np.errstate(over="raise", invalid="raise"):
+            f1, f2 = solve(m1)[2], solve(m2)[2]
+            while hi - lo > 1e-6:
+                if f1 <= f2:
+                    hi, m2, f2 = m2, m1, f1
+                    m1 = hi - invphi * (hi - lo)
+                    f1 = solve(m1)[2]
+                else:
+                    lo, m1, f1 = m1, m2, f2
+                    m2 = lo + invphi * (hi - lo)
+                    f2 = solve(m2)[2]
+            b = (lo + hi) / 2
+            a, c, sse = solve(b)
+    except FloatingPointError as e:
+        raise ValueError(f"no finite fit: {e}") from None
+    if not all(map(math.isfinite, (a, c, sse))):
+        raise ValueError(f"no finite fit: a={a} c={c} sse={sse}")
     return PowerLawFit(a, b, c, sse)

@@ -31,22 +31,14 @@ class VerificationReport:
     right_arm_length: Optional[int] = None
 
 
-def _ranked(d: GridDrawing) -> tuple:
-    """The shared pass: node ranks, edge arrays, rank_runs' edges and runs."""
-    parent, child = edge_arrays(d.tree)
-    r = node_ranks(d.pos)
-    return r, parent, child, *rank_runs(r, parent, child)
-
-
 def check_on_grid(d: GridDrawing) -> bool:
     """Pairwise distinct points (GridDrawing holds only integers)."""
-    return node_ranks(d.pos).on_grid
+    return build_report(d).on_grid
 
 
 def check_orthogonal(d: GridDrawing) -> bool:
     """Every edge a horizontal or vertical segment of positive length."""
-    _, parent, _, _, _, hs, vs = _ranked(d)
-    return len(hs) + len(vs) == len(parent)
+    return build_report(d).orthogonal
 
 
 def _interior_crossing(hs: np.ndarray, vs: np.ndarray, width: int, height: int) -> bool:
@@ -90,13 +82,13 @@ def _interior_crossing(hs: np.ndarray, vs: np.ndarray, width: int, height: int) 
 
 def check_planar(d: GridDrawing) -> bool:
     """No two edges share a point except a common endpoint, and no node lies
-    in the interior of any edge. Reads the shared node ranks, plus one
-    search per level of a dyadic split of the verticals for the crossings;
-    handles 1e6 edges."""
-    r, parent, _, h, v, hs, vs = _ranked(d)
-    if not (r.on_grid and len(hs) + len(vs) == len(parent)):
+    in the interior of any edge. build_report's verdict: one search per
+    level of a dyadic split of the verticals for the crossings; handles 1e6
+    edges. ValueError if d is not an orthogonal grid drawing."""
+    r = build_report(d)
+    if not (r.on_grid and r.orthogonal):
         raise ValueError("check_planar requires an orthogonal grid drawing")
-    return _planar(r, h, v, hs, vs)
+    return r.planar
 
 
 def _planar(r: NodeRanks, h: tuple, v: tuple, hs: np.ndarray, vs: np.ndarray) -> bool:
@@ -121,9 +113,8 @@ def _planar(r: NodeRanks, h: tuple, v: tuple, hs: np.ndarray, vs: np.ndarray) ->
 
 def check_top_visibility(d: GridDrawing) -> bool:
     """The vertical half-line going up from the root meets the drawing only
-    at the root."""
-    r, _, _, _, _, hs, _ = _ranked(d)
-    return _top_visible(r, d.tree.root, hs)
+    at the root. False on a drawing that is not an orthogonal grid drawing."""
+    return build_report(d).top_visible
 
 
 def _top_visible(r: NodeRanks, root: int, hs: np.ndarray) -> bool:
@@ -164,7 +155,7 @@ def check_subtree_separation(d: GridDrawing) -> bool:
     disjoint as closed rectangles. The local sibling condition implies the
     global pairwise one (two node-disjoint subtrees nest inside distinct
     child subtrees at their roots' lowest common ancestor)."""
-    return _separated(node_ranks(d.pos), d.tree, *edge_arrays(d.tree))
+    return build_report(d).subtree_separated
 
 
 def fib_lower_bound(h: int) -> int:
@@ -235,7 +226,9 @@ def build_report(d: GridDrawing) -> VerificationReport:
     search, and one more per axis too sparse to count (node_ranks). The
     arrays derived from d.pos die on return, not kept with the drawing, so
     they never add to a caller's peak memory."""
-    r, parent, child, h, v, hs, vs = _ranked(d)
+    parent, child = edge_arrays(d.tree)
+    r = node_ranks(d.pos)
+    h, v, hs, vs = rank_runs(r, parent, child)
     sep = _separated(r, d.tree, parent, child)
     orthogonal = len(hs) + len(vs) == len(parent)
     valid = r.on_grid and orthogonal

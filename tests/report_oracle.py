@@ -6,16 +6,16 @@ their own, and the leg and arms are measured by the old per-node chain walk.
 ``oracle_report`` must agree with ``verify.build_report`` field for field,
 and ``segment_extents`` with ``geometry.extents``.
 
-Beside it, the brute-force checks ``naive_check_planar`` (all edge pairs)
-and ``brute_subtree_separation`` (all node-disjoint subtree pairs), for
-small drawings only."""
+Beside it, the brute-force checks ``naive_check_planar`` (all edge pairs),
+``brute_top_visible`` (every edge against the root's half-line) and
+``brute_subtree_separation`` (all node-disjoint subtree pairs), for small
+drawings only."""
 
 import numpy as np
 
 from ternarydraw.geometry import Extents, GridDrawing, edge_arrays, edge_segments
 from ternarydraw.tree import TernaryTree
-from ternarydraw.verify import (VerificationError, VerificationReport, check_on_grid,
-                                check_orthogonal)
+from ternarydraw.verify import VerificationError, VerificationReport
 
 
 def split_segments(P, parent, child):
@@ -278,7 +278,7 @@ def oracle_report(d: GridDrawing) -> VerificationReport:
 def naive_check_planar(d: GridDrawing) -> bool:
     """O(m^2) all-pairs oracle for check_planar (numpy-vectorized brute
     force). Intended for m <= a few thousand."""
-    if not (check_on_grid(d) and check_orthogonal(d)):
+    if not (_on_grid(d.pos) and split_segments(d.pos, *edge_arrays(d.tree))[2]):
         raise ValueError("naive_check_planar requires an orthogonal grid drawing")
     x1, y1, x2, y2 = edge_segments(d).T
     h, v = y1 == y2, x1 == x2
@@ -301,6 +301,14 @@ def naive_check_planar(d: GridDrawing) -> bool:
     shared_endpoint = (((vx == hx1[:, None]) | (vx == hx2[:, None]))
                        & ((hy[:, None] == vy1) | (hy[:, None] == vy2)))
     return not np.any(cross & ~shared_endpoint)
+
+
+def brute_top_visible(d: GridDrawing) -> bool:
+    """Oracle for an orthogonal drawing: no edge meets the open half-line
+    going up from the root. Each node other than a lone root ends an edge."""
+    xr, yr = d.root_pos()
+    return not any(min(x1, x2) <= xr <= max(x1, x2) and min(y1, y2) < yr
+                   for x1, y1, x2, y2 in edge_segments(d).tolist())
 
 
 def brute_subtree_separation(d: GridDrawing) -> bool:

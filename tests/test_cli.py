@@ -348,6 +348,17 @@ def test_fit_rejects_non_finite_or_non_positive_rows(tmp_path, capfd, row):
     assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("rows", ["1 1e300\n2 1e300\n3 1e301", "1 1\n2 2\n1e300 3"],
+                         ids=["huge-areas", "huge-n"])
+def test_fit_that_overflows_exits_2_without_a_warning(tmp_path, capfd, rows):
+    # one error line: no sse=inf, no numpy RuntimeWarning, no LAPACK output
+    table = tmp_path / "t.txt"
+    table.write_text(rows + "\n")
+    assert run("fit", str(table)) == 2
+    out, err = capfd.readouterr()
+    assert out == "" and err.startswith("error: no finite fit") and len(err.splitlines()) == 1
+
+
 def test_svg_output(tmp_path):
     out = tmp_path / "d.svg"
     assert run("draw", "complete:3", "--algo", "c1", "--format", "svg",
@@ -539,11 +550,16 @@ def corrupted_caches(files):
     yield name, 2, "\n".join([header, rows[0], "\u00e9" + rows[1], *rows[2:]]) + "\n"  # not ASCII
     yield name, 1, "\n".join([header, "0" + rows[0], *rows[1:]]) + "\n"  # not as written
     yield name, 1, "\n".join([header, "10" + rows[0][1:], *rows[1:]]) + "\n"  # an even width
+    # int() reads each field of these: a sign, a doubled space, a trailing space
+    name = "frontier_h02.txt"
+    header, row = files[name].splitlines()
+    for bad in ("+" + row, row.replace(" ", "  ", 1), row + " "):
+        yield name, 1, f"{header}\n{bad}\n"
 
 
 def test_corrupt_cache_exits_2_and_is_left_as_it_is(tmp_path, capsys, table5_cache):
     cases = list(corrupted_caches(table5_cache))
-    assert len(cases) == 5 * (1 + 2 + 4 + 8) + 8
+    assert len(cases) == 5 * (1 + 2 + 4 + 8) + 11
     out = tmp_path / "d.json"
     for n, (name, row, text) in enumerate(cases):
         cache = tmp_path / f"cache{n}"
