@@ -65,6 +65,11 @@ def _emit(blocks, path: Optional[str] = None) -> None:
                         else f"cannot write standard output: {e}") from e
 
 
+# What the tree and drawing readers raise on input they reject (exit 2): TreeError
+# is a ValueError, MemoryError an input too large to hold. The rest exit 3.
+_BAD_INPUT = (ValueError, OSError, RecursionError, MemoryError)
+
+
 def _parse_treespec(spec: str) -> TernaryTree:
     kind, _, rest = spec.partition(":")
     try:
@@ -77,8 +82,7 @@ def _parse_treespec(spec: str) -> TernaryTree:
         if kind == "file":
             with open(rest) as f:
                 return tree_from_json(json.load(f))
-    except (ValueError, TreeError, OSError, KeyError, TypeError, RecursionError,
-            MemoryError) as e:  # MemoryError: a tree too large to allocate
+    except _BAD_INPUT as e:
         raise UserError(f"bad tree spec {spec!r}: {e}") from e
     raise UserError(f"unknown tree spec kind {kind!r} "
                     "(expected complete:<h>, random:<n>:<seed>, or file:<path>)")
@@ -113,11 +117,7 @@ def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
         from . import pareto
 
         fronts = _levels(h, cache_dir)
-        _, pair = fronts[-1].min_area()
-        try:
-            return pareto.reconstruct_drawing(fronts, pair)
-        except ValueError as e:  # the cache's pair and recipes disagree
-            raise UserError(f"cannot reconstruct the drawing from {cache_dir!r}: {e}") from e
+        return pareto.reconstruct_drawing(fronts, fronts[-1].min_area()[1])
     raise UserError(f"unknown algorithm {algo!r}")
 
 
@@ -127,7 +127,7 @@ _COMPLETE_LAYOUT_NAMES = ("draw_c1_only", "draw_c2_only", "draw_golden", "draw_u
 
 
 def cmd_draw(args) -> int:
-    _bind(("TreeError", "random_ternary_tree", "tree_from_json", "build_report",
+    _bind(("random_ternary_tree", "tree_from_json", "build_report",
            *_LAYOUT_NAMES.get(args.algo, _COMPLETE_LAYOUT_NAMES),
            "drawing_to_svg" if args.format == "svg" else "drawing_json_blocks"))
     tree = _parse_treespec(args.tree)
@@ -204,23 +204,18 @@ def _read_drawing(path: str) -> GridDrawing:
     """The file's bytes are read once. The exact layout ``draw`` writes is
     parsed by geometry.read_canonical; any other layout goes through json,
     decoded from those bytes as ``open(path)`` would decode the file."""
-    with open(path, "rb") as f:
-        data = f.read()
-    drawing = read_canonical(data)
-    if drawing is None:
-        drawing = drawing_from_json(json.load(io.TextIOWrapper(io.BytesIO(data))))
-    return drawing
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+        return read_canonical(data) or drawing_from_json(json.load(io.TextIOWrapper(io.BytesIO(data))))
+    except _BAD_INPUT as e:
+        raise UserError(f"cannot read drawing {path!r}: {e}") from e
 
 
 def cmd_verify(args) -> int:
     # only what verify runs: no layout or render module is imported
     _bind(("read_canonical", "drawing_from_json", "build_report", "report_to_json"))
-    try:
-        drawing = _read_drawing(args.drawing)
-    except (OSError, ValueError, KeyError, TypeError, RecursionError,
-            MemoryError) as e:  # MemoryError: a drawing too large to hold
-        raise UserError(f"cannot read drawing {args.drawing!r}: {e}") from e
-    report = build_report(drawing)
+    report = build_report(_read_drawing(args.drawing))
     _emit([report_to_json(report), "\n"])
     return 0 if (report.planar and report.orthogonal and report.on_grid) else 1
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -96,58 +96,6 @@ def bbox(d: GridDrawing) -> tuple[int, int, int, int]:
     two-wide inner loop per row."""
     x, y = d.pos.T
     return int(x.min()), int(x.max()), int(y.min()), int(y.max())
-
-
-class NodeRanks(NamedTuple):
-    """Each node's dense rank among the distinct x and y values, those values
-    in increasing order, its dense rank in (y, x) and in (x, y) order (its
-    place there when no two nodes share a point), and whether the drawing
-    is on the grid: no two nodes at one point."""
-
-    rx: np.ndarray
-    ry: np.ndarray
-    ux: np.ndarray
-    uy: np.ndarray
-    place_yx: np.ndarray
-    place_xy: np.ndarray
-    on_grid: bool
-
-
-def _dense_ranks(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(c, return_inverse=True)``: the distinct values in order
-    and each entry's rank among them. When c spans at most len(c) values,
-    as on every drawing the layouts make, they are counted instead of
-    sorted: a presence mask over the span and its running sum."""
-    lo, hi = c.min(), c.max()
-    if hi - lo >= len(c):  # sparse: only a sort bounds the work
-        return np.unique(c, return_inverse=True)
-    present = np.zeros(hi - lo + 1, bool)
-    present[c - lo] = True
-    rank = np.cumsum(present)
-    rank -= 1
-    return np.flatnonzero(present) + lo, rank[c - lo]
-
-
-def node_ranks(P: np.ndarray) -> NodeRanks:
-    """Dense ranks per axis (_dense_ranks); one sort of the int64 key
-    ry * len(ux) + rx (resp. rx * len(uy) + ry), below n**2, gives each
-    order. Ranks keep order and equality, so every check can read them in
-    place of the coordinates."""
-    (ux, rx), (uy, ry) = map(_dense_ranks, P.T)
-    points, place_yx = np.unique(ry * len(ux) + rx, return_inverse=True)
-    place_xy = np.unique(rx * len(uy) + ry, return_inverse=True)[1]
-    return NodeRanks(rx, ry, ux, uy, place_yx, place_xy, len(points) == len(P))
-
-
-def rank_runs(r: NodeRanks, parent: np.ndarray, child: np.ndarray) -> tuple:
-    """The (a, b) node ids of the horizontal and of the vertical edges, of
-    positive length along exactly one axis, and their runs in rank space:
-    (ry, rx1, rx2) and (rx, ry1, ry2) as (m, 3) arrays with lo < hi.
-    Diagonal and zero-length edges are in neither."""
-    dx, dy = r.rx[parent] != r.rx[child], r.ry[parent] != r.ry[child]
-    h, v = (parent[dx & ~dy], child[dx & ~dy]), (parent[dy & ~dx], child[dy & ~dx])
-    return h, v, *(np.stack([line[a], np.minimum(at[a], at[b]), np.maximum(at[a], at[b])], axis=1)
-                   for line, at, (a, b) in ((r.ry, r.rx, h), (r.rx, r.ry, v)))
 
 
 def extents(d: GridDrawing) -> Extents:

@@ -293,8 +293,8 @@ def reconstruct_drawing(fronts: Sequence[ParetoFrontier], pair: Pair) -> GridDra
     stored recipes of ``fronts``, the frontiers of T_1..T_h as levels yields
     them (so h = len(fronts)). Arms reuse one drawing, so they are congruent
     up to the 180° rotation applied inside the constructions. ValueError
-    unless the drawing built is exactly pair[0] wide and pair[1] tall, as a
-    corrupt cache can make it."""
+    unless the drawing built is exactly pair[0] wide and pair[1] tall, as
+    only frontiers that levels did not yield can make it."""
     from .geometry import extents
     from .layout_complete import compose
 

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import Extents, GridDrawing, NodeRanks, edge_arrays, extents, node_ranks, rank_runs
+from .geometry import Extents, GridDrawing, edge_arrays, extents
 from .geometry import edge_segments  # unused here; perfbench/child.py wraps it
 from .tree import TernaryTree
 
@@ -29,6 +29,57 @@ class VerificationReport:
     leg_length: Optional[int] = None
     left_arm_length: Optional[int] = None
     right_arm_length: Optional[int] = None
+
+
+class NodeRanks(NamedTuple):
+    """Each node's dense rank among the nx distinct x and the ny distinct y
+    values, and in (y, x) and (x, y) order (its place there when no two
+    nodes share a point), and on_grid: whether no two nodes share a point."""
+
+    rx: np.ndarray
+    ry: np.ndarray
+    nx: int
+    ny: int
+    place_yx: np.ndarray
+    place_xy: np.ndarray
+    on_grid: bool
+
+
+def _dense_ranks(c: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each entry's rank among the distinct values of c, and their count. When
+    c spans at most len(c) values, as on every drawing the layouts make, they
+    are counted instead of sorted (np.unique): a presence mask over the span
+    and its running sum."""
+    lo, hi = c.min(), c.max()
+    if hi - lo >= len(c):  # sparse: only a sort bounds the work
+        values, rank = np.unique(c, return_inverse=True)
+        return rank, len(values)
+    present = np.zeros(hi - lo + 1, bool)
+    present[c - lo] = True
+    rank = np.cumsum(present)
+    rank -= 1
+    return rank[c - lo], int(rank[-1]) + 1
+
+
+def node_ranks(P: np.ndarray) -> NodeRanks:
+    """Dense ranks per axis (_dense_ranks), then one sort of the int64 key
+    ry * nx + rx (resp. rx * ny + ry), below n**2, per order. Ranks keep
+    order and equality: every check reads them in place of the coordinates."""
+    (rx, nx), (ry, ny) = map(_dense_ranks, P.T)
+    points, place_yx = np.unique(ry * nx + rx, return_inverse=True)
+    place_xy = np.unique(rx * ny + ry, return_inverse=True)[1]
+    return NodeRanks(rx, ry, nx, ny, place_yx, place_xy, len(points) == len(P))
+
+
+def rank_runs(r: NodeRanks, parent: np.ndarray, child: np.ndarray) -> tuple:
+    """The (a, b) node ids of the horizontal and of the vertical edges, of
+    positive length along exactly one axis, and their runs in rank space:
+    (ry, rx1, rx2) and (rx, ry1, ry2) as (m, 3) arrays with lo < hi.
+    Diagonal and zero-length edges are in neither."""
+    dx, dy = r.rx[parent] != r.rx[child], r.ry[parent] != r.ry[child]
+    h, v = (parent[dx & ~dy], child[dx & ~dy]), (parent[dy & ~dx], child[dy & ~dx])
+    return h, v, *(np.stack([line[a], np.minimum(at[a], at[b]), np.maximum(at[a], at[b])], axis=1)
+                   for line, at, (a, b) in ((r.ry, r.rx, h), (r.rx, r.ry, v)))
 
 
 def check_on_grid(d: GridDrawing) -> bool:
@@ -108,7 +159,7 @@ def _planar(r: NodeRanks, h: tuple, v: tuple, hs: np.ndarray, vs: np.ndarray) ->
     # put at that end's place in (x, y) order, they fall in x order unsorted
     at = np.full(len(r.rx), -1)
     at[np.minimum(r.place_xy[v[0]], r.place_xy[v[1]])] = np.arange(len(vs))
-    return not _interior_crossing(hs, vs[at[at >= 0]], len(r.ux), len(r.uy))
+    return not _interior_crossing(hs, vs[at[at >= 0]], r.nx, r.ny)
 
 
 def check_top_visibility(d: GridDrawing) -> bool:

@@ -23,6 +23,14 @@ def run(*argv):
     return main(list(argv))
 
 
+def outcome(*argv):
+    """main(argv)'s exit code, stdout and stderr, captured in-process."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_draw_pareto_min_h3(tmp_path, capsys):
     out = tmp_path / "d.json"
     code = run("--cache-dir", str(tmp_path / "cache"), "draw", "complete:3",
@@ -181,6 +189,92 @@ def test_unexpected_exception_exits_3(monkeypatch, tmp_path, capsys):
     assert err == "internal error: RuntimeError: boom second line\n"
 
 
+# JSON values of every kind, among them ints at and past +-2^62 and +-2^63
+EDGE_INTS = [sign * 2 ** e + d for sign in (1, -1) for e in (62, 63) for d in (-1, 0, 1)]
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 9), st.sampled_from(EDGE_INTS),
+              st.floats(), st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["n", "root", "children", "tree", "pos"]) | st.text(max_size=2),
+        inner, max_size=4),
+    max_leaves=10)
+
+
+def value_slots(doc):
+    """(container, key) of every value nested in doc."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in list(items):
+        yield doc, key
+        yield from value_slots(value)
+
+
+@st.composite
+def documents(draw):
+    """A random JSON document, or the document of a drawing or of its tree
+    with up to three of its values replaced by random ones or removed."""
+    kind = draw(st.sampled_from(["json", "drawing", "tree"]))
+    if kind == "json":
+        return draw(json_values)
+    doc = geometry.drawing_to_json(draw(drawings(max_n=6)))
+    doc = doc["tree"] if kind == "tree" else doc
+    for _ in range(draw(st.integers(0, 3))):
+        slots = list(value_slots(doc))
+        if slots:
+            container, key = draw(st.sampled_from(slots))
+            if draw(st.integers(0, 3)):
+                container[key] = draw(json_values)
+            else:
+                del container[key]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def documents_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents")
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=documents(), indent=st.sampled_from([None, 2]))
+def test_random_documents_exit_0_1_or_2(documents_dir, doc, indent):
+    """verify and draw file: on any JSON document: never exit 3, and every
+    exit 2 prints exactly one error line."""
+    path, out = documents_dir / "in.json", documents_dir / "out.json"
+    path.write_text(json.dumps(doc, indent=indent))
+    for argv in (("verify", str(path)), ("draw", f"file:{path}", "--out", str(out))):
+        code, stdout, err = outcome(*argv)
+        assert code in (0, 1, 2), (argv, err)
+        if code == 2:
+            assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("fault", ["pareto-min", "tree-reader", "drawing-reader"])
+def test_program_faults_exit_3(monkeypatch, tmp_path, capsys, fault):
+    # none of these is bad input: pareto-min's levels are checked against their
+    # recipes, and the readers raise only ValueError on what they reject
+    def raising(error):
+        def planted(*args):
+            raise error("planted fault")
+        return planted
+
+    tree_doc, drawing_doc, out = tmp_path / "tree.json", tmp_path / "drawing.json", tmp_path / "d.json"
+    tree_doc.write_text(json.dumps({"children": [[1], []]}))
+    drawing_doc.write_text(json.dumps({"tree": {"children": [[1], []]}, "pos": [[0, 0], [1, 0]]}))
+    if fault == "pareto-min":
+        monkeypatch.setattr(pareto, "reconstruct_drawing", raising(ValueError))
+        argv = ("--cache-dir", str(tmp_path / "cache"), "draw", "complete:4",
+                "--algo", "pareto-min", "--out", str(out))
+    elif fault == "tree-reader":
+        monkeypatch.setattr(cli, "tree_from_json", raising(KeyError))
+        argv = ("draw", f"file:{tree_doc}", "--out", str(out))
+    else:  # a compact file: the json reader's path
+        monkeypatch.setattr(cli, "drawing_from_json", raising(TypeError))
+        argv = ("verify", str(drawing_doc))
+    assert run(*argv) == 3
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith("internal error: ") and err.count("\n") == 1 and "planted fault" in err
+
+
 def test_draw_gate_requires_subtree_separation(monkeypatch, capsys):
     # planar, orthogonal and top-visible, but leaf 2 lies inside the box of
     # its sibling's subtree {1, 3, 4}
@@ -208,10 +302,11 @@ def test_draw_splits_segments_and_measures_extents_once(monkeypatch, tmp_path):
     # one ranking of the nodes, one set of runs and one bounding box
     calls = []
     for name in ("node_ranks", "rank_runs", "extents"):
-        real = getattr(geometry, name)
+        real = getattr(verify, name)
         for module in (geometry, verify):
-            monkeypatch.setattr(module, name,
-                                lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
     assert run("draw", "random:300:1", "--out", str(tmp_path / "d.json")) == 0
     assert sorted(calls) == ["extents", "node_ranks", "rank_runs"]
 
@@ -387,11 +482,9 @@ def test_golden_draws_equal_the_library_drawings(capsys, h):
 def verify_outcome(path, fast=True):
     """verify's exit code, stdout and stderr; with fast=False every file
     takes the json path, as every file did before the canonical reader."""
-    out, err = io.StringIO(), io.StringIO()
     reader = cli.read_canonical if fast else (lambda data: None)
-    with mock.patch.object(cli, "read_canonical", reader), redirect_stdout(out), redirect_stderr(err):
-        code = main(["verify", str(path)])
-    return code, out.getvalue(), err.getvalue()
+    with mock.patch.object(cli, "read_canonical", reader):
+        return outcome("verify", str(path))
 
 
 @settings(max_examples=60, deadline=None)
@@ -575,6 +668,18 @@ def test_corrupt_cache_exits_2_and_is_left_as_it_is(tmp_path, capsys, table5_cac
             assert f"row {row}:" in err, err
         assert sorted(os.listdir(cache)) == sorted(table5_cache)
         assert (cache / name).read_text() == text  # neither recomputed nor rewritten
+
+
+def test_failed_cache_write_exits_2_and_leaves_no_temporary(tmp_path, capsys, monkeypatch):
+    def full_disk(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(pareto.os, "replace", full_disk)
+    cache = tmp_path / "cache"
+    assert run("--cache-dir", str(cache), "table", "3") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: unusable frontier cache") and err.count("\n") == 1
+    assert os.listdir(cache) == []  # save_frontier removed its temporary file
 
 
 def test_unusable_cache_dir_exits_2(tmp_path, capsys):

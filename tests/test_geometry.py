@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from ternarydraw import geometry
 from ternarydraw.geometry import (Extents, GridDrawing, drawing_from_json,
                                   drawing_json, drawing_json_blocks, drawing_to_json,
-                                  edge_segments, extents, node_ranks, read_canonical)
+                                  edge_segments, extents, read_canonical)
 from ternarydraw.layout_complete import (draw_c1_only, draw_c2_only,
                                          draw_golden, draw_upper_1149)
 from ternarydraw.layout_general import draw_general
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree, tree_to_json
-from ternarydraw.verify import build_report
+from ternarydraw.verify import build_report, node_ranks
 
 from conftest import canonical_bytes, drawings, layouts, min_area_drawing
 from reader_oracle import oracle_read_canonical
@@ -186,11 +186,11 @@ def test_drawing_json_never_rounds():
 
 
 def sorted_node_ranks(P):
-    """node_ranks with every rank from np.unique: the sort-only path."""
+    """node_ranks with every rank and count from np.unique: the sort-only path."""
     (ux, rx), (uy, ry) = (np.unique(c, return_inverse=True) for c in P.T)
     points, place_yx = np.unique(ry * len(ux) + rx, return_inverse=True)
     place_xy = np.unique(rx * len(uy) + ry, return_inverse=True)[1]
-    return rx, ry, ux, uy, place_yx, place_xy, len(points) == len(P)
+    return rx, ry, len(ux), len(uy), place_yx, place_xy, len(points) == len(P)
 
 
 BIG = 2 ** 62 - 1

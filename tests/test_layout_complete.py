@@ -331,6 +331,34 @@ def test_schedule_rows_keep_the_dp_normalization(layout):
     assert [pairs[t] for t in tops] == at10
 
 
+def test_every_recipe_composes_to_its_pair():
+    """The fact behind reconstruct_drawing's exactness on the levels the DP
+    yields: compose builds each recipe's recipe_pair, with equal left and
+    right width, so no recipe-consistent level can miss its pair. Every
+    (arm, center, construction) over the frontier of T_(h-1), h = 2..7, on
+    that frontier's own recipes, then seeded random 3-type schedules up to
+    h = 9, each level checked."""
+    def check(h, rows, tops, pairs):
+        for pair, d in zip(pairs, layout_complete.compose(h, rows, tops), strict=True):
+            e = extents(d)
+            assert (e.width, e.height) == pair and e.left_width == e.right_width, (h, rows[-1])
+
+    fronts = list(levels(6))
+    for h in range(2, 8):
+        below = fronts[h - 2].pairs
+        row = [(arm, center, constr) for arm in range(len(below))
+               for center in range(len(below)) for constr in (1, 2)]
+        check(h, [fr.recipes for fr in fronts[1:h - 1]] + [row], range(len(row)),
+              [recipe_pair(below[arm], below[center], constr) for arm, center, constr in row])
+    rnd = random.Random(30)
+    for _ in range(40):
+        pairs, rows = [(1, 1)] * 3, []
+        for h in range(2, 10):
+            rows.append([(rnd.randrange(3), rnd.randrange(3), rnd.randrange(1, 3)) for _ in range(3)])
+            pairs = [recipe_pair(pairs[arm], pairs[center], constr) for arm, center, constr in rows[-1]]
+            check(h, rows, (0, 1, 2), pairs)
+
+
 def test_compose_builds_each_reached_type_once(monkeypatch):
     """Construction calls at h = 12: one per level and type that the types
     read reach. golden builds both of its types at every level from T_2 on

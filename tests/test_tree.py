@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ternarydraw.geometry import edge_arrays, node_ranks
+from ternarydraw.geometry import edge_arrays
 from ternarydraw.layout_general import draw_general, heavy_paths
 from ternarydraw.tree import (TernaryTree, TreeError, complete_tree, random_ternary_tree,
                               tree_from_json, tree_to_json)
-from ternarydraw.verify import _subtree_boxes
+from ternarydraw.verify import _subtree_boxes, node_ranks
 
 from conftest import path_tree, shuffled
 
