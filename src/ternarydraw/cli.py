@@ -24,11 +24,11 @@ if TYPE_CHECKING:
     from .pareto import ParetoFrontier
     from .tree import TernaryTree
 
-# The names draw and verify use are bound on first use, by module
-# __getattr__ (any name of the package's export table) or by _bind, so that
-# `table` on a warm cache imports neither numpy nor the layouts, and a draw
-# loads only its own layout module. A name already set on this module (tests
-# and perfbench/child.py set some to wrap them) is never bound again.
+# The package names draw and verify call are read as _cli.<name>, so each is
+# bound on first use by module __getattr__ (any name of the package's export
+# table): `table` on a warm cache imports neither numpy nor the layouts, and a
+# draw loads only its own layout module. A name already set on this module
+# (tests and perfbench/child.py set some to wrap them) is the one called.
 def __getattr__(name: str):
     package = import_module(__package__)
     if name not in package._EXPORTS:
@@ -38,11 +38,7 @@ def __getattr__(name: str):
     return value
 
 
-def _bind(names: tuple[str, ...]) -> None:
-    """Bind each of names that is not set yet."""
-    for name in names:
-        if name not in globals():
-            __getattr__(name)
+_cli = sys.modules[__name__]
 
 
 class UserError(Exception):
@@ -78,10 +74,10 @@ def _parse_treespec(spec: str) -> TernaryTree:
             return complete_tree(int(rest))
         if kind == "random":
             n, _, seed = rest.partition(":")
-            return random_ternary_tree(int(n), int(seed) if seed else 0)
+            return _cli.random_ternary_tree(int(n), int(seed) if seed else 0)
         if kind == "file":
             with open(rest) as f:
-                return tree_from_json(json.load(f))
+                return _cli.tree_from_json(json.load(f))
     except _BAD_INPUT as e:
         raise UserError(f"bad tree spec {spec!r}: {e}") from e
     raise UserError(f"unknown tree spec kind {kind!r} "
@@ -101,41 +97,38 @@ def _levels(h: int, cache_dir: str) -> list[ParetoFrontier]:
 
 def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
     if algo == "general":
-        return draw_general(tree, LayoutParams())
+        return _cli.draw_general(tree, _cli.LayoutParams())
     h = tree.complete_height
     if h is None:
         raise UserError(f"algorithm {algo!r} requires a complete ternary tree")
     if algo == "c1":
-        return draw_c1_only(h)
-    if algo == "c2":
-        return draw_c2_only(h)
-    if algo in ("golden-narrow", "golden-wide"):
-        return draw_golden(h)[algo == "golden-wide"]
-    if algo == "upper1149":
-        return draw_upper_1149(h)
-    if algo == "pareto-min":
+        drawing = _cli.draw_c1_only(h)
+    elif algo == "c2":
+        drawing = _cli.draw_c2_only(h)
+    elif algo in ("golden-narrow", "golden-wide"):
+        drawing = _cli.draw_golden(h)[algo == "golden-wide"]
+    elif algo == "upper1149":
+        drawing = _cli.draw_upper_1149(h)
+    else:  # pareto-min, the last of argparse's choices
         from . import pareto
 
         fronts = _levels(h, cache_dir)
-        return pareto.reconstruct_drawing(fronts, fronts[-1].min_area()[1])
-    raise UserError(f"unknown algorithm {algo!r}")
-
-
-# The names each kind of draw binds besides the tree parsers and the verifier.
-_LAYOUT_NAMES = {"general": ("draw_general", "LayoutParams"), "pareto-min": ()}
-_COMPLETE_LAYOUT_NAMES = ("draw_c1_only", "draw_c2_only", "draw_golden", "draw_upper_1149")
+        drawing = pareto.reconstruct_drawing(fronts, fronts[-1].min_area()[1])
+    from .tree import complete_tree, level_order
+    drawn = complete_tree(h)  # what every 1-2 construction draws
+    if tree == drawn:
+        return drawing
+    # both are complete of height h: node i of tree by level takes the place of node i of drawn
+    return _cli.GridDrawing(tree, drawing.pos[level_order(drawn)[level_order(tree).argsort()]])
 
 
 def cmd_draw(args) -> int:
-    _bind(("random_ternary_tree", "tree_from_json", "build_report",
-           *_LAYOUT_NAMES.get(args.algo, _COMPLETE_LAYOUT_NAMES),
-           "drawing_to_svg" if args.format == "svg" else "drawing_json_blocks"))
     tree = _parse_treespec(args.tree)
     drawing = _build(tree, args.algo, args.cache_dir)
-    report = build_report(drawing)
+    report = _cli.build_report(drawing)
     ext, n = report.extents, tree.n
     if args.algo == "general":  # at most n columns and 2*n^c - 1 rows
-        promised = ext.width <= n and ext.height <= LayoutParams().max_rows(n)
+        promised = ext.width <= n and ext.height <= _cli.LayoutParams().max_rows(n)
     else:  # every other algorithm draws 1-2 drawings
         promised = report.subtree_separated
     if not (report.planar and report.orthogonal and report.on_grid
@@ -144,9 +137,9 @@ def cmd_draw(args) -> int:
               file=sys.stderr)
         return 3
     if args.format == "svg":
-        blocks = [drawing_to_svg(drawing)]
+        blocks = [_cli.drawing_to_svg(drawing)]
     else:  # written block by block: the document is never joined
-        blocks = drawing_json_blocks(drawing)
+        blocks = _cli.drawing_json_blocks(drawing)
     _emit(chain(blocks, ["\n"]), args.out)
     print(f"nodes={n} width={ext.width} height={ext.height} area={ext.area}",
           file=sys.stderr)
@@ -207,16 +200,15 @@ def _read_drawing(path: str) -> GridDrawing:
     try:
         with open(path, "rb") as f:
             data = f.read()
-        return read_canonical(data) or drawing_from_json(json.load(io.TextIOWrapper(io.BytesIO(data))))
+        return (_cli.read_canonical(data)
+                or _cli.drawing_from_json(json.load(io.TextIOWrapper(io.BytesIO(data)))))
     except _BAD_INPUT as e:
         raise UserError(f"cannot read drawing {path!r}: {e}") from e
 
 
 def cmd_verify(args) -> int:
-    # only what verify runs: no layout or render module is imported
-    _bind(("read_canonical", "drawing_from_json", "build_report", "report_to_json"))
-    report = build_report(_read_drawing(args.drawing))
-    _emit([report_to_json(report), "\n"])
+    report = _cli.build_report(_read_drawing(args.drawing))
+    _emit([_cli.report_to_json(report), "\n"])
     return 0 if (report.planar and report.orthogonal and report.on_grid) else 1
 
 

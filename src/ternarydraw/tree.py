@@ -129,8 +129,8 @@ def complete_tree(h: int) -> TernaryTree:
     s = (3^(h-d-1) - 1) / 2 is the size of each child subtree. T_h is a root
     over copies of T_{h-1} at ids 1, 1+m and 1+2m (m = |T_{h-1}|), so its
     sizes are built from T_{h-1}'s, then its table from the sizes."""
-    if h < 1:
-        raise TreeError("complete_tree requires h >= 1")
+    if not 1 <= h <= 39:  # before 3 ** h: at h = 40 the child table's 3n indices pass int64
+        raise TreeError("complete_tree requires 1 <= h <= 39")
     size, m = np.ones(n := (3 ** h - 1) // 2, np.int64), 1
     while m < n:  # [:m] holds T_{j-1}'s sizes
         size[1:1 + 3 * m] = np.tile(size[:m], 3)
@@ -145,6 +145,14 @@ def complete_tree(h: int) -> TernaryTree:
     t.table, t.parents, t.size, t.root, t.n = *_frozen(K, parents, size), 0, len(K)
     t.complete_height = h
     return t
+
+
+def level_order(t: TernaryTree) -> np.ndarray:
+    """A complete tree's ids by level: the root, then each level's children in slot order."""
+    levels = [np.array([t.root])]
+    while len(levels) < t.complete_height:
+        levels.append(t.table[levels[-1]].ravel())
+    return np.concatenate(levels)
 
 
 def random_ternary_tree(n: int, seed: int) -> TernaryTree:

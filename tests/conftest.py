@@ -61,6 +61,11 @@ def shuffled(t, seed):
     return TernaryTree(table, perm[t.root].item())
 
 
+def off_zero(t):
+    """t relabelled so that its root is not node 0."""
+    return next(u for u in (shuffled(t, s) for s in range(20)) if u.root != 0)
+
+
 coordinate = st.one_of(st.integers(-3, 3), st.integers(-2 ** 62 + 1, 2 ** 62 - 1))
 
 

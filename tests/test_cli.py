@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -16,7 +17,7 @@ from ternarydraw.tree import TernaryTree
 
 import pytest
 
-from conftest import canonical_bytes, drawings, layouts
+from conftest import canonical_bytes, drawings, layouts, off_zero
 
 
 def run(*argv):
@@ -328,6 +329,32 @@ def test_draw_computes_complete_height_once(monkeypatch, tmp_path, algo):
     assert run("--cache-dir", str(tmp_path / "cache"), "draw", f"file:{path}", "--algo", algo,
                "--out", str(tmp_path / "d.json")) == 0
     assert calls == [364]
+
+
+@pytest.mark.parametrize("algo", ["c1", "c2", "golden-narrow", "golden-wide", "upper1149",
+                                  "pareto-min"])
+def test_draw_of_a_file_complete_tree_keeps_its_ids(tmp_path, algo):
+    # T_3 under permuted ids, its root not node 0: the file's tree is drawn,
+    # and verify reads the drawing as it reads the drawing of complete:3
+    doc = tree.tree_to_json(off_zero(tree.complete_tree(3)))
+    path, out, ref = tmp_path / "t.json", tmp_path / "d.json", tmp_path / "ref.json"
+    path.write_text(json.dumps(doc))
+    cache = ("--cache-dir", str(tmp_path / "cache"))
+    assert run(*cache, "draw", f"file:{path}", "--algo", algo, "--out", str(out)) == 0
+    assert json.loads(out.read_text())["tree"] == doc
+    assert run(*cache, "draw", "complete:3", "--algo", algo, "--out", str(ref)) == 0
+    assert outcome("verify", str(out)) == outcome("verify", str(ref))
+
+
+@pytest.mark.parametrize("spec", ["complete:40", "complete:10000000"])
+def test_complete_height_past_39_exits_2_at_once(tmp_path, spec):
+    # rejected before 3 ** h is computed, so a huge h costs nothing
+    out = tmp_path / "d.json"
+    start = time.perf_counter()
+    code, stdout, err = outcome("draw", spec, "--out", str(out))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_draw_frees_the_heavy_paths_before_verifying(monkeypatch):

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from ternarydraw.geometry import edge_arrays
 from ternarydraw.layout_general import draw_general, heavy_paths
-from ternarydraw.tree import (TernaryTree, TreeError, complete_tree, random_ternary_tree,
-                              tree_from_json, tree_to_json)
+from ternarydraw.tree import (TernaryTree, TreeError, complete_tree, level_order,
+                              random_ternary_tree, tree_from_json, tree_to_json)
 from ternarydraw.verify import _subtree_boxes, node_ranks
 
-from conftest import path_tree, shuffled
+from conftest import off_zero, path_tree
 
 
 def test_complete_tree_sizes():
@@ -49,8 +49,18 @@ def test_complete_tree_matches_recursive_definition():
 
 
 def test_complete_tree_rejects_bad_height():
-    with pytest.raises(TreeError):
-        complete_tree(0)
+    for h in (0, 40, 10 ** 7):  # h past 39 is refused before 3 ** h is computed
+        with pytest.raises(TreeError):
+            complete_tree(h)
+
+
+def test_level_order_of_a_complete_tree():
+    # T_3 in preorder: the root 0, its children 1, 5, 9, then theirs
+    assert level_order(complete_tree(3)).tolist() == [0, 1, 5, 9, 2, 3, 4, 6, 7, 8, 10, 11, 12]
+    t = off_zero(complete_tree(4))  # the same order under any ids
+    order = level_order(t)
+    assert order[0] == t.root and sorted(order.tolist()) == list(range(t.n))
+    assert t.table[order[:13]].ravel().tolist() == order[1:].tolist()
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -215,11 +225,6 @@ def test_complete_height_negative_cases():
     # uneven leaf depths
     t = TernaryTree(((1, 2, 3), (), (), (4, 5, 6), (), (), ()))
     assert t.complete_height is None
-
-
-def off_zero(t):
-    """t relabelled so that its root is not node 0."""
-    return next(u for u in (shuffled(t, s) for s in range(20)) if u.root != 0)
 
 
 def test_complete_height_of_a_single_node():
