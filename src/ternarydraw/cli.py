@@ -179,12 +179,12 @@ def _load_table(path: str) -> list[tuple[float, float]]:
 def cmd_fit(args) -> int:
     from . import pareto
 
+    if args.builtin == bool(args.table):
+        raise UserError("pass a table path or --builtin")
     if args.builtin:
         points = [(float(n), float(area)) for _, n, area in pareto.REFERENCE_AREA_TABLE]
-    elif args.table:
-        points = _load_table(args.table)
     else:
-        raise UserError("pass a table path or --builtin")
+        points = _load_table(args.table)
     try:
         fit = pareto.fit_power_law(points)
     except ValueError as e:

@@ -1,13 +1,13 @@
-"""1-2 drawings of complete trees: the two combinators, and compose, which
-builds every layout here and every pareto witness from per-level recipes.
+"""1-2 drawings of complete trees: the combinator, and compose, which builds
+every layout here and every pareto witness from per-level recipes.
 
-Both combinators, construct1 and construct2, take the three child drawings
-PRE-rotation; the required 90° rotations of the flanking drawings happen
-inside. Child-slot mapping is fixed for determinism: slot 1 is the center
-subtree (below the root), slot 0 the left arm (rotated clockwise), slot 2 the
-right arm (rotated counterclockwise).
+The combinator, construct, takes the arm and center drawings PRE-rotation, in
+the order of ``pareto.recipe_pair(arm, center, construction)``; the required
+90° rotations of the arm happen inside. Child-slot mapping is fixed for
+determinism: slot 1 is the center subtree (below the root), slot 0 the left
+arm (rotated clockwise), slot 2 the right arm (rotated counterclockwise).
 
-They work on (m, 2) int64 coordinate arrays in the preorder of
+It works on (m, 2) int64 coordinate arrays in the preorder of
 ``complete_tree``, root in row 0 at the origin. In that preorder the three
 child subtrees of T_h are the contiguous id blocks [1, 1+m), [1+m, 1+2m) and
 [1+2m, 1+3m), m = |T_{h-1}|, so a level is one rotated and translated slice
@@ -27,38 +27,28 @@ _POINT = np.zeros((1, 2), dtype=np.int64)  # T_1, shared by every layout
 _POINT.setflags(write=False)
 
 
-def _blocks(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A fresh (3m+1, 2) array with the root at the origin, and views of its
-    left-arm, center and right-arm blocks."""
+def construct(arm: np.ndarray, center: np.ndarray, construction: int) -> np.ndarray:
+    """Construction 1 or 2 on arrays: arm is drawn twice, rotated cw
+    ((x, y) -> (-y, x)) on the left and ccw ((x, y) -> (y, -x)) on the
+    right, their roots on the root's row, and center hangs below.
+    Construction 1 anchors the arms at the center's column extremes and the
+    center one row down; Construction 2 anchors the arms beside the root and
+    the center one row below the lower arm."""
+    m = len(arm)
     out = np.empty((3 * m + 1, 2), dtype=np.int64)
     out[0] = 0
-    return out, out[1:1 + m], out[1 + m:1 + 2 * m], out[1 + 2 * m:]
-
-
-def construct1(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Construction 1 on arrays: center a hangs one row below the root; b
-    (rotated cw, (x, y) -> (-y, x)) and c (rotated ccw, (x, y) -> (y, -x))
-    flank it, their roots on the root's row."""
-    out, left, center, right = _blocks(len(a))
-    center[:] = a
-    center[:, 1] += 1 - a[:, 1].min()
-    left[:, 0] = b[:, 1].min() + a[:, 0].min() - 1 - b[:, 1]
-    left[:, 1] = b[:, 0]
-    right[:, 0] = c[:, 1] + a[:, 0].max() + 1 - c[:, 1].min()
-    right[:, 1] = -c[:, 0]
-    return out
-
-
-def construct2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Construction 2 on arrays: b (rotated cw) and c (rotated ccw) flank the
-    root directly; center a hangs one row below the lower of the two."""
-    out, left, center, right = _blocks(len(a))
-    left[:, 0] = b[:, 1].min() - 1 - b[:, 1]
-    left[:, 1] = b[:, 0]
-    right[:, 0] = c[:, 1] + 1 - c[:, 1].min()
-    right[:, 1] = -c[:, 0]
-    center[:] = a
-    center[:, 1] += max(b[:, 0].max(), -c[:, 0].min()) + 1 - a[:, 1].min()
+    left, below, right = out[1:1 + m], out[1 + m:1 + 2 * m], out[1 + 2 * m:]
+    ax, ay = arm[:, 0], arm[:, 1]
+    if construction == 1:
+        x0, x1, y = center[:, 0].min(), center[:, 0].max(), 1
+    else:
+        x0, x1, y = 0, 0, max(ax.max(), -ax.min()) + 1
+    left[:, 0] = ay.min() + x0 - 1 - ay
+    left[:, 1] = ax
+    right[:, 0] = ay + x1 + 1 - ay.min()
+    right[:, 1] = -ax
+    below[:] = center
+    below[:, 1] += y - center[:, 1].min()
     return out
 
 
@@ -78,7 +68,7 @@ def compose(h: int, rows: Sequence[Sequence[tuple[int, int, int]]],
         built = {}
         for t in reach.pop():
             arm, center, constr = row[t]
-            built[t] = (construct1 if constr == 1 else construct2)(P[center], P[arm], P[arm])
+            built[t] = construct(P[arm], P[center], constr)
         P = built
     return tuple(GridDrawing(tree, P[t]) for t in tops)
 

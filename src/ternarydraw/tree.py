@@ -30,7 +30,9 @@ class TernaryTree:
 
     def __init__(self, children, root: int = 0) -> None:
         if isinstance(children, np.ndarray):
-            table = children.astype(np.int64, casting="safe")  # TypeError for floats
+            if not np.can_cast(children.dtype, np.int64):  # no float, uint64, object or str
+                raise TreeError("child ids must be integers in 0..n-1")
+            table = children.astype(np.int64)
         else:
             counts = np.fromiter(map(len, children), np.int64, len(children))
             if len(counts) and counts.max() > 3:

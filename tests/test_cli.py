@@ -455,6 +455,14 @@ def test_fit_without_a_table_exits_2(capsys):
     assert out == "" and err == "error: pass a table path or --builtin\n"
 
 
+def test_fit_rejects_a_table_with_builtin(tmp_path, capsys):
+    table = tmp_path / "t.txt"
+    table.write_text("\n".join(f"{n} {2 * n}" for n in range(1, 20)))
+    assert run("fit", str(table), "--builtin") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: pass a table path or --builtin\n"
+
+
 def test_fit_malformed_table(tmp_path):
     table = tmp_path / "t.txt"
     table.write_text("one\n")

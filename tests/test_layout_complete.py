@@ -10,13 +10,14 @@ from hypothesis import given, settings, strategies as st
 from ternarydraw import layout_complete
 from ternarydraw.cli import main
 from ternarydraw.geometry import GridDrawing, bbox, extents
-from ternarydraw.layout_complete import (construct1, construct2,
-                                         draw_c1_only, draw_c2_only,
+from ternarydraw.layout_complete import (construct, draw_c1_only, draw_c2_only,
                                          draw_golden, draw_upper_1149)
 from ternarydraw.pareto import levels, recipe_pair, reconstruct_drawing
 from ternarydraw.tree import TernaryTree, TreeError, complete_tree
 from ternarydraw.verify import (check_planar, check_subtree_separation,
                                 check_top_visibility)
+
+from frontier_oracle import _combine_dims
 
 
 def dims(d):
@@ -40,25 +41,22 @@ def test_c2_only_dimensions():
                                            (2 ** (h + 1) - 2) // 3)
 
 
-ARRAY = {1: construct1, 2: construct2}
-
-
-def combine(constr, ga, gb, gc):
-    """Construction 1 or 2 of three drawings of T_{h-1}, by the array
-    combinator on their root-relative positions: a drawing of T_h."""
-    P = ARRAY[constr](*(g.pos - g.pos[g.tree.root] for g in (ga, gb, gc)))
-    return GridDrawing(complete_tree(ga.tree.complete_height + 1), P)
+def combine(constr, arm, center):
+    """Construction 1 or 2 of an arm and a center drawing of T_{h-1}, by the
+    array combinator on their root-relative positions: a drawing of T_h."""
+    P = construct(*(g.pos - g.pos[g.tree.root] for g in (arm, center)), constr)
+    return GridDrawing(complete_tree(center.tree.complete_height + 1), P)
 
 
 def test_construction1_of_t2_triple():
     g = draw_c1_only(2)  # (3, 2), left = right = 1
-    d = combine(1, g, g, g)
+    d = combine(1, g, g)
     assert dims(d) == (7, 4, 3, 3)
 
 
 def test_construction2_of_t2_triple():
     g = draw_c1_only(2)
-    d = combine(2, g, g, g)
+    d = combine(2, g, g)
     assert dims(d) == (5, 5, 2, 2)
 
 
@@ -115,43 +113,7 @@ def test_all_constructions_verify():
             assert check_subtree_separation(d)
 
 
-def _predicted(ga, gb, gc, constr):
-    """Extent arithmetic the combinators are expected to realize."""
-    wa, ea, la, ra = ga
-    wb, eb, lb, rb = gb
-    wc, ec, lc, rc = gc
-    if constr == 1:
-        return (wa + eb + ec, max(lb, rc) + max(rb, ea, lc) + 1,
-                eb + la, ec + ra)
-    return (max(la, eb) + max(ra, ec) + 1,
-            max(lb, rc) + max(rb, lc) + ea + 1,
-            max(la, eb), max(ra, ec))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10 ** 9), st.integers(3, 6))
-def test_random_construction_mixes_match_extent_arithmetic(seed, h):
-    """Measured extents of arbitrary construction mixes obey the composition
-    formulas; this grounds the Pareto DP in actual geometry."""
-    rng = random.Random(seed)
-
-    def build(level):
-        if level == 1:
-            return draw_c1_only(1)
-        center, left, right = (build(level - 1) for _ in range(3))
-        constr = 1 if rng.random() < 0.5 else 2
-        d = combine(constr, center, left, right)
-        pred = _predicted(dims(center), dims(left), dims(right), constr)
-        assert dims(d) == pred
-        return d
-
-    d = build(h)
-    assert check_planar(d)
-    assert check_top_visibility(d)
-    assert check_subtree_separation(d)
-
-
-# The subtree-map combinators the array cores replaced, kept as the oracle:
+# The subtree-map combinators the array combinator replaced, kept as the oracle:
 # they place each child drawing through a preorder map of the host subtree
 # and rotate and box the flanks with rotate and geometry.bbox.
 
@@ -241,11 +203,38 @@ ORACLE = {1: oracle_construction1, 2: oracle_construction2}
 POINT = GridDrawing(complete_tree(1), ((0, 0),))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(3, 6))
+def test_random_construction_mixes_match_extent_arithmetic(seed, h):
+    """Measured extents of arbitrary construction mixes, built by the oracle
+    combinators from three independent child drawings, obey the composition
+    formulas of frontier_oracle: this grounds the Pareto DP and its
+    exhaustive check in actual geometry."""
+    rng = random.Random(seed)
+
+    def build(level):
+        if level == 1:
+            return POINT
+        center, left, right = (build(level - 1) for _ in range(3))
+        constr = 1 if rng.random() < 0.5 else 2
+        d = ORACLE[constr](center, left, right, complete_tree(level))
+        assert dims(d) == _combine_dims(dims(center), dims(left), dims(right), constr)
+        return d
+
+    d = build(h)
+    assert check_planar(d)
+    assert check_top_visibility(d)
+    assert check_subtree_separation(d)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 9), st.integers(2, 6))
 def test_constructions_match_subtree_map_oracle(seed, h):
-    """Node for node, on random construction mixes with three independent
-    child drawings, each shifted off the origin."""
+    """Node for node, on independent arm and center drawings, each shifted
+    off the origin; the oracle gets the arm drawing twice. Each level passes
+    up the oracle's drawing with a third, independent arm, so that the arm
+    and center drawings of the next level have unequal left and right
+    widths."""
     rng = random.Random(seed)
 
     def shifted(d):
@@ -255,11 +244,11 @@ def test_constructions_match_subtree_map_oracle(seed, h):
     def build(level):
         if level == 1:
             return shifted(POINT)
-        kids = [build(level - 1) for _ in range(3)]
+        arm, center, other = (build(level - 1) for _ in range(3))
         constr = rng.choice((1, 2))
-        d = combine(constr, *kids)
-        assert d == ORACLE[constr](*kids, complete_tree(level))
-        return shifted(d)
+        t = complete_tree(level)
+        assert combine(constr, arm, center) == ORACLE[constr](center, arm, arm, t)
+        return shifted(ORACLE[constr](center, arm, other, t))
 
     build(h)
 
@@ -366,10 +355,8 @@ def test_compose_builds_each_reached_type_once(monkeypatch):
     skips its type 1 at the top level, and pareto-min builds only the
     frontier entries its recipes reach."""
     calls = []
-    for name in ("construct1", "construct2"):
-        real = getattr(layout_complete, name)
-        monkeypatch.setattr(layout_complete, name,
-                            lambda *a, real=real: calls.append(1) or real(*a))
+    real = layout_complete.construct
+    monkeypatch.setattr(layout_complete, "construct", lambda *a: calls.append(1) or real(*a))
     fronts = list(levels(12))
     runs = {"c1": lambda: draw_c1_only(12), "c2": lambda: draw_c2_only(12),
             "upper1149": lambda: draw_upper_1149(12), "golden": lambda: draw_golden(12),

@@ -568,7 +568,11 @@ def test_tree_arrays_are_read_only():
             a[0] = 0
 
 
-@pytest.mark.parametrize("bad", [-1, 3, 2 ** 63, 2 ** 64, 1.0, True, None, "1"])
+@pytest.mark.parametrize("bad", [-1, 3, 2 ** 63, 2 ** 64, 1.0, True, None, "1", *(
+    pytest.param(np.full((1, 3), -1).astype(t), id=np.dtype(t).name)
+    for t in (np.float64, np.uint64, object, str))])
 def test_constructor_rejects_bad_child_ids(bad):
-    with pytest.raises((TreeError, TypeError)):
-        TernaryTree(((1, bad), (), ()))
+    """Ids in child lists, or a child table whose dtype does not cast
+    safely to int64."""
+    with pytest.raises(TreeError):
+        TernaryTree(bad if isinstance(bad, np.ndarray) else ((1, bad), (), ()))
