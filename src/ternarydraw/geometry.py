@@ -152,7 +152,7 @@ def drawing_json(d: GridDrawing) -> str:
     return "".join(drawing_json_blocks(d))
 
 
-_HEAD_RE = re.compile(re.escape(_HEAD.encode()).replace(rb"%d", rb"(\d{1,19})"))
+_HEAD_RE = re.compile(re.escape(_HEAD.encode()).replace(rb"%d", rb"(0|[1-9][0-9]{0,18})"))
 
 
 def read_canonical(data: bytes) -> Optional[GridDrawing]:
@@ -168,8 +168,7 @@ def read_canonical(data: bytes) -> Optional[GridDrawing]:
         return None
     n, root, lo = int(head[1]), int(head[2]), head.end()
     middle, hi = data.find(_MIDDLE.encode(), lo), len(data) - data.endswith(b"\n") - len(_TAIL)
-    if (data[:lo] != (_HEAD % (n, root)).encode()  # the regex takes leading zeros
-            or middle < 0 or hi < middle + len(_MIDDLE) or not data.startswith(_TAIL.encode(), hi)):
+    if middle < 0 or hi < middle + len(_MIDDLE) or not data.startswith(_TAIL.encode(), hi):
         return None
     buf = np.frombuffer(data, np.uint8)
     children = _lists(buf, lo, middle, 6, n, signed=False)

@@ -44,17 +44,12 @@ class PowerLawFit(NamedTuple):
     sse: float
 
 
-# Known minimum 1-2 drawing areas for T_1..T_20, with n = (3^h - 1) / 2.
+# Known minimum 1-2 drawing areas for T_1..T_20: (h, n, area), n = (3^h - 1) / 2.
 REFERENCE_AREA_TABLE: tuple[tuple[int, int, int], ...] = tuple(
-    zip(
-        range(1, 21),
-        (1, 4, 13, 40, 121, 364, 1093, 3280, 9841, 29524, 88573, 265720,
-         797161, 2391484, 7174453, 21523360, 64570081, 193710244,
-         581130733, 1743392200),
+    (h, (3 ** h - 1) // 2, area) for h, area in enumerate(
         (1, 6, 25, 99, 342, 1184, 4030, 13320, 44457, 144690, 469221,
          1520189, 4840478, 15550542, 49461933, 157388427, 498895215,
-         1580110511, 4990796080, 15765654805),
-    )
+         1580110511, 4990796080, 15765654805), start=1)
 )
 
 
@@ -66,10 +61,6 @@ def recipe_pair(arm: Pair, center: Pair, constr: int) -> Pair:
     if constr == 1:
         return wc + 2 * ea, (wa - 1) // 2 + max((wa - 1) // 2, ec) + 1
     return 2 * max((wc - 1) // 2, ea) + 1, wa + ec
-
-
-def _base_frontier() -> ParetoFrontier:
-    return ParetoFrontier(1, ((1, 1),), ((-1, -1, 0),))
 
 
 # Arms per block, and centers per tile, of enumerated construction-1 pairs:
@@ -195,8 +186,7 @@ class CacheError(ValueError):
     """A frontier cache file that fails load_frontier's checks."""
 
 
-_HEADER = re.compile(r"h=(\d+) count=([1-9]\d*)")
-_ROW = re.compile(r"(0|[1-9]\d*) (0|[1-9]\d*) (0|[1-9]\d*) (0|[1-9]\d*) ([12])")
+_ROW = re.compile(r"(0|[1-9][0-9]*) (0|[1-9][0-9]*) (0|[1-9][0-9]*) (0|[1-9][0-9]*) ([12])")
 
 
 def load_frontier(cache_dir: str, h: int, below: ParetoFrontier) -> Optional[ParetoFrontier]:
@@ -222,16 +212,11 @@ def load_frontier(cache_dir: str, h: int, below: ParetoFrontier) -> Optional[Par
     def bad(row: int, why: str) -> CacheError:
         return CacheError(f"{path} for h={h}, row {row}: {why}")
 
-    try:
-        rows = data.decode("ascii").split("\n")
-    except UnicodeDecodeError as e:
-        raise bad(data.count(b"\n", 0, e.start), "a byte is not ASCII") from None
-    if rows[-1] == "":  # the final newline
-        rows.pop()
-    header = _HEADER.fullmatch(rows[0]) if rows else None
-    if header is None or rows[0] != f"h={h} count={int(header[2])}":
-        raise bad(0, f"header {rows[0] if rows else ''!r} is not 'h={h} count=<rows>'")
-    count = int(header[2])
+    rows = data.decode("latin-1").removesuffix("\n").split("\n")  # a byte past ASCII fails its row
+    header = re.fullmatch(f"h={h} count=([1-9][0-9]*)", rows[0])
+    if header is None:
+        raise bad(0, f"header {rows[0]!r} is not 'h={h} count=<rows>'")
+    count = int(header[1])
     if len(rows) != count + 1:
         raise bad(min(len(rows), count + 1),
                   f"the header declares {count} rows, the file holds {len(rows) - 1}")
@@ -263,7 +248,7 @@ def levels(h: int, cache_dir: Optional[str] = None) -> Iterator[ParetoFrontier]:
     from the one below and then saved to the cache."""
     if h < 1:
         raise ValueError("h must be >= 1")
-    fr = _base_frontier()
+    fr = ParetoFrontier(1, ((1, 1),), ((-1, -1, 0),))
     yield fr
     for level in range(2, h + 1):
         loaded = load_frontier(cache_dir, level, fr) if cache_dir else None
@@ -312,8 +297,9 @@ def reconstruct_drawing(fronts: Sequence[ParetoFrontier], pair: Pair) -> GridDra
 
 
 def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
-    """Least-squares fit of a*n^b + c by golden-section search over b with
-    (a, c) solved in closed form at each probe."""
+    """Least-squares fit of a*n^b + c by golden-section search over b in
+    [0.5, 2] with (a, c) solved in closed form at each probe. ValueError if
+    the search ends at an end of that range."""
     if len(points) < 3:
         raise ValueError("need at least 3 points")
     import numpy as np
@@ -335,24 +321,20 @@ def fit_power_law(points: Sequence[tuple[float, float]]) -> PowerLawFit:
 
     invphi = (math.sqrt(5) - 1) / 2
     lo, hi = 0.5, 2.0
-    m1 = hi - invphi * (hi - lo)
-    m2 = lo + invphi * (hi - lo)
     try:  # an overflow anywhere in the search is an error, never a printed inf
         with np.errstate(over="raise", invalid="raise"):
-            f1, f2 = solve(m1)[2], solve(m2)[2]
-            while hi - lo > 1e-6:
-                if f1 <= f2:
-                    hi, m2, f2 = m2, m1, f1
-                    m1 = hi - invphi * (hi - lo)
-                    f1 = solve(m1)[2]
+            while hi - lo > 1e-6:  # keep the side of the golden probe with the lower sse
+                d = invphi * (hi - lo)
+                if solve(hi - d)[2] <= solve(lo + d)[2]:
+                    hi = lo + d
                 else:
-                    lo, m1, f1 = m1, m2, f2
-                    m2 = lo + invphi * (hi - lo)
-                    f2 = solve(m2)[2]
+                    lo = hi - d
             b = (lo + hi) / 2
             a, c, sse = solve(b)
     except FloatingPointError as e:
         raise ValueError(f"no finite fit: {e}") from None
+    if lo == 0.5 or hi == 2.0:
+        raise ValueError(f"no fit: the best exponent b={b:.6g} is at an end of its search range [0.5, 2]")
     if not all(map(math.isfinite, (a, c, sse))):
         raise ValueError(f"no finite fit: a={a} c={c} sse={sse}")
     return PowerLawFit(a, b, c, sse)

@@ -436,8 +436,7 @@ def test_table_rejects_out_of_range():
 
 def test_fit_builtin(capsys):
     assert run("fit", "--builtin") == 0
-    out = capsys.readouterr().out
-    assert out.startswith("a=")
+    assert capsys.readouterr().out == "a=3.32598 b=1.04701 c=-169990 sse=2.44822e+12\n"
 
 
 def test_fit_from_file(tmp_path, capsys):
@@ -461,6 +460,17 @@ def test_fit_rejects_a_table_with_builtin(tmp_path, capsys):
     assert run("fit", str(table), "--builtin") == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: pass a table path or --builtin\n"
+
+
+@pytest.mark.parametrize("rows", ["1 1\n2 5\n3 9\n4 20", "1 1\n2 1.5\n3 1.8\n4 2.0\n5 2.1"],
+                         ids=["above-2", "below-0.5"])
+def test_fit_with_an_exponent_at_an_end_of_its_range_exits_2(tmp_path, capsys, rows):
+    table = tmp_path / "t.txt"
+    table.write_text(rows + "\n")
+    assert run("fit", str(table)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: no fit: ") and len(err.splitlines()) == 1
+    assert "[0.5, 2]" in err
 
 
 def test_fit_malformed_table(tmp_path):
@@ -673,6 +683,9 @@ def corrupted_caches(files):
     yield name, 4, "\n".join([header, *rows[:-1]]) + "\n"  # truncated
     yield name, 5, "\n".join([header, *rows, rows[-1]]) + "\n"  # a trailing row
     yield name, 0, "\n".join(["h=5" + header[3:], *rows]) + "\n"
+    yield name, 0, "\n".join(["h=04" + header[3:], *rows]) + "\n"  # a leading zero in h
+    yield name, 0, "\n".join([header.replace("count=", "count=0"), *rows]) + "\n"  # and in count
+    yield name, 0, "\n".join([header + "\u00e9", *rows]) + "\n"  # not ASCII
     yield name, 1, "\n".join([header, "abc" + rows[0][1:], *rows[1:]]) + "\n"
     yield name, 1, "\n".join([header, "3 2 0 0 1", *rows[1:]]) + "\n"  # keeps the staircase
     yield name, 2, "\n".join([header, rows[0], "\u00e9" + rows[1], *rows[2:]]) + "\n"  # not ASCII
@@ -687,7 +700,7 @@ def corrupted_caches(files):
 
 def test_corrupt_cache_exits_2_and_is_left_as_it_is(tmp_path, capsys, table5_cache):
     cases = list(corrupted_caches(table5_cache))
-    assert len(cases) == 5 * (1 + 2 + 4 + 8) + 11
+    assert len(cases) == 5 * (1 + 2 + 4 + 8) + 14
     out = tmp_path / "d.json"
     for n, (name, row, text) in enumerate(cases):
         cache = tmp_path / f"cache{n}"

@@ -391,6 +391,35 @@ def test_fit_input_validation():
         fit_power_law([(1.0, 1.0), (1.0, 2.0), (3.0, 3.0)])
 
 
+# Tables whose least-squares exponent lies outside [0.5, 2], and an exponent
+# that fits each better than either end of that range.
+END_OF_RANGE_TABLES = {
+    "above-2": ([(1, 1), (2, 5), (3, 9), (4, 20)], 2.5),
+    "below-0.5": ([(1, 1), (2, 1.5), (3, 1.8), (4, 2.0), (5, 2.1)], 0.1),
+}
+
+
+def sse_at(points, b):
+    """The least sse of a*n^b + c over (a, c), for a fixed b."""
+    ns, ys = np.array(points, dtype=float).T
+    X = np.column_stack([ns ** b, np.ones_like(ns)])
+    resid = X @ np.linalg.lstsq(X, ys, rcond=None)[0] - ys
+    return float(resid @ resid)
+
+
+@pytest.mark.parametrize("points, outside", END_OF_RANGE_TABLES.values(), ids=END_OF_RANGE_TABLES)
+def test_fit_refuses_an_exponent_at_an_end_of_its_range(points, outside):
+    assert sse_at(points, outside) < min(sse_at(points, 0.5), sse_at(points, 2.0))
+    with pytest.raises(ValueError, match=r"at an end of its search range \[0\.5, 2\]"):
+        fit_power_law(points)
+
+
+@pytest.mark.parametrize("b", [0.52, 1.98])
+def test_fit_accepts_an_exponent_near_an_end_of_its_range(b):
+    fit = fit_power_law([(float(n), 2.0 * n ** b + 1.0) for n in range(1, 30)])
+    assert abs(fit.b - b) < 1e-4
+
+
 @pytest.mark.parametrize("row", [(2.0, math.nan), (2.0, math.inf), (math.nan, 2.0),
                                  (-math.inf, 2.0), (0.0, 2.0), (-1.0, 2.0)])
 def test_fit_rejects_non_finite_values_and_non_positive_n(row):

@@ -1,6 +1,7 @@
 """Smoke runs of the scripts in scripts/, each in a fresh interpreter at a
-tiny size, so that an API change they depend on fails here, and a check of
-each ratio behind benchmark_general.py's slack column."""
+tiny size, so that an API change they depend on fails here, a check of
+each ratio behind benchmark_general.py's slack column, and of
+fit_area_table.py's exit status on a worse fit."""
 
 import importlib.util
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from ternarydraw.layout_general import LayoutParams, frame_stats
+from ternarydraw.pareto import PowerLawFit
 from ternarydraw.tree import complete_tree, random_ternary_tree
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -20,6 +22,14 @@ def run_script(name, *args, cwd):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     return subprocess.run([sys.executable, str(SCRIPTS / name), *args], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=300)
+
+
+def load_script(name):
+    """The module of scripts/<name>.py, loaded without running its main."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def test_reproduce_table_matches_every_row(tmp_path):
@@ -34,6 +44,18 @@ def test_fit_area_table_beats_the_reference(tmp_path):
     run = run_script("fit_area_table.py", cwd=tmp_path)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "fitted sse is <= reference"
+
+
+def test_fit_area_table_exits_1_on_a_worse_fit(monkeypatch, capsys):
+    script = load_script("fit_area_table")
+
+    def reference_without_c(points):  # the reference fit with c = 0: far worse
+        a, b = 3.3262, 1.047
+        return PowerLawFit(a, b, 0.0, sum((a * n ** b - y) ** 2 for n, y in points))
+
+    monkeypatch.setattr(script, "fit_power_law", reference_without_c)
+    assert script.main() == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "fitted sse is WORSE"
 
 
 def slack_ratios(t):
@@ -68,10 +90,7 @@ def test_benchmark_general_verifies(tmp_path):
 ], ids=["a", "b", "s", "r+s"])
 def test_benchmark_general_slack_reads_each_ratio(tree, largest):
     # a tree on which one ratio is the largest, so the slack column is that ratio
-    spec = importlib.util.spec_from_file_location("benchmark_general",
-                                                  SCRIPTS / "benchmark_general.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("benchmark_general")
     worst = slack_ratios(tree)
     assert max(worst, key=worst.get) == largest
     frames, levels, slack = script.count_frames(tree, LayoutParams())
