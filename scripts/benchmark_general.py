@@ -4,7 +4,7 @@
 its validation included, and the tree json column one tree_to_json of that
 tree (the dict, not its encoding). With --verify, each drawing also gets one
 build_report (all verifier checks and its extents), timed in the verify
-column, and one read of its drawing_json bytes by read_canonical (the bytes
+column, and one read of its drawing_json bytes by read_drawing_json (the bytes
 are written untimed), timed in the read column. The peak RSS column is the process's peak so far (getrusage), so a
 row's figure covers its own size and every size before it: for one size's
 peak, run that size alone, e.g. ``--sizes 1000000 --seeds 1``. The frames
@@ -20,7 +20,7 @@ import argparse
 import resource
 import time
 
-from ternarydraw.geometry import drawing_json, extents, read_canonical
+from ternarydraw.geometry import drawing_json, extents, read_drawing_json
 from ternarydraw.layout_general import LayoutParams, draw_general, frame_stats
 from ternarydraw.tree import TernaryTree, random_ternary_tree, tree_to_json
 from ternarydraw.verify import build_report
@@ -70,7 +70,7 @@ def main() -> None:
                     raise SystemExit(f"n={n} seed={seed}: drawing failed verification")
                 data = drawing_json(d).encode()
                 t0 = time.perf_counter()
-                read = read_canonical(data)
+                read = read_drawing_json(data)
                 t_read += time.perf_counter() - t0
                 if read != d:
                     raise SystemExit(f"n={n} seed={seed}: drawing_json's bytes read back wrong")

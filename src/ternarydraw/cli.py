@@ -194,13 +194,13 @@ def cmd_fit(args) -> int:
 
 
 def _read_drawing(path: str) -> GridDrawing:
-    """The file's bytes are read once. The exact layout ``draw`` writes is
-    parsed by geometry.read_canonical; any other layout goes through json,
-    decoded from those bytes as ``open(path)`` would decode the file."""
+    """The file's bytes are read once. draw's document, in any whitespace
+    layout, is parsed by geometry.read_drawing_json; any other goes through
+    json, decoded from those bytes as ``open(path)`` would decode the file."""
     try:
         with open(path, "rb") as f:
             data = f.read()
-        return (_cli.read_canonical(data)
+        return (_cli.read_drawing_json(data)
                 or _cli.drawing_from_json(json.load(io.TextIOWrapper(io.BytesIO(data)))))
     except _BAD_INPUT as e:
         raise UserError(f"cannot read drawing {path!r}: {e}") from e

@@ -121,7 +121,7 @@ _TAIL = "\n  ]\n}"
 _CHILD_TEMPLATES = ("      []",) + tuple(
     "      [\n" + ",\n".join(["        %d"] * k) + "\n      ]" for k in (1, 2, 3))
 _ROW_TEMPLATE = "    [\n      %d,\n      %d\n    ]"
-_BLOCK = 1 << 16  # nodes formatted per % operation, bounding the Python ints alive at once
+_BLOCK = 1 << 13  # nodes formatted per % operation, bounding the Python ints alive at once
 
 
 def drawing_json_blocks(d: GridDrawing) -> Iterator[str]:
@@ -152,98 +152,95 @@ def drawing_json(d: GridDrawing) -> str:
     return "".join(drawing_json_blocks(d))
 
 
-_HEAD_RE = re.compile(re.escape(_HEAD.encode()).replace(rb"%d", rb"(0|[1-9][0-9]{0,18})"))
+# The reader's patterns: the templates' tokens, any JSON whitespace around them.
+_WHITESPACE, _SPACE = b" \t\n\r", rb"[ \t\n\r]*"
+_HEAD_RE, _MIDDLE_RE, _TAIL_RE = (re.compile(lead + _SPACE.join(
+    rb"(0|[1-9][0-9]{0,18})" if token == "%d" else re.escape(token.encode())
+    for token in re.findall(r'"\w+"|%d|\S', template)) + end)
+    for template, lead, end in ((_HEAD, _SPACE, b""), (_MIDDLE, b"", b""), (_TAIL, b"", _SPACE + rb"\Z")))
+_SCAN = 1 << 20  # bytes per pass of the count of number runs, bounding its scratch
 
 
-def read_canonical(data: bytes) -> Optional[GridDrawing]:
-    """The drawing d with ``drawing_json(d)`` equal to ``data``, with or
-    without one trailing newline; None if there is none. The head and the
-    tail are compared whole; _lists checks the children and the positions
-    line by line as it reads their numbers, and the drawing is built by the
-    validating constructors. So an accepted drawing is exactly what
-    ``drawing_from_json(json.loads(data))`` builds, and any other layout,
-    valid or not, gets None."""
+def read_drawing_json(data: bytes) -> Optional[GridDrawing]:
+    """The drawing ``drawing_from_json(json.loads(data))`` builds, if data is
+    drawing_json's document with any JSON whitespace between its tokens;
+    None otherwise, or if that is no drawing. The head, middle and tail are
+    matched token by token, so no key hides whitespace; _lists reads the
+    lists with their whitespace deleted, and as many runs of "-" and digit
+    bytes as numbers read show that no number held whitespace ("1 2")."""
     head = _HEAD_RE.match(data)
-    if head is None:
+    at = data.find(b'"', head.end()) if head else -1  # the lists hold no '"': this is "pos"
+    middle = _MIDDLE_RE.match(data, max(data.rfind(b"]", 0, at), 0)) if at > 0 else None
+    tail = _TAIL_RE.match(data, max(data.rfind(b"]"), 0))
+    if middle is None or tail is None:
         return None
-    n, root, lo = int(head[1]), int(head[2]), head.end()
-    middle, hi = data.find(_MIDDLE.encode(), lo), len(data) - data.endswith(b"\n") - len(_TAIL)
-    if middle < 0 or hi < middle + len(_MIDDLE) or not data.startswith(_TAIL.encode(), hi):
-        return None
-    buf = np.frombuffer(data, np.uint8)
-    children = _lists(buf, lo, middle, 6, n, signed=False)
-    rows = _lists(buf, middle + len(_MIDDLE), hi, 4, n, signed=True)
-    if children is None or rows is None or np.any(rows[0] != 2) or children[0].max() > 3:
+    buf, runs = np.frombuffer(data, np.uint8), 0
+    for a in range(1, len(data), _SCAN):  # data[0] is "{" or whitespace
+        num = buf[a - 1:a + _SCAN] - ord("-") <= ord("9") - ord("-")  # wraps below "-"
+        runs += np.count_nonzero(num[1:] > num[:-1])
+    n = int(head[1])
+    children = _lists(data[head.end():middle.start()].translate(None, _WHITESPACE), n)
+    rows = _lists(data[middle.end():tail.start()].translate(None, _WHITESPACE), n)
+    if (children is None or rows is None or np.any(rows[0] != 2) or children[0].max() > 3
+            or children[1].min(initial=0) < 0 or runs != 2 + len(children[1]) + len(rows[1])):
         return None
     table = np.full((n, 3), -1)
     table[np.arange(3) < children[0][:, None]] = children[1]
     try:
-        return GridDrawing(TernaryTree(table, root), rows[1].reshape(n, 2))
+        return GridDrawing(TernaryTree(table, int(head[2])), rows[1].reshape(n, 2))
     except ValueError:  # TreeError included
         return None
 
 
-def _lists(buf: np.ndarray, lo: int, hi: int, indent: int, n: int,
-           signed: bool) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The item count of each list in buf[lo:hi] and the items in order, if
-    it holds n lists of integers as drawing_json lays them out at ``indent``
-    spaces: "[]", or "[" then one item a line two spaces deeper then "]",
-    lists and items joined by a comma and a newline. None otherwise. Each
-    line is told by its width and its bytes after the indent, and each byte
-    checked outside the indents is not a space, so one count of the spaces
-    checks every indent. Line j is buf[bounds[j] + 1:bounds[j + 1]]; the
-    per-line arrays die before the numbers are read."""
-    bounds = np.flatnonzero(buf[lo:hi] == ord("\n"))
-    bounds += lo
-    bounds = np.concatenate(([lo - 1], bounds, [hi]))
-    comma, width = buf[bounds[1:] - 1] == ord(","), np.diff(bounds)
-    width -= 1
-    width -= comma  # the width without the comma
-    key, after = buf[indent + 1:][bounds[:-1]], buf[indent + 2:][bounds[:-1]]
-    opener = (key == ord("[")) & (width == indent + 1) & ~comma
-    closer = (key == ord("]")) & (width == indent + 1)
-    empty = (key == ord("[")) & (after == ord("]")) & (width == indent + 2)
-    first, last, item = opener | empty, empty | closer, ~(opener | empty | closer)
-    lists = np.flatnonzero(first)
-    if (len(lists) != n or not (first[0] and last[-1]) or np.any(first[1:] != last[:-1])
-            or np.any(opener[:-1] & closer[1:]) or comma[-1]
-            or np.any(comma[:-1] != ~(opener[:-1] | closer[1:]))
-            or np.count_nonzero(buf[lo:hi] == ord(" ")) != indent * len(width) + 2 * item.sum()):
+def _lists(text: bytes, n: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The item count of each list in text and the items in order, if it is
+    n lists of integers joined by commas, without whitespace; None
+    otherwise. The brackets alternate, "]," is followed by "[", and any
+    other two adjacent separators enclose an item, but those of "[]". An
+    item is 1 to 19 decimal digits, maybe after a "-", with no leading zero
+    ("-0" is 0, as json reads it). The digits are read a column at a time,
+    each item right-aligned in a window as wide as the widest; 19 digits
+    past 2**63 - 1 wrap in int64, and no drawing holds such a number."""
+    if not (text.startswith(b"[") and text.endswith(b"]")):
         return None
-    counts = np.diff(np.append(lists, len(width))) - 1 - opener[lists]
-    items = np.flatnonzero(item)  # the item lines, selected once
-    del key, after, opener, closer, empty, first, last, item  # before the per-item arrays
-    ends, sizes = bounds[1:].take(items), width.take(items)
-    ends -= comma.take(items)
-    sizes -= indent + 2
-    del bounds, width, comma, items
-    values = _integers(buf, ends, sizes, signed)
-    return None if values is None else (counts, values)
-
-
-def _integers(buf: np.ndarray, ends: np.ndarray, sizes: np.ndarray, signed: bool) -> Optional[np.ndarray]:
-    """The integer written in each buf[end - size:end] (end >= 19; ends and
-    sizes are used as scratch): 1 to 19 decimal digits, after a "-" if
-    signed, with no leading zero and no -0. None if one is not. The digits
-    are read a column at a time, each number right-aligned in a window as
-    wide as the widest; 19 digits past 2**63 - 1 wrap in int64, and no
-    drawing holds such a number."""
-    neg = signed & (buf.take(ends - sizes, mode="clip") == ord("-"))
+    buf = np.frombuffer(text, np.uint8)
+    at = np.flatnonzero((buf == ord(",")) | (buf >= ord("[")))  # "]" and every letter are >= "["
+    kind = buf[at]
+    brackets = np.flatnonzero(kind != ord(","))
+    opens, closes = brackets[0::2], brackets[1::2]
+    first, last = at[opens], at[closes]
+    if (len(brackets) != 2 * n or kind[brackets].tobytes() != b"[]" * n
+            or np.any(closes[:-1] + 2 != opens[1:]) or np.any(first[1:] - last[:-1] != 2)):
+        return None  # the last two ask for "],[" between lists
+    counts = closes - opens - (last - first == 1)  # "[]" holds no item
+    del kind, brackets, opens, closes, first, last
+    gap = np.diff(at)
+    item = gap > 1  # a byte between two separators
+    if np.count_nonzero(item) != counts.sum():  # no other two separators are adjacent
+        return None
+    sizes = gap[item]
+    sizes -= 1
+    del gap
+    ends = at[1:][item]
+    del at, item
+    neg = buf[ends - sizes] == ord("-")
     sizes -= neg
     if len(sizes) and (sizes.min() < 1 or sizes.max() > 19
-                       or np.any((buf[ends - sizes] == ord("0")) & ((sizes > 1) | neg))):
+                       or np.any((buf[ends - sizes] == ord("0")) & (sizes > 1))):
         return None
     w = sizes.max(initial=0)
     ends -= w  # now each window's start
-    outside, value = (w - sizes).astype(np.uint8), np.zeros(len(sizes), np.int64)
+    outside, values = (w - sizes).astype(np.uint8), np.zeros(len(sizes), np.int64)
     for j in range(w):
-        digit = buf[j:][ends] - ord("0")  # wraps below "0"
+        digit = buf.take(ends, mode="clip")  # a window start before buf is outside its item
+        ends += 1
+        digit -= ord("0")  # wraps below "0"
         digit *= outside <= j
         if digit.max(initial=0) > 9:
             return None
-        value *= 10
-        value += digit
-    return np.negative(value, out=value, where=neg)
+        values *= 10
+        values += digit
+    return counts, np.negative(values, out=values, where=neg)
 
 
 def drawing_from_json(obj: dict) -> GridDrawing:

@@ -186,7 +186,9 @@ class CacheError(ValueError):
     """A frontier cache file that fails load_frontier's checks."""
 
 
-_ROW = re.compile(r"(0|[1-9][0-9]*) (0|[1-9][0-9]*) (0|[1-9][0-9]*) (0|[1-9][0-9]*) ([12])")
+# At most 19 digits a number: a longer one fails its pattern, never int()'s digit limit.
+_HEADER = re.compile("h=([1-9][0-9]{0,18}) count=([1-9][0-9]{0,18})")
+_ROW = re.compile(" ".join(["(0|[1-9][0-9]{0,18})"] * 4 + ["([12])"]))
 
 
 def load_frontier(cache_dir: str, h: int, below: ParetoFrontier) -> Optional[ParetoFrontier]:
@@ -213,10 +215,10 @@ def load_frontier(cache_dir: str, h: int, below: ParetoFrontier) -> Optional[Par
         return CacheError(f"{path} for h={h}, row {row}: {why}")
 
     rows = data.decode("latin-1").removesuffix("\n").split("\n")  # a byte past ASCII fails its row
-    header = re.fullmatch(f"h={h} count=([1-9][0-9]*)", rows[0])
-    if header is None:
+    header = _HEADER.fullmatch(rows[0])
+    if header is None or int(header[1]) != h:
         raise bad(0, f"header {rows[0]!r} is not 'h={h} count=<rows>'")
-    count = int(header[1])
+    count = int(header[2])
     if len(rows) != count + 1:
         raise bad(min(len(rows), count + 1),
                   f"the header declares {count} rows, the file holds {len(rows) - 1}")

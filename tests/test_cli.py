@@ -526,9 +526,9 @@ def test_golden_draws_equal_the_library_drawings(capsys, h):
 
 def verify_outcome(path, fast=True):
     """verify's exit code, stdout and stderr; with fast=False every file
-    takes the json path, as every file did before the canonical reader."""
-    reader = cli.read_canonical if fast else (lambda data: None)
-    with mock.patch.object(cli, "read_canonical", reader):
+    takes the json path, as every file did before the numpy reader."""
+    reader = cli.read_drawing_json if fast else (lambda data: None)
+    with mock.patch.object(cli, "read_drawing_json", reader):
         return outcome("verify", str(path))
 
 
@@ -575,8 +575,9 @@ def mutated(data: bytes, kind: str, k: int) -> bytes:
                              "swap"]),
        k=st.integers(0, 10 ** 6))
 def test_verify_verdict_on_mutated_canonical_files(tmp_path_factory, d, kind, k):
-    # a digit mutation mostly keeps the layout and is read by read_canonical;
-    # every other one falls back to json. Both give json's verdict.
+    # a digit, space or newline mutation mostly keeps the document and is
+    # read by read_drawing_json; most others fall back to json. Both give
+    # json's verdict.
     path = tmp_path_factory.mktemp("mutated") / "d.json"
     path.write_bytes(mutated(drawing_json(d).encode() + b"\n", kind, k))
     assert verify_outcome(path) == verify_outcome(path, fast=False)
@@ -596,7 +597,7 @@ def test_verify_canonical_layout_at_the_limits(tmp_path, children, pos, accepted
     # in drawing_json's layout, but only the first two are drawings
     path = tmp_path / "d.json"
     path.write_bytes(canonical_bytes(children, pos))
-    assert (geometry.read_canonical(path.read_bytes()) is not None) == accepted
+    assert (geometry.read_drawing_json(path.read_bytes()) is not None) == accepted
     outcome = verify_outcome(path)
     assert outcome == verify_outcome(path, fast=False)
     assert outcome[0] == (0 if accepted else 2)
@@ -617,7 +618,7 @@ def test_verify_of_a_drawing_too_large_to_hold_exits_2(tmp_path, monkeypatch):
     # the reader raises as numpy does on a huge file; nothing is allocated
     path = tmp_path / "d.json"
     path.write_bytes(drawing_json(draw_c1_only(2)).encode())
-    monkeypatch.setattr(cli, "read_canonical", out_of_memory)
+    monkeypatch.setattr(cli, "read_drawing_json", out_of_memory)
     code, out, err = verify_outcome(path)
     assert (code, out) == (2, "") and err.startswith(f"error: cannot read drawing {str(path)!r}")
     assert "Unable to allocate" in err and "internal error" not in err
@@ -632,9 +633,13 @@ def test_verify_calls_json_only_off_the_draw_layout(tmp_path, capsys, monkeypatc
     assert run("verify", str(out)) == 0
     assert calls == []
     report = capsys.readouterr().out
-    compact = tmp_path / "compact.json"
+    compact = tmp_path / "compact.json"  # draw's document in another layout: no json
     compact.write_text(json.dumps(json.loads(out.read_text()), separators=(",", ":")))
     assert run("verify", str(compact)) == 0
+    assert calls == [] and capsys.readouterr().out == report
+    reordered = tmp_path / "reordered.json"
+    reordered.write_text(json.dumps(dict(reversed(json.loads(out.read_text()).items()))))
+    assert run("verify", str(reordered)) == 0
     assert len(calls) == 1 and capsys.readouterr().out == report
 
 
@@ -691,6 +696,9 @@ def corrupted_caches(files):
     yield name, 2, "\n".join([header, rows[0], "\u00e9" + rows[1], *rows[2:]]) + "\n"  # not ASCII
     yield name, 1, "\n".join([header, "0" + rows[0], *rows[1:]]) + "\n"  # not as written
     yield name, 1, "\n".join([header, "10" + rows[0][1:], *rows[1:]]) + "\n"  # an even width
+    # 5,000 digits, past int()'s limit on the digits it converts
+    yield name, 0, "\n".join(["h=4 count=" + "9" * 5000, *rows]) + "\n"
+    yield name, 1, "\n".join([header, "1" * 5000 + rows[0][1:], *rows[1:]]) + "\n"
     # int() reads each field of these: a sign, a doubled space, a trailing space
     name = "frontier_h02.txt"
     header, row = files[name].splitlines()
@@ -700,7 +708,7 @@ def corrupted_caches(files):
 
 def test_corrupt_cache_exits_2_and_is_left_as_it_is(tmp_path, capsys, table5_cache):
     cases = list(corrupted_caches(table5_cache))
-    assert len(cases) == 5 * (1 + 2 + 4 + 8) + 14
+    assert len(cases) == 5 * (1 + 2 + 4 + 8) + 16
     out = tmp_path / "d.json"
     for n, (name, row, text) in enumerate(cases):
         cache = tmp_path / f"cache{n}"
@@ -716,6 +724,45 @@ def test_corrupt_cache_exits_2_and_is_left_as_it_is(tmp_path, capsys, table5_cac
             assert f"row {row}:" in err, err
         assert sorted(os.listdir(cache)) == sorted(table5_cache)
         assert (cache / name).read_text() == text  # neither recomputed nor rewritten
+
+
+@pytest.fixture(scope="module")
+def table6_cache(tmp_path_factory):
+    """The cache files `table 6` writes: name -> bytes."""
+    cache = tmp_path_factory.mktemp("table6") / "cache"
+    assert main(["--cache-dir", str(cache), "table", "6"]) == 0
+    return {p.name: p.read_bytes() for p in sorted(cache.iterdir())}
+
+
+# (bytes cut, bytes put in their place): a byte replaced; a CR, NUL, 0xff
+# byte or a digit run up to 5,000 long inserted; a span deleted; the file
+# truncated
+CACHE_EDITS = st.one_of(
+    st.tuples(st.just(1), st.integers(0, 255).map(lambda b: bytes([b]))),
+    st.tuples(st.just(0), st.sampled_from([b"\r", b"\0", b"\xff"])
+              | st.builds(bytes.__mul__, st.sampled_from([b"0", b"1", b"9"]),
+                          st.sampled_from([1, 19, 20, 4300, 4301, 5000]) | st.integers(1, 5000))),
+    st.tuples(st.integers(1, 40), st.just(b"")),
+    st.tuples(st.just(10 ** 6), st.just(b"")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(level=st.integers(2, 6), edit=CACHE_EDITS, at=st.integers(0, 10 ** 6))
+def test_edited_cache_exits_0_or_2(tmp_path_factory, table6_cache, level, edit, at):
+    # one level of a primed cache edited: read as it was, or refused with
+    # one error line naming it; never an internal error
+    cache = tmp_path_factory.mktemp("edited")
+    for name, data in table6_cache.items():
+        (cache / name).write_bytes(data)
+    name, (cut, put) = f"frontier_h{level:02d}.txt", edit
+    data = table6_cache[name]
+    i = at % (len(data) + 1)
+    data = data[:i] + put + data[i + cut:]
+    (cache / name).write_bytes(data)
+    code, out, err = outcome("--cache-dir", str(cache), "table", "6")
+    assert code in (0, 2), err
+    if code == 2:
+        assert out == "" and err.count("\n") == 1 and err.startswith("error: ") and name in err
 
 
 def test_failed_cache_write_exits_2_and_leaves_no_temporary(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ternarydraw import geometry
 from ternarydraw.geometry import (Extents, GridDrawing, drawing_from_json,
                                   drawing_json, drawing_json_blocks, drawing_to_json,
-                                  edge_segments, extents, read_canonical)
+                                  edge_segments, extents, read_drawing_json)
 from ternarydraw.layout_complete import (draw_c1_only, draw_c2_only,
                                          draw_golden, draw_upper_1149)
 from ternarydraw.layout_general import draw_general
@@ -17,7 +17,6 @@ from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree, tr
 from ternarydraw.verify import build_report, node_ranks
 
 from conftest import canonical_bytes, drawings, layouts, min_area_drawing
-from reader_oracle import oracle_read_canonical
 from test_layout_complete import rotate  # the construction oracle's rotation
 
 
@@ -239,15 +238,24 @@ def test_extents_reject_off_grid_drawings():
         extents(GridDrawing(TernaryTree(((1,), ())), ((0, 0), (0.5, 0))))
 
 
+def json_read(data: bytes):
+    """The reader's oracle: the drawing that json and drawing_from_json read
+    from data, None where they raise."""
+    try:
+        return drawing_from_json(json.loads(data))
+    except ValueError:  # JSONDecodeError and TreeError included
+        return None
+
+
 @settings(max_examples=150, deadline=None)
 @given(drawings())
-def test_read_canonical_accepts_exactly_the_drawing_json_layout(d):
+def test_reader_reads_every_whitespace_layout(d):
     text = drawing_json(d)
-    assert read_canonical(text.encode()) == d
-    assert read_canonical(text.encode() + b"\n") == d
-    for other in layouts(d):
-        assert read_canonical(other.encode()) is None
-        assert drawing_from_json(json.loads(other)) == d
+    empty_on_two_lines = text.replace("      []", "      [\n      ]")
+    for layout in (text, text + "\n", empty_on_two_lines) + layouts(d):
+        keys_in_order = list(json.loads(layout)) == ["tree", "pos"]
+        assert read_drawing_json(layout.encode()) == (d if keys_in_order else None)
+        assert json_read(layout.encode()) == d
 
 
 def test_drawing_json_is_the_join_of_its_blocks():
@@ -256,50 +264,91 @@ def test_drawing_json_is_the_join_of_its_blocks():
     text = "".join(blocks)
     assert text == drawing_json(d) == dumped(d)
     assert max(block.count("[") for block in blocks) == geometry._BLOCK  # one per list or row
-    assert read_canonical(drawing_json(d).encode()) == d
+    assert read_drawing_json(drawing_json(d).encode()) == d
 
 
 @pytest.mark.parametrize("chunk", [32, 1000])
-def test_read_canonical_in_small_chunks(chunk):
-    # every line of drawing_json is shorter than 32 bytes, so the oracle's
-    # runs, signs and list openers fall on either side of many chunk ends.
-    # Both readers read each drawing back exactly, and both refuse a long
-    # line and an indent one space too deep or too shallow. A number of two
-    # or more digits keeps the shallow line's width: only the count of the
-    # spaces refuses it.
+def test_read_canonical_in_small_chunks(chunk, monkeypatch):
+    # the reader counts the runs of number bytes in blocks of _SCAN bytes,
+    # here chunk, and every line of drawing_json is shorter than 32 bytes, so
+    # runs and whitespace fall on either side of many block ends. Lines and
+    # indents of any width are read; whitespace inside a number, at any
+    # offset, is refused.
+    monkeypatch.setattr(geometry, "_SCAN", chunk)
     big = 2 ** 62 - 1
     t = TernaryTree(((1, 2, 3), (4,), (5, 6), (), (), (), ()), root=0)
     for d in (GridDrawing(t, ((0, 0), (-big, 0), (0, -1), (big, 0), (-big, big), (-7, -1), (0, big))),
               draw_general(random_ternary_tree(500, 3)), draw_upper_1149(4)):
         text = drawing_json(d)
-        assert read_canonical(text.encode()) == oracle_read_canonical(text.encode(), chunk) == d
+        assert read_drawing_json(text.encode()) == d
         long_line = text.replace("\n      [\n", "\n      [" + " " * 40 + "\n", 1)
         deeper = text.replace("\n        ", "\n         ", 1)
         shallower = re.sub(r"\n ( *-?\d\d)", r"\n\1", text, count=1)
-        for bad in (long_line, deeper, shallower):
-            assert bad != text
-            assert read_canonical(bad.encode()) is None
-            assert oracle_read_canonical(bad.encode(), chunk) is None
+        for layout in (long_line, deeper, shallower):
+            assert layout != text and read_drawing_json(layout.encode()) == d
+        numbers = [m.start() for m in re.finditer(r"-?\d\d+|-\d", text)]  # two bytes or more
+        for at in numbers[::max(1, len(numbers) // 40)]:
+            for space in (" ", "\n" + " " * chunk):
+                split = text[:at + 1] + space + text[at + 1:]  # after a digit or a "-"
+                assert read_drawing_json(split.encode()) is None and json_read(split.encode()) is None
 
 
 @pytest.mark.parametrize("old,new", [
     ('"n": 2,', '"n": 02,'),
     ('"root": 0,', '"root": 00,'),
-    ("      []", "      [\n      ]"),
     ("      [\n        1\n      ],\n      []", "      [],\n        1,\n      []"),
     ("      []\n    ]", "      [],\n    ]"),
     ("      0\n    ]\n  ]", "      0\n    ],\n  ]"),
     ("    [\n      0,\n      0\n    ],\n    [\n      1,", "    [\n      0\n    ],\n    [\n      0,\n      1,"),
     ("\n  ]\n}", "\n  }\n}"),
-], ids=["n-leading-zero", "root-leading-zero", "empty-list-on-two-lines", "id-outside-a-list",
+], ids=["n-leading-zero", "root-leading-zero", "id-outside-a-list",
         "comma-after-the-last-list", "comma-after-the-last-row", "rows-of-one-and-three", "tail"])
 def test_read_canonical_refuses_near_canonical_layouts(old, new):
-    # one change each that keeps every line's own layout, so only the head,
-    # the tail, or the order and count of the lines can refuse it
+    # one change each that keeps every token's own text, so only the order
+    # and count of the tokens can refuse it
     data = canonical_bytes([[1], []], [[0, 0], [1, 0]])
-    assert read_canonical(data) is not None and data.count(old.encode()) == 1
+    assert read_drawing_json(data) is not None and data.count(old.encode()) == 1
     data = data.replace(old.encode(), new.encode())
-    assert read_canonical(data) is None and oracle_read_canonical(data) is None
+    assert read_drawing_json(data) is None and json_read(data) is None
+
+
+@pytest.mark.parametrize("children,old,new", [
+    ([[1], []], "[\n        1\n      ]", "[\n        1 2\n      ]"),
+    ([[1], []], "      1,\n      0", "      - 1,\n      0"),
+    ([[1], []], '"pos"', '"p os"'),
+    ([[1], []], '"children"', '"child\tren"'),
+    ([[1], []], '"tree"', '"tree\n"'),
+    ([[1], []], ": {\n", ": {\x0b\n"),
+    ([[1], []], "      1,\n      0", "      1,\x0c\n      0"),
+    ([[1], []], "[\n        1", "[\x00\n        1"),
+    ([[1], []], "\n  ]\n}", "\n  ]\n}\x1f"),
+    # as many items as [[1, 2], [], []], one id moved between two lists,
+    # with the comma between them or in the comma's place
+    ([[1, 2], [], []], "[\n        1,\n        2\n      ],", "[,\n        1\n      ]\n        2,"),
+    ([[1, 2], [], []], "[\n        1,\n        2\n      ],", "[,\n        1\n      ]\n        2"),
+], ids=["merged-digits", "minus-apart", "space-in-pos", "tab-in-children", "newline-in-tree",
+        "vertical-tab", "form-feed", "nul", "unit-separator", "id-between-lists",
+        "id-for-a-comma"])
+def test_reader_refuses_what_json_refuses(children, old, new):
+    data = canonical_bytes(children, [[i, 0] for i in range(len(children))])
+    assert read_drawing_json(data) is not None and data.count(old.encode()) == 1
+    data = data.replace(old.encode(), new.encode())
+    assert read_drawing_json(data) is None and json_read(data) is None
+
+
+def tokens_spaced(draw, text: str) -> str:
+    """text's JSON tokens with random JSON whitespace before, between and
+    after them."""
+    tokens = re.findall(r'"\w+"|-?\d+|\S', text)
+    space = st.text(alphabet=" \t\n\r", max_size=3)
+    return "".join(draw(space) + token for token in tokens) + draw(space)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=drawings(max_n=12), data=st.data())
+def test_reader_reads_random_whitespace_between_tokens(d, data):
+    text = tokens_spaced(data.draw, json.dumps(drawing_to_json(d)))
+    assert read_drawing_json(text.encode()) == json_read(text.encode()) == d
 
 
 EDIT_BYTES = b" \n,[]-0123456789x"
@@ -320,9 +369,14 @@ def test_read_canonical_agrees_with_the_oracle_on_edited_files(d, newline, edits
     data = drawing_json(d).encode() + b"\n" * newline
     for kind, at, byte in edits:
         data = edit(data, kind, at, byte)
-    read = read_canonical(data)
-    assert read == oracle_read_canonical(data)
-    assert read is None or data in (drawing_json(read).encode(), drawing_json(read).encode() + b"\n")
+    read, expected = read_drawing_json(data), json_read(data)
+    assert read is None or read == expected
+    # json alone reads other keys and whitespace inside a key; the reader
+    # reads every other document json reads
+    keys = (b'"tree"', b'"n"', b'"root"', b'"children"', b'"pos"')
+    if expected is not None and all(key in data for key in keys):
+        compact = json.dumps(drawing_to_json(expected), separators=(",", ":")).encode()
+        assert read == expected or data.translate(None, b" \n") != compact
 
 
 @pytest.mark.parametrize("n", [10 ** 18, 2 ** 63 - 1])
@@ -331,7 +385,7 @@ def test_read_canonical_allocates_nothing_for_a_lying_header(n):
     assert b'"n": %d,' % n in data
     tracemalloc.start()
     try:
-        assert read_canonical(data) is None
+        assert read_drawing_json(data) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -343,7 +397,7 @@ def test_read_canonical_allocates_nothing_for_a_lying_header(n):
 def test_read_canonical_coordinate_range(c):
     for sign in (1, -1):
         data = canonical_bytes([[1], []], [[0, 0], [sign * c, 0]])
-        d = read_canonical(data)
+        d = read_drawing_json(data)
         assert (d is not None) == (c < 2 ** 62)
         if d is not None:
             assert d.pos.tolist() == [[0, 0], [sign * c, 0]]
@@ -352,6 +406,8 @@ def test_read_canonical_coordinate_range(c):
 @pytest.mark.parametrize("bad", [3, -1, 2 ** 63, 2 ** 63 + 1, 12345678901234567890])
 def test_read_canonical_rejects_bad_child_ids(bad):
     # -1 is an empty slot in the table, 2**63 wraps to -2**63 in int64 digit
-    # arithmetic, and a 20-digit id does not fit: none is read as a drawing
-    assert read_canonical(canonical_bytes([[1, bad], [], []], [[0, 0], [1, 0], [2, 0]])) is None
-    assert read_canonical(canonical_bytes([[bad], []], [[0, 0], [1, 0]])) is None
+    # arithmetic, and a 20-digit id does not fit: none is read as a drawing,
+    # not even as a one-node tree's only child, where -1 would read as no child
+    assert read_drawing_json(canonical_bytes([[1, bad], [], []], [[0, 0], [1, 0], [2, 0]])) is None
+    assert read_drawing_json(canonical_bytes([[bad], []], [[0, 0], [1, 0]])) is None
+    assert read_drawing_json(canonical_bytes([[bad]], [[0, 0]])) is None

@@ -15,7 +15,7 @@ import ternarydraw
 REEXPORTS = {
     "geometry": ("Extents", "GridDrawing", "drawing_from_json", "drawing_json",
                  "drawing_json_blocks", "drawing_to_json", "edge_segments", "extents",
-                 "read_canonical"),
+                 "read_drawing_json"),
     "layout_complete": ("draw_c1_only", "draw_c2_only", "draw_golden", "draw_upper_1149"),
     "layout_general": ("FrameStats", "LayoutParams", "draw_general", "frame_stats"),
     "pareto": ("REFERENCE_AREA_TABLE", "ParetoFrontier", "PowerLawFit", "fit_power_law",

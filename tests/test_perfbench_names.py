@@ -36,8 +36,8 @@ def test_cli_calls_every_name_the_traced_run_wraps_on_it(monkeypatch, tmp_path):
     assert cli.main(["draw", "random:50:1", "--out", str(general)]) == 0
     for algo in ("c1", "c2", "golden-narrow", "upper1149"):
         assert cli.main(["draw", "complete:3", "--algo", algo, "--out", str(tmp_path / "d.json")]) == 0
-    compact = tmp_path / "compact.json"  # not draw's layout: read through drawing_from_json
-    compact.write_text(json.dumps(json.loads(general.read_text())))
-    assert cli.main(["verify", str(compact)]) == 0
+    reordered = tmp_path / "reordered.json"  # not draw's key order: read through drawing_from_json
+    reordered.write_text(json.dumps(dict(reversed(json.loads(general.read_text()).items()))))
+    assert cli.main(["verify", str(reordered)]) == 0
     # cli no longer calls these two (ROADMAP item 1b)
     assert names - called == {"extents", "drawing_to_json"}
