@@ -251,8 +251,7 @@ def json_read(data: bytes):
 @given(drawings())
 def test_reader_reads_every_whitespace_layout(d):
     text = drawing_json(d)
-    empty_on_two_lines = text.replace("      []", "      [\n      ]")
-    for layout in (text, text + "\n", empty_on_two_lines) + layouts(d):
+    for layout in (text, text + "\n") + layouts(d):
         keys_in_order = list(json.loads(layout)) == ["tree", "pos"]
         assert read_drawing_json(layout.encode()) == (d if keys_in_order else None)
         assert json_read(layout.encode()) == d
@@ -291,6 +290,21 @@ def test_read_canonical_in_small_chunks(chunk, monkeypatch):
             for space in (" ", "\n" + " " * chunk):
                 split = text[:at + 1] + space + text[at + 1:]  # after a digit or a "-"
                 assert read_drawing_json(split.encode()) is None and json_read(split.encode()) is None
+
+
+@pytest.mark.parametrize("old,new", [
+    ("      []", "      [\n      ]"),
+    ("      []", "      [ ]"),
+    ("    [\n      1,\n      0\n    ]", "    [1, 0]"),
+], ids=["empty-list-on-two-lines", "empty-list-spaced", "row-on-one-line"])
+def test_reader_reads_near_canonical_layouts(old, new):
+    # changes to drawing_json's whitespace alone, which the reader reads as
+    # json does
+    data = canonical_bytes([[1], []], [[0, 0], [1, 0]])
+    d = read_drawing_json(data)
+    assert d is not None and data.count(old.encode()) == 1
+    data = data.replace(old.encode(), new.encode())
+    assert read_drawing_json(data) == d == json_read(data)
 
 
 @pytest.mark.parametrize("old,new", [
