@@ -114,8 +114,8 @@ def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
 
         fronts = _levels(h, cache_dir)
         drawing = pareto.reconstruct_drawing(fronts, fronts[-1].min_area()[1])
-    from .tree import complete_tree, level_order
-    drawn = complete_tree(h)  # what every 1-2 construction draws
+    from .tree import level_order
+    drawn = drawing.tree  # complete_tree(h): what every 1-2 construction draws
     if tree == drawn:
         return drawing
     # both are complete of height h: node i of tree by level takes the place of node i of drawn

@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .tree import TernaryTree, require_json_ints, tree_from_json, tree_to_json
+from .tree import TernaryTree, tree_from_json, tree_to_json
 
 
 @dataclass(frozen=True)
@@ -244,17 +244,8 @@ def _lists(text: bytes, n: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
 
 
 def drawing_from_json(obj: dict) -> GridDrawing:
-    """Parse {"tree", "pos"}; every coordinate must be a JSON integer with
-    |c| < 2**62."""
-    if not isinstance(obj, dict) or not {"tree", "pos"} <= obj.keys():
-        raise ValueError('a drawing must be a JSON object with "tree" and "pos"')
-    tree = tree_from_json(obj["tree"])
-    pos = obj["pos"]
-    if not (type(pos) is list and set(map(type, pos)) <= {list} and set(map(len, pos)) <= {2}):
-        raise ValueError("pos must be a list of [x, y] pairs")
-    require_json_ints(chain.from_iterable(pos), "coordinates")  # before numpy coerces them
-    try:
-        P = np.fromiter(chain.from_iterable(pos), np.int64, 2 * len(pos))
-    except OverflowError:  # |c| >= 2**63
-        raise ValueError("coordinates must be numbers with |c| < 2**62") from None
-    return GridDrawing(tree, P.reshape(-1, 2))
+    """Parse {"tree", "pos"}, no other key: tree_from_json reads the tree,
+    and GridDrawing checks the positions."""
+    if not isinstance(obj, dict) or obj.keys() != {"tree", "pos"}:
+        raise ValueError('a drawing must be a JSON object with exactly "tree" and "pos"')
+    return GridDrawing(tree_from_json(obj["tree"]), obj["pos"])

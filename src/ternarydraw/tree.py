@@ -196,22 +196,18 @@ def tree_to_json(t: TernaryTree) -> dict:
     return {"n": t.n, "root": t.root, "children": rows}
 
 
-def require_json_ints(values, what: str, error: type[ValueError] = ValueError) -> None:
-    """Reject, not coerce, floats and bools (which Python counts as ints)."""
-    if not set(map(type, values)) <= {int}:
-        raise error(f"{what} must be JSON integers")
-
-
 def tree_from_json(obj: dict) -> TernaryTree:
-    """Parse {"n", "root", "children"}; "n" and "root" are optional. Every
-    child id must be a JSON integer in 0..n-1: -1 is not an empty slot. Any
-    malformed tree raises TreeError."""
-    if not isinstance(obj, dict):
-        raise TreeError("a tree must be a JSON object")
+    """Parse {"n", "root", "children"}, no other key; "n" and "root" are
+    optional, and must be JSON integers. Every child id must be a JSON
+    integer in 0..n-1: -1 is not an empty slot. Any malformed tree raises
+    TreeError."""
+    if not isinstance(obj, dict) or not obj.keys() <= {"n", "root", "children"}:
+        raise TreeError('a tree must be a JSON object with no key but "n", "root" and "children"')
     n, root, children = obj.get("n"), obj.get("root", 0), obj.get("children")
     if type(children) is not list or not set(map(type, children)) <= {list}:
         raise TreeError("children must be a list of child-id lists")
-    require_json_ints([root] if n is None else [root, n], "root and n", TreeError)
+    if type(root) is not int or n is not None and type(n) is not int:  # no float or bool
+        raise TreeError("root and n must be JSON integers")
     if n is not None and n != len(children):
         raise TreeError("declared node count does not match children table")
     return TernaryTree(children, root)

@@ -102,8 +102,6 @@ def _interior_crossing(hs: np.ndarray, vs: np.ndarray, width: int, height: int) 
     searchsorted per level finds, per block asked about, whether one of its
     verticals with y1 < y reaches below y."""
     vs = vs[vs[:, 2] - vs[:, 1] > 1]  # one between adjacent rows has no row to cross inside
-    if not len(hs) or not len(vs):
-        return False
     upto = np.cumsum(np.bincount(vs[:, 0], minlength=width))  # verticals with x <= column
     lo, hi = upto[hs[:, 1]], upto[hs[:, 2] - 1]
     keep = lo < hi

@@ -153,10 +153,13 @@ def test_verify_rejects_malformed_drawing(tmp_path, capsys, doc):
     path.write_text(json.dumps(doc))
     assert run("verify", str(path)) == 2
     assert capsys.readouterr().out == ""
+    with pytest.raises(ValueError):  # GridDrawing's, for every bad pos
+        drawing_from_json(doc)
 
 
-@pytest.mark.parametrize("c", [2 ** 62, -2 ** 62 - 1, 2 ** 63, -2 ** 63 - 1, 2 ** 64],
-                         ids=["2^62", "-2^62-1", "2^63", "-2^63-1", "2^64"])
+@pytest.mark.parametrize("c", [2 ** 62, -2 ** 62 - 1, 2 ** 63, -2 ** 63 - 1, 2 ** 64,
+                               -2 ** 62, -2 ** 63],
+                         ids=["2^62", "-2^62-1", "2^63", "-2^63-1", "2^64", "-2^62", "-2^63"])
 def test_verify_rejects_out_of_range_coordinate(tmp_path, capsys, c):
     doc = {"tree": {"n": 2, "root": 0, "children": [[1], []]}, "pos": [[0, 0], [c, 0]]}
     path = tmp_path / "d.json"
@@ -164,6 +167,43 @@ def test_verify_rejects_out_of_range_coordinate(tmp_path, capsys, c):
     assert run("verify", str(path)) == 2
     out, err = capsys.readouterr()
     assert out == "" and "Traceback" not in err and "2**62" in err
+    with pytest.raises(ValueError, match=re.escape("2**62")):
+        drawing_from_json(doc)
+
+
+@pytest.mark.parametrize("edit", ["top-level-key", "tree-key", "spaced-n"])
+def test_verify_refuses_a_key_outside_the_schema(tmp_path, edit):
+    # json reads each edit of draw's document; a tree read without its
+    # misspelled " n" would skip the node-count check
+    path = tmp_path / "d.json"
+    assert run("draw", "random:300:1", "--out", str(path)) == 0
+    doc = json.loads(path.read_text())
+    if edit == "top-level-key":
+        doc["note"] = ""
+    elif edit == "tree-key":
+        doc["tree"]["note"] = ""
+    else:
+        doc["tree"][" n"] = doc["tree"].pop("n") + 1
+    path.write_text(json.dumps(doc, indent=2))
+    code, stdout, err = outcome("verify", str(path))
+    assert code == 2 and stdout == "" and err.startswith("error: cannot read drawing")
+    assert err.count("\n") == 1
+    with pytest.raises(ValueError):
+        drawing_from_json(doc)
+    if edit != "top-level-key":
+        with pytest.raises(tree.TreeError):
+            tree.tree_from_json(doc["tree"])
+
+
+def test_file_treespec_refuses_a_key_outside_the_schema(tmp_path, capsys):
+    doc = {**tree.tree_to_json(tree.complete_tree(2)), "note": ""}
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(doc))
+    assert run("draw", f"file:{path}") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bad tree spec") and err.count("\n") == 1
+    with pytest.raises(tree.TreeError):
+        tree.tree_from_json(doc)
 
 
 def test_verify_reports_exact_extents_at_coordinate_limit(tmp_path, capsys):
@@ -277,13 +317,16 @@ def test_program_faults_exit_3(monkeypatch, tmp_path, capsys, fault):
 
 
 def test_draw_gate_requires_subtree_separation(monkeypatch, capsys):
-    # planar, orthogonal and top-visible, but leaf 2 lies inside the box of
-    # its sibling's subtree {1, 3, 4}
-    t = TernaryTree(((1, 2), (3,), (), (4,), ()))
-    bad = GridDrawing(t, ((0, 0), (0, 1), (1, 0), (2, 1), (2, -1)))
-    monkeypatch.setattr(cli, "draw_c1_only", lambda h: bad)
-    assert run("draw", "complete:2", "--algo", "c1") == 3
-    assert capsys.readouterr().out == ""
+    # c1's drawing of T_4 with the edge to leaf 39 doubled: planar, orthogonal
+    # and top-visible, but the leaf, now at x = 3, puts the box of the root's
+    # third subtree onto that of its second
+    c1 = draw_c1_only(4)
+    pos = c1.pos.copy()
+    pos[39] = 2 * pos[39] - pos[c1.tree.parents[39]]
+    monkeypatch.setattr(cli, "draw_c1_only", lambda h: GridDrawing(c1.tree, pos))
+    assert run("draw", "complete:4", "--algo", "c1") == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "internal error: construction failed verification, refusing to write\n"
 
 
 @pytest.mark.parametrize("pos", [((0, 0), (5, 0), (10, 0)), ((0, 0), (0, 5), (0, 10)),

@@ -281,6 +281,7 @@ def test_json_rejects_bad_count():
     [], None, {}, {"n": 2}, {"children": 5}, {"children": [[1], 5]},
     {"root": 0.0, "children": [[]]}, {"n": "1", "children": [[]]},
     {"children": [[[1]], []]}, {"children": [[1, [2]], [], []]},
+    {"children": [[]], "note": ""}, {" n": 5, "children": [[]]},  # no key outside the schema
 ])
 def test_json_tree_must_be_an_object(obj):
     with pytest.raises(TreeError):
