@@ -165,9 +165,9 @@ def _load_table(path: str) -> list[tuple[float, float]]:
         with open(path) as f:
             for line in f:
                 line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
                 toks = line.replace(",", " ").split()
+                if not line or line.startswith("#") or toks == ["h", "n", "min", "area"]:  # table's header
+                    continue
                 if len(toks) < 2:
                     raise ValueError(f"bad row: {line!r}")
                 points.append((float(toks[-2]), float(toks[-1])))

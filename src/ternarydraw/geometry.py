@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .tree import TernaryTree, tree_from_json, tree_to_json
+from .tree import TernaryTree, child_table, tree_from_json, tree_to_json
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,11 @@ class GridDrawing:
     pos: np.ndarray
 
     def __post_init__(self) -> None:
-        P = np.array(self.pos)
-        if P.shape != (self.tree.n, 2):
-            raise ValueError("one (x, y) position per node required")
+        try:  # np.array raises ValueError on ragged rows
+            if (P := np.array(self.pos)).shape != (self.tree.n, 2):
+                raise ValueError
+        except ValueError:
+            raise ValueError("one (x, y) position per node required") from None
         bools = not isinstance(self.pos, np.ndarray) and not {bool, np.bool_}.isdisjoint(
             map(type, chain.from_iterable(self.pos)))  # numpy types (True, 0) as int64
         if bools or P.dtype.kind not in "iu" or not (np.all(P < COORD_LIMIT) and np.all(P > -COORD_LIMIT)):
@@ -162,12 +164,12 @@ _SCAN = 1 << 20  # bytes per pass of the count of number runs, bounding its scra
 
 
 def read_drawing_json(data: bytes) -> Optional[GridDrawing]:
-    """The drawing ``drawing_from_json(json.loads(data))`` builds, if data is
-    drawing_json's document with any JSON whitespace between its tokens;
-    None otherwise, or if that is no drawing. The head, middle and tail are
-    matched token by token, so no key hides whitespace; _lists reads the
-    lists with their whitespace deleted, and as many runs of "-" and digit
-    bytes as numbers read show that no number held whitespace ("1 2")."""
+    """What ``drawing_from_json(json.loads(data))`` builds or raises, if data
+    is drawing_json's document with any JSON whitespace between its tokens;
+    None otherwise. The head, middle and tail are matched token by token, so
+    no key hides whitespace; _lists reads the lists with their whitespace
+    deleted, and as many runs of "-" and digit bytes as numbers read show
+    that no number held whitespace ("1 2"). The constructors check the rest."""
     head = _HEAD_RE.match(data)
     at = data.find(b'"', head.end()) if head else -1  # the lists hold no '"': this is "pos"
     middle = _MIDDLE_RE.match(data, max(data.rfind(b"]", 0, at), 0)) if at > 0 else None
@@ -181,15 +183,10 @@ def read_drawing_json(data: bytes) -> Optional[GridDrawing]:
     n = int(head[1])
     children = _lists(data[head.end():middle.start()].translate(None, _WHITESPACE), n)
     rows = _lists(data[middle.end():tail.start()].translate(None, _WHITESPACE), n)
-    if (children is None or rows is None or np.any(rows[0] != 2) or children[0].max() > 3
-            or children[1].min(initial=0) < 0 or runs != 2 + len(children[1]) + len(rows[1])):
+    if children is None or rows is None or runs != 2 + len(children[1]) + len(rows[1]):
         return None
-    table = np.full((n, 3), -1)
-    table[np.arange(3) < children[0][:, None]] = children[1]
-    try:
-        return GridDrawing(TernaryTree(table, int(head[2])), rows[1].reshape(n, 2))
-    except ValueError:  # TreeError included
-        return None
+    tree = TernaryTree(child_table(*children), int(head[2]))
+    return GridDrawing(tree, rows[1].reshape(n, 2) if np.all(rows[0] == 2) else rows[1])
 
 
 def _lists(text: bytes, n: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -199,8 +196,9 @@ def _lists(text: bytes, n: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
     other two adjacent separators enclose an item, but those of "[]". An
     item is 1 to 19 decimal digits, maybe after a "-", with no leading zero
     ("-0" is 0, as json reads it). The digits are read a column at a time,
-    each item right-aligned in a window as wide as the widest; 19 digits
-    past 2**63 - 1 wrap in int64, and no drawing holds such a number."""
+    each item right-aligned in a window as wide as the widest. 19 digits
+    past 2**63 - 1 wrap to a negative int64, kept after a "-": refused as a
+    child id and as a coordinate, as json's reading of them is."""
     if not (text.startswith(b"[") and text.endswith(b"]")):
         return None
     buf = np.frombuffer(text, np.uint8)
@@ -240,7 +238,7 @@ def _lists(text: bytes, n: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
             return None
         values *= 10
         values += digit
-    return counts, np.negative(values, out=values, where=neg)
+    return counts, np.negative(values, out=values, where=neg & (values > 0))
 
 
 def drawing_from_json(obj: dict) -> GridDrawing:

@@ -34,17 +34,10 @@ class TernaryTree:
                 raise TreeError("child ids must be integers in 0..n-1")
             table = children.astype(np.int64)
         else:
-            counts = np.fromiter(map(len, children), np.int64, len(children))
-            if len(counts) and counts.max() > 3:
-                raise TreeError(f"node {counts.argmax()} has {counts.max()} children (max 3)")
             ids = list(chain.from_iterable(children))
             if not all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, ids))):
-                raise TreeError("child ids must be integers in 0..n-1")  # no True, 1.0 or [1]
-            ids = np.array(ids or np.zeros(0, np.int64))
-            if ids.dtype.kind != "i" or np.any(ids < 0):  # no -1 or 2**63
-                raise TreeError("child ids must be integers in 0..n-1")
-            table = np.full((len(counts), 3), -1)
-            table[np.arange(3) < counts[:, None]] = ids
+                ids = [None]  # no True, 1.0 or [1]: an object array, refused after the counts
+            table = child_table(np.fromiter(map(len, children), np.int64), np.array(ids or np.zeros(0, np.int64)))
         n, root, filled = len(table), index(root), table >= 0
         if n == 0 or table.shape[1:] != (3,) or not 0 <= root < n:
             raise TreeError("a tree needs an (n, 3) child table, n >= 1, and a root in it")
@@ -116,6 +109,18 @@ class TernaryTree:
             if np.any(rows[:, 2] < 0):  # a leaf or a node with 1 or 2 children
                 return None
             level, h = rows.ravel(), h + 1
+
+
+def child_table(counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The (n, 3) child table, -1 in its empty slots, of n lists of counts[v]
+    ids each, given in order: at most 3 ids per list, each an integer >= 0."""
+    if len(counts) and counts.max() > 3:
+        raise TreeError(f"node {counts.argmax()} has {counts.max()} children (max 3)")
+    if ids.dtype.kind != "i" or np.any(ids < 0):  # no -1 or 2**63
+        raise TreeError("child ids must be integers in 0..n-1")
+    table = np.full((len(counts), 3), -1)
+    table[np.arange(3) < counts[:, None]] = ids
+    return table
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -197,17 +202,16 @@ def tree_to_json(t: TernaryTree) -> dict:
 
 
 def tree_from_json(obj: dict) -> TernaryTree:
-    """Parse {"n", "root", "children"}, no other key; "n" and "root" are
-    optional, and must be JSON integers. Every child id must be a JSON
-    integer in 0..n-1: -1 is not an empty slot. Any malformed tree raises
-    TreeError."""
+    """Parse {"n", "root", "children"}, no other key, or raise TreeError.
+    "n" (default: the number of lists) and "root" (default 0) must be JSON
+    integers, and every child id a JSON integer in 0..n-1 (-1 is no empty slot)."""
     if not isinstance(obj, dict) or not obj.keys() <= {"n", "root", "children"}:
         raise TreeError('a tree must be a JSON object with no key but "n", "root" and "children"')
-    n, root, children = obj.get("n"), obj.get("root", 0), obj.get("children")
+    root, children = obj.get("root", 0), obj.get("children")
     if type(children) is not list or not set(map(type, children)) <= {list}:
         raise TreeError("children must be a list of child-id lists")
-    if type(root) is not int or n is not None and type(n) is not int:  # no float or bool
+    if type(root) is not int or type(n := obj.get("n", len(children))) is not int:  # no float, bool or null
         raise TreeError("root and n must be JSON integers")
-    if n is not None and n != len(children):
+    if n != len(children):
         raise TreeError("declared node count does not match children table")
     return TernaryTree(children, root)

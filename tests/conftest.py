@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ternarydraw.geometry import GridDrawing, drawing_json, drawing_to_json
+from ternarydraw.geometry import GridDrawing, drawing_from_json, drawing_json, drawing_to_json
 from ternarydraw.layout_general import draw_general
 from ternarydraw.pareto import levels, reconstruct_drawing
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree
@@ -94,3 +94,16 @@ def canonical_bytes(children, pos, root=0):
     """The drawing_json layout of a document, whatever its values."""
     return json.dumps({"tree": {"n": len(children), "root": root, "children": children},
                        "pos": pos}, indent=2).encode()
+
+
+def raised(read, data: bytes):
+    """read(data), or the type and message of the ValueError it raises."""
+    try:
+        return read(data)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def json_drawing(data: bytes):
+    """The drawing that json and drawing_from_json read from data."""
+    return drawing_from_json(json.loads(data))

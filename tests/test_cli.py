@@ -17,7 +17,7 @@ from ternarydraw.tree import TernaryTree
 
 import pytest
 
-from conftest import canonical_bytes, drawings, layouts, off_zero
+from conftest import canonical_bytes, drawings, json_drawing, layouts, off_zero, raised
 
 
 def run(*argv):
@@ -157,6 +157,30 @@ def test_verify_rejects_malformed_drawing(tmp_path, capsys, doc):
         drawing_from_json(doc)
 
 
+@pytest.mark.parametrize("indent", [None, 2], ids=["json", "reader"])
+@pytest.mark.parametrize("row", [[1, 0, 0], [1]], ids=["three-numbers", "one-number"])
+def test_ragged_position_row_gets_one_message(tmp_path, row, indent):
+    # GridDrawing's own message on either reader's path, never numpy's
+    doc = {"tree": {"n": 2, "root": 0, "children": [[1], []]}, "pos": [[0, 0], row]}
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc, indent=indent))
+    message = "one (x, y) position per node required"
+    assert outcome("verify", str(path)) == (2, "", f"error: cannot read drawing {str(path)!r}: {message}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        drawing_from_json(doc)
+
+
+def test_null_n_exits_2(tmp_path):
+    # "n": null is no JSON integer, not a missing "n"
+    tree_doc = {"n": None, "root": 0, "children": [[1], []]}
+    drawing, tree_file = tmp_path / "d.json", tmp_path / "tree.json"
+    drawing.write_text(json.dumps({"tree": tree_doc, "pos": [[0, 0], [1, 0]]}))
+    tree_file.write_text(json.dumps(tree_doc))
+    for argv in (("verify", str(drawing)), ("draw", f"file:{tree_file}")):
+        code, stdout, err = outcome(*argv)
+        assert (code, stdout) == (2, "") and err.endswith(": root and n must be JSON integers\n"), argv
+
+
 @pytest.mark.parametrize("c", [2 ** 62, -2 ** 62 - 1, 2 ** 63, -2 ** 63 - 1, 2 ** 64,
                                -2 ** 62, -2 ** 63],
                          ids=["2^62", "-2^62-1", "2^63", "-2^63-1", "2^64", "-2^62", "-2^63"])
@@ -249,11 +273,16 @@ def value_slots(doc):
         yield from value_slots(value)
 
 
+SCHEMA_KEYS = ["n", "root", "children", "tree", "pos"]
+
+
 @st.composite
-def documents(draw):
+def documents(draw, stray=False):
     """A random JSON document, or the document of a drawing or of its tree
-    with up to three of its values replaced by random ones or removed."""
-    kind = draw(st.sampled_from(["json", "drawing", "tree"]))
+    with up to three of its values replaced by random ones or removed, and
+    maybe a key set at its top level or in its tree. stray=True draws no
+    random document and always adds a key outside SCHEMA_KEYS."""
+    kind = draw(st.sampled_from(["json", "drawing", "tree"][stray:]))
     if kind == "json":
         return draw(json_values)
     doc = geometry.drawing_to_json(draw(drawings(max_n=6)))
@@ -266,6 +295,10 @@ def documents(draw):
                 container[key] = draw(json_values)
             else:
                 del container[key]
+    if stray or not draw(st.integers(0, 3)):
+        keys = st.text(max_size=2).filter(lambda k: k not in SCHEMA_KEYS)
+        container = draw(st.sampled_from([c for c in (doc, doc.get("tree")) if isinstance(c, dict)]))
+        container[draw(keys if stray else keys | st.sampled_from(SCHEMA_KEYS))] = draw(json_values)
     return doc
 
 
@@ -286,6 +319,19 @@ def test_random_documents_exit_0_1_or_2(documents_dir, doc, indent):
         assert code in (0, 1, 2), (argv, err)
         if code == 2:
             assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=documents(stray=True), indent=st.sampled_from([None, 2]))
+def test_a_key_outside_the_schema_exits_2(documents_dir, doc, indent):
+    """A key outside {"tree", "pos"} at the top level, or outside {"n",
+    "root", "children"} in the tree: neither verify nor draw file: reads the
+    document (a drawing's "tree" and "pos" are such keys to draw file:)."""
+    path, out = documents_dir / "in.json", documents_dir / "out.json"
+    path.write_text(json.dumps(doc, indent=indent))
+    for argv in (("verify", str(path)), ("draw", f"file:{path}", "--out", str(out))):
+        code, stdout, err = outcome(*argv)
+        assert code == 2 and stdout == "" and err.startswith("error: "), (argv, err)
 
 
 @pytest.mark.parametrize("fault", ["pareto-min", "tree-reader", "drawing-reader"])
@@ -482,6 +528,15 @@ def test_fit_builtin(capsys):
     assert capsys.readouterr().out == "a=3.32598 b=1.04701 c=-169990 sse=2.44822e+12\n"
 
 
+def test_fit_reads_table_output(tmp_path):
+    # table's header line is skipped; its rows fit as the embedded table does
+    code, table, _ = outcome("--cache-dir", str(tmp_path / "cache"), "table", "20")
+    path = tmp_path / "t.txt"
+    path.write_text(table)
+    assert code == 0 and table.startswith("  h            n       min area\n")
+    assert outcome("fit", str(path)) == (0, "a=3.32598 b=1.04701 c=-169990 sse=2.44822e+12\n", "")
+
+
 def test_fit_from_file(tmp_path, capsys):
     table = tmp_path / "t.txt"
     table.write_text("# n area\n" +
@@ -637,10 +692,14 @@ def test_verify_verdict_on_mutated_canonical_files(tmp_path_factory, d, kind, k)
     ([[1, 2, 3, 4], [], [], [], []], [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]], False),
 ], ids=["2^62-1", "-2^62+1", "2^62", "-2^62", "2^63", "-2^63", "20-digit-child", "4-children"])
 def test_verify_canonical_layout_at_the_limits(tmp_path, children, pos, accepted):
-    # in drawing_json's layout, but only the first two are drawings
+    # in drawing_json's layout, but only the first two are drawings: the
+    # reader raises what json's drawing raises on the others, or gives None
+    # on the 20-digit id, which is none of its tokens
     path = tmp_path / "d.json"
     path.write_bytes(canonical_bytes(children, pos))
-    assert (geometry.read_drawing_json(path.read_bytes()) is not None) == accepted
+    read = raised(geometry.read_drawing_json, path.read_bytes())
+    assert isinstance(read, GridDrawing) == accepted
+    assert accepted or read in (None, raised(json_drawing, path.read_bytes()))
     outcome = verify_outcome(path)
     assert outcome == verify_outcome(path, fast=False)
     assert outcome[0] == (0 if accepted else 2)
@@ -684,6 +743,30 @@ def test_verify_calls_json_only_off_the_draw_layout(tmp_path, capsys, monkeypatc
     reordered.write_text(json.dumps(dict(reversed(json.loads(out.read_text()).items()))))
     assert run("verify", str(reordered)) == 0
     assert len(calls) == 1 and capsys.readouterr().out == report
+    # draw's document, edited into no drawing: refused from the one parse,
+    # as json's reading of it is
+    def duplicated_id(doc):
+        kids = doc["tree"]["children"]
+        next(ids for ids in kids if len(ids) < 3).append(kids[doc["tree"]["root"]][0])
+
+    def four_children(doc):
+        next(ids for ids in doc["tree"]["children"] if len(ids) == 3).append(0)
+
+    def coordinate(doc):
+        doc["pos"][1][0] = 2 ** 62
+
+    def ragged_row(doc):
+        doc["pos"][1].append(0)
+
+    edited = tmp_path / "edited.json"
+    for edit in (duplicated_id, four_children, coordinate, ragged_row):
+        calls.clear()
+        doc = json.loads(out.read_text())
+        edit(doc)
+        edited.write_text(json.dumps(doc, indent=2))
+        refused = verify_outcome(edited)
+        assert refused[0] == 2 and calls == [], edit.__name__
+        assert refused == verify_outcome(edited, fast=False) and len(calls) == 1
 
 
 @pytest.mark.parametrize("row", ["9 10 1 1 2", "9 11 0 1 2", "9 11 1 1 1"],

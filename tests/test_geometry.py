@@ -13,10 +13,10 @@ from ternarydraw.geometry import (Extents, GridDrawing, drawing_from_json,
 from ternarydraw.layout_complete import (draw_c1_only, draw_c2_only,
                                          draw_golden, draw_upper_1149)
 from ternarydraw.layout_general import draw_general
-from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree, tree_to_json
+from ternarydraw.tree import TernaryTree, TreeError, complete_tree, random_ternary_tree, tree_to_json
 from ternarydraw.verify import build_report, node_ranks
 
-from conftest import canonical_bytes, drawings, layouts, min_area_drawing
+from conftest import canonical_bytes, drawings, json_drawing, layouts, min_area_drawing, raised
 from test_layout_complete import rotate  # the construction oracle's rotation
 
 
@@ -319,11 +319,15 @@ def test_reader_reads_near_canonical_layouts(old, new):
         "comma-after-the-last-list", "comma-after-the-last-row", "rows-of-one-and-three", "tail"])
 def test_read_canonical_refuses_near_canonical_layouts(old, new):
     # one change each that keeps every token's own text, so only the order
-    # and count of the tokens can refuse it
+    # and count of the tokens can refuse it. json refuses each; the reader
+    # returns None, or raises what json's drawing raises (rows of one and
+    # three numbers: GridDrawing's message)
     data = canonical_bytes([[1], []], [[0, 0], [1, 0]])
     assert read_drawing_json(data) is not None and data.count(old.encode()) == 1
     data = data.replace(old.encode(), new.encode())
-    assert read_drawing_json(data) is None and json_read(data) is None
+    read, expected = raised(read_drawing_json, data), raised(json_drawing, data)
+    assert type(expected) is tuple and read in (None, expected)
+    assert read is not None or expected[0] is not ValueError  # GridDrawing refusing: so does the reader
 
 
 @pytest.mark.parametrize("children,old,new", [
@@ -383,12 +387,12 @@ def test_read_canonical_agrees_with_the_oracle_on_edited_files(d, newline, edits
     data = drawing_json(d).encode() + b"\n" * newline
     for kind, at, byte in edits:
         data = edit(data, kind, at, byte)
-    read, expected = read_drawing_json(data), json_read(data)
-    assert read is None or read == expected
+    read, expected = raised(read_drawing_json, data), raised(json_drawing, data)
+    assert read is None or read == expected  # the drawing, or the same type and message
     # json alone reads other keys and whitespace inside a key; the reader
-    # reads every other document json reads
+    # reads every other drawing json reads
     keys = (b'"tree"', b'"n"', b'"root"', b'"children"', b'"pos"')
-    if expected is not None and all(key in data for key in keys):
+    if isinstance(expected, GridDrawing) and all(key in data for key in keys):
         compact = json.dumps(drawing_to_json(expected), separators=(",", ":")).encode()
         assert read == expected or data.translate(None, b" \n") != compact
 
@@ -409,19 +413,29 @@ def test_read_canonical_allocates_nothing_for_a_lying_header(n):
 @pytest.mark.parametrize("c", [2 ** 62 - 1, 2 ** 62, 2 ** 63, 2 ** 63 - 1, 10 ** 19 - 1, 10 ** 19,
                                2 ** 64 + 1])
 def test_read_canonical_coordinate_range(c):
+    # a coordinate of 20 digits is no token of the reader's; one of 19 past
+    # 2**63 - 1 wraps, and is refused as json's reading of it is
     for sign in (1, -1):
         data = canonical_bytes([[1], []], [[0, 0], [sign * c, 0]])
-        d = read_drawing_json(data)
-        assert (d is not None) == (c < 2 ** 62)
-        if d is not None:
-            assert d.pos.tolist() == [[0, 0], [sign * c, 0]]
+        read = raised(read_drawing_json, data)
+        if c < 2 ** 62:
+            assert read.pos.tolist() == [[0, 0], [sign * c, 0]]
+        else:
+            refused = (ValueError, "coordinates must be integers with |c| < 2**62")
+            assert raised(json_drawing, data) == refused
+            assert read == (None if c >= 10 ** 19 else refused)
 
 
-@pytest.mark.parametrize("bad", [3, -1, 2 ** 63, 2 ** 63 + 1, 12345678901234567890])
+@pytest.mark.parametrize("bad", [3, -1, 2 ** 63, 2 ** 63 + 1, 12345678901234567890,
+                                 -2 ** 63, -(10 ** 19 - 1)])
 def test_read_canonical_rejects_bad_child_ids(bad):
     # -1 is an empty slot in the table, 2**63 wraps to -2**63 in int64 digit
-    # arithmetic, and a 20-digit id does not fit: none is read as a drawing,
-    # not even as a one-node tree's only child, where -1 would read as no child
-    assert read_drawing_json(canonical_bytes([[1, bad], [], []], [[0, 0], [1, 0], [2, 0]])) is None
-    assert read_drawing_json(canonical_bytes([[bad], []], [[0, 0], [1, 0]])) is None
-    assert read_drawing_json(canonical_bytes([[bad]], [[0, 0]])) is None
+    # arithmetic, and a 20-digit id is no token: none is read as a drawing,
+    # not even as a one-node tree's only child, where -1 would read as no
+    # child. Each id of at most 19 digits raises json's TreeError.
+    for children, pos in (([[1, bad], [], []], [[0, 0], [1, 0], [2, 0]]),
+                          ([[bad], []], [[0, 0], [1, 0]]), ([[bad]], [[0, 0]])):
+        data = canonical_bytes(children, pos)
+        expected = raised(json_drawing, data)
+        assert expected[0] is TreeError
+        assert raised(read_drawing_json, data) == (None if abs(bad) >= 10 ** 19 else expected)
