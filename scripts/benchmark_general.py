@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark the general layout and report measured height against the
 2*n^c - 1 bound across tree sizes. The tree column times random_ternary_tree,
-its validation included, and the tree json column one tree_to_json of that
-tree (the dict, not its encoding). With --verify, each drawing also gets one
+its validation included. With --verify, each drawing also gets one
 build_report (all verifier checks and its extents), timed in the verify
 column, and one read of its drawing_json bytes by read_drawing_json (the bytes
 are written untimed), timed in the read column. The peak RSS column is the process's peak so far (getrusage), so a
@@ -22,7 +21,7 @@ import time
 
 from ternarydraw.geometry import drawing_json, extents, read_drawing_json
 from ternarydraw.layout_general import LayoutParams, draw_general, frame_stats
-from ternarydraw.tree import TernaryTree, random_ternary_tree, tree_to_json
+from ternarydraw.tree import TernaryTree, random_ternary_tree
 from ternarydraw.verify import build_report
 
 
@@ -45,10 +44,10 @@ def main() -> None:
     args = ap.parse_args()
 
     params = LayoutParams()
-    print(f"{'n':>8} {'tree (s)':>9} {'tree json (s)':>14} {'layout (s)':>11} {'peak RSS (MB)':>14} {'verify (s)':>11} {'read (s)':>9} {'width':>8} "
+    print(f"{'n':>8} {'tree (s)':>9} {'layout (s)':>11} {'peak RSS (MB)':>14} {'verify (s)':>11} {'read (s)':>9} {'width':>8} "
           f"{'height':>7} {'bound':>7} {'ratio':>6} {'frames':>7} {'levels':>6} {'slack':>6}")
     for n in args.sizes:
-        t_tree = t_json = t_layout = t_verify = t_read = 0.0
+        t_tree = t_layout = t_verify = t_read = 0.0
         worst_h = worst_ratio = 0
         worst_w = 0
         bound = params.max_rows(n)
@@ -56,9 +55,6 @@ def main() -> None:
             t0 = time.perf_counter()
             t = random_ternary_tree(n, seed)
             t_tree += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            tree_to_json(t)
-            t_json += time.perf_counter() - t0
             t0 = time.perf_counter()
             d = draw_general(t, params)
             t_layout += time.perf_counter() - t0
@@ -87,7 +83,7 @@ def main() -> None:
         del t, d
         frames, levels, slack = zip(*(count_frames(random_ternary_tree(n, seed), params)
                                       for seed in range(args.seeds)))
-        print(f"{n:>8} {t_tree / args.seeds:>9.4f} {t_json / args.seeds:>14.4f} {t_layout / args.seeds:>11.4f} {rss:>14.1f} {verify:>11} {read:>9} {worst_w:>8} "
+        print(f"{n:>8} {t_tree / args.seeds:>9.4f} {t_layout / args.seeds:>11.4f} {rss:>14.1f} {verify:>11} {read:>9} {worst_w:>8} "
               f"{worst_h:>7} {bound:>7} {worst_ratio:>6.2f} {round(sum(frames) / args.seeds):>7} {max(levels):>6} {max(slack):>6.3f}")
 
 

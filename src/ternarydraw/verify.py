@@ -47,9 +47,9 @@ class NodeRanks(NamedTuple):
 
 def _dense_ranks(c: np.ndarray) -> tuple[np.ndarray, int]:
     """Each entry's rank among the distinct values of c, and their count. When
-    c spans at most len(c) values, as on every drawing the layouts make, they
-    are counted instead of sorted (np.unique): a presence mask over the span
-    and its running sum."""
+    c spans at most len(c) values, as each axis of a layout's drawing does,
+    they are counted instead of sorted (np.unique): a presence mask over the
+    span and its running sum."""
     lo, hi = c.min(), c.max()
     if hi - lo >= len(c):  # sparse: only a sort bounds the work
         values, rank = np.unique(c, return_inverse=True)
@@ -62,13 +62,12 @@ def _dense_ranks(c: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def node_ranks(P: np.ndarray) -> NodeRanks:
-    """Dense ranks per axis (_dense_ranks), then one sort of the int64 key
-    ry * nx + rx (resp. rx * ny + ry), below n**2, per order. Ranks keep
+    """Dense ranks per axis, then of the int64 key ry * nx + rx (resp.
+    rx * ny + ry), below n**2, per order: all by _dense_ranks. Ranks keep
     order and equality: every check reads them in place of the coordinates."""
     (rx, nx), (ry, ny) = map(_dense_ranks, P.T)
-    points, place_yx = np.unique(ry * nx + rx, return_inverse=True)
-    place_xy = np.unique(rx * ny + ry, return_inverse=True)[1]
-    return NodeRanks(rx, ry, nx, ny, place_yx, place_xy, len(points) == len(P))
+    (place_yx, points), (place_xy, _) = _dense_ranks(ry * nx + rx), _dense_ranks(rx * ny + ry)
+    return NodeRanks(rx, ry, nx, ny, place_yx, place_xy, points == len(P))
 
 
 def rank_runs(r: NodeRanks, parent: np.ndarray, child: np.ndarray) -> tuple:
@@ -271,10 +270,10 @@ def leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
 
 def build_report(d: GridDrawing) -> VerificationReport:
     """All checks, reading one ranking of the nodes, one pair of edge arrays
-    and one set of runs: two sorts of n entries before the crossing
-    search, and one more per axis too sparse to count (node_ranks). The
-    arrays derived from d.pos die on return, not kept with the drawing, so
-    they never add to a caller's peak memory."""
+    and one set of runs. Before the crossing search, node_ranks sorts n
+    entries only for each axis or place key too sparse to count: four sorts
+    at most. The arrays derived from d.pos die on return, not kept with the
+    drawing, so they never add to a caller's peak memory."""
     parent, child = edge_arrays(d.tree)
     r = node_ranks(d.pos)
     h, v, hs, vs = rank_runs(r, parent, child)

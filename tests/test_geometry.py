@@ -99,6 +99,7 @@ def test_pos_is_a_read_only_copy_compared_by_value():
     assert d == GridDrawing(t, ((0, 0), (3, 0)))
     assert d != GridDrawing(t, ((0, 0), (4, 0)))
     assert d != GridDrawing(TernaryTree(((), (0,)), root=1), ((0, 0), (3, 0)))
+    assert d != object()  # __eq__ returns NotImplemented: identity decides
     root = d.root_pos()
     assert root == (0, 0) and all(type(c) is int for c in root)
 

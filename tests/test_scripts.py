@@ -1,7 +1,6 @@
 """Smoke runs of the scripts in scripts/, each in a fresh interpreter at a
-tiny size, so that an API change they depend on fails here, a check of
-each ratio behind benchmark_general.py's slack column, and of
-fit_area_table.py's exit status on a worse fit."""
+tiny size, so that an API change they depend on fails here, and a check of
+each ratio behind benchmark_general.py's slack column."""
 
 import importlib.util
 import os
@@ -12,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from ternarydraw.layout_general import LayoutParams, frame_stats
-from ternarydraw.pareto import PowerLawFit
 from ternarydraw.tree import complete_tree, random_ternary_tree
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -38,24 +36,6 @@ def test_reproduce_table_matches_every_row(tmp_path):
     rows = [line.split() for line in run.stdout.splitlines()[1:-1]]
     assert [int(r[0]) for r in rows] == list(range(1, 7))
     assert all(r[3] == r[4] for r in rows)  # min area == reference
-
-
-def test_fit_area_table_beats_the_reference(tmp_path):
-    run = run_script("fit_area_table.py", cwd=tmp_path)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "fitted sse is <= reference"
-
-
-def test_fit_area_table_exits_1_on_a_worse_fit(monkeypatch, capsys):
-    script = load_script("fit_area_table")
-
-    def reference_without_c(points):  # the reference fit with c = 0: far worse
-        a, b = 3.3262, 1.047
-        return PowerLawFit(a, b, 0.0, sum((a * n ** b - y) ** 2 for n, y in points))
-
-    monkeypatch.setattr(script, "fit_power_law", reference_without_c)
-    assert script.main() == 1
-    assert capsys.readouterr().out.splitlines()[-1] == "fitted sse is WORSE"
 
 
 def slack_ratios(t):
