@@ -50,14 +50,14 @@ def _emit(blocks, path: Optional[str] = None) -> None:
     so that a failed write surfaces here, buffered or not: a user error
     (exit 2), not a crash."""
     try:
-        if path:
+        if path is not None:
             with open(path, "w") as f:
                 f.writelines(blocks)
         else:
             sys.stdout.writelines(blocks)
             sys.stdout.flush()
     except OSError as e:
-        raise UserError(f"cannot write {path!r}: {e}" if path
+        raise UserError(f"cannot write {path!r}: {e}" if path is not None
                         else f"cannot write standard output: {e}") from e
 
 
@@ -66,15 +66,22 @@ def _emit(blocks, path: Optional[str] = None) -> None:
 _BAD_INPUT = (ValueError, OSError, RecursionError, MemoryError)
 
 
+def count(text: str) -> int:
+    """A count of the CLI's grammar (<h>, <n>, <seed>, table's h): ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _parse_treespec(spec: str) -> TernaryTree:
     kind, _, rest = spec.partition(":")
     try:
         if kind == "complete":
             from .tree import complete_tree
-            return complete_tree(int(rest))
+            return complete_tree(count(rest))
         if kind == "random":
             n, _, seed = rest.partition(":")
-            return _cli.random_ternary_tree(int(n), int(seed) if seed else 0)
+            return _cli.random_ternary_tree(count(n), count(seed))
         if kind == "file":
             with open(rest) as f:
                 return _cli.tree_from_json(json.load(f))
@@ -87,8 +94,9 @@ def _parse_treespec(spec: str) -> TernaryTree:
 def _levels(h: int, cache_dir: str) -> list[ParetoFrontier]:
     """Frontiers of T_1..T_h, every cached level read and checked before
     any is used."""
+    if not cache_dir:
+        raise UserError("--cache-dir must not be empty")
     from . import pareto  # imported where used: verify and the other draws never load it
-
     try:
         return list(pareto.levels(h, cache_dir))
     except (pareto.CacheError, OSError) as e:
@@ -165,7 +173,7 @@ def _load_table(path: str) -> list[tuple[float, float]]:
         with open(path) as f:
             for line in f:
                 line = line.strip()
-                toks = line.replace(",", " ").split()
+                toks = line.split()
                 if not line or line.startswith("#") or toks == ["h", "n", "min", "area"]:  # table's header
                     continue
                 if len(toks) < 2:
@@ -221,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("draw", help="construct and emit a drawing")
-    p.add_argument("tree", help="complete:<h> | random:<n>:<seed> | file:<path>")
+    p.add_argument("tree", help="complete:<h> | random:<n>:<seed> | file:<path>, counts in ASCII digits")
     p.add_argument("--algo", default="general",
                    choices=["general", "c1", "c2", "golden-narrow", "golden-wide",
                             "upper1149", "pareto-min"])
@@ -230,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_draw)
 
     p = sub.add_parser("table", help="minimum 1-2 drawing areas per height")
-    p.add_argument("h_max", type=int)
+    p.add_argument("h_max", type=count, help="largest height, ASCII digits, 1 to 20")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("fit", help="fit a*n^b + c to an (n, area) table")

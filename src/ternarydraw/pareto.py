@@ -117,6 +117,9 @@ def _next_frontier(prev: ParetoFrontier) -> ParetoFrontier:
         key = H * span + (arm * (2 * k) + (constr - 1) + center * 2)
         np.minimum.at(best, slot.ravel(), key.ravel())  # 1-d: numpy's fast path
 
+    def least_below(H):  # per slot, the least H at any slot below it; _EMPTY // span if none
+        return np.minimum.accumulate(np.concatenate(([_EMPTY // span], H[:-1])))
+
     center = np.searchsorted(lam, e, side="right") - 1  # C2, lam_i <= e_j: last center
     arm = np.flatnonzero(center >= 0)
     center = center[arm]
@@ -127,8 +130,7 @@ def _next_frontier(prev: ParetoFrontier) -> ParetoFrontier:
     offer(lam[x], w[y] + e[x], y, x, 2)  # C2, e_j <= lam_i: center x, first arm y
     offer(lam[y] + e[x], w[x], x, y, 1)  # C1, e_i <= lam_j: arm x, first center y
     H = best // span  # _EMPTY // span, above every H, at an empty slot
-    cap = H + 1
-    cap[1:] = np.minimum(cap[1:], np.minimum.accumulate(H)[:-1])
+    cap = np.minimum(H + 1, least_below(H))
     tile = np.arange(_ARM_BLOCK)
     count = np.searchsorted(-e, -lam, side="right")  # C1, e_i >= lam_j: centers 0..count_j-1
     for j0 in range(0, k, _ARM_BLOCK):
@@ -145,13 +147,9 @@ def _next_frontier(prev: ParetoFrontier) -> ParetoFrontier:
         H = np.maximum(lam[arm], e[center]) + (lam[arm] + 1)
         offer(lam[center] + e[arm], H, arm, center, 1)
 
-    slot = np.flatnonzero(best != _EMPTY)
-    key = best[slot]
-    H = key // span
-    keep = np.empty(H.size, dtype=bool)
-    keep[0] = True
-    keep[1:] = H[1:] < np.minimum.accumulate(H)[:-1]
-    slot, key, H = slot[keep], key[keep] % span, H[keep]
+    H = best // span
+    slot = np.flatnonzero(H < least_below(H))  # an empty slot's H is below no slot's
+    key, H = best[slot] % span, H[slot]
     pairs = tuple(zip((2 * slot + 1).tolist(), H.tolist()))
     recipes = tuple(zip((key // (2 * k)).tolist(), (key // 2 % k).tolist(),
                         (key % 2 + 1).tolist()))

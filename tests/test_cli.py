@@ -91,8 +91,21 @@ def test_complete_only_algo_rejects_random_tree(capsys):
     assert "complete" in capsys.readouterr().err
 
 
-def test_bad_tree_spec(capsys):
-    assert run("draw", "lattice:3") == 2
+@pytest.mark.parametrize("spec", [
+    "lattice:3", "random:3:1:2",
+    # int() reads each of these counts; the grammar's ASCII digits do not
+    "complete: 3", "complete:+3", "complete:3 ", "complete:\u0663", "random:1_000:1",
+    "random:3", "random:3:",  # the seed is required
+])
+def test_bad_tree_spec(spec):
+    code, stdout, err = outcome("draw", spec)
+    assert code == 2 and stdout == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("padded,spec", [("complete:03", "complete:3"),
+                                         ("random:0005:007", "random:5:7")])
+def test_a_count_may_have_leading_zeros(padded, spec):
+    assert outcome("draw", padded) == outcome("draw", spec)
 
 
 @pytest.mark.parametrize("spec", ["random:10:1", "complete:30"])
@@ -117,10 +130,10 @@ def test_verify_parse_failure(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["json", "svg"])
 def test_unwritable_out_path_exits_2(tmp_path, capsys, fmt):
-    out = tmp_path / "no-such-dir" / "d.out"
-    assert run("draw", "complete:3", "--algo", "c1", "--format", fmt, "--out", str(out)) == 2
-    stdout, err = capsys.readouterr()
-    assert stdout == "" and err.startswith("error: cannot write") and "no-such-dir" in err
+    for out in (str(tmp_path / "no-such-dir" / "d.out"), ""):  # "" names no file, not stdout
+        assert run("draw", "complete:3", "--algo", "c1", "--format", fmt, "--out", out) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith(f"error: cannot write {out!r}")
 
 
 @pytest.mark.parametrize("command", ["verify", "draw"])
@@ -523,6 +536,28 @@ def test_table_rejects_out_of_range():
     assert run("table", "25") == 2
 
 
+@pytest.mark.parametrize("h", ["1_0", " 5"])
+def test_table_rejects_a_count_not_in_ascii_digits(tmp_path, capsys, h):
+    with pytest.raises(SystemExit) as exited:  # argparse's exit: the count is its type
+        run("--cache-dir", str(tmp_path / "cache"), "table", h)
+    stdout, err = capsys.readouterr()
+    assert exited.value.code == 2 and stdout == "" and "invalid count value" in err
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("argv", [("table", "3"), ("draw", "complete:3", "--algo", "pareto-min")],
+                         ids=["table", "pareto-min"])
+def test_empty_cache_dir_exits_2_before_any_level(tmp_path, monkeypatch, argv):
+    calls = []
+    for name in ("load_frontier", "_next_frontier", "save_frontier"):
+        fn = getattr(pareto, name)
+        monkeypatch.setattr(pareto, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    monkeypatch.chdir(tmp_path)
+    assert outcome("--cache-dir", "", *argv) == (2, "", "error: --cache-dir must not be empty\n")
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
 def test_fit_builtin(capsys):
     assert run("fit", "--builtin") == 0
     assert capsys.readouterr().out == "a=3.32598 b=1.04701 c=-169990 sse=2.44822e+12\n"
@@ -573,8 +608,10 @@ def test_fit_with_an_exponent_at_an_end_of_its_range_exits_2(tmp_path, capsys, r
 
 def test_fit_malformed_table(tmp_path):
     table = tmp_path / "t.txt"
-    table.write_text("one\n")
-    assert run("fit", str(table)) == 2
+    rows = "\n".join(f"{n} {2 * n}" for n in range(2, 20))
+    for text in ("one\n", "1,2\n" + rows):  # a row is split on whitespace only
+        table.write_text(text)
+        assert run("fit", str(table)) == 2
 
 
 @pytest.mark.parametrize("row", ["1 nan", "1 inf", "0 5", "-2 5"])
