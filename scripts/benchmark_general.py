@@ -20,18 +20,19 @@ import resource
 import time
 
 from ternarydraw.geometry import drawing_json, extents, read_drawing_json
-from ternarydraw.layout_general import LayoutParams, draw_general, frame_stats
+from ternarydraw.layout_general import P, draw_general, frame_stats, max_rows
 from ternarydraw.tree import TernaryTree, random_ternary_tree
 from ternarydraw.verify import build_report
 
 
-def count_frames(t: TernaryTree, params: LayoutParams) -> tuple[int, int, float]:
-    """(decompositions, frame levels, slack) of the general layout of t."""
-    s, p = frame_stats(t, params), params.p
+def count_frames(t: TernaryTree) -> tuple[int, int, float]:
+    """(decompositions, frame levels, slack) of the general layout of t, at
+    the paper's p = 9.956."""
+    s = frame_stats(t)
     g = s.a >= 0
     m = s.m[g]
-    ratios = (s.a[g] * p / m, s.b[g] * p / m, 3 * s.s[g] / (m - s.a[g] - s.b[g]),
-              (s.r + s.s) * 3 * p / (2 * (p - 1) * s.m))
+    ratios = (s.a[g] * P / m, s.b[g] * P / m, 3 * s.s[g] / (m - s.a[g] - s.b[g]),
+              (s.r + s.s) * 3 * P / (2 * (P - 1) * s.m))
     return len(s.level), int(s.level.max(initial=-1)) + 1, max(r.max(initial=0) for r in ratios)
 
 
@@ -43,20 +44,19 @@ def main() -> None:
     ap.add_argument("--verify", action="store_true")
     args = ap.parse_args()
 
-    params = LayoutParams()
     print(f"{'n':>8} {'tree (s)':>9} {'layout (s)':>11} {'peak RSS (MB)':>14} {'verify (s)':>11} {'read (s)':>9} {'width':>8} "
           f"{'height':>7} {'bound':>7} {'ratio':>6} {'frames':>7} {'levels':>6} {'slack':>6}")
     for n in args.sizes:
         t_tree = t_layout = t_verify = t_read = 0.0
         worst_h = worst_ratio = 0
         worst_w = 0
-        bound = params.max_rows(n)
+        bound = max_rows(n)
         for seed in range(args.seeds):
             t0 = time.perf_counter()
             t = random_ternary_tree(n, seed)
             t_tree += time.perf_counter() - t0
             t0 = time.perf_counter()
-            d = draw_general(t, params)
+            d = draw_general(t)
             t_layout += time.perf_counter() - t0
             if args.verify:
                 t0 = time.perf_counter()
@@ -81,7 +81,7 @@ def main() -> None:
         read = f"{t_read / args.seeds:.4f}" if args.verify else "-"
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
         del t, d
-        frames, levels, slack = zip(*(count_frames(random_ternary_tree(n, seed), params)
+        frames, levels, slack = zip(*(count_frames(random_ternary_tree(n, seed))
                                       for seed in range(args.seeds)))
         print(f"{n:>8} {t_tree / args.seeds:>9.4f} {t_layout / args.seeds:>11.4f} {rss:>14.1f} {verify:>11} {read:>9} {worst_w:>8} "
               f"{worst_h:>7} {bound:>7} {worst_ratio:>6.2f} {round(sum(frames) / args.seeds):>7} {max(levels):>6} {max(slack):>6.3f}")

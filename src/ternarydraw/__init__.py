@@ -14,7 +14,7 @@ _EXPORTS = {
                      "read_drawing_json"), "geometry"),
     **dict.fromkeys(("draw_c1_only", "draw_c2_only", "draw_golden", "draw_upper_1149"),
                     "layout_complete"),
-    **dict.fromkeys(("FrameStats", "LayoutParams", "draw_general", "frame_stats"),
+    **dict.fromkeys(("FrameStats", "draw_general", "frame_stats", "max_rows"),
                     "layout_general"),
     **dict.fromkeys(("REFERENCE_AREA_TABLE", "ParetoFrontier", "PowerLawFit", "fit_power_law",
                      "frontier", "min_area", "reconstruct_drawing"), "pareto"),

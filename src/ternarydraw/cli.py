@@ -105,7 +105,7 @@ def _levels(h: int, cache_dir: str) -> list[ParetoFrontier]:
 
 def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
     if algo == "general":
-        return _cli.draw_general(tree, _cli.LayoutParams())
+        return _cli.draw_general(tree)
     h = tree.complete_height
     if h is None:
         raise UserError(f"algorithm {algo!r} requires a complete ternary tree")
@@ -136,7 +136,7 @@ def cmd_draw(args) -> int:
     report = _cli.build_report(drawing)
     ext, n = report.extents, tree.n
     if args.algo == "general":  # at most n columns and 2*n^c - 1 rows
-        promised = ext.width <= n and ext.height <= _cli.LayoutParams().max_rows(n)
+        promised = ext.width <= n and ext.height <= _cli.max_rows(n)
     else:  # every other algorithm draws 1-2 drawings
         promised = report.subtree_separated
     if not (report.planar and report.orthogonal and report.on_grid
@@ -176,7 +176,7 @@ def _load_table(path: str) -> list[tuple[float, float]]:
                 toks = line.split()
                 if not line or line.startswith("#") or toks == ["h", "n", "min", "area"]:  # table's header
                     continue
-                if len(toks) < 2:
+                if len(toks) < 2 or not line.isascii() or "_" in line:  # ASCII numbers only
                     raise ValueError(f"bad row: {line!r}")
                 points.append((float(toks[-2]), float(toks[-1])))
     except (OSError, ValueError) as e:

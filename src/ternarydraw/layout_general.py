@@ -10,8 +10,7 @@ columns wide, and at most 2*n^c - 1 rows tall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -19,25 +18,13 @@ from .geometry import GridDrawing
 from .tree import TernaryTree
 
 
-@dataclass(frozen=True)
-class LayoutParams:
-    """Threshold divisor p for the turn index; the height exponent c follows."""
+P = 9.956  # the paper's threshold divisor p for the turn index
+C = 1.0 / math.log2(3 / (1 - 1 / P))  # the height exponent c = 1 / log2(3p / (p - 1))
 
-    p: float = 9.956
 
-    def __post_init__(self) -> None:
-        if not (self.p > 4 and math.isfinite(self.p)):
-            raise ValueError("p must be finite and > 4")
-
-    @property
-    def c(self) -> float:
-        """1 / log2(3p / (p - 1)), in a form that does not overflow as p grows."""
-        return 1.0 / math.log2(3 / (1 - 1 / self.p))
-
-    def max_rows(self, n: int) -> int:
-        """The promised height of a drawing of n nodes: 2*n^c - 1 rows,
-        rounded down to whole rows, and at least one."""
-        return max(1, math.floor(2 * n ** self.c - 1))
+def max_rows(n: int) -> int:
+    """The promised height of a drawing of n nodes: max(1, floor(2*n^c - 1)) rows."""
+    return max(1, math.floor(2 * n ** C - 1))
 
 
 class _Level(NamedTuple):
@@ -110,7 +97,7 @@ def heavy_paths(t: TernaryTree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.
     return order, start, length, hp
 
 
-def _decompose(t: TernaryTree, heavy: tuple, roots: np.ndarray, p: float) -> _Level:
+def _decompose(t: TernaryTree, heavy: tuple, roots: np.ndarray) -> _Level:
     """Decompose every frame rooted at ``roots`` (inner nodes heading heavy
     paths) in one batch of numpy passes.
 
@@ -130,7 +117,7 @@ def _decompose(t: TernaryTree, heavy: tuple, roots: np.ndarray, p: float) -> _Le
     pi = hp[_runs(s0, np.ones(F, np.int64), k)]  # frame f's is pi[first[f]:first[f] + k[f]]
     first = np.cumsum(k) - k
     second = K[pi, 1]
-    big = (second >= 0) & (size[second] >= np.repeat(size[roots] / p, k))
+    big = (second >= 0) & (size[second] >= np.repeat(size[roots] / P, k))
     place = np.arange(len(pi)) - np.repeat(first, k)
     turn = np.minimum.reduceat(np.where(big, place, np.repeat(k, k)), first)
     before = hp[s0 + np.maximum(turn - 1, 0)]  # pi_{x-1}
@@ -164,14 +151,14 @@ def _decompose(t: TernaryTree, heavy: tuple, roots: np.ndarray, p: float) -> _Le
                   sub, sign, K[sub, 0] >= 0)
 
 
-def _levels(t: TernaryTree, p: float) -> Iterator[_Level]:
+def _levels(t: TernaryTree) -> Iterator[_Level]:
     """The decompositions the layout performs, one frame level at a time,
     top-down: the frames of a level are the attached subtrees of the level
     above that are not leaves. The heavy paths are built once, for every
     level, and die with the last one."""
     heavy, roots = heavy_paths(t), np.array([t.root] if t.n > 1 else [], np.int64)
     while len(roots):
-        level = _decompose(t, heavy, roots, p)
+        level = _decompose(t, heavy, roots)
         yield level
         roots = level.sub[level.frame]
 
@@ -195,11 +182,10 @@ class FrameStats(NamedTuple):
     s: np.ndarray
 
 
-def frame_stats(t: TernaryTree, params: Optional[LayoutParams] = None) -> FrameStats:
+def frame_stats(t: TernaryTree) -> FrameStats:
     """The attachment-size maxima of every frame of the general layout of t."""
-    params = params or LayoutParams()
     size, rows = t.size, [np.zeros((0, 7), np.int64)]
-    for i, lv in enumerate(_levels(t, params.p)):
+    for i, lv in enumerate(_levels(t)):
         F = len(lv.roots)
         fr = np.repeat(np.arange(F), np.diff(lv.offs))[lv.at]
         on_Q = lv.at >= (lv.offs[:-1] + lv.kP)[fr]
@@ -210,7 +196,7 @@ def frame_stats(t: TernaryTree, params: Optional[LayoutParams] = None) -> FrameS
     return FrameStats(*np.concatenate(rows).T.copy())
 
 
-def draw_general(t: TernaryTree, params: Optional[LayoutParams] = None) -> GridDrawing:
+def draw_general(t: TernaryTree) -> GridDrawing:
     """Planar straight-line orthogonal grid drawing of an arbitrary ternary
     tree with the top-visibility property, width at most n, and height at
     most 2*n^c - 1.
@@ -224,8 +210,7 @@ def draw_general(t: TernaryTree, params: Optional[LayoutParams] = None) -> GridD
     into absolute ones, and every position is ``sign * local + offset`` of
     its frame.
     """
-    params = params or LayoutParams()
-    levels = list(_levels(t, params.p))
+    levels = list(_levels(t))
     if not levels:
         return GridDrawing(t, np.zeros((t.n, 2), np.int64))
     base = np.cumsum([0] + [len(level.roots) for level in levels])  # level i: frames base[i]..

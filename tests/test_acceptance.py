@@ -11,7 +11,7 @@ from conftest import min_area_drawing
 from ternarydraw.geometry import GridDrawing, extents
 from ternarydraw.layout_complete import (draw_c1_only, draw_c2_only,
                                          draw_golden, draw_upper_1149)
-from ternarydraw.layout_general import LayoutParams, draw_general, frame_stats
+from ternarydraw.layout_general import draw_general, frame_stats
 from ternarydraw.pareto import REFERENCE_AREA_TABLE, fit_power_law, frontier, min_area
 from ternarydraw.tree import complete_tree, random_ternary_tree
 from ternarydraw.verify import (check_on_grid, check_orthogonal, check_planar,
@@ -76,8 +76,7 @@ def test_criterion_4_recurrence_conformance():
 
 @pytest.fixture(scope="module")
 def corpus_drawings(corpus):
-    params = LayoutParams()
-    return [(t, draw_general(t, params)) for t in corpus]
+    return [(t, draw_general(t)) for t in corpus]
 
 
 def test_criterion_5_general_layout_bounds(corpus_drawings):

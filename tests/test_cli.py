@@ -396,7 +396,7 @@ def test_draw_gate_bounds_general_extents(monkeypatch, capsys, pos):
     # the bounds are 3 columns and floor(2*3^c - 1) = 2 rows (2*3^c - 1 is
     # about 2.76)
     path = GridDrawing(TernaryTree(((1,), (2,), ())), pos)
-    monkeypatch.setattr(cli, "draw_general", lambda tree, params: path)
+    monkeypatch.setattr(cli, "draw_general", lambda tree: path)
     assert run("draw", "random:3:0", "--algo", "general") == 3
     assert capsys.readouterr().out == ""
 
@@ -606,12 +606,17 @@ def test_fit_with_an_exponent_at_an_end_of_its_range_exits_2(tmp_path, capsys, r
     assert "[0.5, 2]" in err
 
 
-def test_fit_malformed_table(tmp_path):
+def test_fit_malformed_table(tmp_path, capsys):
     table = tmp_path / "t.txt"
     rows = "\n".join(f"{n} {2 * n}" for n in range(2, 20))
-    for text in ("one\n", "1,2\n" + rows):  # a row is split on whitespace only
-        table.write_text(text)
+    # a row is split on whitespace only, and holds ASCII numbers without `_`:
+    # float() would read the Arabic-Indic digits as 1 2 and 1_0 2_0 as 10 20
+    underscored = rows.replace("10 20", "1_0 2_0")
+    for text in ("one\n", "1,2\n" + rows, "\u0661 \u0662\n" + rows, underscored):
+        table.write_text(text, encoding="utf-8")
         assert run("fit", str(table)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: malformed table")
 
 
 @pytest.mark.parametrize("row", ["1 nan", "1 inf", "0 5", "-2 5"])

@@ -9,41 +9,29 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import caterpillar_tree, path_tree
 from ternarydraw import cli, layout_general
-from ternarydraw.geometry import extents
-from ternarydraw.layout_general import LayoutParams, draw_general, frame_stats, heavy_paths
+from ternarydraw.geometry import GridDrawing, extents
+from ternarydraw.layout_general import draw_general, frame_stats, heavy_paths, max_rows
 from ternarydraw.tree import TernaryTree, complete_tree, random_ternary_tree
 from ternarydraw.verify import (check_on_grid, check_orthogonal, check_planar,
                                 check_top_visibility)
 
 
-def assert_drawing_ok(t, params=None):
-    params = params or LayoutParams()
-    d = draw_general(t, params)
+def assert_drawing_ok(t):
+    d = draw_general(t)
     assert check_on_grid(d) and check_orthogonal(d)
     assert check_planar(d)
     assert check_top_visibility(d)
     e = extents(d)
     assert e.width <= t.n
-    assert e.height <= params.max_rows(t.n)
+    assert e.height <= max_rows(t.n)
     return d, e
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        LayoutParams(p=4.0)
-    p = LayoutParams()
-    assert p.p == 9.956
-    assert 0.5 < p.c < 1
-    assert abs(p.c - 0.576) < 1e-3  # the exponent is quoted rounded up
-    assert [p.max_rows(n) for n in (1, 2, 3, 1000)] == [1, 1, 2, 105]
-    # a p whose exponent overflowed: c was 0.0 at 1e308 (one row promised,
-    # five drawn) and NaN at infinity
-    for bad in (float("inf"), float("nan")):
-        with pytest.raises(ValueError):
-            LayoutParams(p=bad)
-    assert LayoutParams(1e17).c == 1 / math.log2(3 * 1e17 / (1e17 - 1)) == 1 / math.log2(3)
-    assert LayoutParams(1e308).c == 1 / math.log2(3)
-    assert_drawing_ok(random_ternary_tree(50, 1), LayoutParams(1e308))  # within its promise
+    assert layout_general.P == 9.956
+    assert 0.5 < layout_general.C < 1
+    assert abs(layout_general.C - 0.576) < 1e-3  # the exponent is quoted rounded up
+    assert [max_rows(n) for n in (1, 2, 3, 1000)] == [1, 1, 2, 105]
 
 
 def test_single_node():
@@ -139,20 +127,29 @@ def test_random_trees_draw_and_bound(n, seed):
     assert_drawing_ok(random_ternary_tree(n, seed))
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(2, 200), st.integers(0, 10 ** 6),
-       st.floats(4.5, 40, allow_nan=False))
-def test_other_parameter_values(n, seed, p):
-    assert_drawing_ok(random_ternary_tree(n, seed), LayoutParams(p=p))
+def test_promise_holds_on_larger_trees():
+    """Planar, orthogonal and top-visible, at most n columns and at most
+    floor(2 n^c - 1) rows."""
+    trees = [random_ternary_tree(n, seed) for n in (2000, 20000) for seed in (1, 2, 3)]
+    for t in (*trees, complete_tree(7)):
+        assert_drawing_ok(t)
 
 
 @pytest.mark.parametrize("p", [4.2, 5, 30])
 def test_promise_holds_at_other_p_on_larger_trees(p):
-    """Planar, orthogonal and top-visible, at most n columns and at most
-    floor(2 n^c - 1) rows, with the c of this p."""
+    """The promise at a p other than the library's 9.956, on the test-side
+    oracle layout, which keeps its own p: planar, orthogonal and top-visible,
+    at most n columns and at most floor(2 n^c - 1) rows, with the c of this p."""
+    c = 1 / math.log2(3 / (1 - 1 / p))
     trees = [random_ternary_tree(n, seed) for n in (2000, 20000) for seed in (1, 2, 3)]
     for t in (*trees, complete_tree(7)):
-        assert_drawing_ok(t, LayoutParams(p))
+        d = GridDrawing(t, oracle_positions(t, p))
+        assert check_on_grid(d) and check_orthogonal(d)
+        assert check_planar(d)
+        assert check_top_visibility(d)
+        e = extents(d)
+        assert e.width <= t.n
+        assert e.height <= max(1, math.floor(2 * t.n ** c - 1))
 
 
 def test_caterpillars():
@@ -231,17 +228,16 @@ def rail_decompositions(t, level):
                                 tuple(rail[P:offs[f + 1]]), top[f], bottom[f])
 
 
-def batched_decompositions(t, params=None):
+def batched_decompositions(t):
     """Every decomposition the layout performs, top-down, read from its
     batched levels."""
-    params = params or LayoutParams()
-    for level in layout_general._levels(t, params.p):
+    for level in layout_general._levels(t):
         yield from rail_decompositions(t, level)
 
 
-def decompose(t, params=None):
+def decompose(t):
     """The decomposition of the root frame."""
-    return next(batched_decompositions(t, params))
+    return next(batched_decompositions(t))
 
 
 def decomposition_stats(d, t):
@@ -330,16 +326,15 @@ def _decompose(t, root, sizes, order, p):
 
 
 
-def oracle_decompositions(t, params=None):
+def oracle_decompositions(t):
     """Every decomposition of the layout recursion by its root, and each
     root's frame level."""
-    params = params or LayoutParams()
     sizes, order = t.size.tolist(), heavy_paths(t)[0].tolist()
     found, level, stack = {}, {}, [(t.root, 0)]
     while stack:
         v, i = stack.pop()
         if order[v][0] >= 0:  # not a leaf
-            found[v] = d = _decompose(t, v, sizes, order, params.p)
+            found[v] = d = _decompose(t, v, sizes, order, 9.956)
             level[v] = i
             stack.extend((c, i + 1) for c in (*d.top.values(), *d.bottom.values()))
     return found, level
@@ -348,14 +343,14 @@ def oracle_decompositions(t, params=None):
 FIELDS = ("n", "x", "pi", "rho", "sigma", "tau", "P", "Q", "top", "bottom")
 
 
-def assert_decompositions_match_oracle(t, params=None):
-    oracle, level = oracle_decompositions(t, params)
-    got = list(batched_decompositions(t, params))
+def assert_decompositions_match_oracle(t):
+    oracle, level = oracle_decompositions(t)
+    got = list(batched_decompositions(t))
     assert sorted(d.root for d in got) == sorted(oracle)
     for d in got:
         for name in FIELDS:
             assert getattr(d, name) == getattr(oracle[d.root], name), (d.root, name)
-    stats = frame_stats(t, params)
+    stats = frame_stats(t)
     assert all(x.dtype == np.int64 for x in stats)
     assert stats.root.tolist() == [d.root for d in got]
     for root, *row in zip(*(x.tolist() for x in stats)):
@@ -365,10 +360,9 @@ def assert_decompositions_match_oracle(t, params=None):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(1, 400), st.integers(0, 10 ** 6),
-       st.floats(4.01, 60, allow_nan=False))
-def test_batched_decompositions_match_oracle(n, seed, p):
-    assert_decompositions_match_oracle(random_ternary_tree(n, seed), LayoutParams(p=p))
+@given(st.integers(1, 400), st.integers(0, 10 ** 6))
+def test_batched_decompositions_match_oracle(n, seed):
+    assert_decompositions_match_oracle(random_ternary_tree(n, seed))
 
 
 def test_batched_decompositions_match_oracle_on_paths_caterpillars_complete_trees():
@@ -378,11 +372,26 @@ def test_batched_decompositions_match_oracle_on_paths_caterpillars_complete_tree
         assert_decompositions_match_oracle(caterpillar_tree(spine))
     for h in range(1, 8):
         assert_decompositions_match_oracle(complete_tree(h))
-        assert_decompositions_match_oracle(complete_tree(h), LayoutParams(p=5.0))
     assert_decompositions_match_oracle(_sized_example())  # x = 2
-    # n/p = 36/12 is exactly the root's second-heaviest size, so x = 1
-    assert decompose(_sized_example(), LayoutParams(p=12.0)).x == 1
-    assert_decompositions_match_oracle(_sized_example(), LayoutParams(p=12.0))
+
+
+def _two_path_example(second):
+    """A root over a path of 2488 - second nodes and one of second nodes:
+    2489 nodes, and 2489 / 9.956 is exactly 250.0 in floats."""
+    heavy = 2488 - second
+    children = [[1, 1 + heavy]] + [[v + 1] for v in range(1, 2488)] + [[]]
+    children[heavy] = children[2488] = []  # the two paths' last nodes
+    return TernaryTree(tuple(tuple(c) for c in children))
+
+
+@pytest.mark.parametrize("second, x", [(250, 1), (249, None)])
+def test_turn_index_threshold_is_inclusive(second, x):
+    # the root's second-heaviest subtree turns the path when it has n/p
+    # nodes or more: 250 >= 250.0 turns at once, 249 never turns
+    t = _two_path_example(second)
+    assert t.n == 2489 and 2489 / 9.956 == 250.0
+    assert decompose(t).x == x
+    assert_decompositions_match_oracle(t)
 
 
 def relabeled(t, perm):
@@ -393,9 +402,8 @@ def relabeled(t, perm):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 400), st.integers(0, 10 ** 6), st.randoms(use_true_random=False),
-       st.floats(4.01, 60, allow_nan=False))
-def test_relabeled_trees_with_nonzero_root_draw_the_same(n, seed, rnd, p):
+@given(st.integers(2, 400), st.integers(0, 10 ** 6), st.randoms(use_true_random=False))
+def test_relabeled_trees_with_nonzero_root_draw_the_same(n, seed, rnd):
     t = random_ternary_tree(n, seed)
     perm = np.array(rnd.sample(range(n), n))
     if perm[0] == 0:
@@ -405,7 +413,6 @@ def test_relabeled_trees_with_nonzero_root_draw_the_same(n, seed, rnd, p):
     assert np.array_equal(draw_general(u).pos[perm], draw_general(t).pos)
     assert_matches_oracle(u)
     assert_decompositions_match_oracle(u)
-    assert_decompositions_match_oracle(u, LayoutParams(p=p))
 
 
 # The recursive layout the two-pass draw_general replaced: every recursion
@@ -504,28 +511,20 @@ def _layout(t, root, sizes, order, p):
     return pos
 
 
-def oracle_positions(t, params=None):
-    params = params or LayoutParams()
-    raw = _layout(t, t.root, t.size.tolist(), heavy_paths(t)[0].tolist(), params.p)
+def oracle_positions(t, p=9.956):
+    raw = _layout(t, t.root, t.size.tolist(), heavy_paths(t)[0].tolist(), p)
     rx, ry = raw[t.root]
     return tuple((raw[v][0] - rx, raw[v][1] - ry) for v in range(t.n))
 
 
-def assert_matches_oracle(t, params=None):
-    assert tuple(map(tuple, draw_general(t, params).pos.tolist())) == oracle_positions(t, params)
+def assert_matches_oracle(t):
+    assert tuple(map(tuple, draw_general(t).pos.tolist())) == oracle_positions(t)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 400), st.integers(0, 10 ** 6))
 def test_two_passes_match_oracle_on_random_trees(n, seed):
     assert_matches_oracle(random_ternary_tree(n, seed))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(2, 400), st.integers(0, 10 ** 6),
-       st.floats(4.01, 60, allow_nan=False))
-def test_two_passes_match_oracle_for_other_p(n, seed, p):
-    assert_matches_oracle(random_ternary_tree(n, seed), LayoutParams(p=p))
 
 
 def test_two_passes_match_oracle_on_paths_caterpillars_complete_trees():
@@ -535,7 +534,6 @@ def test_two_passes_match_oracle_on_paths_caterpillars_complete_trees():
         assert_matches_oracle(caterpillar_tree(spine))
     for h in range(1, 8):
         assert_matches_oracle(complete_tree(h))
-        assert_matches_oracle(complete_tree(h), LayoutParams(p=5.0))
 
 
 @pytest.mark.parametrize("tree, case", [
@@ -548,7 +546,6 @@ def test_two_passes_match_oracle_in_each_turn_index_case(tree, case):
     x = decompose(tree).x
     assert x == case if case is None or case < 3 else x >= 3
     assert_matches_oracle(tree)
-    assert_matches_oracle(tree, LayoutParams(p=30.0))
 
 
 def test_draw_general_decomposes_each_frame_once(monkeypatch):
@@ -558,8 +555,8 @@ def test_draw_general_decomposes_each_frame_once(monkeypatch):
     stats = frame_stats(t)
     calls, built = [], []
     decompose_ = layout_general._decompose
-    monkeypatch.setattr(layout_general, "_decompose", lambda t, heavy, roots, p:
-                        calls.append(roots.tolist()) or decompose_(t, heavy, roots, p))
+    monkeypatch.setattr(layout_general, "_decompose", lambda t, heavy, roots:
+                        calls.append(roots.tolist()) or decompose_(t, heavy, roots))
     monkeypatch.setattr(layout_general, "heavy_paths",
                         lambda t: built.append(t) or heavy_paths(t))
     draw_general(t)

@@ -17,7 +17,7 @@ REEXPORTS = {
                  "drawing_json_blocks", "drawing_to_json", "edge_segments", "extents",
                  "read_drawing_json"),
     "layout_complete": ("draw_c1_only", "draw_c2_only", "draw_golden", "draw_upper_1149"),
-    "layout_general": ("FrameStats", "LayoutParams", "draw_general", "frame_stats"),
+    "layout_general": ("FrameStats", "draw_general", "frame_stats", "max_rows"),
     "pareto": ("REFERENCE_AREA_TABLE", "ParetoFrontier", "PowerLawFit", "fit_power_law",
                "frontier", "min_area", "reconstruct_drawing"),
     "render": ("drawing_to_svg",),

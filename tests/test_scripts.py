@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ternarydraw.layout_general import LayoutParams, frame_stats
+from ternarydraw.layout_general import frame_stats
 from ternarydraw.tree import complete_tree, random_ternary_tree
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -42,7 +42,7 @@ def slack_ratios(t):
     """The largest ratio of each attachment to its bound over the frames of
     t's general layout: a and b to m/p, s to (m - a - b)/3 on frames with a
     general P part, r + s to 2(p - 1)m/(3p) on every frame."""
-    s, p = frame_stats(t), LayoutParams().p
+    s, p = frame_stats(t), 9.956
     worst = dict.fromkeys(("a", "b", "s", "r + s"), 0.0)
     for m, a, b, r, s_ in zip(*(x.tolist() for x in s[2:])):
         if a >= 0:
@@ -73,7 +73,7 @@ def test_benchmark_general_slack_reads_each_ratio(tree, largest):
     script = load_script("benchmark_general")
     worst = slack_ratios(tree)
     assert max(worst, key=worst.get) == largest
-    frames, levels, slack = script.count_frames(tree, LayoutParams())
+    frames, levels, slack = script.count_frames(tree)
     assert slack == pytest.approx(worst[largest], rel=1e-12)
     s = frame_stats(tree)
     assert (frames, levels) == (len(s.m), s.level.max() + 1)
