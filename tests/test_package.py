@@ -1,6 +1,7 @@
-"""Lazy imports: `import ternarydraw` and a warm `table` load no numpy, and
-every name keeps resolving to its submodule's object. The CLI, and only the
-CLI, has numpy start OpenBLAS with one thread."""
+"""Lazy imports: `import ternarydraw` and a warm `table` load no numpy (nor
+pickle, which only draw's forked gate needs), and every name keeps resolving
+to its submodule's object. The CLI, and only the CLI, has numpy start
+OpenBLAS with one thread."""
 
 import importlib
 import os
@@ -64,10 +65,10 @@ def test_warm_table_loads_no_numpy(tmp_path):
     script = ("import sys\n"
               "from ternarydraw import cli\n"
               f"assert cli.main(['--cache-dir', {str(tmp_path / 'cache')!r}, 'table', '6']) == 0\n"
-              "print('numpy' in sys.modules, 'dataclasses' in sys.modules)")
+              "print('numpy' in sys.modules, 'dataclasses' in sys.modules, 'pickle' in sys.modules)")
     cold, warm = fresh(script), fresh(script)
     assert cold.splitlines()[-1].startswith("True ")
-    assert warm.splitlines()[-1] == "False False"
+    assert warm.splitlines()[-1] == "False False False"
     assert cold.splitlines()[:-1] == warm.splitlines()[:-1]
 
 
@@ -138,11 +139,15 @@ def test_library_import_leaves_openblas_unset():
 
 
 def test_a_name_set_on_cli_before_main_is_the_one_called(tmp_path):
-    # perfbench/child.py wraps cli names this way before cli binds them
+    # perfbench/child.py wraps cli names this way before cli binds them; the
+    # calls go to a file, which the forked gate appends to as well
     out = fresh("from ternarydraw import cli, verify, layout_general\n"
-                "calls = []\n"
-                "cli.build_report = lambda d: calls.append('build_report') or verify.build_report(d)\n"
-                "cli.draw_general = lambda *a: calls.append('draw_general') or layout_general.draw_general(*a)\n"
+                f"log = {str(tmp_path / 'calls')!r}\n"
+                "def call(name):\n"
+                "    with open(log, 'a') as f:\n"
+                "        f.write(name + ' ')\n"
+                "cli.build_report = lambda d: call('build_report') or verify.build_report(d)\n"
+                "cli.draw_general = lambda *a: call('draw_general') or layout_general.draw_general(*a)\n"
                 f"assert cli.main(['draw', 'random:50:1', '--out', {str(tmp_path / 'd.json')!r}]) == 0\n"
-                "print(calls)")
+                "print(open(log).read().split())")
     assert out.splitlines() == ["['draw_general', 'build_report']"]
