@@ -3,8 +3,6 @@
 Exit codes: 0 ok, 1 verification-negative, 2 user error (a failed write to
 standard output included), 3 internal error (a construction produced a
 drawing that failed its own verification, or an unexpected exception).
-``draw`` needs ``os.fork``: its gate runs in a child while the parent formats
-the document, which is written only after the gate's verdict.
 
 ``run()`` is the console entry point: ``main()``, then the process ends
 without the interpreter's teardown. In-process callers use ``main()``.
@@ -16,7 +14,6 @@ import argparse
 import io
 import json
 import os
-import signal
 import sys
 from importlib import import_module
 from typing import TYPE_CHECKING, NoReturn, Optional
@@ -132,47 +129,10 @@ def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
     return _cli.GridDrawing(tree, drawing.pos[level_order(drawn)[level_order(tree).argsort()]])
 
 
-def _in_child(fn, *args):
-    """Start fn(*args) in a forked child. wait() reaps it and gives back fn's
-    result or raises what fn raised; wait(kill=True) kills it first."""
-    import pickle  # here: a warm table never loads it
-    r, w = os.pipe()
-    if (pid := os.fork()) == 0:  # ends in os._exit, never in the caller's stack
-        try:
-            with open(w, "wb") as f:
-                try:
-                    f.write(pickle.dumps((True, fn(*args))))
-                except BaseException as e:
-                    f.write(pickle.dumps((False, e)))
-        finally:
-            os._exit(0)
-    os.close(w)
-    def wait(kill: bool = False):
-        if kill:
-            os.kill(pid, signal.SIGKILL)
-        with open(r, "rb") as f:
-            data = f.read()
-        status = os.waitpid(pid, 0)[1]
-        if kill:
-            return None
-        if status or not data:
-            raise RuntimeError(f"the child running {fn.__name__} ended with wait status {status}")
-        ok, value = pickle.loads(data)
-        if ok:
-            return value
-        raise value
-    return wait
-
-
 def cmd_draw(args) -> int:
     tree = _parse_treespec(args.tree)
     drawing = _build(tree, args.algo, args.cache_dir)
-    report_of, blocks = _in_child(_cli.build_report, drawing), None
-    try:  # meanwhile the document is formatted here, held as blocks, never joined
-        blocks = ([_cli.drawing_to_svg(drawing)] if args.format == "svg"
-                  else list(_cli.drawing_json_blocks(drawing)))
-    finally:  # the child is killed if formatting raised
-        report = report_of(kill=blocks is None)
+    report = _cli.build_report(drawing)
     ext, n = report.extents, tree.n
     if args.algo == "general":  # at most n columns and 2*n^c - 1 rows
         promised = ext.width <= n and ext.height <= _cli.max_rows(n)
@@ -183,6 +143,9 @@ def cmd_draw(args) -> int:
         print("internal error: construction failed verification, refusing to write",
               file=sys.stderr)
         return 3
+    # held as blocks, never joined: a formatter that raises writes nothing
+    blocks = ([_cli.drawing_to_svg(drawing)] if args.format == "svg"
+              else list(_cli.drawing_json_blocks(drawing)))
     _emit([*blocks, "\n"], args.out)
     print(f"nodes={n} width={ext.width} height={ext.height} area={ext.area}",
           file=sys.stderr)

@@ -1,4 +1,3 @@
-import ast
 import json
 
 import numpy as np
@@ -108,19 +107,3 @@ def raised(read, data: bytes):
 def json_drawing(data: bytes):
     """The drawing that json and drawing_from_json read from data."""
     return drawing_from_json(json.loads(data))
-
-
-class FileList:
-    """A list kept in a file, one repr a line: what a forked child appends
-    (draw's gate runs in one) is read back by the parent too."""
-
-    def __init__(self, path):
-        self.path = path
-        path.write_text("")
-
-    def append(self, item) -> None:
-        with open(self.path, "a") as f:
-            f.write(repr(item) + "\n")
-
-    def read(self) -> list:
-        return [ast.literal_eval(line) for line in self.path.read_text().splitlines()]

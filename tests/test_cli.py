@@ -3,7 +3,6 @@ import io
 import json
 import os
 import re
-import signal
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -18,7 +17,7 @@ from ternarydraw.tree import TernaryTree
 
 import pytest
 
-from conftest import FileList, canonical_bytes, drawings, json_drawing, layouts, off_zero, raised
+from conftest import canonical_bytes, drawings, json_drawing, layouts, off_zero, raised
 
 
 def run(*argv):
@@ -268,7 +267,7 @@ def test_unexpected_exception_exits_3(monkeypatch, tmp_path, capsys):
     assert err == "internal error: RuntimeError: boom second line\n"
 
 
-def test_draw_gate_raising_in_its_child_exits_3(monkeypatch, tmp_path, capsys):
+def test_draw_gate_raising_exits_3(monkeypatch, tmp_path, capsys):
     def boom(drawing):
         raise RuntimeError("boom\nsecond line")
     monkeypatch.setattr(cli, "build_report", boom)
@@ -278,56 +277,31 @@ def test_draw_gate_raising_in_its_child_exits_3(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_draw_gate_child_killed_exits_3(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(cli, "build_report", lambda d: os.kill(os.getpid(), signal.SIGKILL))
-    out = tmp_path / "d.json"
-    assert run("draw", "complete:3", "--algo", "c1", "--out", str(out)) == 3
-    assert capsys.readouterr() == ("", "internal error: RuntimeError: the child running <lambda> "
-                                       f"ended with wait status {signal.SIGKILL:d}\n")
-    assert not out.exists()
-    assert run("draw", "complete:3", "--algo", "c1") == 3  # nor on stdout
-    assert capsys.readouterr().out == ""
-
-
-def test_draw_writer_raising_kills_and_reaps_the_gate_child(monkeypatch, tmp_path, capsys):
-    pids = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
-    monkeypatch.setattr(cli, "build_report", lambda d: time.sleep(60))  # killed long before
-
+def test_draw_writer_raising_exits_3_and_writes_nothing(monkeypatch, tmp_path, capsys):
+    # the document is formatted whole before anything is written
     def broken(drawing):
+        yield "{\n"
         raise RuntimeError("writer broke")
     monkeypatch.setattr(cli, "drawing_json_blocks", broken)
     out = tmp_path / "d.json"
-    start = time.perf_counter()
-    try:
-        assert run("draw", "complete:3", "--algo", "c1", "--out", str(out)) == 3
-        assert time.perf_counter() - start < 30
-        assert capsys.readouterr() == ("", "internal error: RuntimeError: writer broke\n")
-        assert not out.exists() and len(pids) == 1
-        with pytest.raises(ChildProcessError):  # already reaped
-            os.waitpid(pids[0], os.WNOHANG)
-    finally:  # leave no child behind, whatever failed
-        for pid in pids:
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass
+    assert run("draw", "complete:3", "--algo", "c1", "--out", str(out)) == 3
+    assert capsys.readouterr() == ("", "internal error: RuntimeError: writer broke\n")
+    assert not out.exists()
+    assert run("draw", "complete:3", "--algo", "c1") == 3  # nor on stdout
+    assert capsys.readouterr() == ("", "internal error: RuntimeError: writer broke\n")
 
 
-def test_only_draw_forks(monkeypatch, tmp_path, capsys):
-    cache, drawing = str(tmp_path / "cache"), str(tmp_path / "d.json")
-    assert run("draw", "complete:3", "--algo", "c1", "--out", drawing) == 0
-
+def test_no_command_forks(monkeypatch, tmp_path):
     def no_fork():
         raise AssertionError("forked")
     monkeypatch.setattr(os, "fork", no_fork)
+    cache, drawing = str(tmp_path / "cache"), str(tmp_path / "d.json")
+    assert run("draw", "complete:3", "--algo", "c1", "--format", "svg",
+               "--out", str(tmp_path / "d.svg")) == 0
+    assert run("draw", "complete:3", "--algo", "c1", "--out", drawing) == 0
     assert run("verify", drawing) == 0
     assert run("--cache-dir", cache, "table", "4") == 0
     assert run("fit", "--builtin") == 0
-    assert run("draw", "complete:3", "--algo", "c1") == 3  # draw does fork
-    assert capsys.readouterr().err.endswith("internal error: AssertionError: forked\n")
 
 
 # JSON values of every kind, among them ints at and past +-2^62 and +-2^63
@@ -466,7 +440,7 @@ def test_draw_gate_bounds_general_extents(monkeypatch, capsys, pos):
 
 def test_draw_splits_segments_and_measures_extents_once(monkeypatch, tmp_path):
     # one ranking of the nodes, one set of runs and one bounding box
-    calls = FileList(tmp_path / "calls")
+    calls = []
     for name in ("node_ranks", "rank_runs", "extents"):
         real = getattr(verify, name)
         for module in (geometry, verify):
@@ -474,12 +448,12 @@ def test_draw_splits_segments_and_measures_extents_once(monkeypatch, tmp_path):
                 monkeypatch.setattr(module, name,
                                     lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
     assert run("draw", "random:300:1", "--out", str(tmp_path / "d.json")) == 0
-    assert sorted(calls.read()) == ["extents", "node_ranks", "rank_runs"]
+    assert sorted(calls) == ["extents", "node_ranks", "rank_runs"]
 
 
 @pytest.mark.parametrize("algo", ["general", "upper1149", "pareto-min"])
 def test_draw_computes_complete_height_once(monkeypatch, tmp_path, algo):
-    calls = FileList(tmp_path / "calls")
+    calls = []
     real = TernaryTree.complete_height.func
     counted = functools.cached_property(lambda t: calls.append(t.n) or real(t))
     counted.__set_name__(TernaryTree, "complete_height")
@@ -487,13 +461,13 @@ def test_draw_computes_complete_height_once(monkeypatch, tmp_path, algo):
     tree.complete_tree.cache_clear()  # a fresh T_6, which knows its height
     assert run("--cache-dir", str(tmp_path / "cache"), "draw", "complete:6", "--algo", algo,
                "--out", str(tmp_path / "d.json")) == 0
-    assert calls.read() == []
+    assert calls == []
     # the same tree read from a file: its height is computed, once
     path = tmp_path / "t6.json"
     path.write_text(json.dumps(tree.tree_to_json(tree.complete_tree(6))))
     assert run("--cache-dir", str(tmp_path / "cache"), "draw", f"file:{path}", "--algo", algo,
                "--out", str(tmp_path / "d.json")) == 0
-    assert calls.read() == [364]
+    assert calls == [364]
 
 
 @pytest.mark.parametrize("algo", ["c1", "c2", "golden-narrow", "golden-wide", "upper1149",
@@ -522,14 +496,14 @@ def test_complete_height_past_39_exits_2_at_once(tmp_path, spec):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_draw_frees_the_heavy_paths_before_verifying(monkeypatch, tmp_path):
-    kept = FileList(tmp_path / "kept")
+def test_draw_frees_the_heavy_paths_before_verifying(monkeypatch):
+    kept = []
     report = cli.build_report
     monkeypatch.setattr(cli, "build_report",
                         lambda d: kept.append(set(vars(d.tree))) or report(d))
     for spec in ("random:300:1", "random:1:0"):
         assert run("draw", spec, "--algo", "general") == 0
-    assert kept.read() == [{"table", "parents", "root", "n", "size"}] * 2
+    assert kept == [{"table", "parents", "root", "n", "size"}] * 2
 
 
 # -1 would be an empty slot in the child table, so it is checked as an id

@@ -1,7 +1,7 @@
 """Lazy imports: `import ternarydraw` and a warm `table` load no numpy (nor
-pickle, which only draw's forked gate needs), and every name keeps resolving
-to its submodule's object. The CLI, and only the CLI, has numpy start
-OpenBLAS with one thread."""
+dataclasses or pickle), and every name keeps resolving to its submodule's
+object. The CLI, and only the CLI, has numpy start OpenBLAS with one
+thread."""
 
 import importlib
 import os
@@ -139,15 +139,11 @@ def test_library_import_leaves_openblas_unset():
 
 
 def test_a_name_set_on_cli_before_main_is_the_one_called(tmp_path):
-    # perfbench/child.py wraps cli names this way before cli binds them; the
-    # calls go to a file, which the forked gate appends to as well
+    # perfbench/child.py wraps cli names this way before cli binds them
     out = fresh("from ternarydraw import cli, verify, layout_general\n"
-                f"log = {str(tmp_path / 'calls')!r}\n"
-                "def call(name):\n"
-                "    with open(log, 'a') as f:\n"
-                "        f.write(name + ' ')\n"
-                "cli.build_report = lambda d: call('build_report') or verify.build_report(d)\n"
-                "cli.draw_general = lambda *a: call('draw_general') or layout_general.draw_general(*a)\n"
+                "calls = []\n"
+                "cli.build_report = lambda d: calls.append('build_report') or verify.build_report(d)\n"
+                "cli.draw_general = lambda *a: calls.append('draw_general') or layout_general.draw_general(*a)\n"
                 f"assert cli.main(['draw', 'random:50:1', '--out', {str(tmp_path / 'd.json')!r}]) == 0\n"
-                "print(open(log).read().split())")
+                "print(calls)")
     assert out.splitlines() == ["['draw_general', 'build_report']"]
