@@ -43,6 +43,10 @@ def main() -> None:
     ap.add_argument("--seeds", type=int, default=5)
     ap.add_argument("--verify", action="store_true")
     args = ap.parse_args()
+    if min(args.sizes) < 1:
+        ap.error("--sizes must all be at least 1")
+    if args.seeds < 1:
+        ap.error("--seeds must be at least 1")
 
     print(f"{'n':>8} {'tree (s)':>9} {'layout (s)':>11} {'peak RSS (MB)':>14} {'verify (s)':>11} {'read (s)':>9} {'width':>8} "
           f"{'height':>7} {'bound':>7} {'ratio':>6} {'frames':>7} {'levels':>6} {'slack':>6}")

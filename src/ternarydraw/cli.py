@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, NoReturn, Optional
 
 if TYPE_CHECKING:
     from .geometry import GridDrawing
-    from .pareto import ParetoFrontier
     from .tree import TernaryTree
 
 # The package names draw and verify call are read as _cli.<name>, so each is
@@ -90,19 +89,7 @@ def _parse_treespec(spec: str) -> TernaryTree:
                     "(expected complete:<h>, random:<n>:<seed>, or file:<path>)")
 
 
-def _levels(h: int, cache_dir: str) -> list[ParetoFrontier]:
-    """Frontiers of T_1..T_h, every cached level read and checked before
-    any is used."""
-    if not cache_dir:
-        raise UserError("--cache-dir must not be empty")
-    from . import pareto  # imported where used: verify and the other draws never load it
-    try:
-        return list(pareto.levels(h, cache_dir))
-    except (pareto.CacheError, OSError) as e:
-        raise UserError(f"unusable frontier cache {cache_dir!r}: {e}") from e
-
-
-def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
+def _build(tree: TernaryTree, algo: str) -> GridDrawing:
     if algo == "general":
         return _cli.draw_general(tree)
     h = tree.complete_height
@@ -116,10 +103,10 @@ def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
         drawing = _cli.draw_golden(h)[algo == "golden-wide"]
     elif algo == "upper1149":
         drawing = _cli.draw_upper_1149(h)
-    else:  # pareto-min, the last of argparse's choices
+    else:  # pareto-min, the last of argparse's choices; its levels are computed, never cached
         from . import pareto
 
-        fronts = _levels(h, cache_dir)
+        fronts = list(pareto.levels(h))
         drawing = pareto.reconstruct_drawing(fronts, fronts[-1].min_area()[1])
     from .tree import level_order
     drawn = drawing.tree  # complete_tree(h): what every 1-2 construction draws
@@ -131,7 +118,7 @@ def _build(tree: TernaryTree, algo: str, cache_dir: str) -> GridDrawing:
 
 def cmd_draw(args) -> int:
     tree = _parse_treespec(args.tree)
-    drawing = _build(tree, args.algo, args.cache_dir)
+    drawing = _build(tree, args.algo)
     report = _cli.build_report(drawing)
     ext, n = report.extents, tree.n
     if args.algo == "general":  # at most n columns and 2*n^c - 1 rows
@@ -155,7 +142,13 @@ def cmd_draw(args) -> int:
 def cmd_table(args) -> int:
     if not 1 <= args.h_max <= 20:
         raise UserError("h must be between 1 and 20")
-    fronts = _levels(args.h_max, args.cache_dir)
+    if not args.cache_dir:
+        raise UserError("--cache-dir must not be empty")
+    from . import pareto  # imported where used: verify and draw's other algorithms never load it
+    try:  # every cached level read and checked before any is used
+        fronts = list(pareto.levels(args.h_max, args.cache_dir))
+    except (pareto.CacheError, OSError) as e:
+        raise UserError(f"unusable frontier cache {args.cache_dir!r}: {e}") from e
     lines = [f"{'h':>3} {'n':>12} {'min area':>14}\n"]
     for fr in fronts:
         area, _ = fr.min_area()
@@ -223,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  description="layout and verification of planar "
                                              "orthogonal ternary-tree drawings")
     ap.add_argument("--cache-dir", default="./cache",
-                    help="frontier cache directory (default ./cache)")
+                    help="table's frontier cache directory (default ./cache)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("draw", help="construct and emit a drawing")

@@ -34,8 +34,7 @@ def outcome(*argv):
 
 def test_draw_pareto_min_h3(tmp_path, capsys):
     out = tmp_path / "d.json"
-    code = run("--cache-dir", str(tmp_path / "cache"), "draw", "complete:3",
-               "--algo", "pareto-min", "--out", str(out))
+    code = run("draw", "complete:3", "--algo", "pareto-min", "--out", str(out))
     assert code == 0
     d = drawing_from_json(json.loads(out.read_text()))
     e = extents(d)
@@ -70,8 +69,7 @@ def test_draw_general_random(tmp_path):
 
 def test_draw_roundtrips_through_verify(tmp_path, capsys):
     out = tmp_path / "d.json"
-    assert run("--cache-dir", str(tmp_path / "cache"), "draw", "complete:6",
-               "--algo", "pareto-min", "--out", str(out)) == 0
+    assert run("draw", "complete:6", "--algo", "pareto-min", "--out", str(out)) == 0
     assert run("verify", str(out)) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["area"] == 1184
@@ -398,8 +396,7 @@ def test_program_faults_exit_3(monkeypatch, tmp_path, capsys, fault):
     drawing_doc.write_text(json.dumps({"tree": {"children": [[1], []]}, "pos": [[0, 0], [1, 0]]}))
     if fault == "pareto-min":
         monkeypatch.setattr(pareto, "reconstruct_drawing", raising(ValueError))
-        argv = ("--cache-dir", str(tmp_path / "cache"), "draw", "complete:4",
-                "--algo", "pareto-min", "--out", str(out))
+        argv = ("draw", "complete:4", "--algo", "pareto-min", "--out", str(out))
     elif fault == "tree-reader":
         monkeypatch.setattr(cli, "tree_from_json", raising(KeyError))
         argv = ("draw", f"file:{tree_doc}", "--out", str(out))
@@ -459,14 +456,12 @@ def test_draw_computes_complete_height_once(monkeypatch, tmp_path, algo):
     counted.__set_name__(TernaryTree, "complete_height")
     monkeypatch.setattr(TernaryTree, "complete_height", counted)
     tree.complete_tree.cache_clear()  # a fresh T_6, which knows its height
-    assert run("--cache-dir", str(tmp_path / "cache"), "draw", "complete:6", "--algo", algo,
-               "--out", str(tmp_path / "d.json")) == 0
+    assert run("draw", "complete:6", "--algo", algo, "--out", str(tmp_path / "d.json")) == 0
     assert calls == []
     # the same tree read from a file: its height is computed, once
     path = tmp_path / "t6.json"
     path.write_text(json.dumps(tree.tree_to_json(tree.complete_tree(6))))
-    assert run("--cache-dir", str(tmp_path / "cache"), "draw", f"file:{path}", "--algo", algo,
-               "--out", str(tmp_path / "d.json")) == 0
+    assert run("draw", f"file:{path}", "--algo", algo, "--out", str(tmp_path / "d.json")) == 0
     assert calls == [364]
 
 
@@ -478,10 +473,9 @@ def test_draw_of_a_file_complete_tree_keeps_its_ids(tmp_path, algo):
     doc = tree.tree_to_json(off_zero(tree.complete_tree(3)))
     path, out, ref = tmp_path / "t.json", tmp_path / "d.json", tmp_path / "ref.json"
     path.write_text(json.dumps(doc))
-    cache = ("--cache-dir", str(tmp_path / "cache"))
-    assert run(*cache, "draw", f"file:{path}", "--algo", algo, "--out", str(out)) == 0
+    assert run("draw", f"file:{path}", "--algo", algo, "--out", str(out)) == 0
     assert json.loads(out.read_text())["tree"] == doc
-    assert run(*cache, "draw", "complete:3", "--algo", algo, "--out", str(ref)) == 0
+    assert run("draw", "complete:3", "--algo", algo, "--out", str(ref)) == 0
     assert outcome("verify", str(out)) == outcome("verify", str(ref))
 
 
@@ -553,19 +547,64 @@ def test_table_walks_the_levels_once(tmp_path, capsys, monkeypatch):
 
 
 def test_pareto_min_walks_the_levels_once(tmp_path, capsys, monkeypatch):
+    # every run computes each level once, and the cache is neither read nor written
     calls = []
-    for name in ("load_frontier", "_next_frontier"):
+    for name in ("load_frontier", "_next_frontier", "save_frontier"):
         fn = getattr(pareto, name)
         monkeypatch.setattr(pareto, name,
                             lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
     args = ("--cache-dir", str(tmp_path / "cache"), "draw", "complete:6", "--algo", "pareto-min")
     assert run(*args) == 0
-    cold = capsys.readouterr().out
-    assert calls == ["load_frontier", "_next_frontier"] * 5
+    first = capsys.readouterr().out
+    assert calls == ["_next_frontier"] * 5
     calls.clear()
     assert run(*args) == 0
-    assert capsys.readouterr().out == cold
-    assert calls == ["load_frontier"] * 5
+    assert capsys.readouterr().out == first
+    assert calls == ["_next_frontier"] * 5
+
+
+def path_state(path):
+    """What a path holds: None if nothing, a file's bytes, or a directory's
+    entries (name -> state), each with its mode."""
+    if not os.path.lexists(path):
+        return None
+    mode = os.lstat(path).st_mode
+    if os.path.isdir(path):
+        return mode, {name: path_state(os.path.join(path, name)) for name in os.listdir(path)}
+    with open(path, "rb") as f:
+        return mode, f.read()
+
+
+def test_draw_never_touches_the_frontier_cache(tmp_path, monkeypatch):
+    # a cache whose h=4 minimum-area row ("9 11 1 1 2") no recipe builds,
+    # which table refuses: draw would refuse it too if it read it
+    altered = tmp_path / "altered"
+    assert run("--cache-dir", str(altered), "table", "4") == 0
+    level = altered / "frontier_h04.txt"
+    text = level.read_text()
+    assert "\n9 11 1 1 2\n" in text
+    level.write_text(text.replace("\n9 11 1 1 2\n", "\n9 10 1 1 2\n"))
+    assert outcome("--cache-dir", str(altered), "table", "4")[0] == 2
+    a_file = tmp_path / "file"
+    a_file.write_text("")
+    caches = [None, str(altered), str(a_file), ""]
+    if os.geteuid() != 0:  # root writes to a read-only directory
+        caches.append(str(tmp_path / "read-only"))
+        os.mkdir(caches[-1], mode=0o500)
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    drawn = set()
+    for n, cache in enumerate(caches):
+        before = path_state(cache or cwd / "cache")
+        out = tmp_path / f"d{n}.json"
+        argv = () if cache is None else ("--cache-dir", cache)
+        code, stdout, err = outcome(*argv, "draw", "complete:4", "--algo", "pareto-min",
+                                    "--out", str(out))
+        assert (code, stdout) == (0, ""), (cache, err)
+        drawn.add(out.read_bytes())
+        assert path_state(cache or cwd / "cache") == before and os.listdir(cwd) == [], cache
+    assert len(drawn) == 1
 
 
 def test_table_rejects_out_of_range():
@@ -582,16 +621,14 @@ def test_table_rejects_a_count_not_in_ascii_digits(tmp_path, capsys, h):
     assert not (tmp_path / "cache").exists()
 
 
-@pytest.mark.parametrize("argv", [("table", "3"), ("draw", "complete:3", "--algo", "pareto-min")],
-                         ids=["table", "pareto-min"])
-def test_empty_cache_dir_exits_2_before_any_level(tmp_path, monkeypatch, argv):
+def test_empty_cache_dir_exits_2_before_any_level(tmp_path, monkeypatch):
     calls = []
     for name in ("load_frontier", "_next_frontier", "save_frontier"):
         fn = getattr(pareto, name)
         monkeypatch.setattr(pareto, name,
                             lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
     monkeypatch.chdir(tmp_path)
-    assert outcome("--cache-dir", "", *argv) == (2, "", "error: --cache-dir must not be empty\n")
+    assert outcome("--cache-dir", "", "table", "3") == (2, "", "error: --cache-dir must not be empty\n")
     assert calls == [] and list(tmp_path.iterdir()) == []
 
 
@@ -850,19 +887,18 @@ def test_verify_calls_json_only_off_the_draw_layout(tmp_path, capsys, monkeypatc
 
 @pytest.mark.parametrize("row", ["9 10 1 1 2", "9 11 0 1 2", "9 11 1 1 1"],
                          ids=["pair", "recipe-arm", "recipe-construction"])
-def test_pareto_min_rejects_a_pair_its_recipes_do_not_build(tmp_path, capsys, row):
+def test_table_rejects_a_pair_its_recipes_do_not_build(tmp_path, capsys, row):
     # the minimum-area row of T_4's frontier is "9 11 1 1 2"
-    cache, out = tmp_path / "cache", tmp_path / "d.json"
+    cache = tmp_path / "cache"
     assert run("--cache-dir", str(cache), "table", "4") == 0
     level = cache / "frontier_h04.txt"
     lines = level.read_text().splitlines()
     assert lines[1] == "9 11 1 1 2"
     level.write_text("\n".join([lines[0], row, *lines[2:]]) + "\n")
     capsys.readouterr()
-    assert run("--cache-dir", str(cache), "draw", "complete:4", "--algo", "pareto-min",
-               "--out", str(out)) == 2
+    assert run("--cache-dir", str(cache), "table", "4") == 2
     stdout, err = capsys.readouterr()
-    assert stdout == "" and not out.exists()
+    assert stdout == "" and err.startswith("error: unusable frontier cache")
     assert "h=4" in err and str(tuple(map(int, row.split()[:2]))) in err
 
 
@@ -914,19 +950,17 @@ def corrupted_caches(files):
 def test_corrupt_cache_exits_2_and_is_left_as_it_is(tmp_path, capsys, table5_cache):
     cases = list(corrupted_caches(table5_cache))
     assert len(cases) == 5 * (1 + 2 + 4 + 8) + 16
-    out = tmp_path / "d.json"
     for n, (name, row, text) in enumerate(cases):
         cache = tmp_path / f"cache{n}"
         cache.mkdir()
         for level, level_text in table5_cache.items():
             (cache / level).write_text(level_text)
         (cache / name).write_text(text)
-        for args in (["table", "5"], ["draw", "complete:5", "--algo", "pareto-min", "--out", str(out)]):
-            assert run("--cache-dir", str(cache), *args) == 2, (name, text)
-            stdout, err = capsys.readouterr()
-            assert stdout == "" and not out.exists()
-            assert err.startswith("error: unusable frontier cache") and f"{name} for h=" in err
-            assert f"row {row}:" in err, err
+        assert run("--cache-dir", str(cache), "table", "5") == 2, (name, text)
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith("error: unusable frontier cache") and f"{name} for h=" in err
+        assert f"row {row}:" in err, err
         assert sorted(os.listdir(cache)) == sorted(table5_cache)
         assert (cache / name).read_text() == text  # neither recomputed nor rewritten
 
@@ -992,7 +1026,6 @@ def test_unusable_cache_dir_exits_2(tmp_path, capsys):
         caches.append(tmp_path / "read-only")
         caches[-1].mkdir(mode=0o500)
     for cache in caches:
-        for args in (["table", "3"], ["draw", "complete:3", "--algo", "pareto-min"]):
-            assert run("--cache-dir", str(cache), *args) == 2
-            out, err = capsys.readouterr()
-            assert out == "" and err.startswith("error: unusable frontier cache")
+        assert run("--cache-dir", str(cache), "table", "3") == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: unusable frontier cache")

@@ -382,8 +382,8 @@ COMPLETE9_SHA256 = {
 
 
 @pytest.mark.parametrize("algo", sorted(COMPLETE9_SHA256))
-def test_draw_complete9_golden_sha256(algo, tmp_path, capsys):
-    assert main(["--cache-dir", str(tmp_path), "draw", "complete:9", "--algo", algo]) == 0
+def test_draw_complete9_golden_sha256(algo, capsys):
+    assert main(["draw", "complete:9", "--algo", algo]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == COMPLETE9_SHA256[algo]
 

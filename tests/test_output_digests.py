@@ -1,6 +1,6 @@
 """The bytes of a fixed set of CLI outputs, pinned by sha256: a change meant
 to keep outputs byte-identical fails here if it does not. Each command runs
-in-process; the frontier cache of draw and table lives in tmp_path."""
+in-process; the frontier cache of table lives in tmp_path."""
 
 import hashlib
 

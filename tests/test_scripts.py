@@ -1,6 +1,7 @@
 """Smoke runs of the scripts in scripts/, each in a fresh interpreter at a
-tiny size, so that an API change they depend on fails here, and a check of
-each ratio behind benchmark_general.py's slack column."""
+tiny size, so that an API change they depend on fails here, their refusals
+of bad arguments, and a check of each ratio behind benchmark_general.py's
+slack column."""
 
 import importlib.util
 import os
@@ -36,6 +37,18 @@ def test_reproduce_table_matches_every_row(tmp_path):
     rows = [line.split() for line in run.stdout.splitlines()[1:-1]]
     assert [int(r[0]) for r in rows] == list(range(1, 7))
     assert all(r[3] == r[4] for r in rows)  # min area == reference
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("reproduce_table.py", ["--h-max", "0"], "--h-max must be at least 1"),
+    ("benchmark_general.py", ["--seeds", "0"], "--seeds must be at least 1"),
+    ("benchmark_general.py", ["--sizes", "100", "0"], "--sizes must all be at least 1"),
+], ids=["h-max", "seeds", "sizes"])
+def test_script_refuses_a_bad_argument_before_any_output(tmp_path, script, args, message):
+    # argparse's usage error (exit 2), never a traceback after a printed header
+    run = run_script(script, *args, cwd=tmp_path)
+    assert (run.returncode, run.stdout) == (2, ""), run.stdout + run.stderr
+    assert run.stderr.endswith(f"error: {message}\n")
 
 
 def slack_ratios(t):
