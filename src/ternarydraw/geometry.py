@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .tree import TernaryTree, child_table, tree_from_json, tree_to_json
+from .tree import TernaryTree, index_dtype, tree_from_json, tree_to_json
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,24 @@ class GridDrawing:
             raise ValueError("one (x, y) position per node required") from None
         bools = not isinstance(self.pos, np.ndarray) and not {bool, np.bool_}.isdisjoint(
             map(type, chain.from_iterable(self.pos)))  # numpy types (True, 0) as int64
-        if bools or P.dtype.kind not in "iu" or not (np.all(P < COORD_LIMIT) and np.all(P > -COORD_LIMIT)):
+        if bools or P.dtype.kind not in "iu":
+            raise ValueError("coordinates must be integers with |c| < 2**62")
+        self._adopt(P)
+
+    @classmethod
+    def from_array(cls, tree: TernaryTree, P: np.ndarray) -> GridDrawing:
+        """The drawing of tree at P, an (n, 2) int64 array the caller made
+        and gives up: checked as the constructor checks it, kept as it is."""
+        if P.shape != (tree.n, 2):
+            raise ValueError("one (x, y) position per node required")
+        d = cls.__new__(cls)
+        object.__setattr__(d, "tree", tree)
+        d._adopt(P)
+        return d
+
+    def _adopt(self, P: np.ndarray) -> None:
+        """Keep the integer positions P as int64, frozen, if |c| < COORD_LIMIT."""
+        if not (P.max() < COORD_LIMIT and P.min() > -COORD_LIMIT):
             raise ValueError("coordinates must be integers with |c| < 2**62")
         P = P.astype(np.int64, copy=False)
         P.setflags(write=False)
@@ -160,85 +177,119 @@ _HEAD_RE, _MIDDLE_RE, _TAIL_RE = (re.compile(lead + _SPACE.join(
     rb"(0|[1-9][0-9]{0,18})" if token == "%d" else re.escape(token.encode())
     for token in re.findall(r'"\w+"|%d|\S', template)) + end)
     for template, lead, end in ((_HEAD, _SPACE, b""), (_MIDDLE, b"", b""), (_TAIL, b"", _SPACE + rb"\Z")))
-_SCAN = 1 << 20  # bytes per pass of the count of number runs, bounding its scratch
+_SCAN = 1 << 18  # bytes per pass of the count of number runs: its scratch stays in cache
 
 
 def read_drawing_json(data: bytes) -> Optional[GridDrawing]:
     """What ``drawing_from_json(json.loads(data))`` builds or raises, if data
     is drawing_json's document with any JSON whitespace between its tokens;
     None otherwise. The head, middle and tail are matched token by token, so
-    no key hides whitespace; _lists reads the lists with their whitespace
-    deleted, and as many runs of "-" and digit bytes as numbers read show
-    that no number held whitespace ("1 2"). The constructors check the rest."""
+    no key hides whitespace. Then one translate deletes every whitespace
+    byte, and _lists reads the two runs of lists in place in that text: the
+    head, middle and tail there are their tokens alone. As many runs of "-"
+    and digit bytes in data as numbers read show that no number held
+    whitespace ("1 2"). The constructors check the rest, on the arrays read
+    and not on copies."""
     head = _HEAD_RE.match(data)
     at = data.find(b'"', head.end()) if head else -1  # the lists hold no '"': this is "pos"
     middle = _MIDDLE_RE.match(data, max(data.rfind(b"]", 0, at), 0)) if at > 0 else None
     tail = _TAIL_RE.match(data, max(data.rfind(b"]"), 0))
     if middle is None or tail is None:
         return None
-    buf, runs = np.frombuffer(data, np.uint8), 0
-    for a in range(1, len(data), _SCAN):  # data[0] is "{" or whitespace
-        num = buf[a - 1:a + _SCAN] - ord("-") <= ord("9") - ord("-")  # wraps below "-"
-        runs += np.count_nonzero(num[1:] > num[:-1])
-    n = int(head[1])
-    children = _lists(data[head.end():middle.start()].translate(None, _WHITESPACE), n)
-    rows = _lists(data[middle.end():tail.start()].translate(None, _WHITESPACE), n)
-    if children is None or rows is None or runs != 2 + len(children[1]) + len(rows[1]):
+    text = data.translate(None, _WHITESPACE)
+    n, a = int(head[1]), len(data[:head.end()].translate(None, _WHITESPACE))
+    b = text.find(b'"', a) - len(b"]},")  # the middle is ]},"pos":[ and the tail ]}
+    children = _lists(text, a, b, n)
+    rows = _lists(text, b + len(b']},"pos":['), len(text) - len(b"]}"), n)
+    if children is None or rows is None or _number_runs(data) != 2 + len(children[1]) + len(rows[1]):
         return None
-    tree = TernaryTree(child_table(*children), int(head[2]))
-    return GridDrawing(tree, rows[1].reshape(n, 2) if np.all(rows[0] == 2) else rows[1])
+    tree = TernaryTree.from_lists(*children, root=int(head[2]))
+    if np.any(rows[0] != 2):
+        return GridDrawing(tree, rows[1])  # refused: not one (x, y) row per node
+    return GridDrawing.from_array(tree, rows[1].reshape(n, 2))
 
 
-def _lists(text: bytes, n: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The item count of each list in text and the items in order, if it is
-    n lists of integers joined by commas, without whitespace; None
-    otherwise. The brackets alternate, "]," is followed by "[", and any
-    other two adjacent separators enclose an item, but those of "[]". An
-    item is 1 to 19 decimal digits, maybe after a "-", with no leading zero
-    ("-0" is 0, as json reads it). The digits are read a column at a time,
-    each item right-aligned in a window as wide as the widest. 19 digits
-    past 2**63 - 1 wrap to a negative int64, kept after a "-": refused as a
-    child id and as a coordinate, as json's reading of them is."""
-    if not (text.startswith(b"[") and text.endswith(b"]")):
+def _number_runs(data: bytes) -> int:
+    """The number of runs of "-" and digit bytes in data, past its first
+    byte ("{" or whitespace), read _SCAN bytes at a time through one
+    scratch array."""
+    buf, num, runs = np.frombuffer(data, np.uint8), np.empty(_SCAN + 1, np.uint8), 0
+    for a in range(1, len(buf), _SCAN):
+        k = len(window := buf[a - 1:a + _SCAN])
+        np.less_equal(np.subtract(window, ord("-"), out=num[:k]), ord("9") - ord("-"),
+                      out=num[:k].view(bool))  # wraps below "-"
+        runs += np.count_nonzero(num[1:k] > num[:k - 1])
+    return runs
+
+
+def _lists(compact: bytes, start: int, stop: int, n: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The item count of each list in compact[start:stop] and the items in
+    order, if it is n lists of integers joined by commas, without
+    whitespace; None otherwise. The brackets alternate, "]," is followed by
+    "[", and any other two adjacent separators enclose an item, but those of
+    "[]". An item is 1 to 19 decimal digits, maybe after a "-", with no
+    leading zero ("-0" is 0, as json reads it). Counts and sizes are
+    index_dtype's; positions stay intp, as numpy indexes with them.
+
+    The digits are read a column at a time, each item right-aligned in a
+    window as wide as the widest; compact holds the head before start, so
+    no window starts before it. Each nine columns are summed in uint32, and
+    those sums in uint64, which holds 19 digits: one past 2**63 - 1 wraps
+    to a negative int64, kept after a "-", and is refused as a child id and
+    as a coordinate, as json's reading of it is. Items are taken at the
+    flatnonzero of their mask: a random boolean mask indexes several times
+    slower."""
+    buf, offset = np.frombuffer(compact, np.uint8), index_dtype(len(compact))
+    text = buf[start:stop]
+    if len(text) < 2 or text[0] != ord("[") or text[-1] != ord("]"):
         return None
-    buf = np.frombuffer(text, np.uint8)
-    at = np.flatnonzero((buf == ord(",")) | (buf >= ord("[")))  # "]" and every letter are >= "["
-    kind = buf[at]
+    at = np.flatnonzero(np.subtract(text, ord("-")) > ord("9") - ord("-"))  # wraps below "-"
+    kind = text[at]  # "," "[" "]", or a byte no item holds
     brackets = np.flatnonzero(kind != ord(","))
-    opens, closes = brackets[0::2], brackets[1::2]
-    first, last = at[opens], at[closes]
-    if (len(brackets) != 2 * n or kind[brackets].tobytes() != b"[]" * n
-            or np.any(closes[:-1] + 2 != opens[1:]) or np.any(first[1:] - last[:-1] != 2)):
-        return None  # the last two ask for "],[" between lists
-    counts = closes - opens - (last - first == 1)  # "[]" holds no item
-    del kind, brackets, opens, closes, first, last
-    gap = np.diff(at)
-    item = gap > 1  # a byte between two separators
-    if np.count_nonzero(item) != counts.sum():  # no other two separators are adjacent
+    if len(brackets) != 2 * n or kind[brackets].tobytes() != b"[]" * n:
+        return None
+    span = at[brackets]  # each bracket's offset
+    if np.any(brackets[2::2] - brackets[1:-1:2] != 2) or np.any(span[2::2] - span[1:-1:2] != 2):
+        return None  # these ask for "],[" between lists
+    counts = np.subtract(brackets[1::2], brackets[0::2], dtype=offset)
+    counts -= (counts == 1) & (span[1::2] - span[0::2] == 1)  # "[]" holds no item
+    del kind, brackets, span  # each array dies once read: the peak stays low
+    gap = np.subtract(at[1:], at[:-1], dtype=offset)
+    item = np.flatnonzero(gap > 1)  # a byte between two separators
+    if len(item) != counts.sum():  # no other two separators are adjacent
         return None
     sizes = gap[item]
     sizes -= 1
     del gap
     ends = at[1:][item]
+    ends += start
     del at, item
-    neg = buf[ends - sizes] == ord("-")
+    ends -= sizes  # now each item's start
+    neg = buf[ends] == ord("-")
+    ends += neg
     sizes -= neg
     if len(sizes) and (sizes.min() < 1 or sizes.max() > 19
-                       or np.any((buf[ends - sizes] == ord("0")) & (sizes > 1))):
+                       or np.any((buf[ends] == ord("0")) & (sizes > 1))):
         return None
-    w = sizes.max(initial=0)
+    w = int(sizes.max(initial=0))
+    ends += sizes
     ends -= w  # now each window's start
-    outside, values = (w - sizes).astype(np.uint8), np.zeros(len(sizes), np.int64)
-    for j in range(w):
-        digit = buf.take(ends, mode="clip")  # a window start before buf is outside its item
-        ends += 1
-        digit -= ord("0")  # wraps below "0"
-        digit *= outside <= j
-        if digit.max(initial=0) > 9:
-            return None
-        values *= 10
-        values += digit
-    return counts, np.negative(values, out=values, where=neg & (values > 0))
+    outside, values = (w - sizes).astype(np.uint8), np.zeros(len(sizes), np.uint64)
+    for first in range(0, w, 9):  # nine digits fit a uint32
+        part = np.zeros(len(sizes), np.uint32)
+        for j in range(first, min(first + 9, w)):
+            digit = buf[j:][ends]
+            digit -= ord("0")  # wraps below "0"
+            digit *= outside <= j
+            if digit.max(initial=0) > 9:
+                return None
+            part *= 10
+            part += digit
+        values *= 10 ** (j + 1 - first)
+        values += part
+    values = values.view(np.int64)
+    values *= 1 - 2 * (neg & (values > 0)).view(np.int8)  # a branch-free negation
+    return counts, values
 
 
 def drawing_from_json(obj: dict) -> GridDrawing:

@@ -32,17 +32,30 @@ class TernaryTree:
         if isinstance(children, np.ndarray):
             if not np.can_cast(children.dtype, np.int64):  # no float, uint64, object or str
                 raise TreeError("child ids must be integers in 0..n-1")
-            table = children.astype(np.int64)
+            self._adopt(children.astype(np.int64), root)  # a copy: the caller's array stays theirs
         else:
             ids = list(chain.from_iterable(children))
             if not all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, ids))):
                 ids = [None]  # no True, 1.0 or [1]: an object array, refused after the counts
-            table = child_table(np.fromiter(map(len, children), np.int64), np.array(ids or np.zeros(0, np.int64)))
+            self._adopt(child_table(np.fromiter(map(len, children), np.int64),
+                                    np.array(ids or np.zeros(0, np.int64))), root)
+
+    @classmethod
+    def from_lists(cls, counts: np.ndarray, ids: np.ndarray, root: int = 0) -> TernaryTree:
+        """The tree whose node v has the next counts[v] of ids as its
+        children, checked as the constructor checks a table: child_table's
+        table becomes the tree's own, with no copy."""
+        t = cls.__new__(cls)
+        t._adopt(child_table(counts, ids), root)
+        return t
+
+    def _adopt(self, table: np.ndarray, root) -> None:
+        """Check the int64 table and root, and keep the table itself, frozen."""
         n, root, filled = len(table), index(root), table >= 0
         if n == 0 or table.shape[1:] != (3,) or not 0 <= root < n:
             raise TreeError("a tree needs an (n, 3) child table, n >= 1, and a root in it")
-        if (table.min() < -1 or table.max() >= n or np.any(filled[:, 1] & ~filled[:, 0])
-                or np.any(filled[:, 2] & ~filled[:, 1])):
+        if (table.min() < -1 or table.max() >= n or np.any(filled[:, 1] > filled[:, 0])
+                or np.any(filled[:, 2] > filled[:, 1])):  # one column at a time: a long inner loop
             raise TreeError("child ids must be in 0..n-1, then -1 in the empty slots")
         at = np.flatnonzero(filled)
         kids = table.ravel()[at]
@@ -50,13 +63,16 @@ class TernaryTree:
         parents[kids] = at // 3
         if parents[root] >= 0 or np.count_nonzero(parents >= 0) < len(kids):
             raise TreeError("a node has two parents, or the root is a child")
+        if len(kids) != n - 1:
+            raise TreeError("tree is not connected")
         # one parent per node but the root: connected unless ancestors cycle
-        up = np.where(parents < 0, root, parents)
-        for _ in range(n.bit_length()):
-            if np.array_equal(jump := up[up], up):
+        up = parents.copy()
+        up[root] = root
+        for _ in range(n.bit_length()):  # up jumps 2**j levels: all to the root, unless they cycle
+            if np.all(up == root):
                 break
-            up = jump
-        if len(kids) != n - 1 or np.any(up != root):
+            up = up[up]
+        if np.any(up != root):
             raise TreeError("tree is not connected")
         self.table, self.parents, self.root, self.n = *_frozen(table, parents), root, n
 
@@ -86,9 +102,11 @@ class TernaryTree:
         rows[:, :n] = values
         up = np.append(self.parents, n)
         up[self.root] = n
+        start = np.empty(n + 1, values.dtype)  # a row's values at the start of a pass
         while up.min() < n:
             for row in rows:  # one 1-D ufunc.at per row: numpy's fast path
-                ufunc.at(row, up, row.copy())
+                np.copyto(start, row)
+                ufunc.at(row, up, start)
             up = up[up]
         return rows[:, :n]
 
@@ -111,6 +129,13 @@ class TernaryTree:
             level, h = rows.ravel(), h + 1
 
 
+def index_dtype(bound: int) -> type:
+    """The dtype of node ids, ranks, places and offsets below bound: int32
+    while bound < 2**31, half the bytes of int64, and int64 past it. Products
+    of two of them (a place key, a search key) are formed in int64."""
+    return np.int32 if bound < 2 ** 31 else np.int64
+
+
 def child_table(counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """The (n, 3) child table, -1 in its empty slots, of n lists of counts[v]
     ids each, given in order: at most 3 ids per list, each an integer >= 0."""
@@ -118,8 +143,10 @@ def child_table(counts: np.ndarray, ids: np.ndarray) -> np.ndarray:
         raise TreeError(f"node {counts.argmax()} has {counts.max()} children (max 3)")
     if ids.dtype.kind != "i" or np.any(ids < 0):  # no -1 or 2**63
         raise TreeError("child ids must be integers in 0..n-1")
-    table = np.full((len(counts), 3), -1)
-    table[np.arange(3) < counts[:, None]] = ids
+    table, filled = np.full((len(counts), 3), -1), np.empty((len(counts), 3), bool)
+    for slot in range(3):  # a column at a time: a long inner loop, not one of three
+        np.less(slot, counts, out=filled[:, slot])
+    table[filled] = ids
     return table
 
 

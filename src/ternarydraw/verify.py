@@ -9,9 +9,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import Extents, GridDrawing, edge_arrays, extents
+from .geometry import Extents, GridDrawing, extents
 from .geometry import edge_segments  # unused here; perfbench/child.py wraps it
-from .tree import TernaryTree
+from .tree import TernaryTree, index_dtype
 
 
 class VerificationError(Exception):
@@ -33,52 +33,76 @@ class VerificationReport:
 
 class NodeRanks(NamedTuple):
     """Each node's dense rank among the nx distinct x and the ny distinct y
-    values, and in (y, x) and (x, y) order (its place there when no two
-    nodes share a point), and on_grid: whether no two nodes share a point."""
+    values, as index_dtype(n) arrays; yx, the nodes' int64 keys ry * nx + rx
+    sorted, in (y, x) order; and on_grid: whether no two nodes share a
+    point."""
 
     rx: np.ndarray
     ry: np.ndarray
     nx: int
     ny: int
-    place_yx: np.ndarray
-    place_xy: np.ndarray
+    yx: np.ndarray
     on_grid: bool
 
 
-def _dense_ranks(c: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each entry's rank among the distinct values of c, and their count. When
-    c spans at most len(c) values, as each axis of a layout's drawing does,
-    they are counted instead of sorted (np.unique): a presence mask over the
-    span and its running sum."""
+def _dense_ranks(c: np.ndarray, dtype: type) -> tuple[np.ndarray, int]:
+    """Each entry's rank among the distinct values of c, as dtype, and their
+    count. When c spans at most len(c) values, as each axis of a layout's
+    drawing does, they are counted instead of sorted (np.unique): a presence
+    mask over the span and its running sum."""
     lo, hi = c.min(), c.max()
     if hi - lo >= len(c):  # sparse: only a sort bounds the work
         values, rank = np.unique(c, return_inverse=True)
-        return rank, len(values)
+        return rank.astype(dtype), len(values)
+    at = c - lo
     present = np.zeros(hi - lo + 1, bool)
-    present[c - lo] = True
-    rank = np.cumsum(present)
+    present[at] = True
+    rank = np.cumsum(present, dtype=dtype)
     rank -= 1
-    return rank[c - lo], int(rank[-1]) + 1
+    return rank[at], int(rank[-1]) + 1
+
+
+def _sorted_keys(major: np.ndarray, minor: np.ndarray, width: int) -> np.ndarray:
+    """The int64 keys major * width + minor, below n**2 for ranks, sorted:
+    a sort of the keys alone, with no permutation to carry."""
+    key = np.multiply(major, width, dtype=np.int64)
+    key += minor
+    key.sort()
+    return key
 
 
 def node_ranks(P: np.ndarray) -> NodeRanks:
-    """Dense ranks per axis, then of the int64 key ry * nx + rx (resp.
-    rx * ny + ry), below n**2, per order: all by _dense_ranks. Ranks keep
-    order and equality: every check reads them in place of the coordinates."""
-    (rx, nx), (ry, ny) = map(_dense_ranks, P.T)
-    (place_yx, points), (place_xy, _) = _dense_ranks(ry * nx + rx), _dense_ranks(rx * ny + ry)
-    return NodeRanks(rx, ry, nx, ny, place_yx, place_xy, points == len(P))
+    """Dense ranks per axis by _dense_ranks, then the sorted (y, x) keys, in
+    which two nodes on one point are two equal neighbours. Ranks keep order
+    and equality: every check reads them in place of the coordinates."""
+    (rx, nx), (ry, ny) = (_dense_ranks(c, index_dtype(len(P))) for c in P.T)
+    yx = _sorted_keys(ry, rx, nx)
+    return NodeRanks(rx, ry, nx, ny, yx, not np.any(yx[1:] == yx[:-1]))
 
 
-def rank_runs(r: NodeRanks, parent: np.ndarray, child: np.ndarray) -> tuple:
-    """The (a, b) node ids of the horizontal and of the vertical edges, of
-    positive length along exactly one axis, and their runs in rank space:
-    (ry, rx1, rx2) and (rx, ry1, ry2) as (m, 3) arrays with lo < hi.
-    Diagonal and zero-length edges are in neither."""
-    dx, dy = r.rx[parent] != r.rx[child], r.ry[parent] != r.ry[child]
-    h, v = (parent[dx & ~dy], child[dx & ~dy]), (parent[dy & ~dx], child[dy & ~dx])
-    return h, v, *(np.stack([line[a], np.minimum(at[a], at[b]), np.maximum(at[a], at[b])], axis=1)
-                   for line, at, (a, b) in ((r.ry, r.rx, h), (r.rx, r.ry, v)))
+class Runs(NamedTuple):
+    """Edges of positive length along one axis alone, in rank space: the
+    rank of each one's line, and the lower and higher of its ends' ranks
+    along it."""
+
+    line: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def rank_runs(r: NodeRanks, parent: np.ndarray, child: np.ndarray) -> tuple[Runs, Runs]:
+    """The horizontal and the vertical runs. Diagonal and zero-length edges
+    are in neither. Each end's two ranks are read once, and each run's
+    fields are taken at the indices of its edges: a random boolean mask
+    indexes several times slower than its flatnonzero."""
+    xa, xb, ya, yb = r.rx[parent], r.rx[child], r.ry[parent], r.ry[child]
+    dx, dy = xa != xb, ya != yb
+    runs = []
+    for along, line, ua, ub in ((dx > dy, ya, xa, xb), (dy > dx, xa, ya, yb)):
+        e = np.flatnonzero(along)
+        ua, ub = ua[e], ub[e]
+        runs.append(Runs(line[e], np.minimum(ua, ub), np.maximum(ua, ub)))
+    return tuple(runs)
 
 
 def check_on_grid(d: GridDrawing) -> bool:
@@ -91,7 +115,8 @@ def check_orthogonal(d: GridDrawing) -> bool:
     return build_report(d).orthogonal
 
 
-def _interior_crossing(hs: np.ndarray, vs: np.ndarray, width: int, height: int) -> bool:
+def _interior_crossing(h: Runs, x: np.ndarray, y1: np.ndarray, y2: np.ndarray,
+                       width: int, height: int) -> bool:
     """Some vertical (x, y1, y2) and horizontal (y, x1, x2) with x1 < x < x2
     and y1 < y < y2, in rank space (width columns, height rows), the
     verticals given in x order. A horizontal's open x-range is then a run of
@@ -99,30 +124,31 @@ def _interior_crossing(hs: np.ndarray, vs: np.ndarray, width: int, height: int) 
     bottom-up into dyadic blocks. At level k the verticals are sorted by
     (block, y1) and carry a running max of block * height + y2, so one
     searchsorted per level finds, per block asked about, whether one of its
-    verticals with y1 < y reaches below y."""
-    vs = vs[vs[:, 2] - vs[:, 1] > 1]  # one between adjacent rows has no row to cross inside
-    upto = np.cumsum(np.bincount(vs[:, 0], minlength=width))  # verticals with x <= column
-    lo, hi = upto[hs[:, 1]], upto[hs[:, 2] - 1]
-    keep = lo < hi
-    lo, hi, y = lo[keep], hi[keep], hs[keep, 0]
-    slot = np.arange(len(vs))
-    order = slot  # the verticals in (block, y1) order at the current level
+    verticals with y1 < y reaches below y. The int64 queries block * height
+    + y are sorted first, so that the search walks the keys in order; the
+    block is read back as query // height."""
+    upto = np.cumsum(np.bincount(x, minlength=width))  # verticals with x <= column
+    lo, hi = upto[h.lo], upto[h.hi - 1]
+    keep = np.flatnonzero(lo < hi)
+    lo, hi, y = lo[keep], hi[keep], h.line[keep]
+    slot = np.arange(len(x))
     k = 0
-    while len(lo):
-        keys = (slot >> k) * height + vs[order, 1]
+    while len(lo):  # y1 and y2 hold the verticals in (block, y1) order at level k
+        base = (slot >> k) * height
+        keys = base + y1
         if k:  # each level-k block merges two sorted level-(k-1) blocks
             sort = np.argsort(keys, kind="stable")
-            order, keys = order[sort], keys[sort]
-        reach = np.maximum.accumulate((slot >> k) * height + vs[order, 2])
-        left, right = (lo & 1) == 1, (hi & 1) == 1  # the blocks a parent would overrun
-        block = np.concatenate([lo[left], hi[right] - 1])
-        q = block * height + np.concatenate([y[left], y[right]])
+            keys, y1, y2 = keys[sort], y1[sort], y2[sort]
+        reach = np.maximum.accumulate(base + y2)
+        left, right = lo & 1, hi & 1  # the blocks a parent would overrun
+        a, b = np.flatnonzero(left), np.flatnonzero(right)
+        q = np.sort(np.concatenate([lo[a] * height + y[a], (hi[b] - 1) * height + y[b]]))
         at = np.searchsorted(keys, q, "left")  # block's verticals with y1 < y end at at - 1
-        hit = at > (block << k)
+        hit = np.flatnonzero(at > (q // height << k))
         if np.any(reach[at[hit] - 1] > q[hit]):
             return True
         lo, hi = (lo + left) >> 1, (hi - right) >> 1
-        keep = lo < hi
+        keep = np.flatnonzero(lo < hi)
         lo, hi, y = lo[keep], hi[keep], y[keep]
         k += 1
     return False
@@ -139,24 +165,37 @@ def check_planar(d: GridDrawing) -> bool:
     return r.planar
 
 
-def _planar(r: NodeRanks, h: tuple, v: tuple, hs: np.ndarray, vs: np.ndarray) -> bool:
-    """check_planar's core, on distinct nodes. A node lies strictly inside a
-    horizontal edge (a, b) iff their places in (y, x) order differ by more
-    than one; likewise for a vertical edge in (x, y) order.
+def _holds_a_node(keys: np.ndarray, runs: Runs, width: int) -> bool:
+    """Whether a node lies strictly inside a run: whether some sorted node
+    key falls strictly between line * width + lo and line * width + hi. A
+    run between adjacent ranks holds none, so the longer ones alone are
+    asked. Two searchsorted count the keys below each run's ends; each
+    run's count is never negative, so their sum is positive iff one is, and
+    the ends can be sorted apart, so that each search walks the keys in
+    order."""
+    long = np.flatnonzero(runs.hi - runs.lo > 1)
+    first = np.multiply(runs.line[long], width, dtype=np.int64)
+    lo, hi = np.sort(first + runs.lo[long]), np.sort(first + runs.hi[long])
+    return int(np.searchsorted(keys, hi, "left").sum()) > int(np.searchsorted(keys, lo, "right").sum())
+
+
+def _planar(r: NodeRanks, h: Runs, v: Runs) -> bool:
+    """check_planar's core, on distinct nodes. No node lies strictly inside
+    a horizontal run, by the (y, x) keys, nor inside a vertical one, by the
+    (x, y) keys, and no vertical crosses a horizontal.
 
     No collinear-overlap pass is needed: two runs on one line that share
     more than a point either start at different nodes, and then the later
     start lies strictly inside the other run, or start at the same node,
     and then the shorter run's far end lies strictly inside the longer one
-    (equal runs would join the same two nodes twice)."""
-    if (np.any(np.abs(r.place_yx[h[0]] - r.place_yx[h[1]]) > 1)
-            or np.any(np.abs(r.place_xy[v[0]] - r.place_xy[v[1]]) > 1)):
+    (equal runs would join the same two nodes twice). A vertical between
+    adjacent rows has no row to cross inside, so the crossing search takes
+    the longer ones alone, in column order."""
+    if _holds_a_node(r.yx, h, r.nx) or _holds_a_node(_sorted_keys(r.rx, r.ry, r.ny), v, r.ny):
         return False
-    # runs on a column are now disjoint, so no two share an upper end: each
-    # put at that end's place in (x, y) order, they fall in x order unsorted
-    at = np.full(len(r.rx), -1)
-    at[np.minimum(r.place_xy[v[0]], r.place_xy[v[1]])] = np.arange(len(vs))
-    return not _interior_crossing(hs, vs[at[at >= 0]], r.nx, r.ny)
+    long = np.flatnonzero(v.hi - v.lo > 1)
+    long = long[np.argsort(v.line[long])]
+    return not _interior_crossing(h, v.line[long], v.lo[long], v.hi[long], r.nx, r.ny)
 
 
 def check_top_visibility(d: GridDrawing) -> bool:
@@ -165,37 +204,40 @@ def check_top_visibility(d: GridDrawing) -> bool:
     return build_report(d).top_visible
 
 
-def _top_visible(r: NodeRanks, root: int, hs: np.ndarray) -> bool:
+def _top_visible(r: NodeRanks, root: int, h: Runs) -> bool:
     """No node above the root on its column, and no horizontal run across
     that column above the root. A horizontal run that only touches the
     column there, and a vertical run on it there, end at such a node."""
     x, y = r.rx[root], r.ry[root]
     return not (np.any((r.rx == x) & (r.ry < y))
-                or np.any((hs[:, 0] < y) & (hs[:, 1] < x) & (x < hs[:, 2])))
+                or np.any((h.line < y) & (h.lo < x) & (x < h.hi)))
 
 
 def _subtree_boxes(r: NodeRanks, t: TernaryTree) -> np.ndarray:
     """Rows (xmin, ymin, -xmax, -ymax) over each node's subtree, indexed by
-    node id, in int32 ranks: ranks keep order, so the same boxes meet. The
-    four rank rows are reduced by one minimum over every subtree, in
-    O(log depth) passes (``t.reduce_subtrees``)."""
-    Q = np.stack([r.rx, r.ry]).astype(np.int32)
+    node id, in ranks: ranks keep order, so the same boxes meet. The four
+    rank rows are reduced by one minimum over every subtree, in O(log depth)
+    passes (``t.reduce_subtrees``)."""
+    Q = np.stack([r.rx, r.ry])
     return t.reduce_subtrees(np.minimum, np.concatenate([Q, -Q]))
 
 
-def _separated(r: NodeRanks, t: TernaryTree, parent: np.ndarray, child: np.ndarray) -> bool:
-    """Sibling subtrees' closed boxes pairwise disjoint: edges are ordered by
-    parent, so siblings sit one or two entries apart. With boxes stored as
-    (xmin, ymin, -xmax, -ymax), a and b overlap iff a[:2] <= -b[2:] and
-    b[:2] <= -a[2:]."""
-    box = _subtree_boxes(r, t)
-    for gap in (1, 2):
-        sib = np.flatnonzero(parent[:-gap] == parent[gap:])
-        a, b = box[:, child[sib]], box[:, child[sib + gap]]
-        if np.any((a[0] + b[2] <= 0) & (a[1] + b[3] <= 0)
-                  & (b[0] + a[2] <= 0) & (b[1] + a[3] <= 0)):
-            return False
-    return True
+def _separated(r: NodeRanks, t: TernaryTree) -> bool:
+    """Sibling subtrees' closed boxes pairwise disjoint: the children in
+    slots 0 and 1, 1 and 2, and 0 and 2 of every node with two or more, read
+    off the child table, each slot's boxes gathered once. With boxes stored
+    as (xmin, ymin, -xmax, -ymax), a and b overlap iff a[:2] <= -b[2:] and
+    b[:2] <= -a[2:]. An empty slot 2 reads the last node's box, and its
+    pairs are dropped."""
+    box, table = _subtree_boxes(r, t), t.table
+    two = np.flatnonzero(table[:, 1] >= 0)
+    slots = [table[two, s] for s in range(3)]
+    a, b, c = ([row[kids] for row in box] for kids in slots)
+
+    def overlap(p, q):
+        return (p[0] + q[2] <= 0) & (p[1] + q[3] <= 0) & (q[0] + p[2] <= 0) & (q[1] + p[3] <= 0)
+
+    return not (np.any(overlap(a, b)) or np.any((slots[2] >= 0) & (overlap(b, c) | overlap(a, c))))
 
 
 def check_subtree_separation(d: GridDrawing) -> bool:
@@ -269,19 +311,21 @@ def leg_arm_lengths(d: GridDrawing) -> tuple[int, int, int]:
 
 
 def build_report(d: GridDrawing) -> VerificationReport:
-    """All checks, reading one ranking of the nodes, one pair of edge arrays
-    and one set of runs. Before the crossing search, node_ranks sorts n
-    entries only for each axis or place key too sparse to count: four sorts
-    at most. The arrays derived from d.pos die on return, not kept with the
-    drawing, so they never add to a caller's peak memory."""
-    parent, child = edge_arrays(d.tree)
+    """All checks, reading one ranking of the nodes, one edge up from each
+    node but the root, and one set of runs, in index_dtype ranks. Before the crossing search,
+    n entries are argsorted only for an axis too sparse to count; the (y, x)
+    and (x, y) keys are sorted alone. The arrays derived from d.pos die on
+    return, not kept with the drawing, so they never add to a caller's peak
+    memory."""
+    child = np.flatnonzero(d.tree.parents >= 0)  # one edge up from every node but the root
     r = node_ranks(d.pos)
-    h, v, hs, vs = rank_runs(r, parent, child)
-    sep = _separated(r, d.tree, parent, child)
-    orthogonal = len(hs) + len(vs) == len(parent)
+    h, v = rank_runs(r, d.tree.parents[child], child)
+    del child
+    sep = _separated(r, d.tree)
+    orthogonal = len(h.line) + len(v.line) == d.tree.n - 1
     valid = r.on_grid and orthogonal
-    planar = valid and _planar(r, h, v, hs, vs)
-    top = valid and _top_visible(r, d.tree.root, hs)
+    planar = valid and _planar(r, h, v)
+    top = valid and _top_visible(r, d.tree.root, h)
     ext = extents(d)
     leg = lam = rho = None
     if planar:

@@ -13,7 +13,8 @@ from ternarydraw.geometry import (Extents, GridDrawing, drawing_from_json,
 from ternarydraw.layout_complete import (draw_c1_only, draw_c2_only,
                                          draw_golden, draw_upper_1149)
 from ternarydraw.layout_general import draw_general
-from ternarydraw.tree import TernaryTree, TreeError, complete_tree, random_ternary_tree, tree_to_json
+from ternarydraw.tree import (TernaryTree, TreeError, complete_tree, index_dtype, random_ternary_tree,
+                              tree_to_json)
 from ternarydraw.verify import build_report, node_ranks
 
 from conftest import canonical_bytes, drawings, json_drawing, layouts, min_area_drawing, raised
@@ -188,9 +189,8 @@ def test_drawing_json_never_rounds():
 def sorted_node_ranks(P):
     """node_ranks with every rank and count from np.unique: the sort-only path."""
     (ux, rx), (uy, ry) = (np.unique(c, return_inverse=True) for c in P.T)
-    points, place_yx = np.unique(ry * len(ux) + rx, return_inverse=True)
-    place_xy = np.unique(rx * len(uy) + ry, return_inverse=True)[1]
-    return rx, ry, len(ux), len(uy), place_yx, place_xy, len(points) == len(P)
+    yx = np.sort(ry * len(ux) + rx)
+    return rx, ry, len(ux), len(uy), yx, len(np.unique(yx)) == len(P)
 
 
 BIG = 2 ** 62 - 1
@@ -210,8 +210,8 @@ def test_node_ranks_equal_the_sorted_ranks(axis):
     other = [3, 1, 4, 1, 5, 9]
     for P in (np.array([axis, other]).T, np.array([other, axis]).T, np.array([axis, axis]).T):
         got, want = node_ranks(P), sorted_node_ranks(P)
+        assert got.rx.dtype == got.ry.dtype == index_dtype(len(P)) and got.yx.dtype == np.int64
         for a, b in zip(got, want):
-            assert np.asarray(a).dtype == np.asarray(b).dtype
             assert np.array_equal(a, b)
 
 

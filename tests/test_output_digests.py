@@ -29,6 +29,17 @@ VERIFY = {  # the drawing verified: sha256 of verify's stdout
     "random:3000:1": "f1d80e01f767b042cc0699a98d036a8ea7016764606d786d68929393ba12808a",
 }
 
+VERIFY_LARGE = {  # sha256 of verify's stdout on draw complete:9 --algo ..., and on draw random:20000:1
+    "general": "3ee05df558cf116a536db31859728c2d422508b2f0f918182b486e06722670f2",
+    "c1": "9b942f3984c8e3c00348f482eac963b672fcbd541c7037c8473d7785b0874b18",
+    "c2": "fd2dc5fbb7184d92ca427e977b07f350421017c65b4ead8a3363a1fffbdffedc",
+    "golden-narrow": "3ee05df558cf116a536db31859728c2d422508b2f0f918182b486e06722670f2",
+    "golden-wide": "68b8aee9153f25444d5a8d3e9ebfeda8c90e7f3ce55b91faf8b04f208b49ae0c",
+    "upper1149": "28c1904299aeb35e15faaafc48c9573748ddb356bc0705c34d3eb5e536d87265",
+    "pareto-min": "13b3a733581f55dd177dc5281389dbd1fe0b585b4e6656e1aea5040bb6eeacf8",
+    "random:20000:1": "e89b770da4f8e2c84a3622c9941cf6ef2f9d124f61fb0fb05b5a8c3e1c73ea58",
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -54,3 +65,17 @@ def test_outputs_match_their_recorded_digests(tmp_path, capsysbinary):
         "verify": {name: sha256(run("verify", str(path))) for name, path in drawn.items()},
     }
     assert got == {"draw": DRAW, "random": RANDOM, "svg": SVG, "table": TABLE, "verify": VERIFY}
+
+
+def test_verify_reports_on_larger_drawings_match_their_recorded_digests(tmp_path, capsysbinary):
+    """Drawings large enough for the crossing search to run many levels."""
+    def verify(*draw_argv):
+        out = tmp_path / "d.json"
+        assert main(["draw", *draw_argv, "--out", str(out)]) == 0
+        capsysbinary.readouterr()
+        assert main(["verify", str(out)]) == 0
+        return sha256(capsysbinary.readouterr().out)
+
+    got = {algo: verify("complete:9", "--algo", algo) for algo in DRAW}
+    got["random:20000:1"] = verify("random:20000:1")
+    assert got == VERIFY_LARGE
