@@ -3,10 +3,11 @@
 2*n^c - 1 bound across tree sizes. The tree column times random_ternary_tree,
 its validation included. With --verify, each drawing also gets one
 build_report (all verifier checks and its extents), timed in the verify
-column, and one read of its drawing_json bytes by read_drawing_json (the bytes
-are written untimed), timed in the read column. The peak RSS column is the process's peak so far (getrusage), so a
-row's figure covers its own size and every size before it: for one size's
-peak, run that size alone, e.g. ``--sizes 1000000 --seeds 1``. The frames
+column, one drawing_json of it, timed in the write column, and one read of
+those bytes by read_drawing_json, timed in the read column. The peak RSS
+column is the process's peak so far (getrusage), so a row's figure covers
+its own size and every size before it: for one size's peak, run that size
+alone, e.g. ``--sizes 1000000 --seeds 1``. The frames
 column is the mean number of decompositions the layout performs, levels the
 most frame levels (the frame depth + 1, one batch of numpy passes each), and
 slack the largest ratio of an attachment size to its bound in the paper's
@@ -48,10 +49,10 @@ def main() -> None:
     if args.seeds < 1:
         ap.error("--seeds must be at least 1")
 
-    print(f"{'n':>8} {'tree (s)':>9} {'layout (s)':>11} {'peak RSS (MB)':>14} {'verify (s)':>11} {'read (s)':>9} {'width':>8} "
+    print(f"{'n':>8} {'tree (s)':>9} {'layout (s)':>11} {'peak RSS (MB)':>14} {'verify (s)':>11} {'write (s)':>10} {'read (s)':>9} {'width':>8} "
           f"{'height':>7} {'bound':>7} {'ratio':>6} {'frames':>7} {'levels':>6} {'slack':>6}")
     for n in args.sizes:
-        t_tree = t_layout = t_verify = t_read = 0.0
+        t_tree = t_layout = t_verify = t_write = t_read = 0.0
         worst_h = worst_ratio = 0
         worst_w = 0
         bound = max_rows(n)
@@ -68,7 +69,10 @@ def main() -> None:
                 t_verify += time.perf_counter() - t0
                 if not (r.planar and r.top_visible):
                     raise SystemExit(f"n={n} seed={seed}: drawing failed verification")
-                data = drawing_json(d).encode()
+                t0 = time.perf_counter()
+                data = drawing_json(d)
+                t_write += time.perf_counter() - t0
+                data = data.encode()
                 t0 = time.perf_counter()
                 read = read_drawing_json(data)
                 t_read += time.perf_counter() - t0
@@ -82,12 +86,13 @@ def main() -> None:
                 worst_ratio = e.height / bound
                 worst_h, worst_w = e.height, e.width
         verify = f"{t_verify / args.seeds:.4f}" if args.verify else "-"
+        write = f"{t_write / args.seeds:.4f}" if args.verify else "-"
         read = f"{t_read / args.seeds:.4f}" if args.verify else "-"
         rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
         del t, d
         frames, levels, slack = zip(*(count_frames(random_ternary_tree(n, seed))
                                       for seed in range(args.seeds)))
-        print(f"{n:>8} {t_tree / args.seeds:>9.4f} {t_layout / args.seeds:>11.4f} {rss:>14.1f} {verify:>11} {read:>9} {worst_w:>8} "
+        print(f"{n:>8} {t_tree / args.seeds:>9.4f} {t_layout / args.seeds:>11.4f} {rss:>14.1f} {verify:>11} {write:>10} {read:>9} {worst_w:>8} "
               f"{worst_h:>7} {bound:>7} {worst_ratio:>6.2f} {round(sum(frames) / args.seeds):>7} {max(levels):>6} {max(slack):>6.3f}")
 
 

@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .tree import TernaryTree, index_dtype, tree_from_json, tree_to_json
+from .tree import TernaryTree, child_counts, index_dtype, tree_from_json, tree_to_json
 
 
 @dataclass(frozen=True)
@@ -133,41 +133,65 @@ def drawing_to_json(d: GridDrawing) -> dict:
 
 # json.dumps(..., indent=2) layout of a drawing: its head, the children, the
 # text between them and the positions, its tail; one child list, by its
-# length, and one position row.
+# length, and the three pieces around the x and the y of one position row.
 _HEAD = '{\n  "tree": {\n    "n": %d,\n    "root": %d,\n    "children": [\n'
 _MIDDLE = '\n    ]\n  },\n  "pos": [\n'
 _TAIL = "\n  ]\n}"
 _CHILD_TEMPLATES = ("      []",) + tuple(
     "      [\n" + ",\n".join(["        %d"] * k) + "\n      ]" for k in (1, 2, 3))
-_ROW_TEMPLATE = "    [\n      %d,\n      %d\n    ]"
-_BLOCK = 1 << 13  # nodes formatted per % operation, bounding the Python ints alive at once
+_ROW = (b"    [\n      ", b",\n      ", b"\n    ],\n")
+_BLOCK = 1 << 13  # nodes formatted per block, bounding the scratch alive at once
 
 
 def drawing_json_blocks(d: GridDrawing) -> Iterator[str]:
     """The pieces of ``drawing_json(d)`` in order, the children and the
     positions of at most _BLOCK nodes each, formatted as they are asked for."""
     t, P = d.tree, d.pos
-    counts = (t.table >= 0).sum(axis=1)
+    counts, templates = child_counts(t.table), np.array(_CHILD_TEMPLATES, object)
     ids, starts = t.table[t.table >= 0], np.append(0, np.cumsum(counts))[::_BLOCK].tolist()
     yield _HEAD % (t.n, t.root)
     for i, a, b in zip(range(0, t.n, _BLOCK), starts, starts[1:] + [len(ids)]):
         if i:
             yield ",\n"
-        lists = [_CHILD_TEMPLATES[k] for k in counts[i:i + _BLOCK].tolist()]
-        yield ",\n".join(lists) % tuple(ids[a:b].tolist())
+        yield ",\n".join(templates[counts[i:i + _BLOCK]].tolist()) % tuple(ids[a:b].tolist())
     yield _MIDDLE
     for i in range(0, t.n, _BLOCK):
-        if i:
-            yield ",\n"
-        rows = P[i:i + _BLOCK]
-        yield ",\n".join([_ROW_TEMPLATE] * len(rows)) % tuple(rows.ravel().tolist())
+        yield _position_rows(P[i:i + _BLOCK], last=i + _BLOCK >= t.n)
     yield _TAIL
 
 
+def _position_rows(P: np.ndarray, last: bool) -> str:
+    """The rows of positions P, each but the drawing's last followed by ",\n":
+    a byte array from _ROW with NULs for x and y, a sign column and as many
+    digit columns as the block's largest |x| or |y| has. The digits go in
+    right-aligned by // 10, a leading zero left NUL, and one translate
+    deletes the NULs: twice as fast as a Python int and "%d" per number."""
+    fields = [(v, np.maximum(v, -v)) for v in P.T]  # np.abs, run nowhere else: 64 KB more RSS
+    widths = [1 + len(str(int(q.max()))) for _, q in fields]
+    row = _ROW[0] + b"\0" * widths[0] + _ROW[1] + b"\0" * widths[1] + _ROW[2]
+    R = np.empty((len(P), len(row)), np.uint8)
+    R[:] = np.frombuffer(row, np.uint8)
+    at = len(_ROW[0])
+    for (v, q), w in zip(fields, widths):
+        R[:, at] = (v < 0) * ord("-")
+        q = q.astype(np.uint32 if w <= 10 else np.uint64)  # unsigned, 32 bits: faster //
+        for col in range(at + w - 1, at, -1):
+            rest = q // 10  # faster than q % 10
+            digit = q - 10 * rest + ord("0")
+            if col < at + w - 1:
+                digit *= q != 0
+            R[:, col] = digit
+            q = rest
+        at += w + len(_ROW[1])
+    if last:
+        R[-1, -2:] = 0  # no ",\n" after the last row
+    return R.tobytes().translate(None, b"\0").decode()
+
+
 def drawing_json(d: GridDrawing) -> str:
-    """Exactly ``json.dumps(drawing_to_json(d), indent=2)``, from one format
-    string per block of nodes instead of the pure-Python encoder: the join
-    of drawing_json_blocks(d)."""
+    """Exactly ``json.dumps(drawing_to_json(d), indent=2)``, from blocks of
+    nodes instead of the pure-Python encoder: the join of
+    drawing_json_blocks(d)."""
     return "".join(drawing_json_blocks(d))
 
 

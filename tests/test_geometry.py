@@ -178,6 +178,13 @@ def test_drawing_json_child_counts_and_extreme_coordinates():
     assert drawing_json(single) == dumped(single)
     rooted = GridDrawing(TernaryTree(((), (0,)), root=1), ((0, 1), (0, 0)))
     assert drawing_json(rooted) == dumped(rooted)
+    # one block of every width: +-10^k and +-(10^k - 1) for k = 0..18, and
+    # +-(2^62 - 1), x and y of mixed signs and widths in each row
+    values = [sign * v for k in range(19) for v in (10 ** k, 10 ** k - 1) for sign in (1, -1)]
+    values += [big, -big]
+    x = np.array(values)
+    mixed = GridDrawing(random_ternary_tree(len(x), 2), np.stack([x, np.roll(x[::-1], 3)], 1))
+    assert drawing_json(mixed) == dumped(mixed)
 
 
 def test_drawing_json_never_rounds():
@@ -259,12 +266,15 @@ def test_reader_reads_every_whitespace_layout(d):
 
 
 def test_drawing_json_is_the_join_of_its_blocks():
-    d = draw_general(random_ternary_tree(3 * geometry._BLOCK + 5, 1))
-    blocks = list(drawing_json_blocks(d))
-    text = "".join(blocks)
-    assert text == drawing_json(d) == dumped(d)
-    assert max(block.count("[") for block in blocks) == geometry._BLOCK  # one per list or row
-    assert read_drawing_json(drawing_json(d).encode()) == d
+    # the last block full, short by one and holding one row: where the rows'
+    # ",\n" ends, and whether a block ends the drawing
+    for n in (3 * geometry._BLOCK + 5, geometry._BLOCK - 1, geometry._BLOCK, geometry._BLOCK + 1):
+        d = draw_general(random_ternary_tree(n, 1))
+        blocks = list(drawing_json_blocks(d))
+        text = "".join(blocks)
+        assert text == drawing_json(d) == dumped(d)
+        assert max(block.count("[") for block in blocks) == min(n, geometry._BLOCK)  # one per list or row
+        assert read_drawing_json(drawing_json(d).encode()) == d
 
 
 @pytest.mark.parametrize("chunk", [32, 1000])

@@ -5,6 +5,7 @@ slack column."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +73,9 @@ def test_benchmark_general_verifies(tmp_path):
     header, row = run.stdout.splitlines()
     assert header.split()[0] == "n" and row.split()[0] == "100"
     assert header.split()[-3:] == ["frames", "levels", "slack"]
+    # the timed stages of --verify, one seconds column each, after the peak RSS
+    assert re.findall(r"(\w+) \(s\)", header) == ["tree", "layout", "verify", "write", "read"]
+    assert all(float(cell) >= 0 for cell in row.split()[4:7])
     t = random_ternary_tree(100, 0)
     s, slack = frame_stats(t), max(slack_ratios(t).values())
     assert row.split()[-3:] == [str(len(s.m)), str(s.level.max() + 1), f"{slack:.3f}"]
